@@ -7,41 +7,22 @@ covariance. Includes degenerate all-linear ("lqr") and all-network
 ("dnqr") modes, synthetic benchmark scenarios, and a CLI (see dplqr.cli).
 """
 
-from .dgp import (DgpSpec, generate, m_case, make_covariates, mspe, rmse_m,
-                  sample_copula, sample_t3, sigma1_case, t3_cdf, t3_quantile,
-                  true_m, true_quantile, true_theta)
+from .dgp import DgpSpec, generate, true_theta
 from .errors import (ConfigError, DataError, DplqrError, SingularMatrixError,
                      TrainingError)
-from .experiment import (ExperimentReport, MethodSummary, ReplicateResult,
-                         run_experiment, scenario_config, scenario_grid)
-from .inference import (CovarianceEstimate, confidence_intervals, covariance,
-                        fit_projection, kde_at_zero)
-from .model import (Dataset, PlqrFit, fit, m_values, make_mode_config,
-                    predict, predict_batch, residuals)
-from .network import NetworkParams, forward, forward_batch, init_params
-from .optimizer import (AdamState, EarlyStopMonitor, TrainConfig,
-                        TrainHistory, adam_step, epoch_batches, init_adam,
-                        train_joint, tune)
-from .quantile_loss import (check_loss, loss_subgrad_wrt_pred,
-                            mean_check_loss, validate_tau)
-from .rng import child_rng, make_rng, shuffled_indices, split, std_normal, uniform01
+from .experiment import run_experiment
+from .inference import covariance
+from .model import Dataset, fit, predict, residuals
+from .optimizer import TrainConfig
+from .rng import make_rng
 
 __version__ = "0.1.0"
 
+# The names the README and demos import; everything else is reached
+# through its submodule (dplqr.dgp.true_m, dplqr.experiment.scenario_grid).
 __all__ = [
-    "AdamState", "ConfigError", "CovarianceEstimate", "DataError",
-    "Dataset", "DgpSpec", "DplqrError", "EarlyStopMonitor",
-    "ExperimentReport", "MethodSummary", "NetworkParams", "PlqrFit",
-    "ReplicateResult", "SingularMatrixError", "TrainConfig",
-    "TrainHistory", "TrainingError", "adam_step", "check_loss",
-    "child_rng", "confidence_intervals", "covariance", "epoch_batches",
-    "fit", "fit_projection", "forward", "forward_batch", "generate",
-    "init_adam", "init_params", "kde_at_zero", "loss_subgrad_wrt_pred",
-    "m_case", "m_values", "make_covariates", "make_mode_config",
-    "make_rng", "mean_check_loss", "mspe", "predict", "predict_batch",
-    "residuals", "rmse_m", "run_experiment", "sample_copula", "sample_t3",
-    "scenario_config", "scenario_grid", "shuffled_indices", "sigma1_case",
-    "split", "std_normal", "t3_cdf", "t3_quantile", "train_joint",
-    "true_m", "true_quantile", "true_theta", "tune", "uniform01",
-    "validate_tau",
+    "ConfigError", "DataError", "Dataset", "DgpSpec", "DplqrError",
+    "SingularMatrixError", "TrainConfig", "TrainingError", "covariance",
+    "fit", "generate", "make_rng", "predict", "residuals", "run_experiment",
+    "true_theta",
 ]

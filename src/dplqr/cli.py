@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
@@ -50,10 +51,15 @@ def _category(exc):
     return "internal"
 
 
-def _clean(value):
-    """Make a value JSON-safe: arrays to lists, non-finite floats to None."""
+def _jsonable(value):
+    """Make a value JSON-safe: dataclasses to dicts of their fields, arrays
+    and tuples to lists, numpy scalars to Python ones, non-finite floats to
+    None."""
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name))
+                for f in fields(value)}
     if isinstance(value, np.ndarray):
-        return _clean(value.tolist())
+        return _jsonable(value.tolist())
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (float, np.floating)):
@@ -62,9 +68,9 @@ def _clean(value):
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
+        return [_jsonable(v) for v in value]
     if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
+        return {k: _jsonable(v) for k, v in value.items()}
     return value
 
 
@@ -98,6 +104,8 @@ def _merge_config(args, keys):
                 file_config = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{args.config} is not valid JSON: {exc}")
+        if not isinstance(file_config, dict):
+            raise DataError(f"{args.config} must hold a JSON object")
         unknown = set(file_config) - set(keys)
         if unknown:
             raise ConfigError(
@@ -111,32 +119,51 @@ def _merge_config(args, keys):
     return args
 
 
+_GRID_FLAGS = ("depth", "width", "lr", "epochs", "minibatch", "patience")
+
 _FIT_DEFAULTS = {
     "data": None, "y": None, "x": "", "z": "", "tau": 0.5, "mode": "dplqr",
-    "seed": 0, "level": 0.95, "depth": "3", "width": "32", "lr": "0.01",
-    "epochs": 500, "minibatch": 64, "patience": 50, "scale": True,
-    "out": None, "report": None,
+    "seed": 0, "level": 0.95, "scale": True, "out": None, "report": None,
+    **dict.fromkeys(_GRID_FLAGS),
 }
 
 
-def _build_grid(args):
-    depths = _ints(args.depth)
-    widths = _ints(args.width)
-    lrs = _floats(args.lr)
+def _build_grid(args, base):
+    """One config per point of the depth x width x lr cross product.
+
+    Each grid flag left unset takes its value from `base`, and base.mode
+    is applied to every entry (so "lqr" forces depth 1).
+    """
+    def flag(name, default):
+        value = getattr(args, name)
+        return default if value is None else value
+
     grid = [
-        make_mode_config(args.mode, TrainConfig(
-            depth=d, width=w, epochs=int(args.epochs),
-            minibatch=int(args.minibatch),
-            early_stop_patience=int(args.patience),
-            learning_rate=lr, seed=int(args.seed)))
-        for d, w, lr in itertools.product(depths, widths, lrs)
+        make_mode_config(base.mode, replace(
+            base, depth=d, width=w, learning_rate=lr,
+            epochs=int(flag("epochs", base.epochs)),
+            minibatch=int(flag("minibatch", base.minibatch)),
+            early_stop_patience=int(flag("patience",
+                                         base.early_stop_patience))))
+        for d, w, lr in itertools.product(
+            _ints(flag("depth", base.depth)), _ints(flag("width", base.width)),
+            _floats(flag("lr", base.learning_rate)))
     ]
     for config in grid:
         config.validate()
     return grid
 
 
-def _load_fit_inputs(args):
+def _fit_setup(args, out_required):
+    """The shared start of fit and tune: merge --config, check the flags,
+    load and scale the data, build the tuning grid."""
+    _merge_config(args, _FIT_DEFAULTS)
+    if args.no_scale:
+        args.scale = False
+    if out_required and args.out is None:
+        raise ConfigError("--out is required")
+    if args.mode not in MODES:
+        raise ConfigError(f"--mode must be one of {MODES}, got {args.mode!r}")
     if args.data is None:
         raise ConfigError("--data is required")
     if args.y is None:
@@ -144,20 +171,12 @@ def _load_fit_inputs(args):
     roles = ColumnRoles(args.y, _columns(args.x), _columns(args.z))
     raw = load_csv(args.data, roles)
     scaling = compute_scaling(raw) if args.scale else None
-    return apply_scaling(raw, scaling), roles, scaling
+    grid = _build_grid(args, TrainConfig(seed=int(args.seed), mode=args.mode))
+    return apply_scaling(raw, scaling), roles, scaling, grid
 
 
 def cmd_fit(args):
-    _merge_config(args, _FIT_DEFAULTS)
-    if args.no_scale:
-        args.scale = False
-    if args.out is None:
-        raise ConfigError("--out is required")
-    if args.mode not in MODES:
-        raise ConfigError(f"--mode must be one of {MODES}, got {args.mode!r}")
-    data, roles, scaling = _load_fit_inputs(args)
-    grid = _build_grid(args)
-
+    data, roles, scaling, grid = _fit_setup(args, out_required=True)
     rng = make_rng(int(args.seed))
     tune_rng, fit_rng, cov_rng = split(rng, 3)
     best = tune(grid, data, args.tau, tune_rng)
@@ -169,36 +188,21 @@ def cmd_fit(args):
                               level=float(args.level))
 
     save_model(args.out, fitted, roles, scaling)
-    payload = {
-        "schema_version": 1,
-        "command": "fit",
-        "n": data.n, "p": data.p, "q": data.q,
-        "tau": float(args.tau), "mode": fitted.mode,
-        "level": float(args.level), "scaled": bool(args.scale),
-        "columns": {"y": roles.y, "x": roles.x, "z": roles.z},
-        "config": {
-            "depth": best.depth, "width": best.width,
-            "epochs": best.epochs, "minibatch": best.minibatch,
-            "early_stop_patience": best.early_stop_patience,
-            "learning_rate": best.learning_rate, "seed": best.seed,
-        },
-        "grid_size": len(grid),
-        "theta_hat": fitted.theta_hat,
-        "covariance": None if estimate is None else {
-            "f0_hat": estimate.f0_hat,
-            "omega_hat": estimate.omega_hat,
-            "sigma_hat": estimate.sigma_hat,
-            "intervals": estimate.intervals,
-        },
-        "history": {
-            "train_loss": fitted.history.train_loss,
-            "val_loss": fitted.history.val_loss,
-            "best_epoch": fitted.history.best_epoch,
-            "stopped_epoch": fitted.history.stopped_epoch,
-        },
-    }
     if args.report:
-        write_json(args.report, _clean(payload))
+        report = _jsonable({
+            "schema_version": 1, "command": "fit",
+            "n": data.n, "p": data.p, "q": data.q,
+            "tau": float(args.tau), "mode": fitted.mode,
+            "level": float(args.level), "scaled": bool(args.scale),
+            "columns": roles, "config": best, "grid_size": len(grid),
+            "theta_hat": fitted.theta_hat, "covariance": estimate,
+            "history": fitted.history,
+        })
+        # mode and level are reported once, at the top level
+        del report["config"]["mode"]
+        if estimate is not None:
+            del report["covariance"]["level"]
+        write_json(args.report, report)
 
     print(f"fit: mode={fitted.mode} tau={float(args.tau):g} n={data.n}"
           f" p={data.p} q={data.q}")
@@ -232,8 +236,7 @@ def cmd_predict(args):
 _SIM_DEFAULTS = {
     "case": 1, "n": 500, "tau": 0.5, "replicates": 160, "methods": "dplqr",
     "seed": 0, "level": 0.95, "workers": 1, "sigma_x_terms": "x1+x2",
-    "out_dir": None, "depth": None, "width": None, "lr": None,
-    "epochs": None, "minibatch": None, "patience": None,
+    "out_dir": None, **dict.fromkeys(_GRID_FLAGS),
 }
 
 
@@ -244,26 +247,9 @@ def cmd_simulate(args):
     spec = DgpSpec(case=int(args.case), n=int(args.n), tau=float(args.tau),
                    sigma_x_terms=args.sigma_x_terms)
     methods = _columns(args.methods)
-
-    overrides = (args.depth, args.width, args.lr, args.epochs,
-                 args.minibatch, args.patience)
-    if any(v is not None for v in overrides):
-        base = scenario_grid(spec.case, spec.n, seed=int(args.seed))[0]
-        args.depth = args.depth if args.depth is not None else str(base.depth)
-        args.width = args.width if args.width is not None else str(base.width)
-        args.lr = (args.lr if args.lr is not None
-                   else repr(base.learning_rate))
-        args.epochs = (args.epochs if args.epochs is not None
-                       else base.epochs)
-        args.minibatch = (args.minibatch if args.minibatch is not None
-                          else base.minibatch)
-        args.patience = (args.patience if args.patience is not None
-                         else base.early_stop_patience)
-        args.mode = "dplqr"
-        args.seed = int(args.seed)
-        grid = _build_grid(args)
-    else:
-        grid = scenario_grid(spec.case, spec.n, seed=int(args.seed))
+    grid = scenario_grid(spec.case, spec.n, seed=int(args.seed))
+    if any(getattr(args, name) is not None for name in _GRID_FLAGS):
+        grid = _build_grid(args, grid[0])
 
     report = run_experiment(
         spec, int(args.replicates), methods, int(args.seed), grid=grid,
@@ -276,51 +262,21 @@ def cmd_simulate(args):
     with open(os.path.join(args.out_dir, "report.txt"), "w",
               encoding="utf-8") as handle:
         handle.write(text)
-    payload = {
-        "schema_version": 1,
-        "command": "simulate",
-        "case": report.case, "n": report.n, "tau": report.tau,
-        "theta_true": report.theta_true,
-        "q_requested": report.q_requested, "failures": report.failures,
-        "master_seed": report.master_seed, "level": report.level,
-        "with_ci": report.with_ci, "align_m": report.align_m,
-        "methods": {
-            name: {
-                "bias": s.bias, "sd": s.sd, "coverage": s.coverage,
-                "mean_rmse_m": s.mean_rmse_m, "mean_mspe": s.mean_mspe,
-                "replicates": s.replicates,
-            } for name, s in report.methods.items()
-        },
-        "replicate_results": [
-            {"replicate": r.replicate, "method": r.method,
-             "theta_hat": r.theta_hat, "intervals": r.intervals,
-             "covered": r.covered, "rmse_m": r.rmse_m, "mspe": r.mspe}
-            for r in report.replicates
-        ],
-    }
-    write_json(os.path.join(args.out_dir, "report.json"), _clean(payload))
+    payload = _jsonable(report)
+    payload.update(schema_version=1, command="simulate",
+                   replicate_results=payload.pop("replicates"))
+    for summary in payload["methods"].values():
+        del summary["method"]  # the key it is filed under
+    write_json(os.path.join(args.out_dir, "report.json"), payload)
     print(text, end="")
     print(f"wrote report.csv, report.txt, report.json to {args.out_dir}")
     return 0
 
 
 def cmd_tune(args):
-    _merge_config(args, _FIT_DEFAULTS)
-    if args.no_scale:
-        args.scale = False
-    if args.mode not in MODES:
-        raise ConfigError(f"--mode must be one of {MODES}, got {args.mode!r}")
-    data, _, _ = _load_fit_inputs(args)
-    grid = _build_grid(args)
-    rng = make_rng(int(args.seed))
-    best = tune(grid, data, args.tau, rng)
-    chosen = {
-        "depth": best.depth, "width": best.width, "epochs": best.epochs,
-        "minibatch": best.minibatch,
-        "early_stop_patience": best.early_stop_patience,
-        "learning_rate": best.learning_rate, "seed": best.seed,
-        "mode": best.mode,
-    }
+    data, _, _, grid = _fit_setup(args, out_required=False)
+    best = tune(grid, data, args.tau, make_rng(int(args.seed)))
+    chosen = _jsonable(best)
     print(json.dumps(chosen, sort_keys=True, indent=2))
     if args.out:
         write_json(args.out, chosen)

@@ -12,27 +12,6 @@ from scipy.linalg import cho_solve
 from .errors import DataError, SingularMatrixError
 
 
-def matvec(m, v):
-    """Matrix-vector product m @ v.
-
-    Parameters
-    ----------
-    m : array_like, shape (r, c)
-    v : array_like, shape (c,)
-
-    Returns
-    -------
-    ndarray, shape (r,)
-    """
-    m = np.asarray(m, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise DataError(
-            f"matvec shapes do not chain: {m.shape} times {v.shape}"
-        )
-    return m @ v
-
-
 def sym_inverse(m):
     """Inverse of a small symmetric positive definite matrix.
 

@@ -16,8 +16,11 @@ import numpy as np
 from .errors import DataError
 from .model import Dataset, PlqrFit
 from .network import NetworkParams
+from .optimizer import MODES
 
 SCHEMA_VERSION = 1
+_MODEL_KEYS = ("tau", "mode", "theta", "x_dim", "z_dim", "network",
+               "columns", "scaling")
 
 
 @dataclass
@@ -156,10 +159,19 @@ def _network_from_dict(d):
     if d is None:
         return None
     widths = tuple(int(w) for w in d["widths"])
+    if len(widths) < 2 or widths[-1] != 1:
+        raise DataError(f"network widths {widths} must end in output width 1")
+    if len(d["layers"]) != len(widths) - 1:
+        raise DataError(f"network with widths {widths} needs"
+                        f" {len(widths) - 1} layer(s), got {len(d['layers'])}")
     layers = []
     for k, flat in enumerate(d["layers"]):
         shape = (widths[k + 1], widths[k] + 1)
-        layers.append(np.array(flat, dtype=float).reshape(shape))
+        layer = np.array(flat, dtype=float)
+        if layer.size != shape[0] * shape[1]:
+            raise DataError(f"network layer {k} needs {shape[0] * shape[1]}"
+                            f" entries, got {layer.size}")
+        layers.append(layer.reshape(shape))
     return NetworkParams(widths, layers)
 
 
@@ -195,24 +207,63 @@ def model_to_dict(fit, roles, scaling=None):
 
 
 def model_from_dict(payload):
-    """Inverse of model_to_dict: (PlqrFit, ColumnRoles, ScalingParams)."""
+    """Inverse of model_to_dict: (PlqrFit, ColumnRoles, ScalingParams).
+
+    A payload that model_to_dict could not have written raises DataError.
+    """
+    if not isinstance(payload, dict):
+        raise DataError("a model file must hold a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataError(
             f"unsupported model schema_version {version!r};"
             f" this build reads version {SCHEMA_VERSION}")
-    fit = PlqrFit(
-        theta_hat=np.array(payload["theta"], dtype=float),
-        network=_network_from_dict(payload["network"]),
-        tau=float(payload["tau"]),
-        history=None,
-        mode=payload["mode"],
-        x_dim=int(payload["x_dim"]),
-        z_dim=int(payload["z_dim"]),
-    )
-    cols = payload["columns"]
-    roles = ColumnRoles(cols["y"], list(cols["x"]), list(cols["z"]))
-    return fit, roles, _scaling_from_dict(payload["scaling"])
+    missing = [key for key in _MODEL_KEYS if key not in payload]
+    if missing:
+        raise DataError(f"model file lacks key(s) {missing}")
+    if payload["mode"] not in MODES:
+        raise DataError(f"model mode must be one of {MODES},"
+                        f" got {payload['mode']!r}")
+    try:
+        fit = PlqrFit(
+            theta_hat=np.array(payload["theta"], dtype=float),
+            network=_network_from_dict(payload["network"]),
+            tau=float(payload["tau"]),
+            history=None,
+            mode=payload["mode"],
+            x_dim=int(payload["x_dim"]),
+            z_dim=int(payload["z_dim"]),
+        )
+        cols = payload["columns"]
+        roles = ColumnRoles(cols["y"], list(cols["x"]), list(cols["z"]))
+        scaling = _scaling_from_dict(payload["scaling"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed model file: {exc!r}") from None
+    _check_layout(fit, roles, scaling)
+    return fit, roles, scaling
+
+
+def _check_layout(fit, roles, scaling):
+    """Dimensions of a loaded model must agree with its x_dim and z_dim."""
+    dnqr = fit.mode == "dnqr"
+    n_theta = 0 if dnqr else fit.x_dim
+    if fit.theta_hat.shape != (n_theta,):
+        raise DataError(f"a {fit.mode} model with x_dim {fit.x_dim} needs"
+                        f" {n_theta} theta entries, got {fit.theta_hat.size}")
+    n_in = fit.x_dim + fit.z_dim if dnqr else fit.z_dim
+    width = 0 if fit.network is None else fit.network.widths[0]
+    if width != n_in:
+        raise DataError(f"a {fit.mode} model with x_dim {fit.x_dim} and"
+                        f" z_dim {fit.z_dim} needs network input width"
+                        f" {n_in}, got {width}")
+    if (len(roles.x), len(roles.z)) != (fit.x_dim, fit.z_dim):
+        raise DataError(f"model columns {roles.x} and {roles.z} do not"
+                        f" match x_dim {fit.x_dim} and z_dim {fit.z_dim}")
+    if scaling is not None and any(
+            block.shape != (dim,) for block, dim in (
+                (scaling.x_low, fit.x_dim), (scaling.x_span, fit.x_dim),
+                (scaling.z_low, fit.z_dim), (scaling.z_span, fit.z_dim))):
+        raise DataError("model scaling does not match x_dim and z_dim")
 
 
 def write_json(path, payload):

@@ -15,13 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .rng import uniform01
-
-
-def relu(t):
-    """max(t, 0); vectorized over t."""
-    out = np.maximum(np.asarray(t, dtype=float), 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -57,7 +50,7 @@ def init_params(widths, rng):
     for k in range(1, len(widths)):
         fan_in, fan_out = widths[k - 1], widths[k]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        block = (2.0 * uniform01(rng, (fan_out, fan_in)) - 1.0) * bound
+        block = (2.0 * rng.random((fan_out, fan_in)) - 1.0) * bound
         layers.append(np.hstack([block, np.zeros((fan_out, 1))]))
     return NetworkParams(widths, layers)
 
@@ -96,12 +89,6 @@ def forward_batch(params, z_matrix):
     return out
 
 
-def forward(params, z):
-    """Network output for a single input vector."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return float(forward_batch(params, z.reshape(1, -1))[0])
-
-
 def backward_batch(params, z_matrix, upstream):
     """Gradients of sum_i upstream[i] * output_i with respect to each layer.
 
@@ -125,9 +112,3 @@ def backward_batch(params, z_matrix, upstream):
             # drop the bias column when propagating; mask dead relu units
             delta = (delta @ params.layers[k][:, :-1]) * (acts[k] > 0.0)
     return grads
-
-
-def backward(params, z, upstream):
-    """Gradients of upstream * forward(params, z) for a single input."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return backward_batch(params, z.reshape(1, -1), np.array([float(upstream)]))

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import network as net
 from .errors import ConfigError, DataError, DplqrError, TrainingError
-from .quantile_loss import mean_check_loss, validate_tau
+from .quantile_loss import (loss_subgrad_wrt_pred, mean_check_loss,
+                            validate_tau)
 from .rng import make_rng, shuffled_indices, split
 
 ADAM_BETA1 = 0.9
@@ -89,9 +90,6 @@ class AdamState:
     first_moment: list
     second_moment: list
     step_count: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    epsilon_hat: float = ADAM_EPSILON_HAT
 
 
 def init_adam(params):
@@ -114,8 +112,8 @@ def adam_step(state, params, grads, lr):
     if not (len(params) == len(grads) == len(state.first_moment)):
         raise ConfigError("adam_step: parameter and gradient lists differ")
     state.step_count += 1
-    c1 = 1.0 - state.beta1 ** state.step_count
-    c2 = 1.0 - state.beta2 ** state.step_count
+    c1 = 1.0 - ADAM_BETA1 ** state.step_count
+    c2 = 1.0 - ADAM_BETA2 ** state.step_count
     out = []
     for p, g, m, v in zip(params, grads, state.first_moment,
                           state.second_moment):
@@ -126,11 +124,11 @@ def adam_step(state, params, grads, lr):
                 f" parameter shape {p.shape}")
         if not np.all(np.isfinite(g)):
             raise TrainingError("non-finite gradient in adam_step")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        out.append(p - lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon_hat))
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        out.append(p - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON_HAT))
     return out
 
 
@@ -255,7 +253,7 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
                 zb = z_tr[batch]
                 resid = resid - net.forward_batch(params, zb)
             if tau is not None:
-                upstream = ((resid < 0.0) - tau) / len(batch)
+                upstream = loss_subgrad_wrt_pred(resid, tau) / len(batch)
             else:
                 upstream = -2.0 * resid / len(batch)
             grads = [xb.T @ upstream]

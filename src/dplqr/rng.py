@@ -51,11 +51,6 @@ def split(rng, n):
     return list(rng.spawn(n))
 
 
-def uniform01(rng, size=None):
-    """Uniform draws from [0, 1); scalar when size is None."""
-    return rng.random(size)
-
-
 def std_normal(rng, size=None):
     """Standard normal draws via the inverse CDF; scalar when size is None."""
     u = np.maximum(rng.random(size), _MIN_UNIFORM)

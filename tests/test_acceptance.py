@@ -22,7 +22,7 @@ from dplqr.dgp import (COPULA_DIM, DgpSpec, generate, m_case,
 from dplqr.experiment import run_experiment, scenario_grid
 from dplqr.inference import kde_at_zero
 from dplqr.model import fit, residuals
-from dplqr.network import backward, forward, init_params
+from dplqr.network import backward_batch, forward_batch, init_params
 from dplqr.optimizer import TrainConfig
 from dplqr.quantile_loss import mean_check_loss
 from dplqr.rng import make_rng, std_normal
@@ -70,16 +70,17 @@ def test_criterion_01_gradient_oracle(capsys):
         z = std_normal(rng, q0)
         if np.min(np.abs(_hidden_preacts(params, z))) < 1e-3:
             continue
-        grads = backward(params, z, 1.0)
+        row = z.reshape(1, -1)
+        grads = backward_batch(params, row, np.ones(1))
         for k, w in enumerate(params.layers):
             flat = w.ravel()
             gflat = grads[k].ravel()
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up = forward(params, z)
+                up = forward_batch(params, row)[0]
                 flat[idx] = orig - h
-                down = forward(params, z)
+                down = forward_batch(params, row)[0]
                 flat[idx] = orig
                 fd = (up - down) / (2.0 * h)
                 bp = gflat[idx]

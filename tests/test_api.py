@@ -1,0 +1,40 @@
+"""The top-level API covers every name the README and the demos import."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import dplqr
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _sources():
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        yield path.name, path.read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for k, block in enumerate(re.findall(r"```python\n(.*?)```", readme,
+                                         re.DOTALL)):
+        yield f"README.md python block {k + 1}", block
+
+
+SOURCES = list(_sources())
+
+
+def test_sources_found():
+    names = [name for name, _ in SOURCES]
+    assert any(name.endswith(".py") for name in names)
+    assert any(name.startswith("README.md") for name in names)
+
+
+@pytest.mark.parametrize("name, source", SOURCES,
+                         ids=[name for name, _ in SOURCES])
+def test_top_level_imports_are_exported(name, source):
+    imported = [alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "dplqr"
+                for alias in node.names]
+    missing = [n for n in imported if n not in dplqr.__all__]
+    assert not missing, f"{name} imports {missing} not in dplqr.__all__"
+    assert all(hasattr(dplqr, n) for n in dplqr.__all__)

@@ -123,6 +123,33 @@ class TestFitCommand:
         assert capsys.readouterr().err.startswith("error:config:")
 
 
+    def test_config_file_must_hold_an_object(self, train_csv, tmp_path,
+                                             capsys):
+        config = tmp_path / "config.json"
+        config.write_text("5", encoding="utf-8")
+        code = main(_fit_args(train_csv, tmp_path, config=str(config)))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:data:")
+
+
+def _model_payload():
+    """A well-formed dplqr model: x_dim 2, z_dim 2, widths (2, 3, 1)."""
+    return {
+        "schema_version": 1, "tau": 0.5, "mode": "dplqr",
+        "theta": [1.0, -1.0], "x_dim": 2, "z_dim": 2,
+        "network": {"widths": [2, 3, 1],
+                    "layers": [[0.1] * 9, [0.2] * 4]},
+        "columns": {"y": "y", "x": ["x1", "x2"], "z": ["z1", "z2"]},
+        "scaling": None,
+    }
+
+
+def _malformed(edit):
+    payload = _model_payload()
+    edit(payload)
+    return payload
+
+
 class TestPredictCommand:
     def _fit_once(self, train_csv, tmp_path):
         model = tmp_path / "model.json"
@@ -185,6 +212,45 @@ class TestPredictCommand:
         code = main(["predict", "--model", str(other), "--data", train_csv,
                      "--out", str(out)])
         assert code != 0
+        assert capsys.readouterr().err.startswith("error:data:")
+
+
+    def test_well_formed_handmade_model_predicts(self, train_csv,
+                                                 tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(_model_payload()), encoding="utf-8")
+        code = main(["predict", "--model", str(model), "--data", train_csv,
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 0
+
+    @pytest.mark.parametrize("payload", [
+        [],
+        {"schema_version": 1},
+        _malformed(lambda m: m.pop("network")),
+        _malformed(lambda m: m.update(mode="qr")),
+        _malformed(lambda m: m["network"]["layers"][0].pop()),
+        _malformed(lambda m: m["network"]["layers"].pop()),
+        _malformed(lambda m: m.update(theta=[1.0])),
+        _malformed(lambda m: m.update(mode="dnqr")),
+        _malformed(lambda m: m.update(network=None)),
+        _malformed(lambda m: m["network"].update(
+            widths=[3, 3, 1], layers=[[0.1] * 12, [0.2] * 4])),
+        _malformed(lambda m: m.update(theta="abc")),
+        _malformed(lambda m: m["columns"]["x"].pop()),
+        _malformed(lambda m: m.update(scaling={
+            "x_low": [0.0], "x_span": [1.0],
+            "z_low": [0.0, 0.0], "z_span": [1.0, 1.0]})),
+    ], ids=["list", "only-version", "no-network", "unknown-mode",
+            "short-layer", "missing-layer", "short-theta", "dnqr-theta",
+            "missing-network", "wide-input", "text-theta", "short-columns",
+            "short-scaling"])
+    def test_malformed_model_is_data_error(self, payload, train_csv,
+                                           tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["predict", "--model", str(model), "--data", train_csv,
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 2
         assert capsys.readouterr().err.startswith("error:data:")
 
 

@@ -4,33 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dplqr.densemath import matvec, sample_iqr, sample_sd, sym_inverse
+from dplqr.densemath import sample_iqr, sample_sd, sym_inverse
 from dplqr.errors import DataError, SingularMatrixError
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert_array_equal(matvec(np.eye(2), np.array([3.0, 4.0])), [3.0, 4.0])
-
-    def test_zero_matrix(self):
-        assert_array_equal(matvec(np.zeros((2, 2)), np.array([3.0, 4.0])),
-                           [0.0, 0.0])
-
-    def test_hand_value(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert_array_equal(matvec(m, np.array([1.0, 1.0])), [3.0, 7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DataError):
-            matvec(np.eye(2), np.array([1.0, 2.0, 3.0]))
-
-    def test_deterministic_across_calls(self):
-        rng = np.random.default_rng(0)
-        m = rng.normal(size=(6, 6))
-        v = rng.normal(size=6)
-        first = matvec(m, v)
-        for _ in range(5):
-            assert_array_equal(matvec(m, v), first)
 
 
 class TestSymInverse:

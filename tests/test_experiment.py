@@ -87,6 +87,19 @@ class TestRunExperiment:
         for ra, rb in zip(a.replicates, b.replicates):
             assert_allclose(ra.theta_hat, rb.theta_hat, rtol=0)
 
+    def test_parallel_workers_match_serial(self):
+        spec = DgpSpec(case=1, n=200, tau=0.5)
+        serial, parallel = (
+            run_experiment(spec, 2, master_seed=5, grid=_FAST, with_ci=True,
+                           workers=workers)
+            for workers in (1, 2))
+        assert len(serial.replicates) == len(parallel.replicates) == 2
+        for rs, rp in zip(serial.replicates, parallel.replicates):
+            assert (rs.replicate, rs.method) == (rp.replicate, rp.method)
+            assert rs.theta_hat.tobytes() == rp.theta_hat.tobytes()
+            assert rs.intervals.tobytes() == rp.intervals.tobytes()
+            assert (rs.rmse_m, rs.mspe) == (rp.rmse_m, rp.mspe)
+
     def test_method_results_stable_under_method_set(self):
         # dropping a method must not change another method's stream
         spec = DgpSpec(case=1, n=200, tau=0.5)

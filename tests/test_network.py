@@ -2,26 +2,20 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dplqr.errors import ConfigError, DataError
-from dplqr.network import (NetworkParams, backward, backward_batch, forward,
-                           forward_batch, init_params, relu)
+from dplqr.network import (NetworkParams, backward_batch, forward_batch,
+                           init_params)
 from dplqr.rng import make_rng
-
-
-def test_relu_values():
-    assert relu(-1.0) == 0.0
-    assert relu(0.0) == 0.0
-    assert relu(2.5) == 2.5
-    assert_allclose(relu(np.array([-3.0, 0.0, 4.0])), [0.0, 0.0, 4.0])
 
 
 def test_depth_one_is_affine():
     # single layer, weights (2, -1) and bias 0.5 acting on z = (1, 1)
     params = NetworkParams((2, 1), [np.array([[2.0, -1.0, 0.5]])])
-    assert forward(params, np.array([1.0, 1.0])) == 1.5
-    assert forward(params, np.array([0.0, 0.0])) == 0.5
+    assert_array_equal(forward_batch(params, np.array([[1.0, 1.0],
+                                                       [0.0, 0.0]])),
+                       [1.5, 0.5])
 
 
 def test_two_layer_relu_kills_negative_unit():
@@ -31,22 +25,13 @@ def test_two_layer_relu_kills_negative_unit():
                    [-1.0, -1.0, 0.0]])
     w2 = np.array([[2.0, 2.0, 0.0]])
     params = NetworkParams((2, 2, 1), [w1, w2])
-    assert forward(params, np.array([1.0, 1.0])) == 4.0
-
-
-def test_forward_batch_matches_forward():
-    rng = make_rng(3)
-    params = init_params((4, 8, 1), rng)
-    z = np.random.default_rng(0).normal(size=(20, 4))
-    batch = forward_batch(params, z)
-    single = np.array([forward(params, row) for row in z])
-    assert_allclose(batch, single, rtol=1e-12)
+    assert forward_batch(params, np.array([[1.0, 1.0]]))[0] == 4.0
 
 
 def test_input_width_checked():
     params = init_params((3, 2, 1), make_rng(0))
     with pytest.raises(DataError):
-        forward(params, np.array([1.0, 2.0]))
+        forward_batch(params, np.array([[1.0, 2.0]]))
     with pytest.raises(DataError):
         forward_batch(params, np.ones((5, 4)))
 
@@ -79,7 +64,7 @@ def test_init_deterministic_from_seed():
 def test_backward_affine_layer():
     # depth 1: d(u * (w . (z, 1))) / dw = u * (z, 1)
     params = NetworkParams((2, 1), [np.array([[2.0, -1.0, 0.5]])])
-    grads = backward(params, np.array([3.0, 4.0]), 2.0)
+    grads = backward_batch(params, np.array([[3.0, 4.0]]), np.array([2.0]))
     assert_allclose(grads[0], [[6.0, 8.0, 2.0]])
 
 
@@ -112,15 +97,16 @@ def test_backward_matches_finite_differences():
         pre = _hidden_preactivations(params, z)
         if np.min(np.abs(pre)) < 1e-3:
             continue
-        grads = backward(params, z, upstream)
+        row = z.reshape(1, -1)
+        grads = backward_batch(params, row, np.array([upstream]))
         for k, w in enumerate(params.layers):
             flat = w.ravel()
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up = upstream * forward(params, z)
+                up = upstream * forward_batch(params, row)[0]
                 flat[idx] = orig - h
-                down = upstream * forward(params, z)
+                down = upstream * forward_batch(params, row)[0]
                 flat[idx] = orig
                 fd = (up - down) / (2 * h)
                 got = grads[k].ravel()[idx]
@@ -136,7 +122,9 @@ def test_backward_batch_sums_per_row_gradients():
     batch = backward_batch(params, z, u)
     acc = [np.zeros_like(w) for w in params.layers]
     for row, weight in zip(z, u):
-        for k, g in enumerate(backward(params, row, weight)):
+        per_row = backward_batch(params, row.reshape(1, -1),
+                                 np.array([weight]))
+        for k, g in enumerate(per_row):
             acc[k] += g
     for got, want in zip(batch, acc):
         assert_allclose(got, want, rtol=1e-10)
@@ -153,9 +141,10 @@ def test_relu_network_positive_homogeneity():
     # zero-bias output by c**2
     rng = make_rng(21)
     params = init_params((3, 6, 1), rng)
-    z = np.array([0.7, -0.3, 1.2])
-    base = forward(params, z)
+    z = np.array([[0.7, -0.3, 1.2]])
+    base = forward_batch(params, z)[0]
     for c in (0.5, 2.0, 3.0):
         scaled = NetworkParams(params.widths,
                                [w * c for w in params.layers])
-        assert_allclose(forward(scaled, z), c ** 2 * base, rtol=1e-10)
+        assert_allclose(forward_batch(scaled, z)[0], c ** 2 * base,
+                        rtol=1e-10)

@@ -11,12 +11,12 @@ from dplqr.errors import ConfigError
 def test_same_seed_same_stream():
     a = rngmod.make_rng(123)
     b = rngmod.make_rng(123)
-    assert_array_equal(rngmod.uniform01(a, 50), rngmod.uniform01(b, 50))
+    assert_array_equal(a.random(50), b.random(50))
 
 
 def test_different_seeds_differ():
-    a = rngmod.uniform01(rngmod.make_rng(1), 20)
-    b = rngmod.uniform01(rngmod.make_rng(2), 20)
+    a = rngmod.make_rng(1).random(20)
+    b = rngmod.make_rng(2).random(20)
     assert not np.array_equal(a, b)
 
 
@@ -27,7 +27,7 @@ def test_seed_validation():
 
 
 def test_uniform_mean_law_of_large_numbers():
-    u = rngmod.uniform01(rngmod.make_rng(42), 100_000)
+    u = rngmod.make_rng(42).random(100_000)
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.002
@@ -58,24 +58,24 @@ def test_child_streams_independent_and_reproducible():
 
 def test_child_streams_do_not_depend_on_parent_state():
     parent = rngmod.make_rng(5)
-    rngmod.uniform01(parent, 17)  # burn some draws
+    parent.random(17)  # burn some draws
     # child_rng keys off the seed integers only
-    assert_array_equal(rngmod.uniform01(rngmod.child_rng(5, 3), 10),
-                       rngmod.uniform01(rngmod.child_rng(5, 3), 10))
+    assert_array_equal(rngmod.child_rng(5, 3).random(10),
+                       rngmod.child_rng(5, 3).random(10))
 
 
 def test_split_children_distinct():
     parent = rngmod.make_rng(11)
     kids = rngmod.split(parent, 3)
-    draws = [rngmod.uniform01(k, 25) for k in kids]
+    draws = [k.random(25) for k in kids]
     for i in range(3):
         for j in range(i + 1, 3):
             assert not np.array_equal(draws[i], draws[j])
 
 
 def test_split_reproducible_from_same_parent_seed():
-    d1 = [rngmod.uniform01(k, 8) for k in rngmod.split(rngmod.make_rng(2), 4)]
-    d2 = [rngmod.uniform01(k, 8) for k in rngmod.split(rngmod.make_rng(2), 4)]
+    d1 = [k.random(8) for k in rngmod.split(rngmod.make_rng(2), 4)]
+    d2 = [k.random(8) for k in rngmod.split(rngmod.make_rng(2), 4)]
     for a, b in zip(d1, d2):
         assert_array_equal(a, b)
 

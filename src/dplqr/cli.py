@@ -94,6 +94,36 @@ def _ints(text):
         raise ConfigError(f"expected comma-separated integers, got {text!r}")
 
 
+# The JSON types a --config value may take, with how to name them; bool
+# is a subclass of int, so true/false count only where bool is listed.
+_INT = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_TEXT = ((str,), "a string")
+_FLAG = ((bool,), "true or false")
+_INT_LIST = ((int, str), "an integer or a comma-separated string of them")
+_NUMBER_LIST = ((int, float, str),
+                "a number or a comma-separated string of them")
+_KINDS = {
+    "data": _TEXT, "y": _TEXT, "x": _TEXT, "z": _TEXT, "tau": _NUMBER,
+    "mode": _TEXT, "seed": _INT, "level": _NUMBER, "scale": _FLAG,
+    "out": _TEXT, "report": _TEXT, "case": _INT, "n": _INT,
+    "replicates": _INT, "methods": _TEXT, "workers": _INT,
+    "sigma_x_terms": _TEXT, "out_dir": _TEXT, "depth": _INT_LIST,
+    "width": _INT_LIST, "lr": _NUMBER_LIST, "epochs": _INT,
+    "minibatch": _INT, "patience": _INT,
+}
+
+
+def _check_kind(path, key, value):
+    """A --config value must have its key's JSON type; null means unset."""
+    types, name = _KINDS[key]
+    if value is None:
+        return
+    if (isinstance(value, bool) != (bool in types)
+            or not isinstance(value, types)):
+        raise ConfigError(f"{key} in {path} must be {name}, got {value!r}")
+
+
 def _merge_config(args, keys):
     """Fill unset args from the --config JSON file, then apply defaults."""
     if getattr(args, "config", None):
@@ -111,6 +141,7 @@ def _merge_config(args, keys):
             raise ConfigError(
                 f"unknown key(s) in {args.config}: {sorted(unknown)}")
         for key, value in file_config.items():
+            _check_kind(args.config, key, value)
             if getattr(args, key, None) is None:
                 setattr(args, key, value)
     for key, default in keys.items():
@@ -141,10 +172,9 @@ def _build_grid(args, base):
     grid = [
         make_mode_config(base.mode, replace(
             base, depth=d, width=w, learning_rate=lr,
-            epochs=int(flag("epochs", base.epochs)),
-            minibatch=int(flag("minibatch", base.minibatch)),
-            early_stop_patience=int(flag("patience",
-                                         base.early_stop_patience))))
+            epochs=flag("epochs", base.epochs),
+            minibatch=flag("minibatch", base.minibatch),
+            early_stop_patience=flag("patience", base.early_stop_patience)))
         for d, w, lr in itertools.product(
             _ints(flag("depth", base.depth)), _ints(flag("width", base.width)),
             _floats(flag("lr", base.learning_rate)))

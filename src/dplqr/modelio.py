@@ -1,9 +1,9 @@
 """CSV ingestion, covariate scaling, and JSON model persistence.
 
-CSV files are comma-separated with a mandatory header row, UTF-8, and
-'.' as the decimal mark. Model files are JSON with a mandatory
-schema_version field; floats are written with repr so a load-save round
-trip reproduces predictions bit for bit.
+CSV files are comma-separated with a mandatory header row, UTF-8 (a
+leading byte-order mark is skipped), and '.' as the decimal mark. Model
+files are JSON with a mandatory schema_version field; floats are written
+with repr so a load-save round trip reproduces predictions bit for bit.
 """
 
 import csv
@@ -83,6 +83,47 @@ def _parse_cell(text, line_no, column):
             f" {text!r} as a number") from None
 
 
+def _read_rows(path, reader, used):
+    """Parsed used cells of every complete row, and the incomplete lines."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path} is empty (no header row)") from None
+    header = [h.strip() for h in header]
+    positions = {name: i for i, name in enumerate(header)}
+
+    unknown = [c for c in used if c not in positions]
+    if unknown:
+        raise DataError(
+            f"column(s) {unknown} not in {path}; available: {header}")
+    repeated = sorted({c for c in used if header.count(c) > 1})
+    if repeated:
+        raise DataError(f"column(s) {repeated} appear more than once in"
+                        f" the header of {path}")
+
+    rows, missing_lines = [], []
+    for line_no, record in enumerate(reader, start=2):
+        if len(record) == 0:
+            continue
+        if len(record) != len(header):
+            raise DataError(
+                f"line {line_no}: expected {len(header)} cells,"
+                f" got {len(record)}")
+        values = {}
+        has_missing = False
+        for column in used:
+            value = _parse_cell(record[positions[column]], line_no, column)
+            if value is None:
+                has_missing = True
+            else:
+                values[column] = value
+        if has_missing:
+            missing_lines.append(line_no)
+        else:
+            rows.append(values)
+    return rows, missing_lines
+
+
 def load_csv(path, roles, require_y=True, allow_empty=False):
     """Read a CSV file into a Dataset using the given column roles.
 
@@ -94,43 +135,16 @@ def load_csv(path, roles, require_y=True, allow_empty=False):
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty (no header row)") from None
-        header = [h.strip() for h in header]
-        positions = {name: i for i, name in enumerate(header)}
-
-        used = (([roles.y] if require_y else []) + list(roles.x)
-                + list(roles.z))
-        unknown = [c for c in used if c not in positions]
-        if unknown:
-            raise DataError(
-                f"column(s) {unknown} not in {path}; available: {header}")
-
-        rows, missing_lines = [], []
-        for line_no, record in enumerate(reader, start=2):
-            if len(record) == 0:
-                continue
-            if len(record) != len(header):
-                raise DataError(
-                    f"line {line_no}: expected {len(header)} cells,"
-                    f" got {len(record)}")
-            values = {}
-            has_missing = False
-            for column in used:
-                value = _parse_cell(record[positions[column]], line_no,
-                                    column)
-                if value is None:
-                    has_missing = True
-                else:
-                    values[column] = value
-            if has_missing:
-                missing_lines.append(line_no)
-            else:
-                rows.append(values)
+    used = ([roles.y] if require_y else []) + list(roles.x) + list(roles.z)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            rows, missing_lines = _read_rows(path, reader, used)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(
+            f"{path}, line {reader.line_num}: malformed CSV: {exc}") from None
 
     if missing_lines:
         shown = ", ".join(str(l) for l in missing_lines[:20])

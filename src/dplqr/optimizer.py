@@ -202,6 +202,15 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
     NetworkParams or None, and history a TrainHistory. The returned
     parameters are the ones current when training halted; the monitor
     only decides when to halt and which epoch was best on validation.
+
+    Each step does each piece of work once. The z rows are augmented
+    with their bias column once per call, and one set of hidden
+    activation buffers (`network.hidden_buffers`) serves every pass: a
+    step's forward pass leaves its activations there for its backward
+    pass, and the epoch evaluations reuse the same buffers. theta and
+    the layers are views into one flat vector, so a step makes a single
+    `adam_step` call on that vector and its flat gradient. Adam is
+    elementwise, so this gives the same bits as one call per array.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -214,27 +223,36 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
     tr_idx, val_idx = _holdout_split(n, rng)
     y_tr, y_val = y[tr_idx], y[val_idx]
     x_tr, x_val = x[tr_idx], x[val_idx]
+    blocks = [np.zeros(x.shape[1])]
     if widths is not None:
         z = np.asarray(z, dtype=float)
-        if z.shape[0] != n:
-            raise DataError("z and y row counts differ")
-        z_tr, z_val = z[tr_idx], z[val_idx]
+        if z.ndim != 2 or z.shape[0] != n:
+            raise DataError(f"z must have shape ({n}, q), got {z.shape}")
         params = net.init_params(widths, rng)
-        layers = params.layers
+        z_tr, z_val = net.augment(z[tr_idx]), net.augment(z[val_idx])
+        acts = net.hidden_buffers(params.widths, len(tr_idx))
+        blocks += params.layers
     else:
-        z_tr = z_val = None
-        params = None
-        layers = []
+        params = z_tr = z_val = acts = None
 
-    theta = np.zeros(x.shape[1])
-    state = init_adam([theta] + layers)
+    # writing into `flat` updates theta and every layer, its views
+    flat = np.concatenate([b.ravel() for b in blocks])
+    views, start = [], 0
+    for b in blocks:
+        views.append(flat[start:start + b.size].reshape(b.shape))
+        start += b.size
+    theta = views[0]
+    if params is not None:
+        params.layers = views[1:]
+    flat_grad = np.empty_like(flat)
+    state = init_adam([flat])
     lr = config.learning_rate
     minibatch = min(config.minibatch, len(tr_idx))
 
     def predict_on(xs, zs):
         out = xs @ theta
         if params is not None:
-            out = out + net.forward_batch(params, zs)
+            out = out + net.forward_batch(params, zs, acts)
         return out
 
     def loss_of(residuals):
@@ -251,19 +269,16 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
             resid = yb - xb @ theta
             if params is not None:
                 zb = z_tr[batch]
-                resid = resid - net.forward_batch(params, zb)
+                resid = resid - net.forward_batch(params, zb, acts)
             if tau is not None:
                 upstream = loss_subgrad_wrt_pred(resid, tau) / len(batch)
             else:
                 upstream = -2.0 * resid / len(batch)
             grads = [xb.T @ upstream]
             if params is not None:
-                grads += net.backward_batch(params, zb, upstream)
-            updated = adam_step(state, [theta] + layers, grads, lr)
-            theta = updated[0]
-            if params is not None:
-                layers = updated[1:]
-                params.layers = layers
+                grads += net.backward_batch(params, zb, upstream, acts)
+            np.concatenate([g.ravel() for g in grads], out=flat_grad)
+            flat[:] = adam_step(state, [flat], [flat_grad], lr)[0]
 
         train_epoch = loss_of(y_tr - predict_on(x_tr, z_tr))
         val_epoch = loss_of(y_val - predict_on(x_val, z_val))

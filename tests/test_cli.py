@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from dplqr.cli import main
+from dplqr.cli import _FIT_DEFAULTS, _KINDS, _SIM_DEFAULTS, main
 from dplqr.model import Dataset
 from dplqr.modelio import ColumnRoles, save_model, load_model
 
@@ -81,6 +81,14 @@ class TestFitCommand:
         assert code != 0
         assert capsys.readouterr().err.startswith("error:config:")
 
+    def test_non_utf8_data_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("y,x1,x2,z1,z2\n1,2,3,4,caf\u00e9\n"
+                         .encode("latin-1"))
+        code = main(_fit_args(str(path), tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:data:")
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = main(_fit_args(str(tmp_path / "absent.csv"), tmp_path))
         assert code != 0
@@ -130,6 +138,66 @@ class TestFitCommand:
         code = main(_fit_args(train_csv, tmp_path, config=str(config)))
         assert code == 2
         assert capsys.readouterr().err.startswith("error:data:")
+
+
+class TestConfigValueTypes:
+    """A --config value of the wrong JSON type is a config error, exit 2."""
+
+    def _run(self, tmp_path, command, payload, train_csv=None):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        if command == "simulate":
+            args = ["simulate", "--out-dir", str(tmp_path / "sim")]
+        else:
+            args = [command, "--data", train_csv, "--y", "y", "--x",
+                    "x1,x2", "--z", "z1,z2"]
+            if command == "fit":
+                args += ["--out", str(tmp_path / "model.json")]
+        return main(args + ["--config", str(config)])
+
+    def _assert_rejected(self, code, capsys, key):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("payload", [
+        {"epochs": "abc"}, {"epochs": 1.5}, {"epochs": True},
+        {"seed": "3"}])
+    def test_integer_key(self, payload, train_csv, tmp_path, capsys):
+        code = self._run(tmp_path, "fit", payload, train_csv)
+        self._assert_rejected(code, capsys, next(iter(payload)))
+        assert not (tmp_path / "model.json").exists()
+
+    def test_integer_key_of_simulate(self, tmp_path, capsys):
+        code = self._run(tmp_path, "simulate", {"workers": "x"})
+        self._assert_rejected(code, capsys, "workers")
+
+    @pytest.mark.parametrize("command", ["fit", "tune", "simulate"])
+    def test_float_key(self, command, train_csv, tmp_path, capsys):
+        code = self._run(tmp_path, command, {"tau": "abc"}, train_csv)
+        self._assert_rejected(code, capsys, "tau")
+
+    @pytest.mark.parametrize("command, payload", [
+        ("fit", {"x": ["x1", "x2"]}), ("fit", {"mode": 1}),
+        ("simulate", {"methods": 3})])
+    def test_string_key(self, command, payload, train_csv, tmp_path,
+                        capsys):
+        code = self._run(tmp_path, command, payload, train_csv)
+        self._assert_rejected(code, capsys, next(iter(payload)))
+
+    def test_bool_key(self, train_csv, tmp_path, capsys):
+        code = self._run(tmp_path, "fit", {"scale": "no"}, train_csv)
+        self._assert_rejected(code, capsys, "scale")
+
+    def test_numbers_accepted_for_grid_lists(self, train_csv, tmp_path):
+        payload = {"depth": 2, "width": 4, "lr": 0.02, "epochs": 20,
+                   "minibatch": 64, "patience": 20, "tau": 0.5,
+                   "scale": False, "level": 0.9, "seed": 1}
+        assert self._run(tmp_path, "fit", payload, train_csv) == 0
+
+    def test_every_config_key_has_a_kind(self):
+        assert set(_KINDS) == set(_FIT_DEFAULTS) | set(_SIM_DEFAULTS)
 
 
 def _model_payload():

@@ -102,6 +102,37 @@ class TestLoadCsv:
         assert data.n == 1
         assert_allclose(data.y, [0.0])
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"y,x1,x2,z1\n1.0,0.5,1.5,\xff\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_csv(str(path), ROLES)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = _write(tmp_path, "\ufeffy,x1,x2,z1\n1.0,0.5,1.5,0.1\n")
+        data = load_csv(path, ROLES)
+        assert_allclose(data.y, [1.0])
+
+    def test_repeated_used_column_rejected(self, tmp_path):
+        path = _write(tmp_path,
+                      "y,x1,x1,x2,z1\n"
+                      "1.0,0.5,9.0,1.5,0.1\n")
+        with pytest.raises(DataError, match="x1.*more than once"):
+            load_csv(path, ROLES)
+
+    def test_repeated_unused_column_ignored(self, tmp_path):
+        path = _write(tmp_path,
+                      "y,x1,x2,z1,note,note\n"
+                      "1.0,0.5,1.5,0.1,a,b\n")
+        assert load_csv(path, ROLES).n == 1
+
+    def test_malformed_csv_rejected(self, tmp_path):
+        # a cell beyond the csv module's field size limit
+        path = _write(tmp_path,
+                      "y,x1,x2,z1\n1.0,0.5,1.5," + "1" * 200_000 + "\n")
+        with pytest.raises(DataError, match="line 2"):
+            load_csv(path, ROLES)
+
     def test_no_such_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_csv(str(tmp_path / "absent.csv"), ROLES)

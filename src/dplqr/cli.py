@@ -27,7 +27,7 @@ from .errors import (ConfigError, DataError, DplqrError, SingularMatrixError,
                      TrainingError)
 from .experiment import (report_to_csv, report_to_text, run_experiment,
                          scenario_grid)
-from .inference import covariance
+from .inference import covariance, validate_level
 from .model import fit as fit_model
 from .model import make_mode_config, predict_batch
 from .modelio import (ColumnRoles, apply_scaling, compute_scaling, load_csv,
@@ -207,6 +207,7 @@ def _fit_setup(args, out_required):
 
 def cmd_fit(args):
     data, roles, scaling, grid = _fit_setup(args, out_required=True)
+    level = validate_level(args.level)
     rng = make_rng(int(args.seed))
     tune_rng, fit_rng, cov_rng = split(rng, 3)
     best = tune(grid, data, args.tau, tune_rng)
@@ -214,8 +215,7 @@ def cmd_fit(args):
 
     estimate = None
     if fitted.mode != "dnqr" and data.p >= 1 and data.q >= 1:
-        estimate = covariance(fitted, data, best, cov_rng,
-                              level=float(args.level))
+        estimate = covariance(fitted, data, best, cov_rng, level=level)
 
     save_model(args.out, fitted, roles, scaling)
     if args.report:
@@ -223,7 +223,7 @@ def cmd_fit(args):
             "schema_version": 1, "command": "fit",
             "n": data.n, "p": data.p, "q": data.q,
             "tau": float(args.tau), "mode": fitted.mode,
-            "level": float(args.level), "scaled": bool(args.scale),
+            "level": level, "scaled": bool(args.scale),
             "columns": roles, "config": best, "grid_size": len(grid),
             "theta_hat": fitted.theta_hat, "covariance": estimate,
             "history": fitted.history,

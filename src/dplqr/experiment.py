@@ -26,10 +26,10 @@ import numpy as np
 
 from .dgp import generate, mspe, rmse_m, true_m, true_theta
 from .errors import ConfigError, DplqrError, TrainingError
-from .inference import covariance
+from .inference import covariance, validate_level
 from .model import fit, m_values, make_mode_config, predict_batch
-from .optimizer import MODES, TrainConfig, tune
-from .rng import child_rng, shuffled_indices, split
+from .optimizer import MODES, TrainConfig, _holdout_split, tune
+from .rng import child_rng, split
 
 # selected hyperparameters per (base case, sample size); cases 4-6 share
 # the rows of their base case 1-3. Learning rate has two candidate values
@@ -134,10 +134,8 @@ def _run_replicate(spec, r, methods, master_seed, grid, with_ci, level,
                    align_m):
     rng = child_rng(master_seed, r)
     data = generate(spec, rng)
-    n_test = spec.n // 5
-    perm = shuffled_indices(rng, spec.n)
-    train = data.subset(perm[:spec.n - n_test])
-    test = data.subset(perm[spec.n - n_test:])
+    train_idx, test_idx = _holdout_split(spec.n, rng)
+    train, test = data.subset(train_idx), data.subset(test_idx)
     theta_star = true_theta(spec)
     m_star = true_m(spec, test.z)
 
@@ -201,6 +199,8 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     methods = _method_order(methods)
     if not methods:
         raise ConfigError("no methods requested")
+    if with_ci:
+        level = validate_level(level)
     if grid is None:
         grid = scenario_grid(spec.case, spec.n)
     grid = list(grid)

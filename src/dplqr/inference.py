@@ -19,7 +19,7 @@ from scipy.special import ndtri
 
 from .densemath import sample_iqr, sample_sd, sym_inverse
 from .errors import ConfigError, DataError, SingularMatrixError
-from .model import residuals as model_residuals
+from .model import _network_widths, residuals as model_residuals
 from .network import forward_batch
 from .optimizer import train_joint
 from .rng import split
@@ -61,10 +61,9 @@ def fit_projection(data, k, config, rng):
         raise DataError("projection fits need at least one z column")
     if not 0 <= k < data.p:
         raise DataError(f"coefficient index {k} out of range for p={data.p}")
-    widths = (data.q,) + (config.width,) * (config.depth - 1) + (1,)
     _, params, _ = train_joint(
-        data.x[:, k], np.zeros((data.n, 0)), data.z, widths, config, rng,
-        tau=None)
+        data.x[:, k], np.zeros((data.n, 0)), data.z,
+        _network_widths(config, data.q), config, rng, tau=None)
     return params
 
 
@@ -79,10 +78,17 @@ class CovarianceEstimate:
     intervals: np.ndarray
 
 
-def confidence_intervals(theta_hat, sigma_hat, n, level):
-    """Wald intervals theta_k +/- z_{(1+level)/2} * sqrt(Sigma_kk / n)."""
+def validate_level(level):
+    """The confidence level as a float; it must lie in (0, 1)."""
+    level = float(level)
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must be in (0, 1), got {level}")
+    return level
+
+
+def confidence_intervals(theta_hat, sigma_hat, n, level):
+    """Wald intervals theta_k +/- z_{(1+level)/2} * sqrt(Sigma_kk / n)."""
+    level = validate_level(level)
     theta_hat = np.asarray(theta_hat, dtype=float)
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     diag = np.diag(sigma_hat)
@@ -106,6 +112,7 @@ def covariance(fit, data, config, rng, level=0.95):
         raise ConfigError("dnqr fits have no linear coefficients to cover")
     if data.p < 1 or data.q < 1:
         raise DataError("covariance needs p >= 1 and q >= 1")
+    level = validate_level(level)
     res = model_residuals(fit, data)
     f0 = kde_at_zero(res)
 
@@ -127,4 +134,4 @@ def covariance(fit, data, config, rng, level=0.95):
             f" projecting on z") from exc
     sigma = fit.tau * (1.0 - fit.tau) * omega_inv / f0 ** 2
     intervals = confidence_intervals(fit.theta_hat, sigma, data.n, level)
-    return CovarianceEstimate(f0, omega, sigma, float(level), intervals)
+    return CovarianceEstimate(f0, omega, sigma, level, intervals)

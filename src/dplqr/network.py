@@ -6,14 +6,15 @@ by augmenting the layer input with a trailing constant 1. Hidden layers
 apply relu; the final layer is affine with scalar output (q_L == 1), so a
 depth-1 network is a plain affine map of its input.
 
-Layer inputs live in activation buffers. The input of layer k is an
-(n, q_{k-1} + 1) array whose last column is 1, so each layer is one
-matmul. `augment` builds the first one from z; `hidden_buffers`
-preallocates the rest with their last column already 1, and a forward
-pass writes each relu activation into the other columns in place. A
-training loop augments its inputs and allocates the buffers once per
-fit, then hands both to `forward_batch` and `backward_batch`, so one
-step runs the forward pass once and copies no layer input.
+Callers pass raw z rows, shape (n, q_0); the bias column exists only in
+this module. Layer inputs live in activation buffers, one per layer: the
+input of layer k is an (n, q_{k-1} + 1) array whose last column is 1, so
+each layer is one matmul. `activation_buffers` allocates them with their
+last column already 1; a forward pass copies z into the first one and
+writes each relu activation into the others in place. A training loop
+allocates the buffers once per fit and hands them to `forward_batch` and
+`backward_batch`, so one step runs the forward pass once and backprop
+reads the activations that pass left behind.
 
 Gradients are computed by hand-written backpropagation. The relu
 subgradient at exactly 0 is taken to be 0.
@@ -32,9 +33,6 @@ class NetworkParams:
 
     widths: tuple
     layers: list
-
-    def copy(self):
-        return NetworkParams(self.widths, [w.copy() for w in self.layers])
 
 
 def _check_widths(widths):
@@ -64,49 +62,43 @@ def init_params(widths, rng):
     return NetworkParams(widths, layers)
 
 
-def augment(z_matrix):
-    """z_matrix with a trailing column of ones: the first layer's input."""
-    out = np.empty((z_matrix.shape[0], z_matrix.shape[1] + 1))
-    out[:, :-1] = z_matrix
-    out[:, -1] = 1.0
-    return out
+def activation_buffers(widths, rows):
+    """One (rows, q_k + 1) input buffer per layer, last column set to 1.
 
-
-def hidden_buffers(widths, rows):
-    """One (rows, q_k + 1) activation buffer per hidden layer, last column 1.
-
-    A pass over n <= rows input rows writes the relu activations of
-    hidden layer k into the first n rows and q_k columns of buffer k-1.
+    A pass over n <= rows input rows copies z into the first n rows and
+    q_0 columns of buffer 0 and writes the relu activations of hidden
+    layer k into those of buffer k.
     """
     buffers = []
-    for width in widths[1:-1]:
+    for width in widths[:-1]:
         buffer = np.empty((rows, width + 1))
         buffer[:, -1] = 1.0
         buffers.append(buffer)
     return buffers
 
 
-def _check_input(params, z_matrix, augmented=False):
+def _check_input(params, z_matrix):
     z_matrix = np.asarray(z_matrix, dtype=float)
-    width = params.widths[0] + augmented
+    width = params.widths[0]
     if z_matrix.ndim != 2 or z_matrix.shape[1] != width:
         raise DataError(
-            f"network expects {'augmented ' * augmented}inputs of width"
-            f" {width}, got shape {z_matrix.shape}")
+            f"network expects inputs of width {width}, got shape"
+            f" {z_matrix.shape}")
     return z_matrix
 
 
 def _check_acts(acts, rows):
-    if acts and acts[0].shape[0] < rows:
+    if acts[0].shape[0] < rows:
         raise DataError(f"activation buffers hold {acts[0].shape[0]} rows,"
                         f" the input has {rows}")
 
 
-def _forward(layers, z_aug, acts):
-    """Output on augmented rows z_aug; fills the hidden buffers `acts`."""
-    n = z_aug.shape[0]
-    a = z_aug
-    for w, buffer in zip(layers, acts):
+def _forward(layers, z_matrix, acts):
+    """Output on rows z_matrix; fills every layer-input buffer in `acts`."""
+    n = z_matrix.shape[0]
+    a = acts[0][:n]
+    a[:, :-1] = z_matrix
+    for w, buffer in zip(layers, acts[1:]):
         np.matmul(a, w.T, out=buffer[:n, :-1])
         a = buffer[:n]
         # relu over whole rows, which are contiguous; it leaves the
@@ -118,17 +110,15 @@ def _forward(layers, z_aug, acts):
 def forward_batch(params, z_matrix, acts=None):
     """Network outputs for each row of z_matrix, as a length-n vector.
 
-    With `acts` (from hidden_buffers, at least n rows), z_matrix must be
-    bias-augmented (see `augment`), and the hidden activations stay in
-    acts for a backward_batch call on the same rows.
+    With `acts` (from activation_buffers, at least n rows), the layer
+    inputs stay in acts for a backward_batch call on the same rows.
     """
+    z_matrix = _check_input(params, z_matrix)
     if acts is None:
-        z_aug = augment(_check_input(params, z_matrix))
-        acts = hidden_buffers(params.widths, z_aug.shape[0])
+        acts = activation_buffers(params.widths, z_matrix.shape[0])
     else:
-        z_aug = _check_input(params, z_matrix, augmented=True)
-        _check_acts(acts, z_aug.shape[0])
-    return _forward(params.layers, z_aug, acts)
+        _check_acts(acts, z_matrix.shape[0])
+    return _forward(params.layers, z_matrix, acts)
 
 
 def backward_batch(params, z_matrix, upstream, acts=None):
@@ -137,11 +127,11 @@ def backward_batch(params, z_matrix, upstream, acts=None):
     Returns a list of arrays shape-matched to params.layers. Rows whose
     hidden pre-activation is exactly 0 propagate no gradient through that
     unit (relu subgradient 0). Without `acts` the forward pass is run
-    here; with them, z_matrix and acts must be the augmented input and
-    buffers of a forward_batch call on the same params, whose hidden
-    activations are read instead of recomputed.
+    here; with them, acts must hold the buffers of a forward_batch call
+    on the same params and z_matrix, whose layer inputs are read instead
+    of recomputed.
     """
-    z_matrix = _check_input(params, z_matrix, augmented=acts is not None)
+    z_matrix = _check_input(params, z_matrix)
     n = z_matrix.shape[0]
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != (n,):
@@ -149,12 +139,11 @@ def backward_batch(params, z_matrix, upstream, acts=None):
             f"upstream must have one weight per row: got {upstream.shape}"
             f" for {n} rows")
     if acts is None:
-        z_matrix = augment(z_matrix)
-        acts = hidden_buffers(params.widths, n)
+        acts = activation_buffers(params.widths, n)
         _forward(params.layers, z_matrix, acts)
     else:
         _check_acts(acts, n)
-    inputs = [z_matrix] + [buffer[:n] for buffer in acts]
+    inputs = [buffer[:n] for buffer in acts]
     grads = [None] * len(params.layers)
     delta = upstream.reshape(-1, 1)
     for k in range(len(params.layers) - 1, -1, -1):

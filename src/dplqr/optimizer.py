@@ -85,51 +85,42 @@ class TrainHistory:
 
 @dataclass
 class AdamState:
-    """Moment accumulators for one list of trainable arrays."""
+    """Moment accumulators for one trainable array."""
 
-    first_moment: list
-    second_moment: list
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
 
 
-def init_adam(params):
-    return AdamState(
-        [np.zeros_like(p) for p in params],
-        [np.zeros_like(p) for p in params],
-    )
+def init_adam(param):
+    return AdamState(np.zeros_like(param), np.zeros_like(param))
 
 
-def adam_step(state, params, grads, lr):
-    """One Adam update over a list of parameter arrays.
+def adam_step(state, param, grad, lr):
+    """One Adam update of the array `param`, in place.
 
-    Advances `state` in place and returns the list of new parameter
-    arrays (inputs are not mutated). Bias-corrected form:
+    Advances `state` in place too. Bias-corrected form:
 
         m <- b1*m + (1-b1)*g        mhat = m / (1 - b1^t)
         v <- b2*v + (1-b2)*g^2      vhat = v / (1 - b2^t)
         param <- param - lr * mhat / (sqrt(vhat) + epsilon_hat)
     """
-    if not (len(params) == len(grads) == len(state.first_moment)):
-        raise ConfigError("adam_step: parameter and gradient lists differ")
+    grad = np.asarray(grad, dtype=float)
+    if not grad.shape == param.shape == state.first_moment.shape:
+        raise ConfigError(
+            f"adam_step: gradient {grad.shape}, parameter {param.shape}"
+            f" and moment {state.first_moment.shape} shapes differ")
+    if not np.all(np.isfinite(grad)):
+        raise TrainingError("non-finite gradient in adam_step")
     state.step_count += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step_count
     c2 = 1.0 - ADAM_BETA2 ** state.step_count
-    out = []
-    for p, g, m, v in zip(params, grads, state.first_moment,
-                          state.second_moment):
-        g = np.asarray(g, dtype=float)
-        if g.shape != p.shape:
-            raise ConfigError(
-                f"adam_step: gradient shape {g.shape} does not match"
-                f" parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingError("non-finite gradient in adam_step")
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        out.append(p - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON_HAT))
-    return out
+    m, v = state.first_moment, state.second_moment
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grad * grad)
+    param -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON_HAT)
 
 
 def epoch_batches(n, minibatch, rng):
@@ -203,14 +194,14 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
     parameters are the ones current when training halted; the monitor
     only decides when to halt and which epoch was best on validation.
 
-    Each step does each piece of work once. The z rows are augmented
-    with their bias column once per call, and one set of hidden
-    activation buffers (`network.hidden_buffers`) serves every pass: a
-    step's forward pass leaves its activations there for its backward
-    pass, and the epoch evaluations reuse the same buffers. theta and
-    the layers are views into one flat vector, so a step makes a single
-    `adam_step` call on that vector and its flat gradient. Adam is
-    elementwise, so this gives the same bits as one call per array.
+    Each step does each piece of work once. One set of activation
+    buffers (`network.activation_buffers`) serves every pass: a step's
+    forward pass leaves its layer inputs there for its backward pass,
+    and the epoch evaluations reuse the same buffers. theta and the
+    layers are views into one flat vector, so a step makes a single
+    in-place `adam_step` call on that vector and its flat gradient.
+    Adam is elementwise, so this gives the same bits as one update per
+    array.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -229,8 +220,8 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
         if z.ndim != 2 or z.shape[0] != n:
             raise DataError(f"z must have shape ({n}, q), got {z.shape}")
         params = net.init_params(widths, rng)
-        z_tr, z_val = net.augment(z[tr_idx]), net.augment(z[val_idx])
-        acts = net.hidden_buffers(params.widths, len(tr_idx))
+        z_tr, z_val = z[tr_idx], z[val_idx]
+        acts = net.activation_buffers(params.widths, len(tr_idx))
         blocks += params.layers
     else:
         params = z_tr = z_val = acts = None
@@ -245,7 +236,7 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
     if params is not None:
         params.layers = views[1:]
     flat_grad = np.empty_like(flat)
-    state = init_adam([flat])
+    state = init_adam(flat)
     lr = config.learning_rate
     minibatch = min(config.minibatch, len(tr_idx))
 
@@ -278,7 +269,7 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
             if params is not None:
                 grads += net.backward_batch(params, zb, upstream, acts)
             np.concatenate([g.ravel() for g in grads], out=flat_grad)
-            flat[:] = adam_step(state, [flat], [flat_grad], lr)[0]
+            adam_step(state, flat, flat_grad, lr)
 
         train_epoch = loss_of(y_tr - predict_on(x_tr, z_tr))
         val_epoch = loss_of(y_val - predict_on(x_val, z_val))
@@ -302,9 +293,10 @@ def tune(grid, data, tau, rng=None):
     Splits `data` 80/20 once, fits every candidate on the 80% with its
     own child rng, scores mean check loss of full-model residuals on the
     20%, and returns the winner (ties go to the earlier grid entry).
-    Candidates that fail to train are skipped with a warning; if all
-    fail, a TrainingError is raised. A single-candidate grid is returned
-    as-is without consuming the rng.
+    A candidate whose minibatch exceeds the 80% split raises ConfigError
+    before any candidate is fitted. Candidates that fail to train are
+    skipped with a warning; if all fail, a TrainingError is raised. A
+    single-candidate grid is returned as-is without consuming the rng.
     """
     from .model import fit as _fit, residuals as _residuals
 
@@ -319,6 +311,11 @@ def tune(grid, data, tau, rng=None):
         rng = make_rng(grid[0].seed)
 
     tr_idx, val_idx = _holdout_split(data.n, rng)
+    for candidate in grid:
+        if candidate.minibatch > len(tr_idx):
+            raise ConfigError(
+                f"minibatch {candidate.minibatch} exceeds the tuning split:"
+                f" {len(tr_idx)} of {data.n} rows train each candidate")
     train_data = data.subset(tr_idx)
     val_data = data.subset(val_idx)
     children = split(rng, len(grid))

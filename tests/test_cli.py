@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from dplqr import cli
 from dplqr.cli import _FIT_DEFAULTS, _KINDS, _SIM_DEFAULTS, main
 from dplqr.model import Dataset
 from dplqr.modelio import ColumnRoles, save_model, load_model
@@ -80,6 +81,27 @@ class TestFitCommand:
         code = main(_fit_args(train_csv, tmp_path, tau="1.5"))
         assert code != 0
         assert capsys.readouterr().err.startswith("error:config:")
+
+    def test_bad_level_exits_before_training(self, train_csv, tmp_path,
+                                             capsys, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("the model was trained")
+        monkeypatch.setattr(cli, "fit_model", no_fit)
+        monkeypatch.setattr(cli, "tune", no_fit)
+        code = main(_fit_args(train_csv, tmp_path, level="1.5"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:config: level")
+
+    def test_minibatch_beyond_tuning_split_is_config_error(self, tmp_path,
+                                                           capsys):
+        # 300 rows: one lr fits on all of them, two tune on 240
+        data = str(_write_training_csv(tmp_path / "train.csv", n=300))
+        assert main(_fit_args(data, tmp_path, minibatch=250)) == 0
+        code = main(_fit_args(data, tmp_path, minibatch=250,
+                              lr="0.01,0.02"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error:config: minibatch 250 exceeds the tuning split")
 
     def test_non_utf8_data_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
@@ -352,6 +374,13 @@ class TestSimulateCommand:
         for name in ("report.csv", "report.txt", "report.json"):
             assert (dirs[0] / name).read_bytes() == \
                    (dirs[1] / name).read_bytes(), name
+
+    def test_bad_level_is_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--case", "1", "--n", "100",
+                     "--replicates", "2", "--epochs", "3", "--level", "1.5",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:config: level")
 
     def test_invalid_case_is_config_error(self, tmp_path, capsys):
         code = main(["simulate", "--case", "9", "--n", "200",

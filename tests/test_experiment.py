@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dplqr import experiment
 from dplqr.dgp import DgpSpec
 from dplqr.errors import ConfigError, TrainingError
 from dplqr.experiment import (report_to_csv, report_to_text, run_experiment,
@@ -126,6 +127,15 @@ class TestRunExperiment:
         spec = DgpSpec(case=1, n=100, tau=0.5)
         with pytest.raises(ConfigError):
             run_experiment(spec, 1, methods=("ols",), grid=_FAST)
+
+    def test_invalid_level_rejected_before_fitting(self, monkeypatch):
+        def no_replicate(args):
+            raise AssertionError("a replicate ran")
+        monkeypatch.setattr(experiment, "_try_replicate", no_replicate)
+        spec = DgpSpec(case=1, n=100, tau=0.5)
+        for level in (1.5, 0.0, float("nan")):
+            with pytest.raises(ConfigError):
+                run_experiment(spec, 2, grid=_FAST, level=level)
 
     def test_zero_replicates_rejected(self):
         spec = DgpSpec(case=1, n=100, tau=0.5)

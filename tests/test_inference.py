@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dplqr import inference
 from dplqr.errors import ConfigError, DataError
 from dplqr.inference import (confidence_intervals, covariance, fit_projection,
                              kde_at_zero)
@@ -189,6 +190,16 @@ class TestCovariance:
         a = covariance(fitted, data, cfg, make_rng(8))
         b = covariance(fitted, data, cfg, make_rng(8))
         assert_allclose(a.sigma_hat, b.sigma_hat, rtol=0)
+
+    def test_invalid_level_rejected_before_projection_fits(self,
+                                                            monkeypatch):
+        fitted, data, cfg = self._fitted(n=100)
+
+        def no_projection(*args):
+            raise AssertionError("a projection fit ran")
+        monkeypatch.setattr(inference, "fit_projection", no_projection)
+        with pytest.raises(ConfigError):
+            covariance(fitted, data, cfg, make_rng(7), level=1.5)
 
     def test_dnqr_rejected(self):
         rng = np.random.default_rng(1)

@@ -4,64 +4,67 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dplqr import model
 from dplqr.errors import ConfigError, TrainingError
 from dplqr.model import Dataset
-from dplqr.optimizer import (ADAM_EPSILON_HAT, AdamState, EarlyStopMonitor,
-                             TrainConfig, adam_step, epoch_batches,
-                             init_adam, train_joint, tune)
+from dplqr.optimizer import (ADAM_EPSILON_HAT, EarlyStopMonitor, TrainConfig,
+                             adam_step, epoch_batches, init_adam,
+                             train_joint, tune)
 from dplqr.rng import make_rng
 
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):
-        p = [np.array([1.0, -2.0]), np.array([[0.5]])]
+        p = np.array([1.0, -2.0, 0.5])
         state = init_adam(p)
-        out = adam_step(state, p, [np.zeros(2), np.zeros((1, 1))], lr=0.1)
-        assert_array_equal(out[0], p[0])
-        assert_array_equal(out[1], p[1])
+        adam_step(state, p, np.zeros(3), lr=0.1)
+        assert_array_equal(p, [1.0, -2.0, 0.5])
 
     def test_first_step_magnitude(self):
         # with g = 1 everywhere both bias corrections cancel and the
         # first update is lr / (1 + epsilon_hat)
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         state = init_adam(p)
-        out = adam_step(state, p, [np.array([1.0])], lr=0.01)
-        assert_allclose(out[0][0], -0.01 / (1.0 + ADAM_EPSILON_HAT),
-                        rtol=1e-12)
+        adam_step(state, p, np.array([1.0]), lr=0.01)
+        assert_allclose(p[0], -0.01 / (1.0 + ADAM_EPSILON_HAT), rtol=1e-12)
 
-    def test_inputs_not_mutated(self):
-        p = [np.array([3.0])]
+    def test_param_updated_in_place(self):
+        p = np.array([3.0, 1.0])
+        view = p[:1]
         state = init_adam(p)
-        adam_step(state, p, [np.array([2.0])], lr=0.5)
-        assert p[0][0] == 3.0
+        assert adam_step(state, p, np.array([2.0, 0.0]), lr=0.5) is None
+        assert p[0] < 3.0 and view[0] == p[0]
+        assert p[1] == 1.0
 
     def test_step_count_advances(self):
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         state = init_adam(p)
         for want in (1, 2, 3):
-            adam_step(state, p, [np.array([1.0])], lr=0.01)
+            adam_step(state, p, np.array([1.0]), lr=0.01)
             assert state.step_count == want
 
     def test_shape_mismatch_rejected(self):
-        p = [np.array([0.0, 0.0])]
+        p = np.array([0.0, 0.0])
         state = init_adam(p)
         with pytest.raises(ConfigError):
-            adam_step(state, p, [np.array([1.0])], lr=0.01)
+            adam_step(state, p, np.array([1.0]), lr=0.01)
+        with pytest.raises(ConfigError):  # moments of another array
+            adam_step(state, np.zeros(3), np.ones(3), lr=0.01)
 
     def test_nonfinite_gradient_rejected(self):
-        p = [np.array([0.0])]
+        p = np.array([0.0, 0.0])
         state = init_adam(p)
         with pytest.raises(TrainingError):
-            adam_step(state, p, [np.array([np.nan])], lr=0.01)
+            adam_step(state, p, np.array([1.0, np.nan]), lr=0.01)
+        assert_array_equal(p, [0.0, 0.0])
 
     def test_minimizes_quadratic(self):
         # 2000 steps on f(x) = (x - 3)^2 from 0 with lr 0.01
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         state = init_adam(p)
         for _ in range(2000):
-            g = [2.0 * (p[0] - 3.0)]
-            p = adam_step(state, p, g, lr=0.01)
-        assert abs(p[0][0] - 3.0) < 1e-3
+            adam_step(state, p, 2.0 * (p - 3.0), lr=0.01)
+        assert abs(p[0] - 3.0) < 1e-3
 
 
 class TestEpochBatches:
@@ -255,6 +258,18 @@ class TestTune:
         picked = tune([starved, trained], self._data(n=200, seed=3), 0.5,
                       rng=make_rng(0))
         assert picked is trained
+
+    def test_minibatch_beyond_tuning_split_rejected(self, monkeypatch):
+        # 120 rows leave 96 to train each candidate: minibatch 100 fits
+        # the data but not the split
+        def no_fit(*args):
+            raise AssertionError("a candidate was fitted")
+        monkeypatch.setattr(model, "fit", no_fit)
+        grid = [TrainConfig(depth=1, width=1, epochs=5, minibatch=mb,
+                            early_stop_patience=5, learning_rate=0.01)
+                for mb in (32, 100)]
+        with pytest.raises(ConfigError, match="tuning split"):
+            tune(grid, self._data(), 0.5, rng=make_rng(0))
 
     def test_deterministic_given_rng(self):
         grid = [TrainConfig(depth=1, width=1, epochs=40, minibatch=32,

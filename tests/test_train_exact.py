@@ -4,7 +4,7 @@ The reference below trains the way the step was first written: every
 layer input is hstack-augmented on each call, backprop runs the forward
 pass a second time, and Adam updates theta and each layer as separate
 arrays. train_joint, which reuses activation buffers and updates one
-flat parameter vector, must reproduce it bit for bit.
+flat parameter vector in place, must reproduce it bit for bit.
 """
 
 import numpy as np
@@ -12,8 +12,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from dplqr.errors import DataError
-from dplqr.network import (augment, backward_batch, forward_batch,
-                           hidden_buffers, init_params)
+from dplqr.network import (activation_buffers, backward_batch,
+                           forward_batch, init_params)
 from dplqr.optimizer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON_HAT,
                              EarlyStopMonitor, TrainConfig, _holdout_split,
                              epoch_batches, train_joint)
@@ -154,14 +154,14 @@ def test_backward_from_forward_buffers_matches_recomputing_path(widths):
     params = init_params(widths, rng)
     for w in params.layers:
         w[:, -1] = rng.normal(size=w.shape[0]) * 0.2
-    acts = hidden_buffers(widths, 50)
+    acts = activation_buffers(widths, 50)
     for rows in (50, 17, 1):  # full buffers, then prefixes of them
         z = rng.normal(size=(rows, widths[0]))
         upstream = rng.normal(size=rows)
-        out = forward_batch(params, augment(z), acts)
+        out = forward_batch(params, z, acts)
         assert_array_equal(out, forward_batch(params, z))
         assert_array_equal(out, _reference_forward(params.layers, z)[1])
-        got = backward_batch(params, augment(z), upstream, acts)
+        got = backward_batch(params, z, upstream, acts)
         recomputed = backward_batch(params, z, upstream)
         reference = _reference_backward(params.layers, z, upstream)
         for g, r, ref in zip(got, recomputed, reference):
@@ -171,11 +171,12 @@ def test_backward_from_forward_buffers_matches_recomputing_path(widths):
 
 def test_buffered_calls_check_their_inputs():
     params = init_params((3, 5, 1), make_rng(0))
-    acts = hidden_buffers(params.widths, 4)
-    z = np.ones((4, 3))
-    with pytest.raises(DataError):  # not augmented
-        forward_batch(params, z, acts)
+    acts = activation_buffers(params.widths, 4)
+    with pytest.raises(DataError):  # wrong width
+        forward_batch(params, np.ones((4, 4)), acts)
     with pytest.raises(DataError):  # more rows than the buffers hold
-        forward_batch(params, augment(np.ones((5, 3))), acts)
+        forward_batch(params, np.ones((5, 3)), acts)
     with pytest.raises(DataError):
-        backward_batch(params, z, np.ones(4), acts)
+        backward_batch(params, np.ones((4, 4)), np.ones(4), acts)
+    with pytest.raises(DataError):
+        backward_batch(params, np.ones((5, 3)), np.ones(5), acts)

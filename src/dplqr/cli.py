@@ -18,9 +18,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass, replace
-
-import numpy as np
+from dataclasses import replace
 
 from .dgp import DgpSpec
 from .errors import (ConfigError, DataError, DplqrError, SingularMatrixError,
@@ -30,8 +28,8 @@ from .experiment import (report_to_csv, report_to_text, run_experiment,
 from .inference import covariance, validate_level
 from .model import fit as fit_model
 from .model import make_mode_config, predict_batch
-from .modelio import (ColumnRoles, apply_scaling, compute_scaling, load_csv,
-                      load_model, save_model, write_json)
+from .modelio import (ColumnRoles, _jsonable, apply_scaling, compute_scaling,
+                      load_csv, load_model, save_model, write_json)
 from .optimizer import MODES, TrainConfig, tune
 from .rng import make_rng, split
 
@@ -49,29 +47,6 @@ def _category(exc):
         if isinstance(exc, cls):
             return name
     return "internal"
-
-
-def _jsonable(value):
-    """Make a value JSON-safe: dataclasses to dicts of their fields, arrays
-    and tuples to lists, numpy scalars to Python ones, non-finite floats to
-    None."""
-    if is_dataclass(value):
-        return {f.name: _jsonable(getattr(value, f.name))
-                for f in fields(value)}
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return value if np.isfinite(value) else None
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
 
 
 def _columns(text):
@@ -103,20 +78,25 @@ _FLAG = ((bool,), "true or false")
 _INT_LIST = ((int, str), "an integer or a comma-separated string of them")
 _NUMBER_LIST = ((int, float, str),
                 "a number or a comma-separated string of them")
-_KINDS = {
-    "data": _TEXT, "y": _TEXT, "x": _TEXT, "z": _TEXT, "tau": _NUMBER,
-    "mode": _TEXT, "seed": _INT, "level": _NUMBER, "scale": _FLAG,
-    "out": _TEXT, "report": _TEXT, "case": _INT, "n": _INT,
-    "replicates": _INT, "methods": _TEXT, "workers": _INT,
-    "sigma_x_terms": _TEXT, "out_dir": _TEXT, "depth": _INT_LIST,
-    "width": _INT_LIST, "lr": _NUMBER_LIST, "epochs": _INT,
-    "minibatch": _INT, "patience": _INT,
+# Every setting of fit, tune and simulate: (JSON kind, default). A
+# command accepts, in --config, the keys of its own flags.
+_OPTIONS = {
+    "data": (_TEXT, None), "y": (_TEXT, None), "x": (_TEXT, ""),
+    "z": (_TEXT, ""), "tau": (_NUMBER, 0.5), "mode": (_TEXT, "dplqr"),
+    "seed": (_INT, 0), "level": (_NUMBER, 0.95), "scale": (_FLAG, True),
+    "out": (_TEXT, None), "report": (_TEXT, None), "case": (_INT, 1),
+    "n": (_INT, 500), "replicates": (_INT, 160),
+    "methods": (_TEXT, "dplqr"), "workers": (_INT, 1),
+    "sigma_x_terms": (_TEXT, "x1+x2"), "out_dir": (_TEXT, None),
+    "depth": (_INT_LIST, None), "width": (_INT_LIST, None),
+    "lr": (_NUMBER_LIST, None), "epochs": (_INT, None),
+    "minibatch": (_INT, None), "patience": (_INT, None),
 }
 
 
 def _check_kind(path, key, value):
     """A --config value must have its key's JSON type; null means unset."""
-    types, name = _KINDS[key]
+    types, name = _OPTIONS[key][0]
     if value is None:
         return
     if (isinstance(value, bool) != (bool in types)
@@ -124,9 +104,13 @@ def _check_kind(path, key, value):
         raise ConfigError(f"{key} in {path} must be {name}, got {value!r}")
 
 
-def _merge_config(args, keys):
-    """Fill unset args from the --config JSON file, then apply defaults."""
-    if getattr(args, "config", None):
+def _merge_config(args):
+    """Fill unset args from the --config JSON file, then apply defaults.
+
+    The settings are the parsed flags that _OPTIONS lists.
+    """
+    keys = vars(args).keys() & _OPTIONS.keys()
+    if args.config:
         if not os.path.exists(args.config):
             raise DataError(f"no such config file: {args.config}")
         with open(args.config, encoding="utf-8") as handle:
@@ -136,27 +120,21 @@ def _merge_config(args, keys):
                 raise DataError(f"{args.config} is not valid JSON: {exc}")
         if not isinstance(file_config, dict):
             raise DataError(f"{args.config} must hold a JSON object")
-        unknown = set(file_config) - set(keys)
+        unknown = file_config.keys() - keys
         if unknown:
             raise ConfigError(
                 f"unknown key(s) in {args.config}: {sorted(unknown)}")
         for key, value in file_config.items():
             _check_kind(args.config, key, value)
-            if getattr(args, key, None) is None:
+            if getattr(args, key) is None:
                 setattr(args, key, value)
-    for key, default in keys.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, default)
+    for key in keys:
+        if getattr(args, key) is None:
+            setattr(args, key, _OPTIONS[key][1])
     return args
 
 
 _GRID_FLAGS = ("depth", "width", "lr", "epochs", "minibatch", "patience")
-
-_FIT_DEFAULTS = {
-    "data": None, "y": None, "x": "", "z": "", "tau": 0.5, "mode": "dplqr",
-    "seed": 0, "level": 0.95, "scale": True, "out": None, "report": None,
-    **dict.fromkeys(_GRID_FLAGS),
-}
 
 
 def _build_grid(args, base):
@@ -187,9 +165,7 @@ def _build_grid(args, base):
 def _fit_setup(args, out_required):
     """The shared start of fit and tune: merge --config, check the flags,
     load and scale the data, build the tuning grid."""
-    _merge_config(args, _FIT_DEFAULTS)
-    if args.no_scale:
-        args.scale = False
+    _merge_config(args)
     if out_required and args.out is None:
         raise ConfigError("--out is required")
     if args.mode not in MODES:
@@ -201,14 +177,14 @@ def _fit_setup(args, out_required):
     roles = ColumnRoles(args.y, _columns(args.x), _columns(args.z))
     raw = load_csv(args.data, roles)
     scaling = compute_scaling(raw) if args.scale else None
-    grid = _build_grid(args, TrainConfig(seed=int(args.seed), mode=args.mode))
+    grid = _build_grid(args, TrainConfig(seed=args.seed, mode=args.mode))
     return apply_scaling(raw, scaling), roles, scaling, grid
 
 
 def cmd_fit(args):
     data, roles, scaling, grid = _fit_setup(args, out_required=True)
     level = validate_level(args.level)
-    rng = make_rng(int(args.seed))
+    rng = make_rng(args.seed)
     tune_rng, fit_rng, cov_rng = split(rng, 3)
     best = tune(grid, data, args.tau, tune_rng)
     fitted = fit_model(data, args.tau, best, fit_rng)
@@ -222,8 +198,8 @@ def cmd_fit(args):
         report = _jsonable({
             "schema_version": 1, "command": "fit",
             "n": data.n, "p": data.p, "q": data.q,
-            "tau": float(args.tau), "mode": fitted.mode,
-            "level": level, "scaled": bool(args.scale),
+            "tau": args.tau, "mode": fitted.mode,
+            "level": level, "scaled": args.scale,
             "columns": roles, "config": best, "grid_size": len(grid),
             "theta_hat": fitted.theta_hat, "covariance": estimate,
             "history": fitted.history,
@@ -234,7 +210,7 @@ def cmd_fit(args):
             del report["covariance"]["level"]
         write_json(args.report, report)
 
-    print(f"fit: mode={fitted.mode} tau={float(args.tau):g} n={data.n}"
+    print(f"fit: mode={fitted.mode} tau={args.tau:g} n={data.n}"
           f" p={data.p} q={data.q}")
     for k, coef in enumerate(fitted.theta_hat):
         line = f"  theta[{k + 1}] = {coef: .6f}"
@@ -263,28 +239,21 @@ def cmd_predict(args):
     return 0
 
 
-_SIM_DEFAULTS = {
-    "case": 1, "n": 500, "tau": 0.5, "replicates": 160, "methods": "dplqr",
-    "seed": 0, "level": 0.95, "workers": 1, "sigma_x_terms": "x1+x2",
-    "out_dir": None, **dict.fromkeys(_GRID_FLAGS),
-}
-
-
 def cmd_simulate(args):
-    _merge_config(args, _SIM_DEFAULTS)
+    _merge_config(args)
     if args.out_dir is None:
         raise ConfigError("--out-dir is required")
-    spec = DgpSpec(case=int(args.case), n=int(args.n), tau=float(args.tau),
+    spec = DgpSpec(case=args.case, n=args.n, tau=args.tau,
                    sigma_x_terms=args.sigma_x_terms)
     methods = _columns(args.methods)
-    grid = scenario_grid(spec.case, spec.n, seed=int(args.seed))
+    grid = scenario_grid(spec.case, spec.n, seed=args.seed)
     if any(getattr(args, name) is not None for name in _GRID_FLAGS):
         grid = _build_grid(args, grid[0])
 
     report = run_experiment(
-        spec, int(args.replicates), methods, int(args.seed), grid=grid,
-        with_ci=not args.no_ci, level=float(args.level),
-        align_m=args.align_m, workers=int(args.workers))
+        spec, args.replicates, methods, args.seed, grid=grid,
+        with_ci=not args.no_ci, level=args.level, align_m=args.align_m,
+        workers=args.workers)
 
     os.makedirs(args.out_dir, exist_ok=True)
     report_to_csv(report, os.path.join(args.out_dir, "report.csv"))
@@ -305,7 +274,7 @@ def cmd_simulate(args):
 
 def cmd_tune(args):
     data, _, _, grid = _fit_setup(args, out_required=False)
-    best = tune(grid, data, args.tau, make_rng(int(args.seed)))
+    best = tune(grid, data, args.tau, make_rng(args.seed))
     chosen = _jsonable(best)
     print(json.dumps(chosen, sort_keys=True, indent=2))
     if args.out:
@@ -331,9 +300,8 @@ def _add_fit_like_flags(sub):
     sub.add_argument("--tau", type=float)
     sub.add_argument("--mode", choices=MODES)
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--level", type=float, help="confidence level")
-    sub.add_argument("--no-scale", action="store_true",
-                     help="skip min-max scaling of covariates")
+    sub.add_argument("--no-scale", dest="scale", action="store_false",
+                     default=None, help="skip min-max scaling of covariates")
     sub.add_argument("--config", help="JSON config file; flags override it")
     _add_grid_flags(sub)
 
@@ -347,6 +315,7 @@ def build_parser():
 
     fit_cmd = commands.add_parser("fit", help="train a model on a CSV file")
     _add_fit_like_flags(fit_cmd)
+    fit_cmd.add_argument("--level", type=float, help="confidence level")
     fit_cmd.add_argument("--out", help="model JSON output path")
     fit_cmd.add_argument("--report", help="report JSON output path")
     fit_cmd.set_defaults(func=cmd_fit)

@@ -189,8 +189,9 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     """Run q replicates of `spec` and aggregate per-method metrics.
 
     grid defaults to scenario_grid(spec.case, spec.n); pass a list of
-    TrainConfig to override (a single-entry list skips tuning). Failed
-    replicates are dropped with a warning; more than 10% failures aborts.
+    TrainConfig to override (a single-entry list skips tuning). Replicates
+    that fail to train are dropped with a warning; more than 10% failures
+    aborts. A ConfigError from any replicate is raised as it is.
     workers > 1 runs replicates in parallel processes; aggregation
     happens in replicate order either way, so results are identical.
     """
@@ -199,8 +200,7 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     methods = _method_order(methods)
     if not methods:
         raise ConfigError("no methods requested")
-    if with_ci:
-        level = validate_level(level)
+    level = validate_level(level)
     if grid is None:
         grid = scenario_grid(spec.case, spec.n)
     grid = list(grid)
@@ -237,8 +237,12 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
 
 
 def _try_replicate(args):
+    """A replicate's rows, or why it failed; a settings error is raised,
+    since it holds for every replicate."""
     try:
         return _run_replicate(*args)
+    except ConfigError:
+        raise
     except DplqrError as exc:
         return f"{type(exc).__name__}: {exc}"
 

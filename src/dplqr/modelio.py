@@ -9,7 +9,7 @@ with repr so a load-save round trip reproduces predictions bit for bit.
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -189,15 +189,6 @@ def _network_from_dict(d):
     return NetworkParams(widths, layers)
 
 
-def _scaling_to_dict(scaling):
-    if scaling is None:
-        return None
-    return {"x_low": scaling.x_low.tolist(),
-            "x_span": scaling.x_span.tolist(),
-            "z_low": scaling.z_low.tolist(),
-            "z_span": scaling.z_span.tolist()}
-
-
 def _scaling_from_dict(d):
     if d is None:
         return None
@@ -211,12 +202,12 @@ def model_to_dict(fit, roles, scaling=None):
         "schema_version": SCHEMA_VERSION,
         "tau": fit.tau,
         "mode": fit.mode,
-        "theta": np.asarray(fit.theta_hat, dtype=float).tolist(),
+        "theta": _jsonable(fit.theta_hat),
         "x_dim": fit.x_dim,
         "z_dim": fit.z_dim,
         "network": _network_to_dict(fit.network),
-        "columns": {"y": roles.y, "x": list(roles.x), "z": list(roles.z)},
-        "scaling": _scaling_to_dict(scaling),
+        "columns": _jsonable(roles),
+        "scaling": _jsonable(scaling),
     }
 
 
@@ -278,6 +269,29 @@ def _check_layout(fit, roles, scaling):
                 (scaling.x_low, fit.x_dim), (scaling.x_span, fit.x_dim),
                 (scaling.z_low, fit.z_dim), (scaling.z_span, fit.z_dim))):
         raise DataError("model scaling does not match x_dim and z_dim")
+
+
+def _jsonable(value):
+    """Make a value JSON-safe: dataclasses to dicts of their fields, arrays
+    and tuples to lists, numpy scalars to Python ones, non-finite floats to
+    None."""
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if np.isfinite(value) else None
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    return value
 
 
 def write_json(path, payload):

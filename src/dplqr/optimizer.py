@@ -20,7 +20,7 @@ from . import network as net
 from .errors import ConfigError, DataError, DplqrError, TrainingError
 from .quantile_loss import (loss_subgrad_wrt_pred, mean_check_loss,
                             validate_tau)
-from .rng import make_rng, shuffled_indices, split
+from .rng import _check_seed, make_rng, shuffled_indices, split
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -60,10 +60,7 @@ class TrainConfig:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(
                 f"learning_rate must be positive, got {self.learning_rate!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        _check_seed(self.seed)
         if self.mode not in MODES:
             raise ConfigError(
                 f"mode must be one of {MODES}, got {self.mode!r}")

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from dplqr import cli
-from dplqr.cli import _FIT_DEFAULTS, _KINDS, _SIM_DEFAULTS, main
+from dplqr import experiment
+from dplqr.cli import _OPTIONS, build_parser, main
 from dplqr.model import Dataset
 from dplqr.modelio import ColumnRoles, save_model, load_model
 
@@ -218,8 +219,14 @@ class TestConfigValueTypes:
                    "scale": False, "level": 0.9, "seed": 1}
         assert self._run(tmp_path, "fit", payload, train_csv) == 0
 
-    def test_every_config_key_has_a_kind(self):
-        assert set(_KINDS) == set(_FIT_DEFAULTS) | set(_SIM_DEFAULTS)
+    def test_every_setting_flag_has_one_declaration(self):
+        # the flags that are not settings: the config file itself and
+        # simulate's two switches, which --config does not set
+        not_settings = {"command", "func", "config", "no_ci", "align_m"}
+        dests = set()
+        for command in ("fit", "tune", "simulate"):
+            dests |= vars(build_parser().parse_args([command])).keys()
+        assert dests - not_settings == set(_OPTIONS)
 
 
 def _model_payload():
@@ -382,6 +389,30 @@ class TestSimulateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:config: level")
 
+    def test_bad_level_without_intervals_exits_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+        monkeypatch.setattr(experiment, "_run_replicate", no_replicate)
+        code = main(["simulate", "--no-ci", "--level", "1.5",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:config: level")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_minibatch_beyond_tuning_split_is_config_error(self, tmp_path,
+                                                           capsys):
+        # n=100: each replicate trains on 80 rows and tunes on 64 of them
+        code = main(["simulate", "--case", "1", "--n", "100",
+                     "--replicates", "2", "--minibatch", "70", "--lr",
+                     "0.01,0.02", "--epochs", "3", "--no-ci",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error:config: minibatch 70 exceeds the tuning split")
+        assert not (tmp_path / "report.json").exists()
+
     def test_invalid_case_is_config_error(self, tmp_path, capsys):
         code = main(["simulate", "--case", "9", "--n", "200",
                      "--replicates", "1", "--out-dir", str(tmp_path)])
@@ -411,6 +442,26 @@ class TestTuneCommand:
         assert code == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["learning_rate"] == 0.01
+
+
+    def test_level_flag_is_not_a_tune_flag(self, train_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--data", train_csv, "--y", "y", "--x", "x1,x2",
+                  "--z", "z1,z2", "--level", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --level 7" in capsys.readouterr().err
+
+    def test_config_keys_of_fit_only_are_rejected(self, train_csv,
+                                                  tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"report": str(tmp_path / "r.json"),
+                                      "level": 9}), encoding="utf-8")
+        code = main(["tune", "--data", train_csv, "--y", "y", "--x",
+                     "x1,x2", "--z", "z1,z2", "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config: unknown key(s)")
+        assert "'level'" in err and "'report'" in err
 
 
 class TestModelFileCompat:

@@ -1,5 +1,7 @@
 """Tests for the replicated benchmark experiments."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -113,15 +115,29 @@ class TestRunExperiment:
                 alone.replicates):
             assert_allclose(rb.theta_hat, ra.theta_hat, rtol=0)
 
-    def test_failure_abort(self):
-        # a minibatch far larger than any replicate's training split makes
-        # every replicate fail validation, tripping the 10% abort rule
+    def test_failure_abort(self, monkeypatch):
+        # every replicate failing to train trips the 10% abort rule
+        def diverge(*args):
+            raise TrainingError("loss is not finite")
+        monkeypatch.setattr(experiment, "_run_replicate", diverge)
+        spec = DgpSpec(case=1, n=100, tau=0.5)
+        with pytest.raises(TrainingError, match="2 of 2 replicates failed"):
+            with pytest.warns(UserWarning, match="loss is not finite"):
+                run_experiment(spec, 2, master_seed=0, grid=_FAST,
+                               with_ci=False)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_settings_error_is_not_a_failed_replicate(self, workers):
+        # a minibatch larger than every replicate's training split is
+        # wrong for all of them: it is raised, not counted as a failure
         spec = DgpSpec(case=1, n=100, tau=0.5)
         bad = [TrainConfig(minibatch=10 ** 6)]
-        with pytest.raises(TrainingError):
-            with pytest.warns(UserWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigError, match="minibatch"):
                 run_experiment(spec, 2, master_seed=0, grid=bad,
-                               with_ci=False)
+                               with_ci=False, workers=workers)
+        assert not [w for w in caught if "replicate" in str(w.message)]
 
     def test_unknown_method_rejected(self):
         spec = DgpSpec(case=1, n=100, tau=0.5)
@@ -134,8 +150,10 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "_try_replicate", no_replicate)
         spec = DgpSpec(case=1, n=100, tau=0.5)
         for level in (1.5, 0.0, float("nan")):
-            with pytest.raises(ConfigError):
-                run_experiment(spec, 2, grid=_FAST, level=level)
+            for with_ci in (True, False):
+                with pytest.raises(ConfigError):
+                    run_experiment(spec, 2, grid=_FAST, level=level,
+                                   with_ci=with_ci)
 
     def test_zero_replicates_rejected(self):
         spec = DgpSpec(case=1, n=100, tau=0.5)

@@ -1,0 +1,71 @@
+"""The package's module-level imports form no cycle.
+
+Only statements at the top of a module count (`from .x import ...` and
+`from . import x`); an import inside a function runs at call time and
+is out of scope here.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dplqr"
+
+
+def _module_imports(source):
+    """Sibling modules that a module imports at module level."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module)
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def _graph():
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    return {name: _module_imports(source) & modules.keys()
+            for name, source in modules.items()}
+
+
+def _cycle(graph):
+    """One import cycle as a list of modules, or None."""
+    state = {}
+
+    def visit(name, path):
+        state[name] = "open"
+        for target in sorted(graph[name]):
+            if state.get(target) == "open":
+                return path[path.index(target):] + [target]
+            if target not in state:
+                found = visit(target, path + [target])
+                if found:
+                    return found
+        state[name] = "done"
+        return None
+
+    for name in sorted(graph):
+        if name not in state:
+            found = visit(name, [name])
+            if found:
+                return found
+    return None
+
+
+def test_graph_covers_the_package():
+    graph = _graph()
+    assert {"cli", "model", "optimizer", "network"} <= graph.keys()
+    assert "network" in graph["optimizer"]  # `from . import network as net`
+    assert "optimizer" in graph["model"]
+
+
+def test_cycle_finder_sees_a_cycle():
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert _cycle({"a": {"b"}, "b": set()}) is None
+
+
+def test_no_module_level_cycle():
+    cycle = _cycle(_graph())
+    assert cycle is None, "import cycle: " + " -> ".join(cycle or [])

@@ -226,15 +226,10 @@ def cmd_predict(args):
     fitted, roles, scaling = load_model(args.model)
     data = load_csv(args.data, roles, require_y=False, allow_empty=True)
     data = apply_scaling(data, scaling)
-    if data.p != fitted.x_dim or data.q != fitted.z_dim:
-        raise DataError(
-            f"model expects p={fitted.x_dim}, q={fitted.z_dim} but data"
-            f" has p={data.p}, q={data.q}")
     predictions = predict_batch(fitted, data.x, data.z)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("prediction\n")
-        for value in predictions:
-            handle.write(repr(float(value)) + "\n")
+        handle.write("".join(f"{v!r}\n" for v in predictions.tolist()))
     print(f"wrote {len(predictions)} prediction(s) to {args.out}")
     return 0
 

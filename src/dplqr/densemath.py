@@ -7,7 +7,6 @@ factorization so that non-positive-definite inputs fail loudly.
 """
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import DataError, SingularMatrixError
 
@@ -19,6 +18,8 @@ def sym_inverse(m):
     definite raises SingularMatrixError instead of returning garbage.
     The result is symmetrized to remove round-off asymmetry.
     """
+    from scipy.linalg import cho_solve
+
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DataError(f"sym_inverse needs a square matrix, got {m.shape}")

@@ -15,7 +15,6 @@ architecture and training machinery as the main fit.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .densemath import sample_iqr, sample_sd, sym_inverse
 from .errors import ConfigError, DataError, SingularMatrixError
@@ -88,6 +87,8 @@ def validate_level(level):
 
 def confidence_intervals(theta_hat, sigma_hat, n, level):
     """Wald intervals theta_k +/- z_{(1+level)/2} * sqrt(Sigma_kk / n)."""
+    from scipy.special import ndtri
+
     level = validate_level(level)
     theta_hat = np.asarray(theta_hat, dtype=float)
     sigma_hat = np.asarray(sigma_hat, dtype=float)

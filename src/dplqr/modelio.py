@@ -9,6 +9,7 @@ with repr so a load-save round trip reproduces predictions bit for bit.
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -83,15 +84,10 @@ def _parse_cell(text, line_no, column):
             f" {text!r} as a number") from None
 
 
-def _read_rows(path, reader, used):
-    """Parsed used cells of every complete row, and the incomplete lines."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path} is empty (no header row)") from None
+def _column_positions(path, header, used):
+    """Index of each header name; every used name must appear exactly once."""
     header = [h.strip() for h in header]
     positions = {name: i for i, name in enumerate(header)}
-
     unknown = [c for c in used if c not in positions]
     if unknown:
         raise DataError(
@@ -100,6 +96,55 @@ def _read_rows(path, reader, used):
     if repeated:
         raise DataError(f"column(s) {repeated} appear more than once in"
                         f" the header of {path}")
+    return positions
+
+
+def _read_bulk(path, used):
+    """Column positions and every data column, parsed by np.loadtxt.
+
+    Returns None for any file the row reader might read differently:
+    bytes that are not UTF-8, a quote (a quoted cell may span lines), a
+    bare carriage return, a line longer than the csv module's field
+    limit, no data rows, or a cell np.loadtxt rejects (an empty cell,
+    an underscore, a non-ASCII digit, a ragged or whitespace-only row).
+    The row reader then gives the Dataset or the DataError naming the
+    line and column.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            text = handle.read().replace("\r\n", "\n")
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    data = lines[1:]
+    n_rows = len(data) - data.count("")
+    if n_rows == 0 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = next(csv.reader(lines[:1]))
+    positions = _column_positions(path, header, used)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(data, delimiter=",", comments=None,
+                               dtype=float, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    # the row reader skips blank lines only; fewer rows here would mean
+    # np.loadtxt skipped some other line
+    if table.shape != (n_rows, len(header)):
+        return None
+    return positions, table
+
+
+def _read_rows(path, reader, used):
+    """Parsed used cells of every complete row, and the incomplete lines."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path} is empty (no header row)") from None
+    positions = _column_positions(path, header, used)
 
     rows, missing_lines = [], []
     for line_no, record in enumerate(reader, start=2):
@@ -131,11 +176,25 @@ def load_csv(path, roles, require_y=True, allow_empty=False):
     error lists their line numbers (the header is line 1). require_y=False
     skips the response column (prediction inputs); the Dataset then
     carries y = 0 for every row. allow_empty=True permits a header-only
-    file, producing an n=0 Dataset.
+    file, producing an n=0 Dataset. A plain numeric file is parsed in
+    bulk; any other file goes through the row reader, which gives the
+    same arrays and the same errors.
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
     used = ([roles.y] if require_y else []) + list(roles.x) + list(roles.z)
+    bulk = _read_bulk(path, used)
+    if bulk is not None:
+        positions, table = bulk
+
+        def block(names):
+            # C order, the layout the row reader builds, so that later
+            # arithmetic runs on the same memory layout on either path
+            return np.ascontiguousarray(
+                table[:, [positions[c] for c in names]])
+
+        y = block([roles.y])[:, 0] if require_y else np.zeros(len(table))
+        return Dataset(y, block(roles.x), block(roles.z))
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)

@@ -14,7 +14,6 @@ fixed number of uniforms and never branches on a rejection step.
 """
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError
 
@@ -53,6 +52,8 @@ def split(rng, n):
 
 def std_normal(rng, size=None):
     """Standard normal draws via the inverse CDF; scalar when size is None."""
+    from scipy.special import ndtri
+
     u = np.maximum(rng.random(size), _MIN_UNIFORM)
     out = ndtri(u)
     return float(out) if size is None else out

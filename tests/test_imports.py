@@ -1,12 +1,18 @@
-"""The package's module-level imports form no cycle.
+"""The package's module-level imports form no cycle, and importing the
+package or its CLI loads no scipy module.
 
-Only statements at the top of a module count (`from .x import ...` and
-`from . import x`); an import inside a function runs at call time and
-is out of scope here.
+For the cycle check only statements at the top of a module count
+(`from .x import ...` and `from . import x`); an import inside a function
+runs at call time and is out of scope here.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dplqr"
 
@@ -69,3 +75,26 @@ def test_cycle_finder_sees_a_cycle():
 def test_no_module_level_cycle():
     cycle = _cycle(_graph())
     assert cycle is None, "import cycle: " + " -> ".join(cycle or [])
+
+
+# `predict` calls nothing from scipy, so neither import may load it; the
+# functions that need scipy import it when they are called.
+_SCIPY_PROBE = """
+import sys
+import {module}
+import dplqr
+missing = [name for name in dplqr.__all__ if not hasattr(dplqr, name)]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(missing, scipy)
+"""
+
+
+@pytest.mark.parametrize("module", ["dplqr", "dplqr.cli"])
+def test_import_loads_no_scipy(module):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE.format(module=module)],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[] []"

@@ -197,6 +197,8 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     """
     if q < 1:
         raise ConfigError(f"need at least one replicate, got {q}")
+    if workers < 1:
+        raise ConfigError(f"need at least one worker, got {workers}")
     methods = _method_order(methods)
     if not methods:
         raise ConfigError("no methods requested")

@@ -79,12 +79,13 @@ class Dataset:
 
 @dataclass
 class PlqrFit:
-    """A fitted model: linear coefficients plus an optional network.
+    """A fitted model: linear coefficients plus a network.
 
     x_dim and z_dim record the covariate layout of the training data, so
     prediction accepts (x, z) in the original shape even in dnqr mode,
     where the network consumes their concatenation and theta_hat is empty.
-    The network is absent when there are no network covariates.
+    x has no constant column, so the network carries the intercept; with
+    no network covariates it is the (0, 1) network, a learned constant.
     """
 
     theta_hat: np.ndarray
@@ -110,8 +111,8 @@ def make_mode_config(mode, base):
 
 
 def _network_widths(config, q):
-    if q == 0:
-        return None
+    if q == 0:  # the intercept alone
+        return (0, 1)
     return (q,) + (config.width,) * (config.depth - 1) + (1,)
 
 
@@ -173,10 +174,7 @@ def predict_batch(fit, x, z):
     z = _check_block(z, fit.z_dim, n, "z")
     if fit.mode == "dnqr":
         return forward_batch(fit.network, np.hstack([x, z]))
-    out = x @ fit.theta_hat
-    if fit.network is not None:
-        out = out + forward_batch(fit.network, z)
-    return out
+    return x @ fit.theta_hat + forward_batch(fit.network, z)
 
 
 def predict(fit, x, z=None):
@@ -203,7 +201,7 @@ def m_values(fit, z_matrix):
     """Network-component values on rows of z (the nonparametric part).
 
     For "dnqr" fits the linear/nonparametric split does not exist, so
-    this raises. A fit with no network (q == 0) contributes 0.
+    this raises. With no network covariates (q == 0), m is the intercept.
     """
     if fit.mode == "dnqr":
         raise ConfigError("dnqr fits have no separable nonparametric part")
@@ -211,6 +209,4 @@ def m_values(fit, z_matrix):
     if z_matrix.ndim != 2 or z_matrix.shape[1] != fit.z_dim:
         raise DataError(
             f"z must have {fit.z_dim} columns, got shape {z_matrix.shape}")
-    if fit.network is None:
-        return np.zeros(z_matrix.shape[0])
     return forward_batch(fit.network, z_matrix)

@@ -14,9 +14,9 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import Dataset, PlqrFit
-from .network import NetworkParams
+from .network import NetworkParams, _check_widths
 from .optimizer import MODES
 
 SCHEMA_VERSION = 1
@@ -222,18 +222,15 @@ def load_csv(path, roles, require_y=True, allow_empty=False):
 
 
 def _network_to_dict(params):
-    if params is None:
-        return None
     return {"widths": list(params.widths),
             "layers": [w.reshape(-1).tolist() for w in params.layers]}
 
 
 def _network_from_dict(d):
-    if d is None:
-        return None
-    widths = tuple(int(w) for w in d["widths"])
-    if len(widths) < 2 or widths[-1] != 1:
-        raise DataError(f"network widths {widths} must end in output width 1")
+    try:
+        widths = _check_widths(d["widths"])
+    except ConfigError as exc:
+        raise DataError(f"model network: {exc}") from None
     if len(d["layers"]) != len(widths) - 1:
         raise DataError(f"network with widths {widths} needs"
                         f" {len(widths) - 1} layer(s), got {len(d['layers'])}")
@@ -288,6 +285,9 @@ def model_from_dict(payload):
     if payload["mode"] not in MODES:
         raise DataError(f"model mode must be one of {MODES},"
                         f" got {payload['mode']!r}")
+    if payload["network"] is None:
+        raise DataError("the model file has no network: it is an x-only"
+                        " model without an intercept; refit it")
     try:
         fit = PlqrFit(
             theta_hat=np.array(payload["theta"], dtype=float),
@@ -315,7 +315,7 @@ def _check_layout(fit, roles, scaling):
         raise DataError(f"a {fit.mode} model with x_dim {fit.x_dim} needs"
                         f" {n_theta} theta entries, got {fit.theta_hat.size}")
     n_in = fit.x_dim + fit.z_dim if dnqr else fit.z_dim
-    width = 0 if fit.network is None else fit.network.widths[0]
+    width = fit.network.widths[0]
     if width != n_in:
         raise DataError(f"a {fit.mode} model with x_dim {fit.x_dim} and"
                         f" z_dim {fit.z_dim} needs network input width"

@@ -4,7 +4,8 @@ A network with width chain (q_0, ..., q_L) is a list of L weight matrices;
 layer k has shape (q_k, q_{k-1} + 1). The extra column is the bias, applied
 by augmenting the layer input with a trailing constant 1. Hidden layers
 apply relu; the final layer is affine with scalar output (q_L == 1), so a
-depth-1 network is a plain affine map of its input.
+depth-1 network is a plain affine map of its input. The input width q_0
+may be 0: the (0, 1) network is its bias alone, a learned constant.
 
 Callers pass raw z rows, shape (n, q_0); the bias column exists only in
 this module. Layer inputs live in activation buffers, one per layer: the
@@ -41,8 +42,9 @@ def _check_widths(widths):
         raise ConfigError("a network needs at least one layer (two widths)")
     if widths[-1] != 1:
         raise ConfigError(f"output width must be 1, got {widths[-1]}")
-    if any(w < 1 for w in widths):
-        raise ConfigError(f"widths must be positive, got {widths}")
+    if widths[0] < 0 or any(w < 1 for w in widths[1:]):
+        raise ConfigError(f"the input width must be >= 0 and every other"
+                          f" width positive, got {widths}")
     return widths
 
 

@@ -28,6 +28,8 @@ ADAM_EPSILON_HAT = 1e-7
 
 MODES = ("dplqr", "lqr", "dnqr")
 
+VAL_SHARE = 0.2  # share of the rows a hold-out split keeps back
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -162,11 +164,11 @@ class EarlyStopMonitor:
         return self.epochs_since_best >= self.patience
 
 
-def _holdout_split(n, rng, val_share=0.2):
-    """Deterministic shuffled split; validation gets max(1, floor(share))."""
+def _holdout_split(n, rng):
+    """Shuffled split holding out max(1, int(n * VAL_SHARE)) rows."""
     if n < 2:
         raise DataError(f"need at least 2 rows to hold out a split, got {n}")
-    n_val = max(1, int(n * val_share))
+    n_val = max(1, int(n * VAL_SHARE))
     perm = shuffled_indices(rng, n)
     return perm[:n - n_val], perm[n - n_val:]
 
@@ -178,8 +180,9 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
     ----------
     y : (n,) targets
     x : (n, p) linear-part covariates; p may be 0
-    z : (n, q) network inputs; ignored when widths is None
-    widths : width chain for the network, or None for no network
+    z : (n, q) network inputs; q may be 0
+    widths : the network's width chain, starting at q; with q = 0,
+        (0, 1) is a learned intercept
     config : TrainConfig
     rng : numpy Generator driving the split, init, and batch order
     tau : quantile level for check loss, or None for squared error
@@ -187,7 +190,7 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
     Returns
     -------
     (theta, params, history) with theta shape (p,), params a
-    NetworkParams or None, and history a TrainHistory. The returned
+    NetworkParams, and history a TrainHistory. The returned
     parameters are the ones current when training halted; the monitor
     only decides when to halt and which epoch was best on validation.
 
@@ -202,26 +205,22 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
     n = y.shape[0]
     if x.shape[0] != n:
         raise DataError("x and y row counts differ")
+    if z.ndim != 2 or z.shape[0] != n:
+        raise DataError(f"z must have shape ({n}, q), got {z.shape}")
     if tau is not None:
         tau = validate_tau(tau)
 
     tr_idx, val_idx = _holdout_split(n, rng)
     y_tr, y_val = y[tr_idx], y[val_idx]
     x_tr, x_val = x[tr_idx], x[val_idx]
-    blocks = [np.zeros(x.shape[1])]
-    if widths is not None:
-        z = np.asarray(z, dtype=float)
-        if z.ndim != 2 or z.shape[0] != n:
-            raise DataError(f"z must have shape ({n}, q), got {z.shape}")
-        params = net.init_params(widths, rng)
-        z_tr, z_val = z[tr_idx], z[val_idx]
-        acts = net.activation_buffers(params.widths, len(tr_idx))
-        blocks += params.layers
-    else:
-        params = z_tr = z_val = acts = None
+    z_tr, z_val = z[tr_idx], z[val_idx]
+    params = net.init_params(widths, rng)
+    acts = net.activation_buffers(params.widths, len(tr_idx))
+    blocks = [np.zeros(x.shape[1])] + params.layers
 
     # writing into `flat` updates theta and every layer, its views
     flat = np.concatenate([b.ravel() for b in blocks])
@@ -230,18 +229,14 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
         views.append(flat[start:start + b.size].reshape(b.shape))
         start += b.size
     theta = views[0]
-    if params is not None:
-        params.layers = views[1:]
+    params.layers = views[1:]
     flat_grad = np.empty_like(flat)
     state = init_adam(flat)
     lr = config.learning_rate
     minibatch = min(config.minibatch, len(tr_idx))
 
     def predict_on(xs, zs):
-        out = xs @ theta
-        if params is not None:
-            out = out + net.forward_batch(params, zs, acts)
-        return out
+        return xs @ theta + net.forward_batch(params, zs, acts)
 
     def loss_of(residuals):
         if tau is not None:
@@ -253,18 +248,14 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
 
     for epoch in range(1, config.epochs + 1):
         for batch in epoch_batches(len(tr_idx), minibatch, rng):
-            xb, yb = x_tr[batch], y_tr[batch]
-            resid = yb - xb @ theta
-            if params is not None:
-                zb = z_tr[batch]
-                resid = resid - net.forward_batch(params, zb, acts)
+            xb, yb, zb = x_tr[batch], y_tr[batch], z_tr[batch]
+            resid = yb - xb @ theta - net.forward_batch(params, zb, acts)
             if tau is not None:
                 upstream = loss_subgrad_wrt_pred(resid, tau) / len(batch)
             else:
                 upstream = -2.0 * resid / len(batch)
-            grads = [xb.T @ upstream]
-            if params is not None:
-                grads += net.backward_batch(params, zb, upstream, acts)
+            grads = ([xb.T @ upstream]
+                     + net.backward_batch(params, zb, upstream, acts))
             np.concatenate([g.ravel() for g in grads], out=flat_grad)
             adam_step(state, flat, flat_grad, lr)
 
@@ -290,9 +281,10 @@ def tune(grid, data, tau, rng=None):
     Splits `data` 80/20 once, fits every candidate on the 80% with its
     own child rng, scores mean check loss of full-model residuals on the
     20%, and returns the winner (ties go to the earlier grid entry).
-    A candidate whose minibatch exceeds the 80% split raises ConfigError
-    before any candidate is fitted. Candidates that fail to train are
-    skipped with a warning; if all fail, a TrainingError is raised. A
+    A bad tau, or a candidate whose minibatch exceeds the 80% split,
+    raises ConfigError before any candidate is fitted. A candidate's
+    ConfigError is raised; candidates that fail to train are skipped
+    with a warning, and if all fail, a TrainingError is raised. A
     single-candidate grid is returned as-is without consuming the rng.
     """
     from .model import fit as _fit, residuals as _residuals
@@ -302,6 +294,7 @@ def tune(grid, data, tau, rng=None):
         raise ConfigError("tuning grid is empty")
     for candidate in grid:
         candidate.validate()
+    tau = validate_tau(tau)
     if len(grid) == 1:
         return grid[0]
     if rng is None:
@@ -322,6 +315,8 @@ def tune(grid, data, tau, rng=None):
         try:
             fitted = _fit(train_data, tau, candidate, child)
             score = mean_check_loss(_residuals(fitted, val_data), tau)
+        except ConfigError:
+            raise
         except DplqrError as exc:
             warnings.warn(f"tuning candidate {candidate} failed: {exc}")
             continue

@@ -83,6 +83,18 @@ class TestFitCommand:
         assert code != 0
         assert capsys.readouterr().err.startswith("error:config:")
 
+    def test_bad_tau_with_a_grid_is_config_error(self, train_csv, tmp_path,
+                                                 capsys, monkeypatch):
+        # two learning rates make fit tune first; the bad tau is a
+        # settings error, not a failure of every candidate to train
+        def no_fit(*args):
+            raise AssertionError("a candidate was trained")
+        monkeypatch.setattr("dplqr.model.fit", no_fit)
+        code = main(_fit_args(train_csv, tmp_path, tau="1.5",
+                              lr="0.01,0.02"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:config: tau")
+
     def test_bad_level_exits_before_training(self, train_csv, tmp_path,
                                              capsys, monkeypatch):
         def no_fit(*args):
@@ -320,35 +332,45 @@ class TestPredictCommand:
                      "--out", str(tmp_path / "pred.csv")])
         assert code == 0
 
-    @pytest.mark.parametrize("payload", [
-        [],
-        {"schema_version": 1},
-        _malformed(lambda m: m.pop("network")),
-        _malformed(lambda m: m.update(mode="qr")),
-        _malformed(lambda m: m["network"]["layers"][0].pop()),
-        _malformed(lambda m: m["network"]["layers"].pop()),
-        _malformed(lambda m: m.update(theta=[1.0])),
-        _malformed(lambda m: m.update(mode="dnqr")),
-        _malformed(lambda m: m.update(network=None)),
-        _malformed(lambda m: m["network"].update(
-            widths=[3, 3, 1], layers=[[0.1] * 12, [0.2] * 4])),
-        _malformed(lambda m: m.update(theta="abc")),
-        _malformed(lambda m: m["columns"]["x"].pop()),
-        _malformed(lambda m: m.update(scaling={
+    @pytest.mark.parametrize("payload, says", [
+        ([], ""),
+        ({"schema_version": 1}, ""),
+        (_malformed(lambda m: m.pop("network")), ""),
+        (_malformed(lambda m: m.update(mode="qr")), ""),
+        (_malformed(lambda m: m["network"]["layers"][0].pop()), ""),
+        (_malformed(lambda m: m["network"]["layers"].pop()), ""),
+        (_malformed(lambda m: m.update(theta=[1.0])), ""),
+        (_malformed(lambda m: m.update(mode="dnqr")), ""),
+        (_malformed(lambda m: m.update(network=None)), "refit"),
+        (_malformed(lambda m: m["network"].update(
+            widths=[3, 3, 1], layers=[[0.1] * 12, [0.2] * 4])), ""),
+        (_malformed(lambda m: m.update(theta="abc")), ""),
+        (_malformed(lambda m: m["columns"]["x"].pop()), ""),
+        (_malformed(lambda m: m.update(scaling={
             "x_low": [0.0], "x_span": [1.0],
-            "z_low": [0.0, 0.0], "z_span": [1.0, 1.0]})),
+            "z_low": [0.0, 0.0], "z_span": [1.0, 1.0]})), ""),
+        # a zero-width hidden layer would make the network a constant
+        (_malformed(lambda m: m["network"].update(
+            widths=[2, 0, 1], layers=[[], [0.25]])), "width"),
+        # an x-only model file as written before the network carried
+        # the intercept
+        (_malformed(lambda m: m.update(
+            z_dim=0, network=None,
+            columns={"y": "y", "x": ["x1", "x2"], "z": []})), "refit"),
     ], ids=["list", "only-version", "no-network", "unknown-mode",
             "short-layer", "missing-layer", "short-theta", "dnqr-theta",
             "missing-network", "wide-input", "text-theta", "short-columns",
-            "short-scaling"])
-    def test_malformed_model_is_data_error(self, payload, train_csv,
+            "short-scaling", "zero-hidden-width", "x-only-without-network"])
+    def test_malformed_model_is_data_error(self, payload, says, train_csv,
                                            tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload), encoding="utf-8")
         code = main(["predict", "--model", str(model), "--data", train_csv,
                      "--out", str(tmp_path / "pred.csv")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error:data:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:data:") and err.count("\n") == 1
+        assert says in err
 
 
 class TestSimulateCommand:
@@ -413,6 +435,19 @@ class TestSimulateCommand:
             "error:config: minibatch 70 exceeds the tuning split")
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_no_workers_is_config_error(self, workers, tmp_path, capsys,
+                                        monkeypatch):
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+        monkeypatch.setattr(experiment, "_run_replicate", no_replicate)
+        code = main(["simulate", "--no-ci", "--workers", workers,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error:config: need at least one worker, got {workers}")
+        assert not (tmp_path / "report.json").exists()
+
     def test_invalid_case_is_config_error(self, tmp_path, capsys):
         code = main(["simulate", "--case", "9", "--n", "200",
                      "--replicates", "1", "--out-dir", str(tmp_path)])
@@ -443,6 +478,13 @@ class TestTuneCommand:
         printed = json.loads(capsys.readouterr().out)
         assert printed["learning_rate"] == 0.01
 
+
+    def test_bad_tau_is_config_error(self, train_csv, capsys):
+        code = main(["tune", "--data", train_csv, "--y", "y", "--x",
+                     "x1,x2", "--z", "z1,z2", "--tau", "1.5", "--width",
+                     "4,8", "--epochs", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:config: tau")
 
     def test_level_flag_is_not_a_tune_flag(self, train_csv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -88,8 +88,25 @@ class TestFit:
                           early_stop_patience=400, learning_rate=0.02,
                           mode="lqr")
         fitted = fit(data, 0.5, cfg, make_rng(1))
-        assert fitted.network is None
+        assert fitted.network.widths == (0, 1)
         assert 0.7 <= fitted.theta_hat[0] <= 1.3
+
+    def test_x_only_fit_learns_the_intercept(self):
+        # x carries no constant column, so with no z columns the (0, 1)
+        # network must carry the intercept 5; without it theta absorbs
+        # the level and lands far from 2
+        rng = np.random.default_rng(0)
+        n = 1000
+        x = rng.uniform(0.0, 1.0, size=n)
+        y = 5.0 + 2.0 * x + 0.1 * rng.normal(size=n)
+        fitted = fit(Dataset(y, x, None), 0.5, TrainConfig(epochs=300),
+                     make_rng(1))
+        assert fitted.network.widths == (0, 1)
+        assert abs(fitted.theta_hat[0] - 2.0) < 0.1
+        assert abs(predict(fitted, 0.0) - 5.0) < 0.1
+        assert_allclose(m_values(fitted, np.zeros((3, 0))),
+                        predict_batch(fitted, np.zeros((3, 1)), None),
+                        rtol=0, atol=0)
 
     def test_lqr_parameter_count(self):
         # with q network covariates, depth 1 means one affine layer with

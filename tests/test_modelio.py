@@ -1,5 +1,7 @@
 """Tests for CSV loading, covariate scaling, and model persistence."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -196,6 +198,20 @@ class TestModelPersistence:
         want = predict_batch(fitted, data.x, data.z)
         got = predict_batch(loaded, data.x, data.z)
         assert_allclose(got, want, rtol=0, atol=0)
+
+    def test_x_only_model_keeps_its_intercept(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(100, 2))
+        data = Dataset(y=1.0 + x.sum(axis=1), x=x, z=None)
+        cfg = TrainConfig(epochs=20, minibatch=50, early_stop_patience=20)
+        fitted = fit(data, 0.3, cfg, make_rng(1))
+        path = str(tmp_path / "model.json")
+        save_model(path, fitted, ColumnRoles(y="y", x=["a", "b"], z=[]))
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle)["network"]["widths"] == [0, 1]
+        loaded, _, _ = load_model(path)
+        want = predict_batch(fitted, x, None)
+        assert predict_batch(loaded, x, None).tobytes() == want.tobytes()
 
     def test_round_trip_preserves_scaling(self, tmp_path):
         fitted, data = self._fitted()

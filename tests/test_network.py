@@ -43,6 +43,18 @@ def test_width_chain_validation():
         init_params((3, 2), make_rng(0))  # output width must be 1
     with pytest.raises(ConfigError):
         init_params((3, 0, 1), make_rng(0))
+    with pytest.raises(ConfigError):
+        init_params((-1, 1), make_rng(0))
+
+
+def test_network_on_no_inputs_is_its_bias():
+    params = init_params((0, 1), make_rng(0))
+    params.layers[0][0, 0] = 2.5
+    z = np.zeros((4, 0))
+    assert_array_equal(forward_batch(params, z), np.full(4, 2.5))
+    upstream = np.array([1.0, -2.0, 0.5, 3.0])
+    grads = backward_batch(params, z, upstream)
+    assert_array_equal(grads[0], [[upstream.sum()]])
 
 
 def test_init_bounds_and_zero_bias():

@@ -158,14 +158,19 @@ def _linear_toy(n, seed, slope=2.0, noise=0.1):
     return y, x
 
 
+def _no_z(y):
+    # no network covariates: the (0, 1) network is the intercept
+    return np.zeros((len(y), 0))
+
+
 class TestTrainJoint:
     def test_learns_linear_median(self):
         y, x = _linear_toy(400, seed=0)
         cfg = TrainConfig(depth=1, width=1, epochs=300, minibatch=64,
                           early_stop_patience=300, learning_rate=0.02)
         theta, params, history = train_joint(
-            y, x, None, None, cfg, make_rng(3), tau=0.5)
-        assert params is None
+            y, x, _no_z(y), (0, 1), cfg, make_rng(3), tau=0.5)
+        assert params.widths == (0, 1)
         assert abs(theta[0] - 2.0) < 0.1
         assert history.stopped_epoch <= 300
 
@@ -173,8 +178,9 @@ class TestTrainJoint:
         y, x = _linear_toy(400, seed=1)
         cfg = TrainConfig(depth=1, width=1, epochs=300, minibatch=64,
                           early_stop_patience=300, learning_rate=0.02)
-        theta, _, _ = train_joint(y, x, None, None, cfg, make_rng(3),
-                                  tau=None)
+        theta, params, _ = train_joint(y, x, _no_z(y), (0, 1), cfg,
+                                       make_rng(3), tau=None)
+        assert params.widths == (0, 1)
         assert abs(theta[0] - 2.0) < 0.1
 
     def test_best_val_no_larger_than_first(self):
@@ -189,15 +195,17 @@ class TestTrainJoint:
         assert history.val_loss[history.best_epoch - 1] == best
 
     def test_early_stop_truncates(self):
-        # constant target: validation loss cannot strictly improve after
-        # the loss stabilizes, so patience kicks in well before epochs
+        # zero target, which theta = 0 and the intercept's zero init fit
+        # exactly: steps only move about the fit, validation loss stops
+        # improving strictly, and patience kicks in well before epochs
         n = 100
-        y = np.ones(n)
+        y = np.zeros(n)
         x = np.zeros((n, 1))
         cfg = TrainConfig(depth=1, width=1, epochs=500, minibatch=100,
                           early_stop_patience=5, learning_rate=1e-6)
-        _, _, history = train_joint(y, x, None, None, cfg, make_rng(1),
-                                    tau=0.5)
+        _, params, history = train_joint(y, x, _no_z(y), (0, 1), cfg,
+                                         make_rng(1), tau=0.5)
+        assert params.widths == (0, 1)
         assert history.stopped_epoch < 500
         assert len(history.val_loss) == history.stopped_epoch
 
@@ -208,14 +216,16 @@ class TestTrainJoint:
         y, x = _linear_toy(200, seed=4)
         cfg = TrainConfig(depth=1, width=1, epochs=40, minibatch=200,
                           early_stop_patience=40, learning_rate=0.05)
-        theta, _, history = train_joint(y, x, None, None, cfg, make_rng(2),
-                                        tau=0.5)
+        theta, params, history = train_joint(y, x, _no_z(y), (0, 1), cfg,
+                                             make_rng(2), tau=0.5)
+        assert params.widths == (0, 1)
         assert history.stopped_epoch == 40
         # full-batch training is deterministic given the rng, so rerunning
         # reproduces theta exactly
-        theta2, _, _ = train_joint(y, x, None, None, cfg, make_rng(2),
-                                   tau=0.5)
+        theta2, params2, _ = train_joint(y, x, _no_z(y), (0, 1), cfg,
+                                         make_rng(2), tau=0.5)
         assert_array_equal(theta, theta2)
+        assert_array_equal(params.layers[0], params2.layers[0])
 
     def test_joint_linear_plus_network(self):
         rng = np.random.default_rng(7)
@@ -228,7 +238,7 @@ class TestTrainJoint:
                           early_stop_patience=60, learning_rate=0.01)
         theta, params, _ = train_joint(y, x, z, (2, 8, 1), cfg, make_rng(5),
                                        tau=0.5)
-        assert params is not None
+        assert params.widths == (2, 8, 1)
         assert abs(theta[0] - 1.5) < 0.25
 
 
@@ -269,6 +279,18 @@ class TestTune:
                             early_stop_patience=5, learning_rate=0.01)
                 for mb in (32, 100)]
         with pytest.raises(ConfigError, match="tuning split"):
+            tune(grid, self._data(), 0.5, rng=make_rng(0))
+
+    def test_candidate_settings_error_is_raised(self, monkeypatch):
+        # a settings error holds for every candidate: it is raised, not
+        # skipped as a failure to train
+        def bad_settings(*args):
+            raise ConfigError("bad settings")
+        monkeypatch.setattr(model, "fit", bad_settings)
+        grid = [TrainConfig(depth=1, width=1, epochs=5, minibatch=32,
+                            early_stop_patience=5, learning_rate=lr)
+                for lr in (0.01, 0.02)]
+        with pytest.raises(ConfigError, match="bad settings"):
             tune(grid, self._data(), 0.5, rng=make_rng(0))
 
     def test_deterministic_given_rng(self):

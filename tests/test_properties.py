@@ -167,9 +167,10 @@ def test_plain_numeric_file_takes_the_bulk_path(rows, eol, bom):
 def fitted_models(draw):
     mode = draw(st.sampled_from(["dplqr", "lqr", "dnqr"]))
     p = draw(st.integers(0 if mode == "dnqr" else 1, 3))
-    q = draw(st.integers(1, 3))
+    # with q = 0, an x-only fit, the network is the (0, 1) intercept
+    q = draw(st.integers(1 if mode == "dnqr" else 0, 3))
     hidden = draw(st.lists(st.integers(1, 6), max_size=2))
-    if mode == "lqr":
+    if mode == "lqr" or q == 0:
         hidden = []
     n_in = p + q if mode == "dnqr" else q
     rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))

@@ -123,25 +123,23 @@ def _problem(n, p, q, seed):
     (2, (3, 6, 1), None, 40),     # squared error, as in projection fits
     (0, (3, 8, 8, 1), 0.5, 32),   # p = 0: no linear part (dnqr)
     (2, (3, 1), 0.7, 32),         # depth 1: no hidden buffers (lqr)
-    (2, None, 0.5, 25),           # widths None: no network at all
-    (2, None, None, 25),
+    (2, (0, 1), 0.5, 25),         # no z columns: the network is the
+    (2, (0, 1), None, 25),        # intercept alone
 ])
 def test_train_joint_matches_reference_step(p, widths, tau, minibatch):
     y, x, z = _problem(120, p, 3, seed=p + minibatch)
+    z = z[:, :widths[0]]
     config = TrainConfig(depth=3, width=8, epochs=25, minibatch=minibatch,
                          early_stop_patience=6, learning_rate=0.02)
     theta, params, history = train_joint(
-        y, x, z if widths else None, widths, config, make_rng(11), tau=tau)
+        y, x, z, widths, config, make_rng(11), tau=tau)
     ref_theta, ref_layers, ref_train, ref_val, monitor = _reference_train(
         y, x, z, widths, config, make_rng(11), tau)
 
     assert_array_equal(theta, ref_theta)
-    if widths is None:
-        assert params is None
-    else:
-        assert len(params.layers) == len(ref_layers)
-        for got, want in zip(params.layers, ref_layers):
-            assert_array_equal(got, want)
+    assert len(params.layers) == len(ref_layers)
+    for got, want in zip(params.layers, ref_layers):
+        assert_array_equal(got, want)
     assert_array_equal(history.train_loss, ref_train)
     assert_array_equal(history.val_loss, ref_val)
     assert history.stopped_epoch == monitor.epochs_seen

@@ -27,7 +27,7 @@ from .experiment import (report_to_csv, report_to_text, run_experiment,
                          scenario_grid)
 from .inference import covariance, validate_level
 from .model import fit as fit_model
-from .model import make_mode_config, predict_batch
+from .model import predict_batch
 from .modelio import (ColumnRoles, _jsonable, apply_scaling, compute_scaling,
                       load_csv, load_model, save_model, write_json)
 from .optimizer import MODES, TrainConfig, tune
@@ -140,44 +140,40 @@ _GRID_FLAGS = ("depth", "width", "lr", "epochs", "minibatch", "patience")
 def _build_grid(args, base):
     """One config per point of the depth x width x lr cross product.
 
-    Each grid flag left unset takes its value from `base`, and base.mode
-    is applied to every entry (so "lqr" forces depth 1).
+    Each grid flag left unset takes its value from `base`, and every
+    entry keeps base.mode (so "lqr" entries have depth 1).
     """
     def flag(name, default):
         value = getattr(args, name)
         return default if value is None else value
 
     grid = [
-        make_mode_config(base.mode, replace(
-            base, depth=d, width=w, learning_rate=lr,
-            epochs=flag("epochs", base.epochs),
-            minibatch=flag("minibatch", base.minibatch),
-            early_stop_patience=flag("patience", base.early_stop_patience)))
+        replace(base, depth=d, width=w, learning_rate=lr,
+                epochs=flag("epochs", base.epochs),
+                minibatch=flag("minibatch", base.minibatch),
+                early_stop_patience=flag("patience", base.early_stop_patience))
         for d, w, lr in itertools.product(
             _ints(flag("depth", base.depth)), _ints(flag("width", base.width)),
             _floats(flag("lr", base.learning_rate)))
     ]
-    for config in grid:
-        config.validate()
-    return grid
+    return [config.validate() for config in grid]
 
 
 def _fit_setup(args, out_required):
-    """The shared start of fit and tune: merge --config, check the flags,
-    load and scale the data, build the tuning grid."""
+    """The shared start of fit and tune: merge --config, check the flags
+    and build the tuning grid, then load and scale the data."""
     _merge_config(args)
-    if out_required and args.out is None:
-        raise ConfigError("--out is required")
-    if args.mode not in MODES:
-        raise ConfigError(f"--mode must be one of {MODES}, got {args.mode!r}")
-    if args.data is None:
-        raise ConfigError("--data is required")
-    if args.y is None:
-        raise ConfigError("--y is required")
+    for name in ("out",) * out_required + ("data", "y"):
+        if getattr(args, name) is None:
+            raise ConfigError(f"--{name} is required")
     roles = ColumnRoles(args.y, _columns(args.x), _columns(args.z))
+    names = [roles.y] + roles.x + roles.z
+    repeated = sorted({c for c in names if names.count(c) > 1})
+    if repeated:
+        raise ConfigError(f"column(s) {repeated} given more than one role")
+    grid = _build_grid(args, TrainConfig(seed=args.seed, mode=args.mode))
     raw = load_csv(args.data, roles)
     scaling = compute_scaling(raw) if args.scale else None
-    grid = _build_grid(args, TrainConfig(seed=args.seed, mode=args.mode))
     return apply_scaling(raw, scaling), roles, scaling, grid
 
 

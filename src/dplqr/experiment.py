@@ -27,7 +27,7 @@ import numpy as np
 from .dgp import generate, mspe, rmse_m, true_m, true_theta
 from .errors import ConfigError, DplqrError, TrainingError
 from .inference import covariance, validate_level
-from .model import fit, m_values, make_mode_config, predict_batch
+from .model import fit, m_values, predict_batch
 from .optimizer import MODES, TrainConfig, _holdout_split, tune
 from .rng import child_rng, split
 
@@ -143,7 +143,7 @@ def _run_replicate(spec, r, methods, master_seed, grid, with_ci, level,
     streams = dict(zip(MODES, split(rng, len(MODES))))
     for method in methods:
         tune_rng, fit_rng, cov_rng = split(streams[method], 3)
-        candidates = [make_mode_config(method, c) for c in grid]
+        candidates = [replace(c, mode=method) for c in grid]
         best = tune(candidates, train, spec.tau, tune_rng)
         fitted = fit(train, spec.tau, best, fit_rng)
 

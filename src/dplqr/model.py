@@ -6,18 +6,18 @@ The model is
 
 with theta estimated jointly with a ReLU-network m by minimizing the
 empirical check loss. Two degenerate modes reuse the same machinery:
-"lqr" replaces the network by a single affine layer (the whole model is
-then linear in (x, z)), and "dnqr" drops the linear part and routes every
-covariate into the network.
+"lqr" has one affine layer (an lqr TrainConfig has depth 1), so the model
+is linear in (x, z); "dnqr" has no linear part and routes every covariate
+into the network, a routing that `_layout` alone decides.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .network import NetworkParams, forward_batch
-from .optimizer import MODES, TrainConfig, TrainHistory, train_joint
+from .optimizer import TrainHistory, train_joint
 from .quantile_loss import validate_tau
 from .rng import make_rng
 
@@ -97,23 +97,18 @@ class PlqrFit:
     z_dim: int
 
 
-def make_mode_config(mode, base):
-    """Adapt a TrainConfig to a model mode.
-
-    "lqr" forces depth 1 (a single affine layer, no hidden units);
-    "dnqr" and "dplqr" keep the architecture and only set the mode tag.
-    """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "lqr":
-        return replace(base, depth=1, mode="lqr")
-    return replace(base, mode=mode)
+def _layout(mode, x_dim, z_dim):
+    """(theta length, network input width) of a model on x_dim linear and
+    z_dim network covariates: dnqr routes x into the network."""
+    if mode == "dnqr":
+        return 0, x_dim + z_dim
+    return x_dim, z_dim
 
 
-def _network_widths(config, q):
-    if q == 0:  # the intercept alone
+def _network_widths(config, n_in):
+    if n_in == 0:  # the intercept alone
         return (0, 1)
-    return (q,) + (config.width,) * (config.depth - 1) + (1,)
+    return (n_in,) + (config.width,) * (config.depth - 1) + (1,)
 
 
 def fit(data, tau, config, rng=None):
@@ -135,15 +130,13 @@ def fit(data, tau, config, rng=None):
     if rng is None:
         rng = make_rng(config.seed)
 
-    if config.mode == "dnqr":
-        x_eff = np.zeros((data.n, 0))
-        z_eff = np.hstack([data.x, data.z])
-    else:
-        x_eff, z_eff = data.x, data.z
-
-    widths = _network_widths(config, z_eff.shape[1])
+    n_theta, n_in = _layout(config.mode, data.p, data.q)
+    x_eff, z_eff = data.x, data.z
+    if n_theta < data.p:  # x enters the network
+        x_eff, z_eff = data.x[:, :0], np.hstack([data.x, data.z])
     theta, params, history = train_joint(
-        data.y, x_eff, z_eff, widths, config, rng, tau=tau)
+        data.y, x_eff, z_eff, _network_widths(config, n_in), config, rng,
+        tau=tau)
     return PlqrFit(theta, params, tau, history, config.mode,
                    x_dim=data.p, z_dim=data.q)
 
@@ -172,7 +165,7 @@ def predict_batch(fit, x, z):
         raise DataError("predict_batch needs at least one 2-d covariate block")
     x = _check_block(x, fit.x_dim, n, "x")
     z = _check_block(z, fit.z_dim, n, "z")
-    if fit.mode == "dnqr":
+    if _layout(fit.mode, fit.x_dim, fit.z_dim)[0] < fit.x_dim:
         return forward_batch(fit.network, np.hstack([x, z]))
     return x @ fit.theta_hat + forward_batch(fit.network, z)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import Dataset, PlqrFit
+from .model import Dataset, PlqrFit, _layout
 from .network import NetworkParams, _check_widths
 from .optimizer import MODES
 
@@ -309,12 +309,10 @@ def model_from_dict(payload):
 
 def _check_layout(fit, roles, scaling):
     """Dimensions of a loaded model must agree with its x_dim and z_dim."""
-    dnqr = fit.mode == "dnqr"
-    n_theta = 0 if dnqr else fit.x_dim
+    n_theta, n_in = _layout(fit.mode, fit.x_dim, fit.z_dim)
     if fit.theta_hat.shape != (n_theta,):
         raise DataError(f"a {fit.mode} model with x_dim {fit.x_dim} needs"
                         f" {n_theta} theta entries, got {fit.theta_hat.size}")
-    n_in = fit.x_dim + fit.z_dim if dnqr else fit.z_dim
     width = fit.network.widths[0]
     if width != n_in:
         raise DataError(f"a {fit.mode} model with x_dim {fit.x_dim} and"

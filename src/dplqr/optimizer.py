@@ -37,9 +37,9 @@ class TrainConfig:
 
     depth counts affine maps, so depth 1 is a pure affine model and
     depth L has L-1 hidden relu layers of the given width. The minibatch
-    is capped at the training-split size at fit time. `mode` selects the
-    model family: "dplqr" (linear part plus network), "lqr" (everything
-    affine), or "dnqr" (no linear part; all covariates enter the network).
+    is capped at the training-split size at fit time. `mode` is "dplqr"
+    (linear part plus network), "lqr" (all affine: depth is set to 1) or
+    "dnqr" (no linear part; all covariates enter the network).
     """
 
     depth: int = 3
@@ -50,6 +50,10 @@ class TrainConfig:
     learning_rate: float = 0.01
     seed: int = 0
     mode: str = "dplqr"
+
+    def __post_init__(self):
+        if self.mode == "lqr":
+            object.__setattr__(self, "depth", 1)
 
     def validate(self, n=None):
         for name in ("depth", "width", "epochs", "minibatch",
@@ -278,15 +282,19 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
 def tune(grid, data, tau, rng=None):
     """Pick the best TrainConfig from a grid by hold-out check loss.
 
-    Splits `data` 80/20 once, fits every candidate on the 80% with its
-    own child rng, scores mean check loss of full-model residuals on the
-    20%, and returns the winner (ties go to the earlier grid entry).
-    A bad tau, or a candidate whose minibatch exceeds the 80% split,
-    raises ConfigError before any candidate is fitted. A candidate's
-    ConfigError is raised; candidates that fail to train are skipped
-    with a warning, and if all fail, a TrainingError is raised. A
-    single-candidate grid is returned as-is without consuming the rng.
+    Splits `data` 80/20 once, fits each candidate on the 80% with the
+    child rng of its grid position, scores mean check loss of full-model
+    residuals on the 20%, and returns the winner (ties go to the earlier
+    grid entry). A candidate is skipped when an earlier one trains the
+    same network on `data` (any lqr width; any depth and width with no z
+    columns) with the same lr, epochs, minibatch and patience. A bad
+    tau, or a candidate whose minibatch exceeds the 80% split, raises
+    ConfigError before any candidate is fitted. A candidate's ConfigError
+    is raised; candidates that fail to train are skipped with a warning,
+    and if all fail, a TrainingError is raised. A grid of one distinct
+    candidate is returned as-is without consuming the rng.
     """
+    from .model import _layout, _network_widths
     from .model import fit as _fit, residuals as _residuals
 
     grid = list(grid)
@@ -295,7 +303,12 @@ def tune(grid, data, tau, rng=None):
     for candidate in grid:
         candidate.validate()
     tau = validate_tau(tau)
-    if len(grid) == 1:
+    first = {}  # what a candidate trains -> its first grid position
+    for k, c in enumerate(grid):
+        widths = _network_widths(c, _layout(c.mode, data.p, data.q)[1])
+        first.setdefault((widths, c.learning_rate, c.epochs, c.minibatch,
+                          c.early_stop_patience), k)
+    if len(first) == 1:
         return grid[0]
     if rng is None:
         rng = make_rng(grid[0].seed)
@@ -311,7 +324,7 @@ def tune(grid, data, tau, rng=None):
     children = split(rng, len(grid))
 
     best_config, best_loss = None, np.inf
-    for candidate, child in zip(grid, children):
+    for candidate, child in ((grid[k], children[k]) for k in first.values()):
         try:
             fitted = _fit(train_data, tau, candidate, child)
             score = mean_check_loss(_residuals(fitted, val_data), tau)

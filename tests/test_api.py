@@ -1,6 +1,8 @@
-"""The top-level API covers every name the README and the demos import."""
+"""The top-level API covers every name the README and the demos import,
+and every submodule name the README gives exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -38,3 +40,19 @@ def test_top_level_imports_are_exported(name, source):
     missing = [n for n in imported if n not in dplqr.__all__]
     assert not missing, f"{name} imports {missing} not in dplqr.__all__"
     assert all(hasattr(dplqr, n) for n in dplqr.__all__)
+
+
+README_NAMES = sorted(set(re.findall(
+    r"`(dplqr\.\w+\.\w+)`",
+    (ROOT / "README.md").read_text(encoding="utf-8"))))
+
+
+def test_readme_names_found():
+    assert "dplqr.model.predict_batch" in README_NAMES
+
+
+@pytest.mark.parametrize("dotted", README_NAMES)
+def test_readme_submodule_names_resolve(dotted):
+    module, name = dotted.rsplit(".", 1)
+    assert hasattr(importlib.import_module(module), name), (
+        f"README.md names `{dotted}`, which does not exist")

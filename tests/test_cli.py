@@ -129,6 +129,49 @@ class TestFitCommand:
         assert code != 0
         assert capsys.readouterr().err.startswith("error:data:")
 
+    @pytest.mark.parametrize("roles", [
+        ["--x", "x1,x1", "--z", "z1"],
+        ["--x", "x1", "--z", "x1,z1"],
+        ["--y", "x1", "--x", "x1", "--z", "z1"],
+    ], ids=["x-twice", "x-and-z", "y-and-x"])
+    @pytest.mark.parametrize("command", ["fit", "tune"])
+    def test_column_with_two_roles_is_config_error(
+            self, train_csv, tmp_path, capsys, monkeypatch, command, roles):
+        def no_load(*args, **kwargs):
+            raise AssertionError("the data was loaded")
+        monkeypatch.setattr(cli, "load_csv", no_load)
+        args = [command, "--data", train_csv, "--y", "y"] + roles
+        if command == "fit":
+            args += ["--out", str(tmp_path / "model.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config: column(s) ['x1']")
+
+    @pytest.mark.parametrize("roles, widths", [
+        (["--x", "x1,x2", "--width", "4,8,16", "--depth", "2,3"], [(0, 1)]),
+        (["--x", "x1,x2", "--z", "z1,z2", "--mode", "lqr", "--width",
+          "4,8", "--depth", "2,3"], [(2, 1)] * 3),
+    ], ids=["x-only", "lqr"])
+    def test_grid_of_one_network_trains_it_once(self, train_csv, tmp_path,
+                                                monkeypatch, roles, widths):
+        # every grid point trains the same network, so tuning fits none;
+        # the final fit and the lqr fit's two projections remain
+        from dplqr import inference, model
+        trained = []
+
+        def counted(original):
+            def train(*args, **kwargs):
+                trained.append(args[3])
+                return original(*args, **kwargs)
+            return train
+        for module in (model, inference):
+            monkeypatch.setattr(module, "train_joint",
+                                counted(module.train_joint))
+        args = ["fit", "--data", train_csv, "--y", "y", "--epochs", "5",
+                "--out", str(tmp_path / "model.json")] + roles
+        assert main(args) == 0
+        assert trained == widths
+
     def test_grid_over_learning_rates(self, train_csv, tmp_path):
         # two learning rates: tuning picks one and the fit still lands
         code = main(_fit_args(train_csv, tmp_path, lr="0.005,0.02"))

@@ -8,7 +8,7 @@ from dplqr import inference
 from dplqr.errors import ConfigError, DataError
 from dplqr.inference import (confidence_intervals, covariance, fit_projection,
                              kde_at_zero)
-from dplqr.model import Dataset, fit, make_mode_config
+from dplqr.model import Dataset, fit
 from dplqr.network import forward_batch
 from dplqr.optimizer import TrainConfig
 from dplqr.rng import make_rng
@@ -205,9 +205,8 @@ class TestCovariance:
         rng = np.random.default_rng(1)
         data = Dataset(y=rng.normal(size=60), x=rng.normal(size=(60, 1)),
                        z=rng.uniform(size=(60, 1)))
-        cfg = make_mode_config("dnqr", TrainConfig(depth=2, width=4,
-                                                   epochs=5, minibatch=30,
-                                                   early_stop_patience=5))
+        cfg = TrainConfig(depth=2, width=4, epochs=5, minibatch=30,
+                          early_stop_patience=5, mode="dnqr")
         fitted = fit(data, 0.5, cfg, make_rng(0))
         with pytest.raises(ConfigError):
             covariance(fitted, data, cfg, make_rng(0))

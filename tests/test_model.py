@@ -1,12 +1,14 @@
 """Tests for the partially linear quantile regression model interface."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from dplqr.errors import ConfigError, DataError
-from dplqr.model import (Dataset, PlqrFit, fit, m_values, make_mode_config,
-                         predict, predict_batch, residuals)
+from dplqr.model import (Dataset, PlqrFit, fit, m_values, predict,
+                         predict_batch, residuals)
 from dplqr.network import NetworkParams
 from dplqr.optimizer import TrainConfig
 from dplqr.quantile_loss import mean_check_loss
@@ -54,25 +56,29 @@ class TestDataset:
 
 
 class TestMakeModeConfig:
+    """A config made for a mode: TrainConfig(mode=...) or replace."""
+
     def test_lqr_forces_depth_one(self):
         base = TrainConfig(depth=3, width=16)
-        cfg = make_mode_config("lqr", base)
-        assert cfg.depth == 1 and cfg.mode == "lqr"
-        assert cfg.width == base.width
+        for cfg in (replace(base, mode="lqr"),
+                    TrainConfig(depth=3, width=16, mode="lqr")):
+            assert cfg.depth == 1 and cfg.mode == "lqr"
+            assert cfg.width == base.width
+        assert replace(base, mode="lqr", depth=4).depth == 1
 
     def test_dnqr_keeps_architecture(self):
         base = TrainConfig(depth=3, width=12)
-        cfg = make_mode_config("dnqr", base)
+        cfg = replace(base, mode="dnqr")
         assert cfg.depth == 3 and cfg.width == 12 and cfg.mode == "dnqr"
 
     def test_base_not_mutated(self):
         base = TrainConfig(depth=3)
-        make_mode_config("lqr", base)
+        replace(base, mode="lqr")
         assert base.depth == 3 and base.mode == "dplqr"
 
     def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            make_mode_config("ols", TrainConfig())
+        with pytest.raises(ConfigError, match="mode must be one of"):
+            TrainConfig(mode="ols").validate()
 
 
 class TestFit:
@@ -112,17 +118,25 @@ class TestFit:
         # with q network covariates, depth 1 means one affine layer with
         # q weights and one bias: q + 1 trainable values beyond theta
         data = _toy_data(100, seed=2)
-        cfg = make_mode_config("lqr", TrainConfig(epochs=5, minibatch=50,
-                                                  early_stop_patience=5))
+        cfg = TrainConfig(epochs=5, minibatch=50, early_stop_patience=5,
+                          mode="lqr")
         fitted = fit(data, 0.5, cfg, make_rng(0))
         assert len(fitted.network.layers) == 1
         assert fitted.network.layers[0].shape == (1, data.q + 1)
 
+    def test_lqr_config_with_depth_fits_one_affine_layer(self):
+        # the mode alone makes an lqr fit linear, whatever depth it names
+        data = _toy_data(100, seed=2)
+        cfg = TrainConfig(depth=3, width=8, epochs=5, minibatch=50,
+                          early_stop_patience=5, mode="lqr")
+        fitted = fit(data, 0.5, cfg, make_rng(0))
+        assert fitted.network.widths == (data.q, 1)
+        assert fitted.mode == "lqr"
+
     def test_dnqr_routes_everything_into_network(self):
         data = _toy_data(100, seed=3)
-        cfg = make_mode_config("dnqr", TrainConfig(depth=2, width=12,
-                                                   epochs=5, minibatch=50,
-                                                   early_stop_patience=5))
+        cfg = TrainConfig(depth=2, width=12, epochs=5, minibatch=50,
+                          early_stop_patience=5, mode="dnqr")
         fitted = fit(data, 0.5, cfg, make_rng(0))
         assert fitted.theta_hat.shape == (0,)
         assert fitted.network.widths[0] == data.p + data.q
@@ -228,9 +242,8 @@ class TestMValues:
 
     def test_dnqr_has_no_m(self):
         data = _toy_data(80, seed=10)
-        cfg = make_mode_config("dnqr", TrainConfig(depth=2, width=4,
-                                                   epochs=5, minibatch=40,
-                                                   early_stop_patience=5))
+        cfg = TrainConfig(depth=2, width=4, epochs=5, minibatch=40,
+                          early_stop_patience=5, mode="dnqr")
         fitted = fit(data, 0.5, cfg, make_rng(0))
         with pytest.raises(ConfigError):
             m_values(fitted, data.z)

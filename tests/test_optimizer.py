@@ -8,9 +8,9 @@ from dplqr import model
 from dplqr.errors import ConfigError, TrainingError
 from dplqr.model import Dataset
 from dplqr.optimizer import (ADAM_EPSILON_HAT, EarlyStopMonitor, TrainConfig,
-                             adam_step, epoch_batches, init_adam,
-                             train_joint, tune)
-from dplqr.rng import make_rng
+                             _holdout_split, adam_step, epoch_batches,
+                             init_adam, train_joint, tune)
+from dplqr.rng import make_rng, split
 
 
 class TestAdam:
@@ -292,6 +292,58 @@ class TestTune:
                 for lr in (0.01, 0.02)]
         with pytest.raises(ConfigError, match="bad settings"):
             tune(grid, self._data(), 0.5, rng=make_rng(0))
+
+    @pytest.mark.parametrize("mode, z_cols, fits", [
+        ("dplqr", 0, 2), ("lqr", 3, 2), ("dplqr", 3, 8)])
+    def test_each_distinct_network_is_fitted_once(self, monkeypatch, mode,
+                                                  z_cols, fits):
+        # depth x width x lr = 8 points; with no z columns, or in lqr
+        # mode, they train only two networks, one per learning rate
+        fitted = []
+
+        def counted(data, tau, config, rng):
+            fitted.append(config)
+            return original(data, tau, config, rng)
+        original = model.fit
+        monkeypatch.setattr(model, "fit", counted)
+        data = self._data()
+        data = Dataset(data.y, data.x, data.z[:, :z_cols])
+        grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=32,
+                            early_stop_patience=3, learning_rate=lr,
+                            mode=mode)
+                for d in (2, 3) for w in (4, 8) for lr in (0.01, 0.02)]
+        picked = tune(grid, data, 0.5, rng=make_rng(0))
+        assert fitted == grid[:fits]
+        assert picked in fitted
+
+    def test_grid_of_one_network_is_returned_unfitted(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("a candidate was fitted")
+        monkeypatch.setattr(model, "fit", no_fit)
+        grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=32,
+                            mode="lqr") for d in (2, 3) for w in (4, 8)]
+        assert tune(grid, self._data(), 0.5, rng=make_rng(0)) is grid[0]
+
+    def test_kept_candidates_keep_their_streams(self, monkeypatch):
+        # children are split over the full grid, so skipping the
+        # duplicate at position 1 leaves position 2 its own stream
+        drawn = []
+
+        def record(data, tau, config, rng):
+            drawn.append(int(rng.integers(1 << 30)))
+            raise TrainingError("stop")
+        monkeypatch.setattr(model, "fit", record)
+        data = self._data()
+        data = Dataset(data.y, data.x, None)
+        grid = [TrainConfig(depth=2, width=w, epochs=3, minibatch=32,
+                            learning_rate=lr)
+                for w, lr in ((4, 0.01), (8, 0.01), (4, 0.02))]
+        with pytest.warns(UserWarning), pytest.raises(TrainingError):
+            tune(grid, data, 0.5, rng=make_rng(0))
+        rng = make_rng(0)
+        _holdout_split(data.n, rng)
+        children = split(rng, len(grid))
+        assert drawn == [int(children[k].integers(1 << 30)) for k in (0, 2)]
 
     def test_deterministic_given_rng(self):
         grid = [TrainConfig(depth=1, width=1, epochs=40, minibatch=32,

@@ -62,7 +62,7 @@ print(f"\nmean squared error of predictions vs true median: {err:.4f}")
 # the report JSON records the chosen configuration and the intervals
 with open(report_json, encoding="utf-8") as handle:
     report = json.load(handle)
-print(f"tuned learning rate: {report['config']['learning_rate']}")
+print(f"tuned learning rate: {report['config']['lr']}")
 print(f"theta1 interval: {report['covariance']['intervals'][0]}")
 
 # the model file reloads into the library API, scaling included

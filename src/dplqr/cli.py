@@ -134,34 +134,38 @@ def _merge_config(args):
     return args
 
 
-_GRID_FLAGS = ("depth", "width", "lr", "epochs", "minibatch", "patience")
+# The TrainConfig field each grid flag sets. A grid is the cross
+# product of their values; only depth, width and lr take lists.
+_GRID_FIELDS = {"depth": "depth", "width": "width", "lr": "learning_rate",
+                "epochs": "epochs", "minibatch": "minibatch",
+                "patience": "early_stop_patience"}
 
 
 def _build_grid(args, base):
     """One config per point of the depth x width x lr cross product.
 
     Each grid flag left unset takes its value from `base`, and every
-    entry keeps base.mode (so "lqr" entries have depth 1).
+    entry keeps base.mode.
     """
-    def flag(name, default):
-        value = getattr(args, name)
-        return default if value is None else value
-
-    grid = [
-        replace(base, depth=d, width=w, learning_rate=lr,
-                epochs=flag("epochs", base.epochs),
-                minibatch=flag("minibatch", base.minibatch),
-                early_stop_patience=flag("patience", base.early_stop_patience))
-        for d, w, lr in itertools.product(
-            _ints(flag("depth", base.depth)), _ints(flag("width", base.width)),
-            _floats(flag("lr", base.learning_rate)))
-    ]
+    axes = []
+    for flag, field in _GRID_FIELDS.items():
+        value = getattr(args, flag)
+        parse = _floats if flag == "lr" else _ints
+        axes.append([getattr(base, field)] if value is None else parse(value))
+    grid = [replace(base, **dict(zip(_GRID_FIELDS.values(), point)))
+            for point in itertools.product(*axes)]
     return [config.validate() for config in grid]
 
 
+def _flag_settings(config):
+    """A config's grid settings under their flag names."""
+    return {flag: getattr(config, field)
+            for flag, field in _GRID_FIELDS.items()}
+
+
 def _fit_setup(args, out_required):
-    """The shared start of fit and tune: merge --config, check the flags
-    and build the tuning grid, then load and scale the data."""
+    """The shared start of fit and tune: merge --config, check the flags,
+    build the grid and the tune, fit and covariance rngs, load the data."""
     _merge_config(args)
     for name in ("out",) * out_required + ("data", "y"):
         if getattr(args, name) is None:
@@ -171,17 +175,17 @@ def _fit_setup(args, out_required):
     repeated = sorted({c for c in names if names.count(c) > 1})
     if repeated:
         raise ConfigError(f"column(s) {repeated} given more than one role")
-    grid = _build_grid(args, TrainConfig(seed=args.seed, mode=args.mode))
+    grid = _build_grid(args, TrainConfig(mode=args.mode))
+    streams = split(make_rng(args.seed), 3)
     raw = load_csv(args.data, roles)
     scaling = compute_scaling(raw) if args.scale else None
-    return apply_scaling(raw, scaling), roles, scaling, grid
+    return apply_scaling(raw, scaling), roles, scaling, grid, streams
 
 
 def cmd_fit(args):
-    data, roles, scaling, grid = _fit_setup(args, out_required=True)
+    data, roles, scaling, grid, streams = _fit_setup(args, out_required=True)
     level = validate_level(args.level)
-    rng = make_rng(args.seed)
-    tune_rng, fit_rng, cov_rng = split(rng, 3)
+    tune_rng, fit_rng, cov_rng = streams
     best = tune(grid, data, args.tau, tune_rng)
     fitted = fit_model(data, args.tau, best, fit_rng)
 
@@ -192,16 +196,16 @@ def cmd_fit(args):
     save_model(args.out, fitted, roles, scaling)
     if args.report:
         report = _jsonable({
-            "schema_version": 1, "command": "fit",
+            "schema_version": 2, "command": "fit",
             "n": data.n, "p": data.p, "q": data.q,
-            "tau": args.tau, "mode": fitted.mode,
+            "tau": args.tau, "mode": fitted.mode, "seed": args.seed,
             "level": level, "scaled": args.scale,
-            "columns": roles, "config": best, "grid_size": len(grid),
+            "columns": roles, "config": _flag_settings(best),
+            "widths": fitted.network.widths, "grid_size": len(grid),
             "theta_hat": fitted.theta_hat, "covariance": estimate,
             "history": fitted.history,
         })
-        # mode and level are reported once, at the top level
-        del report["config"]["mode"]
+        # level is reported once, at the top level
         if estimate is not None:
             del report["covariance"]["level"]
         write_json(args.report, report)
@@ -237,8 +241,8 @@ def cmd_simulate(args):
     spec = DgpSpec(case=args.case, n=args.n, tau=args.tau,
                    sigma_x_terms=args.sigma_x_terms)
     methods = _columns(args.methods)
-    grid = scenario_grid(spec.case, spec.n, seed=args.seed)
-    if any(getattr(args, name) is not None for name in _GRID_FLAGS):
+    grid = scenario_grid(spec.case, spec.n)
+    if any(getattr(args, flag) is not None for flag in _GRID_FIELDS):
         grid = _build_grid(args, grid[0])
 
     report = run_experiment(
@@ -264,9 +268,9 @@ def cmd_simulate(args):
 
 
 def cmd_tune(args):
-    data, _, _, grid = _fit_setup(args, out_required=False)
-    best = tune(grid, data, args.tau, make_rng(args.seed))
-    chosen = _jsonable(best)
+    data, _, _, grid, streams = _fit_setup(args, out_required=False)
+    best = tune(grid, data, args.tau, streams[0])  # the stream fit tunes on
+    chosen = dict(_flag_settings(best), mode=best.mode)
     print(json.dumps(chosen, sort_keys=True, indent=2))
     if args.out:
         write_json(args.out, chosen)
@@ -343,7 +347,7 @@ def build_parser():
     tune_cmd = commands.add_parser(
         "tune", help="hold-out selection over a hyperparameter grid")
     _add_fit_like_flags(tune_cmd)
-    tune_cmd.add_argument("--out", help="write the chosen config as JSON")
+    tune_cmd.add_argument("--out", help="write the winner as a --config file")
     tune_cmd.set_defaults(func=cmd_tune)
     return parser
 

@@ -56,7 +56,7 @@ def _scenario_row(case, n):
     return _SCENARIOS[(base, size)]
 
 
-def scenario_config(case, n, seed=0):
+def scenario_config(case, n):
     """Documented training configuration for a benchmark scenario.
 
     Uses the first of the scenario's candidate learning rates; see
@@ -66,12 +66,12 @@ def scenario_config(case, n, seed=0):
     return TrainConfig(depth=row["depth"], width=row["width"],
                        epochs=row["epochs"], minibatch=row["minibatch"],
                        early_stop_patience=row["early_stop_patience"],
-                       learning_rate=row["lrs"][0], seed=seed)
+                       learning_rate=row["lrs"][0])
 
 
-def scenario_grid(case, n, seed=0):
+def scenario_grid(case, n):
     """Tuning grid for a benchmark scenario (one config per learning rate)."""
-    base = scenario_config(case, n, seed=seed)
+    base = scenario_config(case, n)
     return [replace(base, learning_rate=lr)
             for lr in _scenario_row(case, n)["lrs"]]
 

@@ -6,9 +6,10 @@ The model is
 
 with theta estimated jointly with a ReLU-network m by minimizing the
 empirical check loss. Two degenerate modes reuse the same machinery:
-"lqr" has one affine layer (an lqr TrainConfig has depth 1), so the model
-is linear in (x, z); "dnqr" has no linear part and routes every covariate
-into the network, a routing that `_layout` alone decides.
+"lqr" trains one affine layer whatever depth its config names, so the
+model is linear in (x, z); "dnqr" has no linear part and routes every
+covariate into the network. `_layout` and `_network_widths` alone decide
+both rules.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ from .errors import ConfigError, DataError
 from .network import NetworkParams, forward_batch
 from .optimizer import TrainHistory, train_joint
 from .quantile_loss import validate_tau
-from .rng import make_rng
 
 
 @dataclass
@@ -106,20 +106,22 @@ def _layout(mode, x_dim, z_dim):
 
 
 def _network_widths(config, n_in):
-    if n_in == 0:  # the intercept alone
-        return (0, 1)
-    return (n_in,) + (config.width,) * (config.depth - 1) + (1,)
+    """The width chain `config` trains on n_in network inputs: one affine
+    layer in lqr mode or with no inputs (the intercept alone)."""
+    depth = 1 if config.mode == "lqr" or n_in == 0 else config.depth
+    return (n_in,) + (config.width,) * (depth - 1) + (1,)
 
 
-def fit(data, tau, config, rng=None):
+def fit(data, tau, config, rng):
     """Fit the model at quantile level tau by minibatch Adam.
 
     theta starts at 0 and the network at its Glorot init; both are
     updated in every Adam step. An internal 80/20 split of `data` drives
     early stopping: training halts once validation loss has gone
     `early_stop_patience` epochs without a new minimum, and the
-    parameters in effect at the halt are returned. Pass an explicit rng
-    to control the randomness; otherwise one is seeded from config.seed.
+    parameters in effect at the halt are returned. `rng` (a numpy
+    Generator, say `make_rng(seed)`) draws the split, the init and the
+    batch order, so the same rng state gives the same fit.
     """
     if not isinstance(data, Dataset):
         raise DataError("fit expects a Dataset")
@@ -127,8 +129,6 @@ def fit(data, tau, config, rng=None):
     config.validate(n=data.n)
     if data.n < 5:
         raise DataError(f"need at least 5 rows to fit, got {data.n}")
-    if rng is None:
-        rng = make_rng(config.seed)
 
     n_theta, n_in = _layout(config.mode, data.p, data.q)
     x_eff, z_eff = data.x, data.z

@@ -20,7 +20,7 @@ from . import network as net
 from .errors import ConfigError, DataError, DplqrError, TrainingError
 from .quantile_loss import (loss_subgrad_wrt_pred, mean_check_loss,
                             validate_tau)
-from .rng import _check_seed, make_rng, shuffled_indices, split
+from .rng import shuffled_indices, split
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -33,13 +33,15 @@ VAL_SHARE = 0.2  # share of the rows a hold-out split keeps back
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run.
+    """Hyperparameters of one training run; its randomness is the rng
+    passed to `fit` or `tune`, not a setting.
 
     depth counts affine maps, so depth 1 is a pure affine model and
     depth L has L-1 hidden relu layers of the given width. The minibatch
     is capped at the training-split size at fit time. `mode` is "dplqr"
-    (linear part plus network), "lqr" (all affine: depth is set to 1) or
-    "dnqr" (no linear part; all covariates enter the network).
+    (linear part plus network), "lqr" (all affine: it trains one affine
+    layer whatever its depth and width) or "dnqr" (no linear part; all
+    covariates enter the network).
     """
 
     depth: int = 3
@@ -48,12 +50,7 @@ class TrainConfig:
     minibatch: int = 64
     early_stop_patience: int = 50
     learning_rate: float = 0.01
-    seed: int = 0
     mode: str = "dplqr"
-
-    def __post_init__(self):
-        if self.mode == "lqr":
-            object.__setattr__(self, "depth", 1)
 
     def validate(self, n=None):
         for name in ("depth", "width", "epochs", "minibatch",
@@ -66,7 +63,6 @@ class TrainConfig:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(
                 f"learning_rate must be positive, got {self.learning_rate!r}")
-        _check_seed(self.seed)
         if self.mode not in MODES:
             raise ConfigError(
                 f"mode must be one of {MODES}, got {self.mode!r}")
@@ -279,15 +275,16 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
     return theta, params, history
 
 
-def tune(grid, data, tau, rng=None):
+def tune(grid, data, tau, rng):
     """Pick the best TrainConfig from a grid by hold-out check loss.
 
-    Splits `data` 80/20 once, fits each candidate on the 80% with the
-    child rng of its grid position, scores mean check loss of full-model
-    residuals on the 20%, and returns the winner (ties go to the earlier
-    grid entry). A candidate is skipped when an earlier one trains the
-    same network on `data` (any lqr width; any depth and width with no z
-    columns) with the same lr, epochs, minibatch and patience. A bad
+    `rng` splits `data` 80/20 once and gives one child stream per grid
+    position. Each candidate is fitted on the 80% with its child, scored
+    by mean check loss of full-model residuals on the 20%, and the
+    winner is returned (ties go to the earlier grid entry). A candidate
+    is skipped when an earlier one trains the same network on `data`
+    (any lqr depth and width; any depth and width with no z columns)
+    with the same lr, epochs, minibatch and patience. A bad
     tau, or a candidate whose minibatch exceeds the 80% split, raises
     ConfigError before any candidate is fitted. A candidate's ConfigError
     is raised; candidates that fail to train are skipped with a warning,
@@ -310,8 +307,6 @@ def tune(grid, data, tau, rng=None):
                           c.early_stop_patience), k)
     if len(first) == 1:
         return grid[0]
-    if rng is None:
-        rng = make_rng(grid[0].seed)
 
     tr_idx, val_idx = _holdout_split(data.n, rng)
     for candidate in grid:

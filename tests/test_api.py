@@ -1,9 +1,12 @@
 """The top-level API covers every name the README and the demos import,
-and every submodule name the README gives exists."""
+every submodule name the README gives exists, and the quick demos run."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,17 @@ def test_readme_submodule_names_resolve(dotted):
     module, name = dotted.rsplit(".", 1)
     assert hasattr(importlib.import_module(module), name), (
         f"README.md names `{dotted}`, which does not exist")
+
+
+# simulation_study.py takes several seconds and is left out
+@pytest.mark.parametrize("demo", ["csv_model_roundtrip.py",
+                                  "fit_and_predict.py",
+                                  "confidence_intervals.py"])
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -13,7 +13,10 @@ from dplqr import cli
 from dplqr import experiment
 from dplqr.cli import _OPTIONS, build_parser, main
 from dplqr.model import Dataset
-from dplqr.modelio import ColumnRoles, save_model, load_model
+from dplqr.modelio import (ColumnRoles, apply_scaling, compute_scaling,
+                           load_csv, load_model, save_model)
+from dplqr.optimizer import TrainConfig, tune
+from dplqr.rng import make_rng
 
 
 def _write_training_csv(path, n=150, seed=0):
@@ -58,6 +61,35 @@ class TestFitCommand:
         assert len(payload["theta_hat"]) == 2
         assert payload["covariance"]["intervals"] is not None
         assert payload["history"]["stopped_epoch"] >= 1
+        assert payload["schema_version"] == 2
+        assert payload["seed"] == 3 and payload["mode"] == "dplqr"
+        assert payload["config"] == dict(depth=2, width=4, lr=0.01,
+                                         epochs=40, minibatch=64,
+                                         patience=40)
+        assert payload["widths"] == [2, 4, 1]
+
+    @pytest.mark.parametrize("roles, widths", [
+        (["--x", "x1,x2", "--z", "z1,z2", "--mode", "lqr"], [2, 1]),
+        (["--x", "x1,x2"], [0, 1]),
+        (["--x", "x1,x2", "--z", "z1,z2", "--mode", "dnqr"], [4, 4, 1]),
+    ], ids=["lqr", "x-only", "dnqr"])
+    def test_report_names_the_trained_widths(self, train_csv, tmp_path,
+                                             roles, widths):
+        # the config keeps the depth as given; widths is what trained
+        report = tmp_path / "report.json"
+        args = ["fit", "--data", train_csv, "--y", "y", "--depth", "2",
+                "--width", "4", "--epochs", "5", "--seed", "4",
+                "--out", str(tmp_path / "model.json"),
+                "--report", str(report)] + roles
+        assert main(args) == 0
+        payload = json.loads(report.read_text())
+        assert payload["widths"] == widths
+        assert payload["config"]["depth"] == 2
+        assert "mode" not in payload["config"]
+        assert "seed" not in payload["config"]
+        model = json.loads((tmp_path / "model.json").read_text())
+        assert model["network"]["widths"] == widths
+        assert model["schema_version"] == 1
 
     def test_deterministic_model_bytes(self, train_csv, tmp_path):
         a = tmp_path / "a.json"
@@ -346,8 +378,6 @@ class TestPredictCommand:
         data = Dataset(y=np.zeros(20), x=np.ones((20, 1)),
                        z=np.ones((20, 1)))
         from dplqr.model import fit as fit_model
-        from dplqr.optimizer import TrainConfig
-        from dplqr.rng import make_rng
         fitted = fit_model(data, 0.5,
                            TrainConfig(depth=1, width=1, epochs=5,
                                        minibatch=10, early_stop_patience=5),
@@ -430,6 +460,7 @@ class TestSimulateCommand:
             assert (out_dir / name).exists(), name
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["command"] == "simulate"
+        assert payload["schema_version"] == 1
         assert payload["q_requested"] == 2
         assert "dplqr" in payload["methods"]
 
@@ -508,7 +539,10 @@ class TestTuneCommand:
                      "--lr", "0.001,0.02", "--out", str(out)])
         assert code == 0
         printed = json.loads(capsys.readouterr().out)
-        assert printed["learning_rate"] in (0.001, 0.02)
+        assert printed["lr"] in (0.001, 0.02)
+        assert printed == dict(depth=2, width=4, lr=printed["lr"],
+                               epochs=30, minibatch=64, patience=30,
+                               mode="dplqr")
         saved = json.loads(out.read_text())
         assert saved == printed
 
@@ -516,10 +550,38 @@ class TestTuneCommand:
         code = main(["tune", "--data", train_csv, "--y", "y", "--x",
                      "x1,x2", "--z", "z1,z2", "--depth", "2", "--width",
                      "4", "--epochs", "10", "--minibatch", "64",
-                     "--patience", "10", "--lr", "0.01"])
+                     "--patience", "10", "--lr", "0.01", "--mode", "lqr"])
         assert code == 0
         printed = json.loads(capsys.readouterr().out)
-        assert printed["learning_rate"] == 0.01
+        assert printed["lr"] == 0.01 and printed["mode"] == "lqr"
+        assert printed["depth"] == 2  # as given; lqr trains one layer
+
+    def test_chosen_config_makes_fit_train_the_same_model(self, train_csv,
+                                                           tmp_path):
+        # tune --out, then fit --config with that file, gives the model
+        # fit gives with the grid: both tune on the same stream. At seed
+        # 1 a tune on make_rng(1) itself picks another learning rate.
+        grid = ["--depth", "2", "--width", "4", "--epochs", "30",
+                "--minibatch", "32", "--patience", "10",
+                "--lr", "0.003,0.01,0.03"]
+        common = ["--data", train_csv, "--y", "y", "--x", "x1,x2", "--z",
+                  "z1,z2", "--seed", "1"]
+        chosen = tmp_path / "chosen.json"
+        assert main(["tune", *common, *grid, "--out", str(chosen)]) == 0
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["fit", *common, "--config", str(chosen),
+                     "--out", str(a)]) == 0
+        assert main(["fit", *common, *grid, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+        roles = ColumnRoles("y", ["x1", "x2"], ["z1", "z2"])
+        raw = load_csv(train_csv, roles)
+        data = apply_scaling(raw, compute_scaling(raw))
+        configs = [TrainConfig(depth=2, width=4, epochs=30, minibatch=32,
+                               early_stop_patience=10, learning_rate=lr)
+                   for lr in (0.003, 0.01, 0.03)]
+        own_stream = tune(configs, data, 0.5, make_rng(1)).learning_rate
+        assert own_stream != json.loads(chosen.read_text())["lr"]
 
 
     def test_bad_tau_is_config_error(self, train_csv, capsys):

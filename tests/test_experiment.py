@@ -115,6 +115,24 @@ class TestRunExperiment:
                 alone.replicates):
             assert_allclose(rb.theta_hat, ra.theta_hat, rtol=0)
 
+    def test_each_method_trains_its_own_network_from_an_lqr_entry(
+            self, monkeypatch):
+        # an lqr grid entry keeps its depth, so dplqr trains it in full
+        # and only the lqr fit is one affine layer
+        from dplqr import model
+        trained = []
+
+        def record(*args, **kwargs):
+            trained.append(args[3])
+            return original(*args, **kwargs)
+        original = model.train_joint
+        monkeypatch.setattr(model, "train_joint", record)
+        grid = [TrainConfig(depth=3, width=16, epochs=5, minibatch=64,
+                            early_stop_patience=5, mode="lqr")]
+        run_experiment(DgpSpec(case=1, n=200, tau=0.5), 1,
+                       methods=("dplqr", "lqr"), grid=grid, with_ci=False)
+        assert trained == [(10, 16, 16, 1), (10, 1)]
+
     def test_failure_abort(self, monkeypatch):
         # every replicate failing to train trips the 10% abort rule
         def diverge(*args):

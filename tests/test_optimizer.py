@@ -1,5 +1,7 @@
 """Tests for Adam, minibatch scheduling, early stopping, and joint training."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -127,6 +129,14 @@ class TestTrainConfig:
     def test_defaults_valid(self):
         TrainConfig().validate()
 
+    def test_holds_training_settings_only(self):
+        # randomness comes from the rng given to fit and tune
+        assert [f.name for f in fields(TrainConfig)] == [
+            "depth", "width", "epochs", "minibatch", "early_stop_patience",
+            "learning_rate", "mode"]
+        with pytest.raises(TypeError):
+            TrainConfig(seed=1)
+
     def test_positive_integer_fields(self):
         for field in ("depth", "width", "epochs", "minibatch",
                       "early_stop_patience"):
@@ -252,11 +262,11 @@ class TestTune:
 
     def test_single_candidate_short_circuit(self):
         cfg = TrainConfig()
-        assert tune([cfg], self._data(), 0.5) is cfg
+        assert tune([cfg], self._data(), 0.5, make_rng(0)) is cfg
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
-            tune([], self._data(), 0.5)
+            tune([], self._data(), 0.5, make_rng(0))
 
     def test_prefers_adequate_budget(self):
         # one epoch of training cannot move theta far from zero; a

@@ -224,7 +224,7 @@ def cmd_fit(args):
 
 def cmd_predict(args):
     fitted, roles, scaling = load_model(args.model)
-    data = load_csv(args.data, roles, require_y=False, allow_empty=True)
+    data = load_csv(args.data, roles, require_y=False)
     data = apply_scaling(data, scaling)
     predictions = predict_batch(fitted, data.x, data.z)
     with open(args.out, "w", encoding="utf-8") as handle:

@@ -32,30 +32,29 @@ from .rng import std_normal
 COPULA_DIM = 12
 Z_DIM = 10
 X_SUM_READINGS = ("x1+x2", "2x1")
+THETA = (1.0, -1.0)  # the linear coefficients of every case
 
 
 @dataclass(frozen=True)
 class DgpSpec:
     """One benchmark setting: case in 1..6, sample size, quantile level.
 
-    sigma_x_terms picks how the scale function's x covariates are summed
-    in cases 4-6: "x1+x2" (default) or literally "2x1".
+    The linear coefficients are THETA in every case. sigma_x_terms picks
+    how the scale function's x covariates are summed in cases 4-6:
+    "x1+x2" (default) or literally "2x1".
     """
 
     case: int
     n: int
     tau: float = 0.5
-    theta: tuple = (1.0, -1.0)
     sigma_x_terms: str = "x1+x2"
 
     def __post_init__(self):
         if self.case not in (1, 2, 3, 4, 5, 6):
             raise ConfigError(f"case must be 1..6, got {self.case}")
-        if self.n < 50:
-            raise ConfigError(f"n must be at least 50, got {self.n}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 50:
+            raise ConfigError(f"n must be an integer >= 50, got {self.n!r}")
         validate_tau(self.tau)
-        if len(self.theta) != 2:
-            raise ConfigError("theta must have two components")
         if self.sigma_x_terms not in X_SUM_READINGS:
             raise ConfigError(
                 f"sigma_x_terms must be one of {X_SUM_READINGS},"
@@ -223,7 +222,7 @@ def t3_quantile(tau):
 
 def true_theta(spec):
     """Linear coefficients of the tau-quantile of Y under `spec`."""
-    theta = np.asarray(spec.theta, dtype=float)
+    theta = np.array(THETA)
     if spec.case <= 3:
         return theta
     t = t3_quantile(spec.tau)
@@ -243,7 +242,7 @@ def true_quantile(spec, x, z):
     """Exact tau-quantile of Y at covariates (x, z) under `spec`."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    theta = np.asarray(spec.theta, dtype=float)
+    theta = np.array(THETA)
     t = t3_quantile(spec.tau)
     lin = x @ theta
     if spec.case <= 3:
@@ -257,7 +256,7 @@ def generate(spec, rng):
     draws = sample_copula(spec.n, COPULA_DIM, 0.5, rng)
     x, z = make_covariates(draws)
     eps = sample_t3(spec.n, rng)
-    theta = np.asarray(spec.theta, dtype=float)
+    theta = np.array(THETA)
     if spec.case <= 3:
         y = x @ theta + m_case(spec.case, z) + eps
     else:

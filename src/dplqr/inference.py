@@ -12,13 +12,13 @@ least-squares network regression of each X-coordinate on Z using the same
 architecture and training machinery as the main fit.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .densemath import sample_iqr, sample_sd, sym_inverse
 from .errors import ConfigError, DataError, SingularMatrixError
-from .model import _network_widths, residuals as model_residuals
+from .model import residuals as model_residuals
 from .network import forward_batch
 from .optimizer import train_joint
 from .rng import split
@@ -38,9 +38,9 @@ def kde_at_zero(res):
             f"kde_at_zero needs at least 10 residuals, got {res.size}")
     if not np.all(np.isfinite(res)):
         raise DataError("kde_at_zero: residuals must be finite")
-    sd = sample_sd(res)
-    iqr = sample_iqr(res)
-    spread = sd if iqr == 0.0 else min(sd, iqr / 1.34)
+    sd = np.std(res, ddof=1)
+    q25, q75 = np.quantile(res, [0.25, 0.75])
+    spread = sd if q75 == q25 else min(sd, (q75 - q25) / 1.34)
     if spread == 0.0:
         raise DataError(
             "kde_at_zero: residuals are all identical; bandwidth degenerate")
@@ -53,17 +53,42 @@ def fit_projection(data, k, config, rng):
     """Least-squares network regression of X_k on Z.
 
     Reuses the main fit's architecture and Adam machinery with squared
-    error instead of check loss. Returns the fitted NetworkParams; its
-    predictions (forward_batch) estimate E(X_k | Z).
+    error instead of check loss; `train_joint` checks `config`. Returns
+    the fitted NetworkParams; its predictions (forward_batch) estimate
+    E(X_k | Z).
     """
     if data.q < 1:
         raise DataError("projection fits need at least one z column")
     if not 0 <= k < data.p:
         raise DataError(f"coefficient index {k} out of range for p={data.p}")
-    _, params, _ = train_joint(
-        data.x[:, k], np.zeros((data.n, 0)), data.z,
-        _network_widths(config, data.q), config, rng, tau=None)
+    _, params, _ = train_joint(data.x[:, k], np.zeros((data.n, 0)), data.z,
+                               config, rng, tau=None)
     return params
+
+
+def sym_inverse(m):
+    """Inverse of a small symmetric positive definite matrix.
+
+    Uses a Cholesky factorization, so a matrix that is not positive
+    definite raises SingularMatrixError instead of returning garbage.
+    The result is symmetrized to remove round-off asymmetry.
+    """
+    from scipy.linalg import cho_solve
+
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DataError(f"sym_inverse needs a square matrix, got {m.shape}")
+    if not np.allclose(m, m.T, rtol=1e-8, atol=1e-10):
+        raise DataError("sym_inverse needs a symmetric matrix")
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(
+            "matrix is not positive definite (Cholesky found a"
+            " non-positive pivot)"
+        ) from exc
+    inv = cho_solve((chol, True), np.eye(m.shape[0]))
+    return (inv + inv.T) / 2.0
 
 
 @dataclass
@@ -78,11 +103,10 @@ class CovarianceEstimate:
 
 
 def validate_level(level):
-    """The confidence level as a float; it must lie in (0, 1)."""
-    level = float(level)
-    if not 0.0 < level < 1.0:
-        raise ConfigError(f"level must be in (0, 1), got {level}")
-    return level
+    """The confidence level as a float; it must be a number in (0, 1)."""
+    if not isinstance(level, numbers.Real) or not 0.0 < level < 1.0:
+        raise ConfigError(f"level must be in (0, 1), got {level!r}")
+    return float(level)
 
 
 def confidence_intervals(theta_hat, sigma_hat, n, level):
@@ -107,7 +131,9 @@ def covariance(fit, data, config, rng, level=0.95):
     projection fits -> V_i = X_i - proj(Z_i); Omega = centered sample
     covariance of V with the n-1 denominator; Sigma = tau*(1-tau) *
     Omega^{-1} / f0_hat^2. The rng is split once per coefficient so
-    projection fits have independent, reproducible streams.
+    projection fits have independent, reproducible streams. The
+    projections train on `config`, which `train_joint` checks as it does
+    for a fit: a bad config raises ConfigError.
     """
     if fit.mode == "dnqr":
         raise ConfigError("dnqr fits have no linear coefficients to cover")

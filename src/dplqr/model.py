@@ -8,8 +8,9 @@ with theta estimated jointly with a ReLU-network m by minimizing the
 empirical check loss. Two degenerate modes reuse the same machinery:
 "lqr" trains one affine layer whatever depth its config names, so the
 model is linear in (x, z); "dnqr" has no linear part and routes every
-covariate into the network. `_layout` and `_network_widths` alone decide
-both rules.
+covariate into the network. `optimizer._layout` and
+`TrainConfig.width_chain` alone decide both rules, and
+`optimizer.train_joint`, which every fit runs, checks the config.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .network import NetworkParams, forward_batch
-from .optimizer import TrainHistory, train_joint
+from .optimizer import TrainHistory, _layout, train_joint
 from .quantile_loss import validate_tau
 
 
@@ -97,21 +98,6 @@ class PlqrFit:
     z_dim: int
 
 
-def _layout(mode, x_dim, z_dim):
-    """(theta length, network input width) of a model on x_dim linear and
-    z_dim network covariates: dnqr routes x into the network."""
-    if mode == "dnqr":
-        return 0, x_dim + z_dim
-    return x_dim, z_dim
-
-
-def _network_widths(config, n_in):
-    """The width chain `config` trains on n_in network inputs: one affine
-    layer in lqr mode or with no inputs (the intercept alone)."""
-    depth = 1 if config.mode == "lqr" or n_in == 0 else config.depth
-    return (n_in,) + (config.width,) * (depth - 1) + (1,)
-
-
 def fit(data, tau, config, rng):
     """Fit the model at quantile level tau by minibatch Adam.
 
@@ -121,22 +107,20 @@ def fit(data, tau, config, rng):
     `early_stop_patience` epochs without a new minimum, and the
     parameters in effect at the halt are returned. `rng` (a numpy
     Generator, say `make_rng(seed)`) draws the split, the init and the
-    batch order, so the same rng state gives the same fit.
+    batch order, so the same rng state gives the same fit. A bad config
+    raises ConfigError before the rng is drawn from.
     """
     if not isinstance(data, Dataset):
         raise DataError("fit expects a Dataset")
     tau = validate_tau(tau)
-    config.validate(n=data.n)
     if data.n < 5:
         raise DataError(f"need at least 5 rows to fit, got {data.n}")
 
-    n_theta, n_in = _layout(config.mode, data.p, data.q)
     x_eff, z_eff = data.x, data.z
-    if n_theta < data.p:  # x enters the network
+    if _layout(config.mode, data.p, data.q)[0] < data.p:  # x enters the net
         x_eff, z_eff = data.x[:, :0], np.hstack([data.x, data.z])
-    theta, params, history = train_joint(
-        data.y, x_eff, z_eff, _network_widths(config, n_in), config, rng,
-        tau=tau)
+    theta, params, history = train_joint(data.y, x_eff, z_eff, config, rng,
+                                         tau=tau)
     return PlqrFit(theta, params, tau, history, config.mode,
                    x_dim=data.p, z_dim=data.q)
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import Dataset, PlqrFit, _layout
+from .model import Dataset, PlqrFit
 from .network import NetworkParams, _check_widths
-from .optimizer import MODES
+from .optimizer import MODES, _layout
+from .quantile_loss import validate_tau
 
 SCHEMA_VERSION = 1
 _MODEL_KEYS = ("tau", "mode", "theta", "x_dim", "z_dim", "network",
@@ -169,16 +170,16 @@ def _read_rows(path, reader, used):
     return rows, missing_lines
 
 
-def load_csv(path, roles, require_y=True, allow_empty=False):
+def load_csv(path, roles, require_y=True):
     """Read a CSV file into a Dataset using the given column roles.
 
     Rows with missing (empty) cells in any used column are rejected; the
     error lists their line numbers (the header is line 1). require_y=False
     skips the response column (prediction inputs); the Dataset then
-    carries y = 0 for every row. allow_empty=True permits a header-only
-    file, producing an n=0 Dataset. A plain numeric file is parsed in
-    bulk; any other file goes through the row reader, which gives the
-    same arrays and the same errors.
+    carries y = 0 for every row, and a header-only file gives an n=0
+    Dataset; with require_y=True it raises DataError. A plain numeric file
+    is parsed in bulk; any other file goes through the row reader, which
+    gives the same arrays and the same errors.
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
@@ -210,7 +211,7 @@ def load_csv(path, roles, require_y=True, allow_empty=False):
         more = "" if len(missing_lines) <= 20 else ", ..."
         raise DataError(
             f"missing cell(s) on line(s) {shown}{more} of {path}")
-    if not rows and not allow_empty:
+    if not rows and require_y:
         raise DataError(f"{path} has a header but no data rows")
 
     n = len(rows)
@@ -226,6 +227,14 @@ def _network_to_dict(params):
             "layers": [w.reshape(-1).tolist() for w in params.layers]}
 
 
+def _finite(values, name):
+    """values as a float array; null (read as NaN) or inf raise DataError."""
+    array = np.array(values, dtype=float)
+    if not np.all(np.isfinite(array)):
+        raise DataError(f"model {name} holds a null or non-finite entry")
+    return array
+
+
 def _network_from_dict(d):
     try:
         widths = _check_widths(d["widths"])
@@ -237,7 +246,7 @@ def _network_from_dict(d):
     layers = []
     for k, flat in enumerate(d["layers"]):
         shape = (widths[k + 1], widths[k] + 1)
-        layer = np.array(flat, dtype=float)
+        layer = _finite(flat, f"network layer {k}")
         if layer.size != shape[0] * shape[1]:
             raise DataError(f"network layer {k} needs {shape[0] * shape[1]}"
                             f" entries, got {layer.size}")
@@ -248,8 +257,11 @@ def _network_from_dict(d):
 def _scaling_from_dict(d):
     if d is None:
         return None
-    return ScalingParams(*(np.array(d[k], dtype=float)
-                           for k in ("x_low", "x_span", "z_low", "z_span")))
+    scaling = ScalingParams(*(_finite(d[k], f"scaling {k}")
+                              for k in ("x_low", "x_span", "z_low", "z_span")))
+    if np.any(scaling.x_span <= 0) or np.any(scaling.z_span <= 0):
+        raise DataError("model scaling spans must be positive")
+    return scaling
 
 
 def model_to_dict(fit, roles, scaling=None):
@@ -288,20 +300,24 @@ def model_from_dict(payload):
     if payload["network"] is None:
         raise DataError("the model file has no network: it is an x-only"
                         " model without an intercept; refit it")
+    for key in ("x_dim", "z_dim"):
+        if type(payload[key]) is not int or payload[key] < 0:
+            raise DataError(f"model {key} must be a non-negative integer,"
+                            f" got {payload[key]!r}")
     try:
         fit = PlqrFit(
-            theta_hat=np.array(payload["theta"], dtype=float),
+            theta_hat=_finite(payload["theta"], "theta"),
             network=_network_from_dict(payload["network"]),
-            tau=float(payload["tau"]),
+            tau=validate_tau(payload["tau"]),
             history=None,
             mode=payload["mode"],
-            x_dim=int(payload["x_dim"]),
-            z_dim=int(payload["z_dim"]),
+            x_dim=payload["x_dim"],
+            z_dim=payload["z_dim"],
         )
         cols = payload["columns"]
         roles = ColumnRoles(cols["y"], list(cols["x"]), list(cols["z"]))
         scaling = _scaling_from_dict(payload["scaling"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc!r}") from None
     _check_layout(fit, roles, scaling)
     return fit, roles, scaling

@@ -37,6 +37,8 @@ class NetworkParams:
 
 
 def _check_widths(widths):
+    if not all(type(w) is int or isinstance(w, np.integer) for w in widths):
+        raise ConfigError(f"every width must be an integer, got {widths}")
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2:
         raise ConfigError("a network needs at least one layer (two widths)")

@@ -11,6 +11,7 @@ early stopping; the parameters in effect when training halts are the
 ones returned.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -41,7 +42,8 @@ class TrainConfig:
     is capped at the training-split size at fit time. `mode` is "dplqr"
     (linear part plus network), "lqr" (all affine: it trains one affine
     layer whatever its depth and width) or "dnqr" (no linear part; all
-    covariates enter the network).
+    covariates enter the network). `train_joint` checks the config and
+    builds the network that `width_chain` names.
     """
 
     depth: int = 3
@@ -60,9 +62,10 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"learning_rate must be positive, got {self.learning_rate!r}")
+        lr = self.learning_rate
+        if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
+                or not (np.isfinite(lr) and lr > 0)):
+            raise ConfigError(f"learning_rate must be positive, got {lr!r}")
         if self.mode not in MODES:
             raise ConfigError(
                 f"mode must be one of {MODES}, got {self.mode!r}")
@@ -70,6 +73,20 @@ class TrainConfig:
             raise ConfigError(
                 f"minibatch {self.minibatch} exceeds sample size {n}")
         return self
+
+    def width_chain(self, n_in):
+        """The width chain this config trains on n_in network inputs: one
+        affine layer in lqr mode or with no inputs (the intercept alone)."""
+        depth = 1 if self.mode == "lqr" or n_in == 0 else self.depth
+        return (n_in,) + (self.width,) * (depth - 1) + (1,)
+
+
+def _layout(mode, x_dim, z_dim):
+    """(theta length, network input width) of a model on x_dim linear and
+    z_dim network covariates: dnqr routes x into the network."""
+    if mode == "dnqr":
+        return 0, x_dim + z_dim
+    return x_dim, z_dim
 
 
 @dataclass
@@ -173,7 +190,7 @@ def _holdout_split(n, rng):
     return perm[:n - n_val], perm[n - n_val:]
 
 
-def train_joint(y, x, z, widths, config, rng, tau=None):
+def train_joint(y, x, z, config, rng, tau=None):
     """Minibatch-Adam fit of y ~ x @ theta + net(z).
 
     Parameters
@@ -181,9 +198,9 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
     y : (n,) targets
     x : (n, p) linear-part covariates; p may be 0
     z : (n, q) network inputs; q may be 0
-    widths : the network's width chain, starting at q; with q = 0,
-        (0, 1) is a learned intercept
-    config : TrainConfig
+    config : TrainConfig, checked by `validate(n=n)` before the rng is
+        drawn from; the network is `config.width_chain(q)`, so with
+        q = 0 it is (0, 1), a learned intercept
     rng : numpy Generator driving the split, init, and batch order
     tau : quantile level for check loss, or None for squared error
 
@@ -213,12 +230,13 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
         raise DataError(f"z must have shape ({n}, q), got {z.shape}")
     if tau is not None:
         tau = validate_tau(tau)
+    config.validate(n=n)
 
     tr_idx, val_idx = _holdout_split(n, rng)
     y_tr, y_val = y[tr_idx], y[val_idx]
     x_tr, x_val = x[tr_idx], x[val_idx]
     z_tr, z_val = z[tr_idx], z[val_idx]
-    params = net.init_params(widths, rng)
+    params = net.init_params(config.width_chain(z.shape[1]), rng)
     acts = net.activation_buffers(params.widths, len(tr_idx))
     blocks = [np.zeros(x.shape[1])] + params.layers
 
@@ -270,7 +288,7 @@ def train_joint(y, x, z, widths, config, rng, tau=None):
             break
 
     history = TrainHistory(train_trace, val_trace,
-                           best_epoch=max(monitor.best_epoch, 1),
+                           best_epoch=monitor.best_epoch,
                            stopped_epoch=monitor.epochs_seen)
     return theta, params, history
 
@@ -291,7 +309,6 @@ def tune(grid, data, tau, rng):
     and if all fail, a TrainingError is raised. A grid of one distinct
     candidate is returned as-is without consuming the rng.
     """
-    from .model import _layout, _network_widths
     from .model import fit as _fit, residuals as _residuals
 
     grid = list(grid)
@@ -302,7 +319,7 @@ def tune(grid, data, tau, rng):
     tau = validate_tau(tau)
     first = {}  # what a candidate trains -> its first grid position
     for k, c in enumerate(grid):
-        widths = _network_widths(c, _layout(c.mode, data.p, data.q)[1])
+        widths = c.width_chain(_layout(c.mode, data.p, data.q)[1])
         first.setdefault((widths, c.learning_rate, c.epochs, c.minibatch,
                           c.early_stop_patience), k)
     if len(first) == 1:

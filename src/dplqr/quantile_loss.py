@@ -8,17 +8,18 @@ is nonnegative, equals tau*t for t >= 0 and (tau-1)*t for t < 0, and its
 population minimizer over a constant predictor is the tau-quantile.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError, DataError
 
 
 def validate_tau(tau):
-    """Return tau as a float, requiring 0 < tau < 1."""
-    t = float(tau)
-    if not 0.0 < t < 1.0 or not np.isfinite(t):
+    """Return tau as a float, requiring a number with 0 < tau < 1."""
+    if not isinstance(tau, numbers.Real) or not 0.0 < tau < 1.0:
         raise ConfigError(f"tau must lie strictly inside (0, 1), got {tau!r}")
-    return t
+    return float(tau)
 
 
 def check_loss(t, tau):

@@ -1,5 +1,6 @@
 """The top-level API covers every name the README and the demos import,
-every submodule name the README gives exists, and the quick demos run."""
+every submodule name the README gives exists, the README's Layout block
+lists the package's modules, and the quick demos run."""
 
 import ast
 import importlib
@@ -59,6 +60,15 @@ def test_readme_submodule_names_resolve(dotted):
     module, name = dotted.rsplit(".", 1)
     assert hasattr(importlib.import_module(module), name), (
         f"README.md names `{dotted}`, which does not exist")
+
+
+def test_readme_layout_lists_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Layout\n\n```\n(.*?)```", readme, re.DOTALL)
+    listed = sorted(re.findall(r"^  (\w+\.py) ", block.group(1), re.M))
+    modules = sorted(path.name for path in (ROOT / "src" / "dplqr").glob("*.py")
+                     if path.name != "__init__.py")
+    assert listed == modules
 
 
 # simulation_study.py takes several seconds and is left out

@@ -193,8 +193,9 @@ class TestFitCommand:
 
         def counted(original):
             def train(*args, **kwargs):
-                trained.append(args[3])
-                return original(*args, **kwargs)
+                result = original(*args, **kwargs)
+                trained.append(result[1].widths)
+                return result
             return train
         for module in (model, inference):
             monkeypatch.setattr(module, "train_joint",
@@ -430,10 +431,28 @@ class TestPredictCommand:
         (_malformed(lambda m: m.update(
             z_dim=0, network=None,
             columns={"y": "y", "x": ["x1", "x2"], "z": []})), "refit"),
+        # numbers model_to_dict never writes: null (NaN) weights and
+        # scaling, a zero span, fractional counts and tau outside (0, 1)
+        (_malformed(lambda m: m["network"]["layers"][0].__setitem__(
+            0, None)), "layer 0 holds a null"),
+        (_malformed(lambda m: m["theta"].__setitem__(0, None)),
+         "theta holds a null"),
+        (_malformed(lambda m: m.update(scaling={
+            "x_low": [0.0, None], "x_span": [1.0, 1.0],
+            "z_low": [0.0, 0.0], "z_span": [1.0, 1.0]})), "scaling x_low"),
+        (_malformed(lambda m: m.update(scaling={
+            "x_low": [0.0, 0.0], "x_span": [0.0, 1.0],
+            "z_low": [0.0, 0.0], "z_span": [1.0, 1.0]})), "spans"),
+        (_malformed(lambda m: m.update(x_dim=2.7)), "x_dim"),
+        (_malformed(lambda m: m["network"].update(
+            widths=[2, 2.9, 1], layers=[[0.1] * 6, [0.2] * 3])), "integer"),
+        (_malformed(lambda m: m.update(tau=7)), "tau"),
     ], ids=["list", "only-version", "no-network", "unknown-mode",
             "short-layer", "missing-layer", "short-theta", "dnqr-theta",
             "missing-network", "wide-input", "text-theta", "short-columns",
-            "short-scaling", "zero-hidden-width", "x-only-without-network"])
+            "short-scaling", "zero-hidden-width", "x-only-without-network",
+            "null-weight", "null-theta", "null-scaling", "zero-span",
+            "fractional-x-dim", "fractional-width", "tau-outside"])
     def test_malformed_model_is_data_error(self, payload, says, train_csv,
                                            tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -272,6 +272,12 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             DgpSpec(case=1, n=100, tau=0.0)
 
+    @pytest.mark.parametrize("bad", [dict(tau="x"), dict(n=100.5)],
+                             ids=["text-tau", "fractional-n"])
+    def test_spec_needs_numbers(self, bad):
+        with pytest.raises(ConfigError):
+            DgpSpec(**dict(dict(case=1, n=100), **bad))
+
 
 class TestErrorMetrics:
     def test_rmse_perfect(self):

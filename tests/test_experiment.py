@@ -123,8 +123,9 @@ class TestRunExperiment:
         trained = []
 
         def record(*args, **kwargs):
-            trained.append(args[3])
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            trained.append(result[1].widths)
+            return result
         original = model.train_joint
         monkeypatch.setattr(model, "train_joint", record)
         grid = [TrainConfig(depth=3, width=16, epochs=5, minibatch=64,

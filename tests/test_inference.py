@@ -1,16 +1,18 @@
 """Tests for residual density estimation, projections, and Wald intervals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dplqr import inference
-from dplqr.errors import ConfigError, DataError
+from dplqr.errors import ConfigError, DataError, SingularMatrixError
 from dplqr.inference import (confidence_intervals, covariance, fit_projection,
-                             kde_at_zero)
+                             kde_at_zero, sym_inverse, validate_level)
 from dplqr.model import Dataset, fit
 from dplqr.network import forward_batch
-from dplqr.optimizer import TrainConfig
+from dplqr.optimizer import TrainConfig, train_joint
 from dplqr.rng import make_rng
 
 Z_975 = 1.959963984540054
@@ -63,6 +65,43 @@ class TestKdeAtZero:
         res[3] = np.nan
         with pytest.raises(DataError):
             kde_at_zero(res)
+
+
+class TestSymInverse:
+    def test_identity(self):
+        assert_allclose(sym_inverse(np.eye(3)), np.eye(3))
+
+    def test_diagonal(self):
+        assert_allclose(sym_inverse(np.diag([2.0, 4.0])),
+                        np.diag([0.5, 0.25]))
+
+    def test_two_by_two_closed_form(self):
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        want = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
+        assert_allclose(sym_inverse(m), want, atol=1e-12)
+
+    def test_random_spd_inverse_property(self):
+        # a.T @ a + eps*I is SPD; check m @ inv(m) is the identity
+        rng = np.random.default_rng(7)
+        for p in range(1, 7):
+            a = rng.normal(size=(p + 2, p))
+            m = a.T @ a + 0.1 * np.eye(p)
+            err = np.max(np.abs(m @ sym_inverse(m) - np.eye(p)))
+            assert err < 1e-8, f"p={p}: inverse error {err}"
+
+    def test_result_symmetric(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(8, 4))
+        inv = sym_inverse(a.T @ a + 0.5 * np.eye(4))
+        assert_array_equal(inv, inv.T)
+
+    def test_not_positive_definite(self):
+        with pytest.raises(SingularMatrixError):
+            sym_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_not_symmetric(self):
+        with pytest.raises(DataError):
+            sym_inverse(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
 def _proj_config(**kw):
@@ -141,6 +180,10 @@ class TestConfidenceIntervals:
         with pytest.raises(ConfigError):
             confidence_intervals(np.zeros(1), np.eye(1), 10, 0.0)
 
+    def test_text_level_is_config_error(self):
+        with pytest.raises(ConfigError):
+            validate_level("x")
+
     def test_negative_variance_rejected(self):
         with pytest.raises(DataError):
             confidence_intervals(np.zeros(1), -np.eye(1), 10, 0.95)
@@ -172,7 +215,6 @@ class TestCovariance:
         # assembled from the returned pieces
         fitted, data, cfg = self._fitted()
         est = covariance(fitted, data, cfg, make_rng(7))
-        from dplqr.densemath import sym_inverse
         want = 0.25 * sym_inverse(est.omega_hat) / est.f0_hat ** 2
         assert_allclose(est.sigma_hat, want, rtol=1e-10)
 
@@ -200,6 +242,22 @@ class TestCovariance:
         monkeypatch.setattr(inference, "fit_projection", no_projection)
         with pytest.raises(ConfigError):
             covariance(fitted, data, cfg, make_rng(7), level=1.5)
+
+    @pytest.mark.parametrize("bad", [dict(epochs=0),
+                                     dict(learning_rate=-0.01),
+                                     dict(depth=0)],
+                             ids=["no-epochs", "negative-lr", "depth-0"])
+    def test_bad_projection_config_rejected(self, bad):
+        # the projections train on the config covariance is given; the
+        # kernel checks it, so an untrained, ascending or silently
+        # deepened projection cannot reach Omega
+        fitted, data, cfg = self._fitted(n=100)
+        bad_cfg = replace(cfg, **bad)
+        with pytest.raises(ConfigError):
+            covariance(fitted, data, bad_cfg, make_rng(7))
+        with pytest.raises(ConfigError):
+            train_joint(data.x[:, 0], np.zeros((data.n, 0)), data.z,
+                        bad_cfg, make_rng(7))
 
     def test_dnqr_rejected(self):
         rng = np.random.default_rng(1)

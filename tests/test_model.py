@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dplqr.errors import ConfigError, DataError
-from dplqr.model import (Dataset, PlqrFit, _network_widths, fit, m_values,
-                         predict, predict_batch, residuals)
+from dplqr.model import (Dataset, PlqrFit, fit, m_values, predict,
+                         predict_batch, residuals)
 from dplqr.network import NetworkParams
 from dplqr.optimizer import TrainConfig
 from dplqr.quantile_loss import mean_check_loss
@@ -65,9 +65,9 @@ class TestMakeModeConfig:
         for cfg in (replace(base, mode="lqr"),
                     TrainConfig(depth=3, width=16, mode="lqr"),
                     replace(base, mode="lqr", depth=4)):
-            assert _network_widths(cfg, 5) == (5, 1)
+            assert cfg.width_chain(5) == (5, 1)
         assert replace(replace(base, mode="lqr"), mode="dplqr") == base
-        assert _network_widths(base, 5) == (5, 16, 16, 1)
+        assert base.width_chain(5) == (5, 16, 16, 1)
 
     def test_dnqr_keeps_architecture(self):
         base = TrainConfig(depth=3, width=12)

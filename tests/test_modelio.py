@@ -58,8 +58,9 @@ class TestLoadCsv:
             load_csv(path, ROLES)
 
     def test_header_only_allowed_when_asked(self, tmp_path):
+        # a file read without y, as for prediction, may have no rows
         path = _write(tmp_path, "y,x1,x2,z1\n")
-        data = load_csv(path, ROLES, allow_empty=True)
+        data = load_csv(path, ROLES, require_y=False)
         assert data.n == 0
 
     def test_empty_file_rejected(self, tmp_path):

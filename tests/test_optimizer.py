@@ -151,6 +151,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=float("nan")).validate()
 
+    @pytest.mark.parametrize("lr", ["0.01", True], ids=["text", "bool"])
+    def test_learning_rate_must_be_a_number(self, lr):
+        with pytest.raises(ConfigError):
+            TrainConfig(learning_rate=lr).validate()
+
     def test_mode_checked(self):
         with pytest.raises(ConfigError):
             TrainConfig(mode="ridge").validate()
@@ -179,7 +184,7 @@ class TestTrainJoint:
         cfg = TrainConfig(depth=1, width=1, epochs=300, minibatch=64,
                           early_stop_patience=300, learning_rate=0.02)
         theta, params, history = train_joint(
-            y, x, _no_z(y), (0, 1), cfg, make_rng(3), tau=0.5)
+            y, x, _no_z(y), cfg, make_rng(3), tau=0.5)
         assert params.widths == (0, 1)
         assert abs(theta[0] - 2.0) < 0.1
         assert history.stopped_epoch <= 300
@@ -188,7 +193,7 @@ class TestTrainJoint:
         y, x = _linear_toy(400, seed=1)
         cfg = TrainConfig(depth=1, width=1, epochs=300, minibatch=64,
                           early_stop_patience=300, learning_rate=0.02)
-        theta, params, _ = train_joint(y, x, _no_z(y), (0, 1), cfg,
+        theta, params, _ = train_joint(y, x, _no_z(y), cfg,
                                        make_rng(3), tau=None)
         assert params.widths == (0, 1)
         assert abs(theta[0] - 2.0) < 0.1
@@ -198,7 +203,7 @@ class TestTrainJoint:
         cfg = TrainConfig(depth=2, width=4, epochs=50, minibatch=32,
                           early_stop_patience=50, learning_rate=0.01)
         z = np.abs(x)
-        _, _, history = train_joint(y, x, z, (1, 4, 1), cfg, make_rng(0),
+        _, _, history = train_joint(y, x, z, cfg, make_rng(0),
                                     tau=0.5)
         best = min(history.val_loss)
         assert best <= history.val_loss[0] + 1e-12
@@ -213,7 +218,7 @@ class TestTrainJoint:
         x = np.zeros((n, 1))
         cfg = TrainConfig(depth=1, width=1, epochs=500, minibatch=100,
                           early_stop_patience=5, learning_rate=1e-6)
-        _, params, history = train_joint(y, x, _no_z(y), (0, 1), cfg,
+        _, params, history = train_joint(y, x, _no_z(y), cfg,
                                          make_rng(1), tau=0.5)
         assert params.widths == (0, 1)
         assert history.stopped_epoch < 500
@@ -226,13 +231,13 @@ class TestTrainJoint:
         y, x = _linear_toy(200, seed=4)
         cfg = TrainConfig(depth=1, width=1, epochs=40, minibatch=200,
                           early_stop_patience=40, learning_rate=0.05)
-        theta, params, history = train_joint(y, x, _no_z(y), (0, 1), cfg,
+        theta, params, history = train_joint(y, x, _no_z(y), cfg,
                                              make_rng(2), tau=0.5)
         assert params.widths == (0, 1)
         assert history.stopped_epoch == 40
         # full-batch training is deterministic given the rng, so rerunning
         # reproduces theta exactly
-        theta2, params2, _ = train_joint(y, x, _no_z(y), (0, 1), cfg,
+        theta2, params2, _ = train_joint(y, x, _no_z(y), cfg,
                                          make_rng(2), tau=0.5)
         assert_array_equal(theta, theta2)
         assert_array_equal(params.layers[0], params2.layers[0])
@@ -246,7 +251,7 @@ class TestTrainJoint:
             + 0.1 * rng.normal(size=n)
         cfg = TrainConfig(depth=2, width=8, epochs=400, minibatch=64,
                           early_stop_patience=60, learning_rate=0.01)
-        theta, params, _ = train_joint(y, x, z, (2, 8, 1), cfg, make_rng(5),
+        theta, params, _ = train_joint(y, x, z, cfg, make_rng(5),
                                        tau=0.5)
         assert params.widths == (2, 8, 1)
         assert abs(theta[0] - 1.5) < 0.25

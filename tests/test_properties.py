@@ -115,10 +115,9 @@ def csv_files(draw):
     return (bom + text).encode("utf-8")
 
 
-def _outcome(path, require_y, allow_empty):
+def _outcome(path, require_y):
     try:
-        data = load_csv(path, ROLES, require_y=require_y,
-                        allow_empty=allow_empty)
+        data = load_csv(path, ROLES, require_y=require_y)
     except DataError as exc:
         return str(exc)
     return [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes())
@@ -126,23 +125,23 @@ def _outcome(path, require_y, allow_empty):
 
 
 @settings(PROPERTY, max_examples=400)
-@given(csv_files(), st.booleans(), st.booleans())
+@given(csv_files(), st.booleans())
 # traps seen in np.loadtxt: every row one cell too long, a comment mark,
 # a quoted header cell spanning lines, a field over the csv module's
 # limit, and a bare carriage return inside a line
-@example(HEADER.encode() + b"1,2,3,4,5\n", True, False)
-@example(HEADER.encode() + b"1,2,3,4#5\n", True, False)
-@example(b'"u\nv",' + HEADER.encode() + b"0,1,2,3,4\n", True, False)
-@example(HEADER.encode() + b"1,2,3," + b"0" * 200_000 + b"\n", True, False)
-@example(HEADER.encode() + b"1,2,3,4\r5,6,7,8\n", False, False)
-def test_bulk_path_matches_the_row_reader(content, require_y, allow_empty):
+@example(HEADER.encode() + b"1,2,3,4,5\n", True)
+@example(HEADER.encode() + b"1,2,3,4#5\n", True)
+@example(b'"u\nv",' + HEADER.encode() + b"0,1,2,3,4\n", True)
+@example(HEADER.encode() + b"1,2,3," + b"0" * 200_000 + b"\n", True)
+@example(HEADER.encode() + b"1,2,3,4\r5,6,7,8\n", False)
+def test_bulk_path_matches_the_row_reader(content, require_y):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         with open(path, "wb") as handle:
             handle.write(content)
-        chosen = _outcome(path, require_y, allow_empty)
+        chosen = _outcome(path, require_y)
         with mock.patch.object(modelio, "_read_bulk", return_value=None):
-            rows_only = _outcome(path, require_y, allow_empty)
+            rows_only = _outcome(path, require_y)
     assert chosen == rows_only
 
 

@@ -78,3 +78,9 @@ def test_validate_tau():
     for bad in (0.0, 1.0, -0.2, 1.7, float("nan")):
         with pytest.raises(ConfigError):
             validate_tau(bad)
+
+
+@pytest.mark.parametrize("bad", ["abc", None], ids=["text", "none"])
+def test_validate_tau_needs_a_number(bad):
+    with pytest.raises(ConfigError):
+        validate_tau(bad)

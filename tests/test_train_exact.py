@@ -127,12 +127,16 @@ def _problem(n, p, q, seed):
     (2, (0, 1), None, 25),        # intercept alone
 ])
 def test_train_joint_matches_reference_step(p, widths, tau, minibatch):
+    # the config's depth and hidden width name the chain train_joint builds
     y, x, z = _problem(120, p, 3, seed=p + minibatch)
     z = z[:, :widths[0]]
-    config = TrainConfig(depth=3, width=8, epochs=25, minibatch=minibatch,
-                         early_stop_patience=6, learning_rate=0.02)
+    config = TrainConfig(depth=len(widths) - 1,
+                         width=max(widths[1:-1], default=8), epochs=25,
+                         minibatch=minibatch, early_stop_patience=6,
+                         learning_rate=0.02)
     theta, params, history = train_joint(
-        y, x, z, widths, config, make_rng(11), tau=tau)
+        y, x, z, config, make_rng(11), tau=tau)
+    assert params.widths == widths
     ref_theta, ref_layers, ref_train, ref_val, monitor = _reference_train(
         y, x, z, widths, config, make_rng(11), tau)
 

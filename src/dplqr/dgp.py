@@ -50,8 +50,11 @@ class DgpSpec:
     sigma_x_terms: str = "x1+x2"
 
     def __post_init__(self):
-        if self.case not in (1, 2, 3, 4, 5, 6):
-            raise ConfigError(f"case must be 1..6, got {self.case}")
+        if (isinstance(self.case, bool)
+                or not isinstance(self.case, (int, np.integer))
+                or self.case not in (1, 2, 3, 4, 5, 6)):
+            raise ConfigError(
+                f"case must be an integer 1..6, got {self.case!r}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 50:
             raise ConfigError(f"n must be an integer >= 50, got {self.n!r}")
         validate_tau(self.tau)

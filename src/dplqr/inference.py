@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SingularMatrixError
+from .errors import (ConfigError, DataError, SingularMatrixError,
+                     TrainingError)
 from .model import residuals as model_residuals
 from .network import forward_batch
-from .optimizer import train_joint
+from .optimizer import train_joint, train_stack
 from .rng import split
 
 
@@ -64,6 +65,25 @@ def fit_projection(data, k, config, rng):
     _, params, _ = train_joint(data.x[:, k], np.zeros((data.n, 0)), data.z,
                                config, rng, tau=None)
     return params
+
+
+def fit_projections(data, config, rngs):
+    """`fit_projection` of every X_k on Z, k < p, with rng k, trained
+    together as one stack.
+
+    Returns the p fitted NetworkParams, each bit for bit the one
+    `fit_projection(data, k, config, rngs[k])` returns. When projections
+    fail to train, the TrainingError of the lowest-index one is raised,
+    as fitting them in order would raise it.
+    """
+    if data.q < 1:
+        raise DataError("projection fits need at least one z column")
+    results = train_stack(data.x.T, np.zeros((data.n, 0)), data.z,
+                          [config] * data.p, rngs, tau=None)
+    for result in results:
+        if isinstance(result, TrainingError):
+            raise result
+    return [params for _, params, _ in results]
 
 
 def sym_inverse(m):
@@ -131,9 +151,10 @@ def covariance(fit, data, config, rng, level=0.95):
     projection fits -> V_i = X_i - proj(Z_i); Omega = centered sample
     covariance of V with the n-1 denominator; Sigma = tau*(1-tau) *
     Omega^{-1} / f0_hat^2. The rng is split once per coefficient so
-    projection fits have independent, reproducible streams. The
-    projections train on `config`, which `train_joint` checks as it does
-    for a fit: a bad config raises ConfigError.
+    projection fits have independent, reproducible streams; they train
+    together as one stack (`fit_projections`). The projections train on
+    `config`, which the kernel checks as it does for a fit: a bad config
+    raises ConfigError.
     """
     if fit.mode == "dnqr":
         raise ConfigError("dnqr fits have no linear coefficients to cover")
@@ -143,10 +164,9 @@ def covariance(fit, data, config, rng, level=0.95):
     res = model_residuals(fit, data)
     f0 = kde_at_zero(res)
 
-    children = split(rng, data.p)
+    projections = fit_projections(data, config, split(rng, data.p))
     v = np.empty((data.n, data.p))
-    for k in range(data.p):
-        proj = fit_projection(data, k, config, children[k])
+    for k, proj in enumerate(projections):
         v[:, k] = data.x[:, k] - forward_batch(proj, data.z)
 
     centered = v - v.mean(axis=0)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TrainingError
 from .network import NetworkParams, forward_batch
-from .optimizer import TrainHistory, _layout, train_joint
+from .optimizer import TrainHistory, _layout, train_joint, train_stack
 from .quantile_loss import validate_tau
 
 
@@ -98,6 +98,18 @@ class PlqrFit:
     z_dim: int
 
 
+def _training_inputs(data, tau, mode):
+    """(tau, x, z) the kernel trains on: dnqr routes x into the network."""
+    if not isinstance(data, Dataset):
+        raise DataError("fit expects a Dataset")
+    tau = validate_tau(tau)
+    if data.n < 5:
+        raise DataError(f"need at least 5 rows to fit, got {data.n}")
+    if _layout(mode, data.p, data.q)[0] < data.p:  # x enters the net
+        return tau, data.x[:, :0], np.hstack([data.x, data.z])
+    return tau, data.x, data.z
+
+
 def fit(data, tau, config, rng):
     """Fit the model at quantile level tau by minibatch Adam.
 
@@ -110,19 +122,36 @@ def fit(data, tau, config, rng):
     batch order, so the same rng state gives the same fit. A bad config
     raises ConfigError before the rng is drawn from.
     """
-    if not isinstance(data, Dataset):
-        raise DataError("fit expects a Dataset")
-    tau = validate_tau(tau)
-    if data.n < 5:
-        raise DataError(f"need at least 5 rows to fit, got {data.n}")
-
-    x_eff, z_eff = data.x, data.z
-    if _layout(config.mode, data.p, data.q)[0] < data.p:  # x enters the net
-        x_eff, z_eff = data.x[:, :0], np.hstack([data.x, data.z])
-    theta, params, history = train_joint(data.y, x_eff, z_eff, config, rng,
-                                         tau=tau)
+    tau, x, z = _training_inputs(data, tau, config.mode)
+    theta, params, history = train_joint(data.y, x, z, config, rng, tau=tau)
     return PlqrFit(theta, params, tau, history, config.mode,
                    x_dim=data.p, z_dim=data.q)
+
+
+def fit_stack(data, tau, configs, rngs):
+    """`fit` for each (config, rng) pair, trained together as one stack.
+
+    The configs must share their mode, the network they train on `data`
+    and their minibatch (`optimizer.train_stack` checks the last two).
+    Each entry of the returned list is, bit for bit, what
+    `fit(data, tau, config, rng)` returns, or the TrainingError it
+    raises; the other members train on unchanged.
+    """
+    modes = {config.mode for config in configs}
+    if len(modes) != 1:
+        raise ConfigError(
+            f"a stack of fits needs one mode, got {sorted(modes)}")
+    (mode,) = modes
+    tau, x, z = _training_inputs(data, tau, mode)
+    ys = np.broadcast_to(data.y, (len(configs), data.n))
+    fits = []
+    for result in train_stack(ys, x, z, configs, rngs, tau=tau):
+        if not isinstance(result, TrainingError):
+            theta, params, history = result
+            result = PlqrFit(theta, params, tau, history, mode,
+                             x_dim=data.p, z_dim=data.q)
+        fits.append(result)
+    return fits
 
 
 def _check_block(a, dim, n, name):

@@ -17,6 +17,13 @@ allocates the buffers once per fit and hands them to `forward_batch` and
 `backward_batch`, so one step runs the forward pass once and backprop
 reads the activations that pass left behind.
 
+A stack of K networks on one width chain has a leading member axis: each
+layer is (K, q_k, q_{k-1} + 1), the inputs are (K, n, q_0) and the
+buffers (K, rows, q_k + 1). Every product is a stacked `np.matmul`, which
+runs the same BLAS call per member as the one network alone does, so a
+member's outputs and gradients are bit for bit those of that network
+trained on its own.
+
 Gradients are computed by hand-written backpropagation. The relu
 subgradient at exactly 0 is taken to be 0.
 """
@@ -66,94 +73,110 @@ def init_params(widths, rng):
     return NetworkParams(widths, layers)
 
 
-def activation_buffers(widths, rows):
-    """One (rows, q_k + 1) input buffer per layer, last column set to 1.
+def activation_buffers(widths, rows, members=None):
+    """One (rows, q_k + 1) input buffer per layer, last column set to 1;
+    (members, rows, q_k + 1) for a stack of that many networks.
 
     A pass over n <= rows input rows copies z into the first n rows and
     q_0 columns of buffer 0 and writes the relu activations of hidden
     layer k into those of buffer k.
     """
+    lead = () if members is None else (members,)
     buffers = []
     for width in widths[:-1]:
-        buffer = np.empty((rows, width + 1))
-        buffer[:, -1] = 1.0
+        buffer = np.empty(lead + (rows, width + 1))
+        buffer[..., -1] = 1.0
         buffers.append(buffer)
     return buffers
 
 
 def _check_input(params, z_matrix):
+    """z as a float array: (n, q_0) rows, or (K, n, q_0) for a stack."""
     z_matrix = np.asarray(z_matrix, dtype=float)
     width = params.widths[0]
-    if z_matrix.ndim != 2 or z_matrix.shape[1] != width:
+    lead = params.layers[0].shape[:-2]
+    if (z_matrix.ndim != len(lead) + 2 or z_matrix.shape[:-2] != lead
+            or z_matrix.shape[-1] != width):
         raise DataError(
-            f"network expects inputs of width {width}, got shape"
-            f" {z_matrix.shape}")
+            f"network expects inputs of width {width}"
+            + (f" for {lead[0]} members" if lead else "")
+            + f", got shape {z_matrix.shape}")
     return z_matrix
 
 
-def _check_acts(acts, rows):
-    if acts[0].shape[0] < rows:
-        raise DataError(f"activation buffers hold {acts[0].shape[0]} rows,"
+def _check_acts(acts, z_matrix):
+    rows = z_matrix.shape[-2]
+    if acts[0].shape[:-2] != z_matrix.shape[:-2]:
+        raise DataError(f"activation buffers of shape {acts[0].shape} do not"
+                        f" match inputs of shape {z_matrix.shape}")
+    if acts[0].shape[-2] < rows:
+        raise DataError(f"activation buffers hold {acts[0].shape[-2]} rows,"
                         f" the input has {rows}")
 
 
 def _forward(layers, z_matrix, acts):
     """Output on rows z_matrix; fills every layer-input buffer in `acts`."""
-    n = z_matrix.shape[0]
-    a = acts[0][:n]
-    a[:, :-1] = z_matrix
+    n = z_matrix.shape[-2]
+    a = acts[0][..., :n, :]
+    a[..., :-1] = z_matrix
     for w, buffer in zip(layers, acts[1:]):
-        np.matmul(a, w.T, out=buffer[:n, :-1])
-        a = buffer[:n]
+        np.matmul(a, w.swapaxes(-1, -2), out=buffer[..., :n, :-1])
+        a = buffer[..., :n, :]
         # relu over whole rows, which are contiguous; it leaves the
         # bias column of ones as it is
         np.maximum(a, 0.0, out=a)
-    return (a @ layers[-1].T)[:, 0]
+    return (a @ layers[-1].swapaxes(-1, -2))[..., 0]
 
 
 def forward_batch(params, z_matrix, acts=None):
-    """Network outputs for each row of z_matrix, as a length-n vector.
+    """Network outputs for each row of z_matrix, as a length-n vector;
+    (K, n) for a stack, whose z_matrix is (K, n, q_0).
 
     With `acts` (from activation_buffers, at least n rows), the layer
     inputs stay in acts for a backward_batch call on the same rows.
     """
     z_matrix = _check_input(params, z_matrix)
     if acts is None:
-        acts = activation_buffers(params.widths, z_matrix.shape[0])
+        lead = z_matrix.shape[:-2]
+        acts = activation_buffers(params.widths, z_matrix.shape[-2],
+                                  *lead)
     else:
-        _check_acts(acts, z_matrix.shape[0])
+        _check_acts(acts, z_matrix)
     return _forward(params.layers, z_matrix, acts)
 
 
-def backward_batch(params, z_matrix, upstream, acts=None):
+def backward_batch(params, z_matrix, upstream, acts=None, grads=None):
     """Gradients of sum_i upstream[i] * output_i with respect to each layer.
 
-    Returns a list of arrays shape-matched to params.layers. Rows whose
-    hidden pre-activation is exactly 0 propagate no gradient through that
-    unit (relu subgradient 0). Without `acts` the forward pass is run
-    here; with them, acts must hold the buffers of a forward_batch call
-    on the same params and z_matrix, whose layer inputs are read instead
-    of recomputed.
+    Returns a list of arrays shape-matched to params.layers; for a stack,
+    upstream is (K, n) and member k's gradients are row k of each array.
+    Rows whose hidden pre-activation is exactly 0 propagate no gradient
+    through that unit (relu subgradient 0). Without `acts` the forward
+    pass is run here; with them, acts must hold the buffers of a
+    forward_batch call on the same params and z_matrix, whose layer
+    inputs are read instead of recomputed. With `grads`, arrays shaped
+    like params.layers, the gradients are written into them.
     """
     z_matrix = _check_input(params, z_matrix)
-    n = z_matrix.shape[0]
+    n = z_matrix.shape[-2]
     upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (n,):
+    if upstream.shape != z_matrix.shape[:-1]:
         raise DataError(
             f"upstream must have one weight per row: got {upstream.shape}"
-            f" for {n} rows")
+            f" for inputs of shape {z_matrix.shape}")
     if acts is None:
-        acts = activation_buffers(params.widths, n)
+        acts = activation_buffers(params.widths, n, *z_matrix.shape[:-2])
         _forward(params.layers, z_matrix, acts)
     else:
-        _check_acts(acts, n)
-    inputs = [buffer[:n] for buffer in acts]
-    grads = [None] * len(params.layers)
-    delta = upstream.reshape(-1, 1)
+        _check_acts(acts, z_matrix)
+    inputs = [buffer[..., :n, :] for buffer in acts]
+    if grads is None:
+        grads = [None] * len(params.layers)
+    delta = upstream[..., None]
     for k in range(len(params.layers) - 1, -1, -1):
-        grads[k] = delta.T @ inputs[k]
+        grads[k] = np.matmul(delta.swapaxes(-1, -2), inputs[k], out=grads[k])
         if k > 0:
             # drop the bias column when propagating; mask dead relu units
-            delta = ((delta @ params.layers[k][:, :-1])
-                     * (inputs[k] > 0.0)[:, :-1])
+            delta = ((delta @ params.layers[k][..., :-1])
+                     * (inputs[k] > 0.0)[..., :-1])
     return grads

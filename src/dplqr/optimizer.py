@@ -11,6 +11,7 @@ early stopping; the parameters in effect when training halts are the
 ones returned.
 """
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import network as net
 from .errors import ConfigError, DataError, DplqrError, TrainingError
-from .quantile_loss import (loss_subgrad_wrt_pred, mean_check_loss,
-                            validate_tau)
+from .quantile_loss import (check_loss, loss_subgrad_wrt_pred,
+                            mean_check_loss, validate_tau)
 from .rng import shuffled_indices, split
 
 ADAM_BETA1 = 0.9
@@ -190,8 +191,198 @@ def _holdout_split(n, rng):
     return perm[:n - n_val], perm[n - n_val:]
 
 
+def _unflatten(flat, shapes):
+    """Views into the last axis of `flat`, one block per shape; writing
+    into a view writes into flat."""
+    lead = flat.shape[:-1]
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[..., start:start + size].reshape(lead + shape))
+        start += size
+    return views
+
+
+def train_stack(ys, x, z, configs, rngs, tau=None):
+    """Minibatch-Adam fits of y_k ~ x @ theta_k + net_k(z), k < K, in lockstep.
+
+    Parameters
+    ----------
+    ys : (K, n) targets, one row per member
+    x : (n, p) linear-part covariates every member trains on; p may be 0
+    z : (n, q) network inputs every member trains on; q may be 0
+    configs : one TrainConfig per member, each checked by
+        `validate(n=n)` before any rng is drawn from. They must name the
+        same network, `width_chain(q)`, and the same minibatch; learning
+        rate, patience and epochs may differ.
+    rngs : one numpy Generator per member
+    tau : quantile level for check loss, or None for squared error
+
+    Returns
+    -------
+    A list with one entry per member: the (theta, params, history) that
+    `train_joint` returns for that member's target, config and rng, bit
+    for bit, or the TrainingError that stopped that member.
+
+    Each member draws its split, its init and one permutation per epoch
+    it trains from its own rng, in the order `train_joint` draws them.
+    All members' theta and layers are views into one (K, P) flat vector,
+    their gradients are written into views of one (K, P) gradient, and
+    one `adam_step` call updates them all with a (K, 1) learning rate.
+    A member leaves the stack when it halts, keeping the parameters of
+    its halt and drawing nothing more; a member whose gradient or loss
+    turns non-finite fails alone, and the others go on unchanged.
+    """
+    ys = np.asarray(ys, dtype=float)
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if len(configs) < 1 or len(rngs) != len(configs):
+        raise ConfigError(f"a stack needs one rng per config, got"
+                          f" {len(configs)} configs and {len(rngs)} rngs")
+    if ys.ndim != 2 or ys.shape[0] != len(configs):
+        raise DataError(f"ys must have one row per member, got {ys.shape}")
+    n = ys.shape[1]
+    if x.shape[0] != n:
+        raise DataError("x and y row counts differ")
+    if z.ndim != 2 or z.shape[0] != n:
+        raise DataError(f"z must have shape ({n}, q), got {z.shape}")
+    if tau is not None:
+        tau = validate_tau(tau)
+    for config in configs:
+        config.validate(n=n)
+    widths = configs[0].width_chain(z.shape[1])
+    minibatch = configs[0].minibatch
+    if any(c.width_chain(z.shape[1]) != widths or c.minibatch != minibatch
+           for c in configs):
+        raise ConfigError("stacked members must share their network and"
+                          " minibatch")
+
+    splits, inits = [], []
+    for rng in rngs:
+        splits.append(_holdout_split(n, rng))
+        inits.append(net.init_params(widths, rng).layers)
+    rows = np.arange(len(configs))[:, None]
+    train, val = ([ys[rows, idx], x[idx], z[idx]]
+                  for idx in map(np.array, zip(*splits)))
+    n_tr = train[0].shape[1]
+    minibatch = min(minibatch, n_tr)
+
+    shapes = [(x.shape[1],)] + [w.shape for w in inits[0]]
+    flat = np.array([np.concatenate([np.zeros(x.shape[1])]
+                                    + [w.ravel() for w in layers])
+                     for layers in inits])
+    flat_grad = np.empty_like(flat)
+    state = init_adam(flat)
+    lr = np.array([[c.learning_rate] for c in configs])
+    acts = net.activation_buffers(widths, n_tr, len(configs))
+    monitors = [EarlyStopMonitor(c.early_stop_patience) for c in configs]
+    traces = [([], []) for _ in configs]
+    results = [None] * len(configs)
+    members = list(range(len(configs)))  # stack position -> member
+
+    def bind():
+        """Point theta, the layers and their gradients at the rows of the
+        current flat vectors, and line up the members' training rows."""
+        nonlocal theta, params, grad_theta, grad_layers, rows_of, offsets
+        theta, *layers = _unflatten(flat, shapes)
+        params = net.NetworkParams(widths, layers)
+        grad_theta, *grad_layers = _unflatten(flat_grad, shapes)
+        theta, grad_theta = theta[..., None], grad_theta[..., None]
+        total = len(members) * n_tr
+        rows_of = [a.reshape((total,) + a.shape[2:]) for a in train]
+        offsets = n_tr * np.arange(len(members))[:, None]
+
+    def leave(positions, error=None):
+        """Take the members at these stack positions out of the stack,
+        each with the error that stopped it or its halt-time fit."""
+        nonlocal flat, flat_grad, lr, acts, members, train, val
+        for pos in positions:
+            member = members[pos]
+            if error is not None:
+                results[member] = error
+                continue
+            own = _unflatten(flat[pos].copy(), shapes)
+            monitor = monitors[member]
+            results[member] = (own[0], net.NetworkParams(widths, own[1:]),
+                               TrainHistory(*traces[member],
+                                            best_epoch=monitor.best_epoch,
+                                            stopped_epoch=monitor.epochs_seen))
+        keep = [pos for pos in range(len(members)) if pos not in positions]
+        flat, flat_grad, lr = flat[keep], flat_grad[keep], lr[keep]
+        state.first_moment = state.first_moment[keep]
+        state.second_moment = state.second_moment[keep]
+        train = [a[keep] for a in train]
+        val = [a[keep] for a in val]
+        acts = [buffer[:len(keep)] for buffer in acts]
+        members = [members[pos] for pos in keep]
+        bind()
+
+    def loss_on(y_rows, x_rows, z_rows):
+        residuals = y_rows - ((x_rows @ theta)[..., 0]
+                              + net.forward_batch(params, z_rows, acts))
+        if tau is not None:
+            return np.mean(check_loss(residuals, tau), axis=-1)
+        return np.mean(residuals ** 2, axis=-1)
+
+    theta = params = grad_theta = grad_layers = rows_of = offsets = None
+    bind()
+    epoch = 0
+    while members:
+        epoch += 1
+        # each member's rows in its own shuffled order for this epoch; a
+        # step's minibatch is a slice of them
+        order = np.array([shuffled_indices(rngs[m], n_tr) for m in members])
+        order += offsets
+        y_ord, x_ord, z_ord = (np.take(a, order, axis=0) for a in rows_of)
+        for start in range(0, n_tr, minibatch):
+            stop = start + minibatch
+            xb, zb = x_ord[:, start:stop], z_ord[:, start:stop]
+            resid = (y_ord[:, start:stop] - (xb @ theta)[..., 0]
+                     - net.forward_batch(params, zb, acts))
+            if tau is not None:
+                upstream = loss_subgrad_wrt_pred(resid, tau) / xb.shape[1]
+            else:
+                upstream = -2.0 * resid / xb.shape[1]
+            np.matmul(xb.swapaxes(-1, -2), upstream[..., None],
+                      out=grad_theta)
+            net.backward_batch(params, zb, upstream, acts, grad_layers)
+            try:
+                adam_step(state, flat, flat_grad, lr)
+            except TrainingError as exc:
+                finite = np.isfinite(flat_grad).all(axis=1)
+                keep = finite.nonzero()[0]
+                leave(np.flatnonzero(~finite).tolist(), exc)
+                if not members:
+                    break
+                y_ord, x_ord, z_ord = (a[keep] for a in (y_ord, x_ord, z_ord))
+                adam_step(state, flat, flat_grad, lr)
+        if not members:
+            break
+
+        failed, halted = [], []
+        for pos, losses in enumerate(zip(loss_on(*train).tolist(),
+                                         loss_on(*val).tolist())):
+            member = members[pos]
+            if not (math.isfinite(losses[0]) and math.isfinite(losses[1])):
+                failed.append(pos)
+                continue
+            traces[member][0].append(losses[0])
+            traces[member][1].append(losses[1])
+            if (monitors[member].update(losses[1])
+                    or epoch == configs[member].epochs):
+                halted.append(pos)
+        if failed:
+            leave(failed, TrainingError(
+                f"non-finite loss at epoch {epoch}; try a lower learning"
+                f" rate"))
+            halted = [pos - sum(f < pos for f in failed) for pos in halted]
+        if halted:
+            leave(halted)
+    return results
+
+
 def train_joint(y, x, z, config, rng, tau=None):
-    """Minibatch-Adam fit of y ~ x @ theta + net(z).
+    """Minibatch-Adam fit of y ~ x @ theta + net(z): the stack of one.
 
     Parameters
     ----------
@@ -210,6 +401,7 @@ def train_joint(y, x, z, config, rng, tau=None):
     NetworkParams, and history a TrainHistory. The returned
     parameters are the ones current when training halted; the monitor
     only decides when to halt and which epoch was best on validation.
+    A non-finite gradient or loss raises TrainingError.
 
     Each step does each piece of work once. One set of activation
     buffers (`network.activation_buffers`) serves every pass: a step's
@@ -221,76 +413,12 @@ def train_joint(y, x, z, config, rng, tau=None):
     array.
     """
     y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    n = y.shape[0]
-    if x.shape[0] != n:
-        raise DataError("x and y row counts differ")
-    if z.ndim != 2 or z.shape[0] != n:
-        raise DataError(f"z must have shape ({n}, q), got {z.shape}")
-    if tau is not None:
-        tau = validate_tau(tau)
-    config.validate(n=n)
-
-    tr_idx, val_idx = _holdout_split(n, rng)
-    y_tr, y_val = y[tr_idx], y[val_idx]
-    x_tr, x_val = x[tr_idx], x[val_idx]
-    z_tr, z_val = z[tr_idx], z[val_idx]
-    params = net.init_params(config.width_chain(z.shape[1]), rng)
-    acts = net.activation_buffers(params.widths, len(tr_idx))
-    blocks = [np.zeros(x.shape[1])] + params.layers
-
-    # writing into `flat` updates theta and every layer, its views
-    flat = np.concatenate([b.ravel() for b in blocks])
-    views, start = [], 0
-    for b in blocks:
-        views.append(flat[start:start + b.size].reshape(b.shape))
-        start += b.size
-    theta = views[0]
-    params.layers = views[1:]
-    flat_grad = np.empty_like(flat)
-    state = init_adam(flat)
-    lr = config.learning_rate
-    minibatch = min(config.minibatch, len(tr_idx))
-
-    def predict_on(xs, zs):
-        return xs @ theta + net.forward_batch(params, zs, acts)
-
-    def loss_of(residuals):
-        if tau is not None:
-            return mean_check_loss(residuals, tau)
-        return float(np.mean(residuals ** 2))
-
-    monitor = EarlyStopMonitor(config.early_stop_patience)
-    train_trace, val_trace = [], []
-
-    for epoch in range(1, config.epochs + 1):
-        for batch in epoch_batches(len(tr_idx), minibatch, rng):
-            xb, yb, zb = x_tr[batch], y_tr[batch], z_tr[batch]
-            resid = yb - xb @ theta - net.forward_batch(params, zb, acts)
-            if tau is not None:
-                upstream = loss_subgrad_wrt_pred(resid, tau) / len(batch)
-            else:
-                upstream = -2.0 * resid / len(batch)
-            grads = ([xb.T @ upstream]
-                     + net.backward_batch(params, zb, upstream, acts))
-            np.concatenate([g.ravel() for g in grads], out=flat_grad)
-            adam_step(state, flat, flat_grad, lr)
-
-        train_epoch = loss_of(y_tr - predict_on(x_tr, z_tr))
-        val_epoch = loss_of(y_val - predict_on(x_val, z_val))
-        if not (np.isfinite(train_epoch) and np.isfinite(val_epoch)):
-            raise TrainingError(
-                f"non-finite loss at epoch {epoch}; try a lower learning rate")
-        train_trace.append(train_epoch)
-        val_trace.append(val_epoch)
-        if monitor.update(val_epoch):
-            break
-
-    history = TrainHistory(train_trace, val_trace,
-                           best_epoch=monitor.best_epoch,
-                           stopped_epoch=monitor.epochs_seen)
-    return theta, params, history
+    if y.ndim != 1:
+        raise DataError(f"y must be 1-d, got shape {y.shape}")
+    (result,) = train_stack(y[None], x, z, [config], [rng], tau)
+    if isinstance(result, TrainingError):
+        raise result
+    return result
 
 
 def tune(grid, data, tau, rng):
@@ -302,14 +430,17 @@ def tune(grid, data, tau, rng):
     winner is returned (ties go to the earlier grid entry). A candidate
     is skipped when an earlier one trains the same network on `data`
     (any lqr depth and width; any depth and width with no z columns)
-    with the same lr, epochs, minibatch and patience. A bad
+    with the same lr, epochs, minibatch and patience. The kept
+    candidates that share their mode, network and minibatch train
+    together as one `model.fit_stack`, which gives each the fit it
+    would get alone. A bad
     tau, or a candidate whose minibatch exceeds the 80% split, raises
     ConfigError before any candidate is fitted. A candidate's ConfigError
     is raised; candidates that fail to train are skipped with a warning,
     and if all fail, a TrainingError is raised. A grid of one distinct
     candidate is returned as-is without consuming the rng.
     """
-    from .model import fit as _fit, residuals as _residuals
+    from .model import fit_stack, residuals
 
     grid = list(grid)
     if not grid:
@@ -318,10 +449,14 @@ def tune(grid, data, tau, rng):
         candidate.validate()
     tau = validate_tau(tau)
     first = {}  # what a candidate trains -> its first grid position
+    stacks = {}  # what stacked candidates share -> their grid positions
     for k, c in enumerate(grid):
         widths = c.width_chain(_layout(c.mode, data.p, data.q)[1])
-        first.setdefault((widths, c.learning_rate, c.epochs, c.minibatch,
-                          c.early_stop_patience), k)
+        key = (widths, c.learning_rate, c.epochs, c.minibatch,
+               c.early_stop_patience)
+        if key not in first:
+            first[key] = k
+            stacks.setdefault((c.mode, widths, c.minibatch), []).append(k)
     if len(first) == 1:
         return grid[0]
 
@@ -335,18 +470,25 @@ def tune(grid, data, tau, rng):
     val_data = data.subset(val_idx)
     children = split(rng, len(grid))
 
-    best_config, best_loss = None, np.inf
-    for candidate, child in ((grid[k], children[k]) for k in first.values()):
+    fitted = {}
+    for positions in stacks.values():
         try:
-            fitted = _fit(train_data, tau, candidate, child)
-            score = mean_check_loss(_residuals(fitted, val_data), tau)
+            fits = fit_stack(train_data, tau, [grid[k] for k in positions],
+                             [children[k] for k in positions])
         except ConfigError:
             raise
         except DplqrError as exc:
-            warnings.warn(f"tuning candidate {candidate} failed: {exc}")
+            fits = [exc] * len(positions)
+        fitted.update(zip(positions, fits))
+
+    best_config, best_loss = None, np.inf
+    for k in first.values():
+        if isinstance(fitted[k], DplqrError):
+            warnings.warn(f"tuning candidate {grid[k]} failed: {fitted[k]}")
             continue
+        score = mean_check_loss(residuals(fitted[k], val_data), tau)
         if np.isfinite(score) and score < best_loss:
-            best_config, best_loss = candidate, score
+            best_config, best_loss = grid[k], score
     if best_config is None:
         raise TrainingError("every tuning candidate failed to train")
     return best_config

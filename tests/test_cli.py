@@ -121,7 +121,7 @@ class TestFitCommand:
         # settings error, not a failure of every candidate to train
         def no_fit(*args):
             raise AssertionError("a candidate was trained")
-        monkeypatch.setattr("dplqr.model.fit", no_fit)
+        monkeypatch.setattr("dplqr.model.fit_stack", no_fit)
         code = main(_fit_args(train_csv, tmp_path, tau="1.5",
                               lr="0.01,0.02"))
         assert code == 2
@@ -197,9 +197,17 @@ class TestFitCommand:
                 trained.append(result[1].widths)
                 return result
             return train
+
+        def counted_stack(original):
+            def train(*args, **kwargs):
+                results = original(*args, **kwargs)
+                trained.extend(result[1].widths for result in results)
+                return results
+            return train
+        monkeypatch.setattr(model, "train_joint", counted(model.train_joint))
         for module in (model, inference):
-            monkeypatch.setattr(module, "train_joint",
-                                counted(module.train_joint))
+            monkeypatch.setattr(module, "train_stack",
+                                counted_stack(module.train_stack))
         args = ["fit", "--data", train_csv, "--y", "y", "--epochs", "5",
                 "--out", str(tmp_path / "model.json")] + roles
         assert main(args) == 0

@@ -272,8 +272,10 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             DgpSpec(case=1, n=100, tau=0.0)
 
-    @pytest.mark.parametrize("bad", [dict(tau="x"), dict(n=100.5)],
-                             ids=["text-tau", "fractional-n"])
+    @pytest.mark.parametrize("bad", [dict(tau="x"), dict(n=100.5),
+                                     dict(case=2.0), dict(case=True)],
+                             ids=["text-tau", "fractional-n",
+                                  "fractional-case", "bool-case"])
     def test_spec_needs_numbers(self, bad):
         with pytest.raises(ConfigError):
             DgpSpec(**dict(dict(case=1, n=100), **bad))

@@ -102,11 +102,10 @@ def _function_imports():
 
 
 def test_only_tune_imports_inside_a_function():
-    # tune's lazy import of model.fit is the one cycle left; it needs
-    # nothing else from model
+    # tune's lazy import of model.fit_stack is the one cycle left; it
+    # needs nothing else from model
     assert _function_imports() == [
-        ("optimizer", "tune",
-         "from .model import fit as _fit, residuals as _residuals")]
+        ("optimizer", "tune", "from .model import fit_stack, residuals")]
 
 
 # `predict` calls nothing from scipy, so neither import may load it; the

@@ -7,13 +7,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dplqr import inference
-from dplqr.errors import ConfigError, DataError, SingularMatrixError
+from dplqr.errors import (ConfigError, DataError, SingularMatrixError,
+                          TrainingError)
 from dplqr.inference import (confidence_intervals, covariance, fit_projection,
                              kde_at_zero, sym_inverse, validate_level)
 from dplqr.model import Dataset, fit
 from dplqr.network import forward_batch
 from dplqr.optimizer import TrainConfig, train_joint
-from dplqr.rng import make_rng
+from dplqr.rng import make_rng, split
 
 Z_975 = 1.959963984540054
 
@@ -239,9 +240,30 @@ class TestCovariance:
 
         def no_projection(*args):
             raise AssertionError("a projection fit ran")
-        monkeypatch.setattr(inference, "fit_projection", no_projection)
+        monkeypatch.setattr(inference, "fit_projections", no_projection)
         with pytest.raises(ConfigError):
             covariance(fitted, data, cfg, make_rng(7), level=1.5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lowest_index_failing_projection_is_raised(self):
+        # X_0 overflows its squared loss at the end of epoch 1; X_1
+        # overflows its first gradient, earlier in that epoch. Fitting
+        # them in order meets X_0's error first, and so does the stack
+        fitted, data, cfg = self._fitted(n=100)
+        fitted = replace(fitted, theta_hat=np.zeros(2))
+        spread = 1.0 + np.random.default_rng(1).uniform(size=data.n)
+        bad = Dataset(data.y, np.column_stack([1e200 * spread,
+                                               1.5e308 * np.ones(data.n)]),
+                      data.z)
+        with pytest.raises(TrainingError) as raised:
+            covariance(fitted, bad, cfg, make_rng(7))
+        assert str(raised.value).startswith("non-finite loss at epoch 1")
+        children = split(make_rng(7), 2)
+        with pytest.raises(TrainingError, match="gradient"):
+            fit_projection(bad, 1, cfg, children[1])
+        with pytest.raises(TrainingError) as alone:
+            fit_projection(bad, 0, cfg, children[0])
+        assert str(alone.value) == str(raised.value)
 
     @pytest.mark.parametrize("bad", [dict(epochs=0),
                                      dict(learning_rate=-0.01),

@@ -12,6 +12,7 @@ from dplqr.model import Dataset
 from dplqr.optimizer import (ADAM_EPSILON_HAT, EarlyStopMonitor, TrainConfig,
                              _holdout_split, adam_step, epoch_batches,
                              init_adam, train_joint, tune)
+from dplqr.quantile_loss import mean_check_loss
 from dplqr.rng import make_rng, split
 
 
@@ -289,7 +290,7 @@ class TestTune:
         # the data but not the split
         def no_fit(*args):
             raise AssertionError("a candidate was fitted")
-        monkeypatch.setattr(model, "fit", no_fit)
+        monkeypatch.setattr(model, "fit_stack", no_fit)
         grid = [TrainConfig(depth=1, width=1, epochs=5, minibatch=mb,
                             early_stop_patience=5, learning_rate=0.01)
                 for mb in (32, 100)]
@@ -301,7 +302,7 @@ class TestTune:
         # skipped as a failure to train
         def bad_settings(*args):
             raise ConfigError("bad settings")
-        monkeypatch.setattr(model, "fit", bad_settings)
+        monkeypatch.setattr(model, "fit_stack", bad_settings)
         grid = [TrainConfig(depth=1, width=1, epochs=5, minibatch=32,
                             early_stop_patience=5, learning_rate=lr)
                 for lr in (0.01, 0.02)]
@@ -316,11 +317,11 @@ class TestTune:
         # mode, they train only two networks, one per learning rate
         fitted = []
 
-        def counted(data, tau, config, rng):
-            fitted.append(config)
-            return original(data, tau, config, rng)
-        original = model.fit
-        monkeypatch.setattr(model, "fit", counted)
+        def counted(data, tau, configs, rngs):
+            fitted.extend(configs)
+            return original(data, tau, configs, rngs)
+        original = model.fit_stack
+        monkeypatch.setattr(model, "fit_stack", counted)
         data = self._data()
         data = Dataset(data.y, data.x, data.z[:, :z_cols])
         grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=32,
@@ -334,7 +335,7 @@ class TestTune:
     def test_grid_of_one_network_is_returned_unfitted(self, monkeypatch):
         def no_fit(*args):
             raise AssertionError("a candidate was fitted")
-        monkeypatch.setattr(model, "fit", no_fit)
+        monkeypatch.setattr(model, "fit_stack", no_fit)
         grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=32,
                             mode="lqr") for d in (2, 3) for w in (4, 8)]
         assert tune(grid, self._data(), 0.5, rng=make_rng(0)) is grid[0]
@@ -344,10 +345,10 @@ class TestTune:
         # duplicate at position 1 leaves position 2 its own stream
         drawn = []
 
-        def record(data, tau, config, rng):
-            drawn.append(int(rng.integers(1 << 30)))
+        def record(data, tau, configs, rngs):
+            drawn.extend(int(rng.integers(1 << 30)) for rng in rngs)
             raise TrainingError("stop")
-        monkeypatch.setattr(model, "fit", record)
+        monkeypatch.setattr(model, "fit_stack", record)
         data = self._data()
         data = Dataset(data.y, data.x, None)
         grid = [TrainConfig(depth=2, width=w, epochs=3, minibatch=32,
@@ -368,3 +369,45 @@ class TestTune:
         b = tune(list(grid), self._data(seed=5), 0.5, rng=make_rng(9))
         assert a is grid[grid.index(a)]
         assert a == b
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failing_member_leaves_the_others_unchanged(self):
+        # a learning rate of 1e300 makes one stacked candidate's loss
+        # non-finite: tune warns and picks what fitting each candidate
+        # alone on its child stream picks, from the same bytes
+        data = self._data(n=200, seed=3)
+        grid = [TrainConfig(depth=2, width=4, epochs=30, minibatch=32,
+                            early_stop_patience=30, learning_rate=lr)
+                for lr in (0.003, 1e300, 0.02)]
+        with pytest.warns(UserWarning, match="failed: non-finite"):
+            picked = tune(grid, data, 0.5, make_rng(4))
+
+        def streams():
+            rng = make_rng(4)
+            tr_idx, val_idx = _holdout_split(data.n, rng)
+            return (data.subset(tr_idx), data.subset(val_idx),
+                    split(rng, len(grid)))
+        train, val, children = streams()
+        alone, scores = [], []
+        for k, (config, child) in enumerate(zip(grid, children)):
+            try:
+                alone.append(model.fit(train, 0.5, config, child))
+            except TrainingError as exc:
+                alone.append(exc)
+                continue
+            residuals = model.residuals(alone[k], val)
+            scores.append((mean_check_loss(residuals, 0.5), k))
+        assert isinstance(alone[1], TrainingError)
+        assert picked is grid[min(scores)[1]]
+
+        train, _, children = streams()
+        stacked = model.fit_stack(train, 0.5, grid, children)
+        assert isinstance(stacked[1], TrainingError)
+        assert str(stacked[1]) == str(alone[1])
+        for k in (0, 2):
+            got, want = stacked[k], alone[k]
+            assert got.theta_hat.tobytes() == want.theta_hat.tobytes()
+            for layer, ref_layer in zip(got.network.layers,
+                                        want.network.layers):
+                assert layer.tobytes() == ref_layer.tobytes()
+            assert got.history == want.history

@@ -4,19 +4,21 @@ The reference below trains the way the step was first written: every
 layer input is hstack-augmented on each call, backprop runs the forward
 pass a second time, and Adam updates theta and each layer as separate
 arrays. train_joint, which reuses activation buffers and updates one
-flat parameter vector in place, must reproduce it bit for bit.
+flat parameter vector in place, must reproduce it bit for bit. A stack
+of members trained by train_stack must in turn give each member, bit for
+bit, what train_joint gives it alone.
 """
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from dplqr.errors import DataError
+from dplqr.errors import ConfigError, DataError
 from dplqr.network import (activation_buffers, backward_batch,
                            forward_batch, init_params)
 from dplqr.optimizer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON_HAT,
                              EarlyStopMonitor, TrainConfig, _holdout_split,
-                             epoch_batches, train_joint)
+                             epoch_batches, train_joint, train_stack)
 from dplqr.quantile_loss import loss_subgrad_wrt_pred, mean_check_loss
 from dplqr.rng import make_rng
 
@@ -182,3 +184,55 @@ def test_buffered_calls_check_their_inputs():
         backward_batch(params, np.ones((4, 4)), np.ones(4), acts)
     with pytest.raises(DataError):
         backward_batch(params, np.ones((5, 3)), np.ones(5), acts)
+
+
+def _assert_same_bytes(got, want):
+    (theta, params, history), (ref_theta, ref_params, ref_history) = got, want
+    assert theta.shape == ref_theta.shape
+    assert theta.tobytes() == ref_theta.tobytes()
+    assert params.widths == ref_params.widths
+    assert len(params.layers) == len(ref_params.layers)
+    for layer, ref_layer in zip(params.layers, ref_params.layers):
+        assert layer.shape == ref_layer.shape
+        assert layer.tobytes() == ref_layer.tobytes()
+    for trace, ref_trace in ((history.train_loss, ref_history.train_loss),
+                             (history.val_loss, ref_history.val_loss)):
+        assert np.array(trace).tobytes() == np.array(ref_trace).tobytes()
+    assert history.best_epoch == ref_history.best_epoch
+    assert history.stopped_epoch == ref_history.stopped_epoch
+
+
+@pytest.mark.parametrize("p, widths, tau, own_targets", [
+    (2, (3, 8, 8, 1), 0.5, False),  # check loss, as tune's candidates
+    (0, (3, 6, 1), None, True),     # squared error, as the projections
+    (0, (3, 8, 1), 0.3, False),     # p = 0: no linear part (dnqr)
+], ids=["check-loss", "squared-loss", "no-linear-part"])
+def test_stacked_members_match_training_alone(p, widths, tau, own_targets):
+    # three members with their own learning rate, patience and epochs,
+    # so they leave the stack at different epochs
+    y, x, z = _problem(150, p, 3, seed=7 + p)
+    ys = np.stack([y, y + np.sin(z[:, 0]), 2.0 * y]) if own_targets \
+        else np.stack([y] * 3)
+    configs = [TrainConfig(depth=len(widths) - 1, width=max(widths[1:-1]),
+                           epochs=epochs, minibatch=32,
+                           early_stop_patience=patience, learning_rate=lr)
+               for lr, patience, epochs in ((0.05, 3, 40), (0.01, 8, 12),
+                                            (0.02, 5, 60))]
+    stacked = train_stack(ys, x, z, configs,
+                          [make_rng(seed) for seed in (1, 2, 3)], tau)
+    stopped = {result[2].stopped_epoch for result in stacked}
+    assert len(stopped) == 3
+    for k, config in enumerate(configs):
+        alone = train_joint(ys[k], x, z, config, make_rng(k + 1), tau)
+        assert alone[1].widths == widths
+        _assert_same_bytes(stacked[k], alone)
+
+
+def test_stack_members_must_share_network_and_minibatch():
+    y, x, z = _problem(60, 2, 3, seed=0)
+    base = TrainConfig(depth=2, width=4, epochs=2, minibatch=16)
+    for other in (TrainConfig(depth=2, width=8, epochs=2, minibatch=16),
+                  TrainConfig(depth=2, width=4, epochs=2, minibatch=8)):
+        with pytest.raises(ConfigError, match="share"):
+            train_stack(np.stack([y, y]), x, z, [base, other],
+                        [make_rng(0), make_rng(1)], 0.5)

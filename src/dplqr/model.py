@@ -10,7 +10,8 @@ empirical check loss. Two degenerate modes reuse the same machinery:
 model is linear in (x, z); "dnqr" has no linear part and routes every
 covariate into the network. `optimizer._layout` and
 `TrainConfig.width_chain` alone decide both rules, and
-`optimizer.train_joint`, which every fit runs, checks the config.
+`optimizer.train_stack`, which every fit runs (`fit` as the stack of one,
+`fit_stack` for tuning candidates trained together), checks the config.
 """
 
 from dataclasses import dataclass

@@ -1,14 +1,29 @@
 """Adam updates, minibatch scheduling, early stopping, and hold-out tuning.
 
-The training engine here (`train_joint`) fits models of the form
+The training engine here (`train_stack`) fits K independent models of
+the form
 
-    y  ~  x @ theta + net(z)
+    y_k  ~  x @ theta_k + net_k(z)
 
-by minibatch Adam on either the check loss (quantile fits) or squared
-error (projection fits), updating theta and every network layer in the
-same step. An internal 80/20 train/validation split drives epoch-level
-early stopping; the parameters in effect when training halts are the
-ones returned.
+in lockstep, by minibatch Adam on either the check loss (quantile fits)
+or squared error (projection fits), updating theta and every network
+layer in the same step. The members share the rows x and z, the network
+and the minibatch; each has its own target, learning rate, patience,
+epochs and rng. An internal 80/20 train/validation split of each member
+drives its epoch-level early stopping; the parameters in effect when a
+member halts are the ones returned for it.
+
+What stacks follows from what fits share. `tune` trains the candidates
+it keeps as one stack per mode, network and minibatch (one stack of two
+in the scenario grids), and `inference.covariance` trains its p
+projections as one stack; `model.fit` and `train_joint` are the stack of
+one. Each member's outputs are byte for byte those of training it alone:
+every product is a stacked `np.matmul`, which runs per member the BLAS
+call a lone network runs, losses are reduced along each member's own
+row, and Adam is elementwise (`tests/test_train_exact.py` pins this).
+A step costs per-call numpy overhead more than arithmetic, so a member
+of a stack of two trains in about 0.7 of the time it takes alone on the
+benchmark's small networks (see ROADMAP item 5 for the measurements).
 """
 
 import math
@@ -226,12 +241,17 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
 
     Each member draws its split, its init and one permutation per epoch
     it trains from its own rng, in the order `train_joint` draws them.
-    All members' theta and layers are views into one (K, P) flat vector,
-    their gradients are written into views of one (K, P) gradient, and
-    one `adam_step` call updates them all with a (K, 1) learning rate.
-    A member leaves the stack when it halts, keeping the parameters of
-    its halt and drawing nothing more; a member whose gradient or loss
-    turns non-finite fails alone, and the others go on unchanged.
+    Every member's theta and layers are views into one (K, P) flat
+    vector and its gradients are written into views of one (K, P)
+    gradient, so one in-place `adam_step` call, with a (K, 1) learning
+    rate, updates them all; Adam is elementwise, so this gives the same
+    bits as one update per array. One set of activation buffers
+    (`network.activation_buffers`) serves every pass: a step's forward
+    pass leaves its layer inputs there for its backward pass, and the
+    epoch evaluations reuse them. A member leaves the stack when it
+    halts, keeping the parameters of its halt and drawing nothing more;
+    a member whose gradient or loss turns non-finite fails alone, and
+    the others go on unchanged.
     """
     ys = np.asarray(ys, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -261,10 +281,12 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     for rng in rngs:
         splits.append(_holdout_split(n, rng))
         inits.append(net.init_params(widths, rng).layers)
+    tr_idx = np.array([tr for tr, _ in splits])
+    val_idx = np.array([val for _, val in splits])
     rows = np.arange(len(configs))[:, None]
-    train, val = ([ys[rows, idx], x[idx], z[idx]]
-                  for idx in map(np.array, zip(*splits)))
-    n_tr = train[0].shape[1]
+    train = [ys[rows, tr_idx], x[tr_idx], z[tr_idx]]
+    val = [ys[rows, val_idx], x[val_idx], z[val_idx]]
+    n_tr = tr_idx.shape[1]
     minibatch = min(minibatch, n_tr)
 
     shapes = [(x.shape[1],)] + [w.shape for w in inits[0]]
@@ -281,8 +303,9 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     members = list(range(len(configs)))  # stack position -> member
 
     def bind():
-        """Point theta, the layers and their gradients at the rows of the
-        current flat vectors, and line up the members' training rows."""
+        """Point theta (as (K, p, 1) columns), the layers and their
+        gradients at the current flat vectors, and line up the members'
+        training rows end to end for gathering."""
         nonlocal theta, params, grad_theta, grad_layers, rows_of, offsets
         theta, *layers = _unflatten(flat, shapes)
         params = net.NetworkParams(widths, layers)
@@ -292,22 +315,25 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
         rows_of = [a.reshape((total,) + a.shape[2:]) for a in train]
         offsets = n_tr * np.arange(len(members))[:, None]
 
-    def leave(positions, error=None):
-        """Take the members at these stack positions out of the stack,
-        each with the error that stopped it or its halt-time fit."""
+    def leave(leaving, error=None):
+        """Take these members out of the stack, each with the error that
+        stopped it or its halt-time fit; returns the stack positions of
+        the members that stay."""
         nonlocal flat, flat_grad, lr, acts, members, train, val
-        for pos in positions:
-            member = members[pos]
-            if error is not None:
+        keep = []
+        for pos, member in enumerate(members):
+            if member not in leaving:
+                keep.append(pos)
+            elif error is not None:
                 results[member] = error
-                continue
-            own = _unflatten(flat[pos].copy(), shapes)
-            monitor = monitors[member]
-            results[member] = (own[0], net.NetworkParams(widths, own[1:]),
-                               TrainHistory(*traces[member],
-                                            best_epoch=monitor.best_epoch,
-                                            stopped_epoch=monitor.epochs_seen))
-        keep = [pos for pos in range(len(members)) if pos not in positions]
+            else:
+                monitor = monitors[member]
+                history = TrainHistory(*traces[member],
+                                       best_epoch=monitor.best_epoch,
+                                       stopped_epoch=monitor.epochs_seen)
+                own = _unflatten(flat[pos].copy(), shapes)
+                results[member] = (own[0], net.NetworkParams(widths, own[1:]),
+                                   history)
         flat, flat_grad, lr = flat[keep], flat_grad[keep], lr[keep]
         state.first_moment = state.first_moment[keep]
         state.second_moment = state.second_moment[keep]
@@ -316,6 +342,7 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
         acts = [buffer[:len(keep)] for buffer in acts]
         members = [members[pos] for pos in keep]
         bind()
+        return keep
 
     def loss_on(y_rows, x_rows, z_rows):
         residuals = y_rows - ((x_rows @ theta)[..., 0]
@@ -329,7 +356,7 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     epoch = 0
     while members:
         epoch += 1
-        # each member's rows in its own shuffled order for this epoch; a
+        # each member's training rows in its own order for this epoch; a
         # step's minibatch is a slice of them
         order = np.array([shuffled_indices(rngs[m], n_tr) for m in members])
         order += offsets
@@ -350,8 +377,8 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
                 adam_step(state, flat, flat_grad, lr)
             except TrainingError as exc:
                 finite = np.isfinite(flat_grad).all(axis=1)
-                keep = finite.nonzero()[0]
-                leave(np.flatnonzero(~finite).tolist(), exc)
+                keep = leave({members[pos] for pos in
+                              np.flatnonzero(~finite)}, exc)
                 if not members:
                     break
                 y_ord, x_ord, z_ord = (a[keep] for a in (y_ord, x_ord, z_ord))
@@ -359,30 +386,29 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
         if not members:
             break
 
-        failed, halted = [], []
-        for pos, losses in enumerate(zip(loss_on(*train).tolist(),
-                                         loss_on(*val).tolist())):
-            member = members[pos]
-            if not (math.isfinite(losses[0]) and math.isfinite(losses[1])):
-                failed.append(pos)
+        failed, halted = set(), set()
+        for member, tr_loss, val_loss in zip(
+                members, loss_on(*train).tolist(), loss_on(*val).tolist()):
+            if not (math.isfinite(tr_loss) and math.isfinite(val_loss)):
+                failed.add(member)
                 continue
-            traces[member][0].append(losses[0])
-            traces[member][1].append(losses[1])
-            if (monitors[member].update(losses[1])
+            traces[member][0].append(tr_loss)
+            traces[member][1].append(val_loss)
+            if (monitors[member].update(val_loss)
                     or epoch == configs[member].epochs):
-                halted.append(pos)
+                halted.add(member)
         if failed:
             leave(failed, TrainingError(
                 f"non-finite loss at epoch {epoch}; try a lower learning"
                 f" rate"))
-            halted = [pos - sum(f < pos for f in failed) for pos in halted]
         if halted:
             leave(halted)
     return results
 
 
 def train_joint(y, x, z, config, rng, tau=None):
-    """Minibatch-Adam fit of y ~ x @ theta + net(z): the stack of one.
+    """Minibatch-Adam fit of y ~ x @ theta + net(z): `train_stack` with
+    one member.
 
     Parameters
     ----------
@@ -402,15 +428,6 @@ def train_joint(y, x, z, config, rng, tau=None):
     parameters are the ones current when training halted; the monitor
     only decides when to halt and which epoch was best on validation.
     A non-finite gradient or loss raises TrainingError.
-
-    Each step does each piece of work once. One set of activation
-    buffers (`network.activation_buffers`) serves every pass: a step's
-    forward pass leaves its layer inputs there for its backward pass,
-    and the epoch evaluations reuse the same buffers. theta and the
-    layers are views into one flat vector, so a step makes a single
-    in-place `adam_step` call on that vector and its flat gradient.
-    Adam is elementwise, so this gives the same bits as one update per
-    array.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from dplqr.errors import ConfigError, DataError
+from dplqr.errors import ConfigError, DataError, TrainingError
 from dplqr.network import (activation_buffers, backward_batch,
                            forward_batch, init_params)
 from dplqr.optimizer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON_HAT,
@@ -236,3 +236,27 @@ def test_stack_members_must_share_network_and_minibatch():
         with pytest.raises(ConfigError, match="share"):
             train_stack(np.stack([y, y]), x, z, [base, other],
                         [make_rng(0), make_rng(1)], 0.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failing_members_leave_the_others_unchanged():
+    # squared error on targets near the float limit: member 1's gradient
+    # overflows in its first step, member 2's loss at the end of epoch 1;
+    # members 0 and 3 train on as they would alone
+    y, _, z = _problem(120, 0, 3, seed=5)
+    x = np.zeros((120, 0))
+    ys = np.stack([y, np.full(120, 1.5e308), 1e200 * (2.0 + y), -y])
+    config = TrainConfig(depth=2, width=6, epochs=15, minibatch=20,
+                         early_stop_patience=4, learning_rate=0.02)
+    stacked = train_stack(ys, x, z, [config] * 4,
+                          [make_rng(seed) for seed in range(4)])
+    assert "gradient" in str(stacked[1])
+    assert "loss at epoch 1" in str(stacked[2])
+    for k in range(4):
+        if k in (1, 2):
+            with pytest.raises(TrainingError) as alone:
+                train_joint(ys[k], x, z, config, make_rng(k))
+            assert str(alone.value) == str(stacked[k])
+        else:
+            _assert_same_bytes(stacked[k],
+                               train_joint(ys[k], x, z, config, make_rng(k)))

@@ -136,13 +136,17 @@ def adam_step(state, param, grad, lr):
         m <- b1*m + (1-b1)*g        mhat = m / (1 - b1^t)
         v <- b2*v + (1-b2)*g^2      vhat = v / (1 - b2^t)
         param <- param - lr * mhat / (sqrt(vhat) + epsilon_hat)
+
+    `param` may be a stack's (K, P) flat vector, with `lr` a (K, 1)
+    array of the members' learning rates; the update is elementwise, so
+    each member's row gets the bits of its own update.
     """
     grad = np.asarray(grad, dtype=float)
     if not grad.shape == param.shape == state.first_moment.shape:
         raise ConfigError(
             f"adam_step: gradient {grad.shape}, parameter {param.shape}"
             f" and moment {state.first_moment.shape} shapes differ")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient in adam_step")
     state.step_count += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step_count

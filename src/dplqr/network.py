@@ -137,9 +137,8 @@ def forward_batch(params, z_matrix, acts=None):
     """
     z_matrix = _check_input(params, z_matrix)
     if acts is None:
-        lead = z_matrix.shape[:-2]
         acts = activation_buffers(params.widths, z_matrix.shape[-2],
-                                  *lead)
+                                  *z_matrix.shape[:-2])
     else:
         _check_acts(acts, z_matrix)
     return _forward(params.layers, z_matrix, acts)

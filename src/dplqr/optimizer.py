@@ -21,9 +21,12 @@ one. Each member's outputs are byte for byte those of training it alone:
 every product is a stacked `np.matmul`, which runs per member the BLAS
 call a lone network runs, losses are reduced along each member's own
 row, and Adam is elementwise (`tests/test_train_exact.py` pins this).
-A step costs per-call numpy overhead more than arithmetic, so a member
-of a stack of two trains in about 0.7 of the time it takes alone on the
-benchmark's small networks (see ROADMAP item 5 for the measurements).
+A step costs per-call numpy overhead more than arithmetic, and a stack
+shares that overhead: a scenario grid's pair of tuning candidates trains
+in about 0.7 of the time of training the two one by one on case 1's
+small networks, and in about 0.8 on case 3's wider ones (ROADMAP item 5
+has the measurements). Fits of different replicates are not stacked
+together yet.
 """
 
 import math

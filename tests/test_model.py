@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dplqr.errors import ConfigError, DataError
-from dplqr.model import (Dataset, PlqrFit, fit, m_values, predict,
-                         predict_batch, residuals)
+from dplqr.model import (Dataset, PlqrFit, fit, fit_stack, m_values,
+                         predict, predict_batch, residuals)
 from dplqr.network import NetworkParams
 from dplqr.optimizer import TrainConfig
 from dplqr.quantile_loss import mean_check_loss
@@ -178,6 +178,31 @@ class TestFit:
         assert_allclose(a.theta_hat, b.theta_hat, rtol=0)
         for wa, wb in zip(a.network.layers, b.network.layers):
             assert_allclose(wa, wb, rtol=0)
+
+    def test_stacked_dnqr_fits_match_fitting_alone(self):
+        # the stack routes x into the network as fit does
+        data = _toy_data(120, seed=8)
+        configs = [TrainConfig(depth=2, width=4, epochs=15, minibatch=32,
+                               early_stop_patience=4, learning_rate=lr,
+                               mode="dnqr") for lr in (0.01, 0.05)]
+        stacked = fit_stack(data, 0.5, configs, [make_rng(1), make_rng(2)])
+        for k, config in enumerate(configs):
+            alone = fit(data, 0.5, config, make_rng(k + 1))
+            assert stacked[k].network.widths == alone.network.widths
+            assert stacked[k].theta_hat.shape == (0,)
+            for got, want in zip(stacked[k].network.layers,
+                                 alone.network.layers):
+                assert got.tobytes() == want.tobytes()
+            assert stacked[k].history == alone.history
+            assert (stacked[k].mode, stacked[k].x_dim, stacked[k].z_dim) \
+                == (alone.mode, alone.x_dim, alone.z_dim)
+
+    def test_stack_of_fits_needs_one_mode(self):
+        configs = [TrainConfig(depth=1, width=1, epochs=2, minibatch=32,
+                               mode=mode) for mode in ("dplqr", "lqr")]
+        with pytest.raises(ConfigError, match="one mode"):
+            fit_stack(_toy_data(60), 0.5, configs,
+                      [make_rng(0), make_rng(1)])
 
 
 class TestPredict:

@@ -14,8 +14,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from dplqr.errors import ConfigError, DataError, TrainingError
-from dplqr.network import (activation_buffers, backward_batch,
-                           forward_batch, init_params)
+from dplqr.network import (NetworkParams, activation_buffers,
+                           backward_batch, forward_batch, init_params)
 from dplqr.optimizer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON_HAT,
                              EarlyStopMonitor, TrainConfig, _holdout_split,
                              epoch_batches, train_joint, train_stack)
@@ -171,6 +171,40 @@ def test_backward_from_forward_buffers_matches_recomputing_path(widths):
         for g, r, ref in zip(got, recomputed, reference):
             assert_array_equal(g, r)
             assert_array_equal(g, ref)
+
+
+@pytest.mark.parametrize("widths", [(4, 1), (4, 7, 1), (0, 1),
+                                    (4, 16, 9, 1)])
+def test_stacked_passes_match_each_member_alone(widths):
+    rng = make_rng(5)
+    members = [init_params(widths, rng) for _ in range(3)]
+    stack = NetworkParams(widths, [np.stack(layers) for layers in
+                                   zip(*(m.layers for m in members))])
+    z = rng.normal(size=(3, 20, widths[0]))
+    upstream = rng.normal(size=(3, 20))
+    acts = activation_buffers(widths, 20, 3)
+    out = forward_batch(stack, z, acts)
+    grads = backward_batch(stack, z, upstream, acts)
+    for k, member in enumerate(members):
+        assert out[k].tobytes() == forward_batch(member, z[k]).tobytes()
+        alone = backward_batch(member, z[k], upstream[k])
+        for g, ref in zip(grads, alone):
+            assert g[k].tobytes() == ref.tobytes()
+
+
+def test_stacked_calls_check_their_inputs():
+    layers = init_params((3, 5, 1), make_rng(0)).layers
+    stack = NetworkParams((3, 5, 1), [np.stack([w, w]) for w in layers])
+    acts = activation_buffers(stack.widths, 4, 2)
+    with pytest.raises(DataError):  # three members' inputs for two
+        forward_batch(stack, np.ones((3, 4, 3)))
+    with pytest.raises(DataError):  # one network's rows for a stack
+        forward_batch(stack, np.ones((4, 3)))
+    with pytest.raises(DataError):  # buffers of another stack size
+        forward_batch(stack, np.ones((2, 4, 3)),
+                      activation_buffers(stack.widths, 4, 3))
+    with pytest.raises(DataError):  # one upstream weight short per member
+        backward_batch(stack, np.ones((2, 4, 3)), np.ones((2, 3)), acts)
 
 
 def test_buffered_calls_check_their_inputs():

@@ -38,8 +38,7 @@ import numpy as np
 
 from . import network as net
 from .errors import ConfigError, DataError, DplqrError, TrainingError
-from .quantile_loss import (check_loss, loss_subgrad_wrt_pred,
-                            mean_check_loss, validate_tau)
+from .quantile_loss import check_loss, mean_check_loss, validate_tau
 from .rng import shuffled_indices, split
 
 ADAM_BETA1 = 0.9
@@ -296,8 +295,9 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     n_tr = tr_idx.shape[1]
     minibatch = min(minibatch, n_tr)
 
-    shapes = [(x.shape[1],)] + [w.shape for w in inits[0]]
-    flat = np.array([np.concatenate([np.zeros(x.shape[1])]
+    p = x.shape[1]
+    shapes = [(p,)] + [w.shape for w in inits[0]]
+    flat = np.array([np.concatenate([np.zeros(p)]
                                     + [w.ravel() for w in layers])
                      for layers in inits])
     flat_grad = np.empty_like(flat)
@@ -371,14 +371,21 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
         for start in range(0, n_tr, minibatch):
             stop = start + minibatch
             xb, zb = x_ord[:, start:stop], z_ord[:, start:stop]
-            resid = (y_ord[:, start:stop] - (xb @ theta)[..., 0]
-                     - net.forward_batch(params, zb, acts))
+            size = xb.shape[1]
+            resid = y_ord[:, start:stop]
+            if p:  # with no linear part x @ theta is +0.0, a no-op to subtract
+                resid = resid - (xb @ theta)[..., 0]
+            resid = resid - net.forward_batch(params, zb, acts)
             if tau is not None:
-                upstream = loss_subgrad_wrt_pred(resid, tau) / xb.shape[1]
+                # loss_subgrad_wrt_pred(resid, tau) / size, bit for bit:
+                # it takes one of two values
+                upstream = np.where(resid < 0.0, (1.0 - tau) / size,
+                                    -tau / size)
             else:
-                upstream = -2.0 * resid / xb.shape[1]
-            np.matmul(xb.swapaxes(-1, -2), upstream[..., None],
-                      out=grad_theta)
+                upstream = -2.0 * resid / size
+            if p:
+                np.matmul(xb.swapaxes(-1, -2), upstream[..., None],
+                          out=grad_theta)
             net.backward_batch(params, zb, upstream, acts, grad_layers)
             try:
                 adam_step(state, flat, flat_grad, lr)

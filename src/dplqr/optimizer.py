@@ -60,8 +60,8 @@ class TrainConfig:
     is capped at the training-split size at fit time. `mode` is "dplqr"
     (linear part plus network), "lqr" (all affine: it trains one affine
     layer whatever its depth and width) or "dnqr" (no linear part; all
-    covariates enter the network). `train_joint` checks the config and
-    builds the network that `width_chain` names.
+    covariates enter the network). The training kernel, `train_stack`,
+    checks the config and builds the network that `width_chain` names.
     """
 
     depth: int = 3
@@ -242,11 +242,11 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     Returns
     -------
     A list with one entry per member: the (theta, params, history) that
-    `train_joint` returns for that member's target, config and rng, bit
-    for bit, or the TrainingError that stopped that member.
+    training it alone (`train_joint`) gives for its target, config and
+    rng, bit for bit, or the TrainingError that stopped that member.
 
-    Each member draws its split, its init and one permutation per epoch
-    it trains from its own rng, in the order `train_joint` draws them.
+    Each member draws from its own rng its split, its init and then one
+    permutation per epoch it trains, as it does trained alone.
     Every member's theta and layers are views into one (K, P) flat
     vector and its gradients are written into views of one (K, P)
     gradient, so one in-place `adam_step` call, with a (K, 1) learning

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, SingularMatrixError,
-                     TrainingError)
+from .errors import ConfigError, DataError, SingularMatrixError
 from .model import residuals as model_residuals
 from .network import forward_batch
-from .optimizer import train_joint, train_stack
+from .optimizer import train_ahead, train_joint
 from .rng import split
 
 
@@ -71,19 +70,18 @@ def fit_projections(data, config, rngs):
     """`fit_projection` of every X_k on Z, k < p, with rng k, trained
     together as one stack.
 
-    Returns the p fitted NetworkParams, each bit for bit the one
-    `fit_projection(data, k, config, rngs[k])` returns. When projections
-    fail to train, the TrainingError of the lowest-index one is raised,
-    as fitting them in order would raise it.
+    The stack trains ahead (`optimizer.train_ahead`), and then
+    `fit_projection(data, k, config, rngs[k])` hands each out in order,
+    so each of the p returned NetworkParams is bit for bit the one it
+    returns alone, and when projections fail to train, the
+    TrainingError of the lowest-index one is raised.
     """
     if data.q < 1:
         raise DataError("projection fits need at least one z column")
-    results = train_stack(data.x.T, np.zeros((data.n, 0)), data.z,
-                          [config] * data.p, rngs, tau=None)
-    for result in results:
-        if isinstance(result, TrainingError):
-            raise result
-    return [params for _, params, _ in results]
+    with train_ahead(data.x.T, np.zeros((data.n, 0)), data.z,
+                     [config] * data.p, rngs, tau=None):
+        return [fit_projection(data, k, config, rng)
+                for k, rng in enumerate(rngs)]
 
 
 def sym_inverse(m):

@@ -11,7 +11,8 @@ model is linear in (x, z); "dnqr" has no linear part and routes every
 covariate into the network. `optimizer._layout` and
 `TrainConfig.width_chain` alone decide both rules, and
 `optimizer.train_stack`, which every fit runs (`fit` as the stack of one,
-`fit_stack` for tuning candidates trained together), checks the config.
+`fit_stack` for tuning candidates trained together, each then handed out
+through `fit`), checks the config.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, TrainingError
 from .network import NetworkParams, forward_batch
-from .optimizer import TrainHistory, _layout, train_joint, train_stack
+from .optimizer import TrainHistory, _layout, train_ahead, train_joint
 from .quantile_loss import validate_tau
 
 
@@ -134,9 +135,10 @@ def fit_stack(data, tau, configs, rngs):
 
     The configs must share their mode, the network they train on `data`
     and their minibatch (`optimizer.train_stack` checks the last two).
-    Each entry of the returned list is, bit for bit, what
-    `fit(data, tau, config, rng)` returns, or the TrainingError it
-    raises; the other members train on unchanged.
+    The stack trains ahead (`optimizer.train_ahead`), and then `fit` on
+    each pair hands its member out, so each entry of the returned list
+    is, bit for bit, what `fit(data, tau, config, rng)` returns, or the
+    TrainingError it raises; the other members train on unchanged.
     """
     modes = {config.mode for config in configs}
     if len(modes) != 1:
@@ -146,12 +148,12 @@ def fit_stack(data, tau, configs, rngs):
     tau, x, z = _training_inputs(data, tau, mode)
     ys = np.broadcast_to(data.y, (len(configs), data.n))
     fits = []
-    for result in train_stack(ys, x, z, configs, rngs, tau=tau):
-        if not isinstance(result, TrainingError):
-            theta, params, history = result
-            result = PlqrFit(theta, params, tau, history, mode,
-                             x_dim=data.p, z_dim=data.q)
-        fits.append(result)
+    with train_ahead(ys, x, z, configs, rngs, tau=tau):
+        for config, rng in zip(configs, rngs):
+            try:
+                fits.append(fit(data, tau, config, rng))
+            except TrainingError as exc:
+                fits.append(exc)
     return fits
 
 

@@ -17,7 +17,9 @@ What stacks follows from what fits share. `tune` trains the candidates
 it keeps as one stack per mode, network and minibatch (one stack of two
 in the scenario grids), and `inference.covariance` trains its p
 projections as one stack; `model.fit` and `train_joint` are the stack of
-one. Each member's outputs are byte for byte those of training it alone:
+one. A stack trains ahead (`train_ahead`) and then hands each member out
+to the `train_joint` call that would train it alone, so every fit still
+passes through `model.fit` or `inference.fit_projection`. Each member's outputs are byte for byte those of training it alone:
 every product is a stacked `np.matmul`, which runs per member the BLAS
 call a lone network runs, losses are reduced along each member's own
 row, and Adam is elementwise (`tests/test_train_exact.py` pins this).
@@ -32,6 +34,7 @@ together yet.
 import math
 import numbers
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -420,6 +423,51 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     return results
 
 
+# What `train_ahead` trained and `train_joint` has not handed out yet:
+# id(rng) -> (y, x, z, config, rng, rng state, tau, result) of one member.
+_ahead = {}
+
+
+@contextmanager
+def train_ahead(ys, x, z, configs, rngs, tau=None):
+    """Train the members as one `train_stack` now; inside the block,
+    `train_joint` hands each out instead of training it again.
+
+    `train_joint(ys[k], x, z, configs[k], rngs[k], tau)` in the block
+    returns member k's (theta, params, history), or raises its
+    TrainingError, once. The stack drew from rngs[k] what training the
+    member alone draws, so the call returns, and leaves the rng as,
+    training alone would. A call that differs from the member in config,
+    tau or data, or whose rng has been drawn from since, trains as
+    usual. Members not handed out are dropped when the block ends.
+    """
+    results = train_stack(ys, x, z, configs, rngs, tau)
+    keys = [id(rng) for rng in rngs]
+    for key, y, config, rng, result in zip(keys, ys, configs, rngs, results):
+        _ahead[key] = (y, x, z, config, rng, rng.bit_generator.state, tau,
+                       result)
+    try:
+        yield
+    finally:
+        for key in keys:
+            _ahead.pop(key, None)
+
+
+def _trained_ahead(y, x, z, config, rng, tau):
+    """The result `train_ahead` holds for this call, or None."""
+    member = _ahead.get(id(rng))
+    if member is None:
+        return None
+    m_y, m_x, m_z, m_config, m_rng, m_state, m_tau, result = member
+    if (m_rng is not rng or m_config != config or m_tau != tau
+            or rng.bit_generator.state != m_state
+            or not np.array_equal(m_y, y) or not np.array_equal(m_x, x)
+            or not np.array_equal(m_z, z)):
+        return None
+    del _ahead[id(rng)]
+    return result
+
+
 def train_joint(y, x, z, config, rng, tau=None):
     """Minibatch-Adam fit of y ~ x @ theta + net(z): `train_stack` with
     one member.
@@ -441,12 +489,16 @@ def train_joint(y, x, z, config, rng, tau=None):
     NetworkParams, and history a TrainHistory. The returned
     parameters are the ones current when training halted; the monitor
     only decides when to halt and which epoch was best on validation.
-    A non-finite gradient or loss raises TrainingError.
+    A non-finite gradient or loss raises TrainingError. Inside a
+    `train_ahead` block, a member that block trained is handed out
+    instead of trained again.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise DataError(f"y must be 1-d, got shape {y.shape}")
-    (result,) = train_stack(y[None], x, z, [config], [rng], tau)
+    result = _trained_ahead(y, x, z, config, rng, tau)
+    if result is None:
+        (result,) = train_stack(y[None], x, z, [config], [rng], tau)
     if isinstance(result, TrainingError):
         raise result
     return result

@@ -197,17 +197,9 @@ class TestFitCommand:
                 trained.append(result[1].widths)
                 return result
             return train
-
-        def counted_stack(original):
-            def train(*args, **kwargs):
-                results = original(*args, **kwargs)
-                trained.extend(result[1].widths for result in results)
-                return results
-            return train
-        monkeypatch.setattr(model, "train_joint", counted(model.train_joint))
         for module in (model, inference):
-            monkeypatch.setattr(module, "train_stack",
-                                counted_stack(module.train_stack))
+            monkeypatch.setattr(module, "train_joint",
+                                counted(module.train_joint))
         args = ["fit", "--data", train_csv, "--y", "y", "--epochs", "5",
                 "--out", str(tmp_path / "model.json")] + roles
         assert main(args) == 0

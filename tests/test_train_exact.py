@@ -6,19 +6,22 @@ pass a second time, and Adam updates theta and each layer as separate
 arrays. train_joint, which reuses activation buffers and updates one
 flat parameter vector in place, must reproduce it bit for bit. A stack
 of members trained by train_stack must in turn give each member, bit for
-bit, what train_joint gives it alone.
+bit, what train_joint gives it alone, and train_joint inside train_ahead
+must hand each member out as if it trained it.
 """
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from dplqr import optimizer
 from dplqr.errors import ConfigError, DataError, TrainingError
 from dplqr.network import (NetworkParams, activation_buffers,
                            backward_batch, forward_batch, init_params)
 from dplqr.optimizer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON_HAT,
                              EarlyStopMonitor, TrainConfig, _holdout_split,
-                             epoch_batches, train_joint, train_stack)
+                             epoch_batches, train_ahead, train_joint,
+                             train_stack)
 from dplqr.quantile_loss import loss_subgrad_wrt_pred, mean_check_loss
 from dplqr.rng import make_rng
 
@@ -294,3 +297,51 @@ def test_failing_members_leave_the_others_unchanged():
         else:
             _assert_same_bytes(stacked[k],
                                train_joint(ys[k], x, z, config, make_rng(k)))
+
+
+def test_trained_ahead_members_are_handed_out_once(monkeypatch):
+    # inside the block, train_joint on a member returns what training it
+    # alone returns; a second call, a call after the block, a call with
+    # another config and a call on an rng drawn from since all train anew
+    # from where the rng stands, as they would after training alone
+    y, x, z = _problem(80, 2, 3, seed=11)
+    ys = np.stack([y, y])
+    configs = [TrainConfig(depth=2, width=4, epochs=6, minibatch=16,
+                           early_stop_patience=6, learning_rate=lr)
+               for lr in (0.01, 0.03)]
+
+    def alone(*runs):
+        rng, results = make_rng(runs[0][1]), []
+        for config, _ in runs:
+            results.append(train_joint(y, x, z, config, rng, 0.5))
+        return results
+
+    rngs = [make_rng(1), make_rng(2)]
+    with train_ahead(ys, x, z, configs, rngs, 0.5):
+        stacks = []
+
+        def counted(ys, *args):
+            stacks.append(len(ys))
+            return train_stack(ys, *args)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "train_stack", counted)
+            first = train_joint(y, x, z, configs[0], rngs[0], 0.5)
+            assert stacks == []
+            again = train_joint(y, x, z, configs[0], rngs[0], 0.5)
+            assert stacks == [1]
+    after = train_joint(y, x, z, configs[1], rngs[1], 0.5)
+    want = alone((configs[0], 1), (configs[0], 1))
+    _assert_same_bytes(first, want[0])
+    _assert_same_bytes(again, want[1])
+    _assert_same_bytes(after, alone((configs[1], 2), (configs[1], 2))[1])
+
+    rngs = [make_rng(1), make_rng(2)]
+    with train_ahead(ys, x, z, configs, rngs, 0.5):
+        other = train_joint(y, x, z, configs[1], rngs[0], 0.5)
+        rngs[1].integers(2)
+        drawn = train_joint(y, x, z, configs[1], rngs[1], 0.5)
+    _assert_same_bytes(other, alone((configs[0], 1), (configs[1], 1))[1])
+    rng = make_rng(2)
+    train_joint(y, x, z, configs[1], rng, 0.5)
+    rng.integers(2)
+    _assert_same_bytes(drawn, train_joint(y, x, z, configs[1], rng, 0.5))

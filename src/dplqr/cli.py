@@ -49,10 +49,15 @@ def _category(exc):
     return "internal"
 
 
-def _columns(text):
+def _columns(text, flag):
+    """The comma-separated names given to --flag; none when it is unset or
+    blank, and an empty name among others is a ConfigError."""
     if text is None or text.strip() == "":
         return []
-    return [c.strip() for c in text.split(",")]
+    names = [c.strip() for c in text.split(",")]
+    if "" in names:
+        raise ConfigError(f"--{flag} has an empty name: {text!r}")
+    return names
 
 
 def _floats(text):
@@ -170,7 +175,8 @@ def _fit_setup(args, out_required):
     for name in ("out",) * out_required + ("data", "y"):
         if getattr(args, name) is None:
             raise ConfigError(f"--{name} is required")
-    roles = ColumnRoles(args.y, _columns(args.x), _columns(args.z))
+    roles = ColumnRoles(args.y, _columns(args.x, "x"),
+                        _columns(args.z, "z"))
     names = [roles.y] + roles.x + roles.z
     repeated = sorted({c for c in names if names.count(c) > 1})
     if repeated:
@@ -196,7 +202,7 @@ def cmd_fit(args):
     save_model(args.out, fitted, roles, scaling)
     if args.report:
         report = _jsonable({
-            "schema_version": 2, "command": "fit",
+            "schema_version": 3, "command": "fit",
             "n": data.n, "p": data.p, "q": data.q,
             "tau": args.tau, "mode": fitted.mode, "seed": args.seed,
             "level": level, "scaled": args.scale,
@@ -240,7 +246,7 @@ def cmd_simulate(args):
         raise ConfigError("--out-dir is required")
     spec = DgpSpec(case=args.case, n=args.n, tau=args.tau,
                    sigma_x_terms=args.sigma_x_terms)
-    methods = _columns(args.methods)
+    methods = _columns(args.methods, "methods")
     grid = scenario_grid(spec.case, spec.n)
     if any(getattr(args, flag) is not None for flag in _GRID_FIELDS):
         grid = _build_grid(args, grid[0])

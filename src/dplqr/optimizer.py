@@ -11,7 +11,10 @@ layer in the same step. The members share the rows x and z, the network
 and the minibatch; each has its own target, learning rate, patience,
 epochs and rng. An internal 80/20 train/validation split of each member
 drives its epoch-level early stopping; the parameters in effect when a
-member halts are the ones returned for it.
+member halts are the ones returned for it. An epoch runs the network once
+per step and once over the validation rows: its training loss is the
+running mean of the losses its steps already computed, so no pass goes
+over the training rows again.
 
 What stacks follows from what fits share. `tune` trains the candidates
 it keeps as one stack per mode, network and minibatch (one stack of two
@@ -112,7 +115,14 @@ def _layout(mode, x_dim, z_dim):
 
 @dataclass
 class TrainHistory:
-    """Per-epoch loss traces; epochs are 1-indexed in best/stopped fields."""
+    """Per-epoch loss traces; epochs are 1-indexed in best/stopped fields.
+
+    train_loss[e] is the running training loss of epoch e: the sum, over
+    its minibatch steps in order, of each step's per-row losses on the
+    residuals it computed before its update, divided by the number of
+    training rows. val_loss[e] is the mean loss on the validation rows
+    after the epoch; early stopping reads it alone.
+    """
 
     train_loss: list
     val_loss: list
@@ -255,12 +265,17 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     gradient, so one in-place `adam_step` call, with a (K, 1) learning
     rate, updates them all; Adam is elementwise, so this gives the same
     bits as one update per array. One set of activation buffers
-    (`network.activation_buffers`) serves every pass: a step's forward
-    pass leaves its layer inputs there for its backward pass, and the
-    epoch evaluations reuse them. A member leaves the stack when it
-    halts, keeping the parameters of its halt and drawing nothing more;
-    a member whose gradient or loss turns non-finite fails alone, and
-    the others go on unchanged.
+    (`network.activation_buffers`, sized for a minibatch or the
+    validation rows, whichever is more) serves every pass: a step's
+    forward pass leaves its layer inputs there for its backward pass,
+    and the epoch's validation pass reuses them. Each step also adds its
+    members' losses on the residuals it computed, row by row along each
+    member's own row, to the running training loss (`TrainHistory`);
+    no pass goes over the training rows at the end of an epoch. A member
+    leaves the stack when it halts, keeping the parameters of its halt
+    and drawing nothing more; a member whose gradient turns non-finite,
+    or whose running training loss or validation loss is not finite at
+    the end of an epoch, fails alone, and the others go on unchanged.
     """
     ys = np.asarray(ys, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -306,7 +321,8 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     flat_grad = np.empty_like(flat)
     state = init_adam(flat)
     lr = np.array([[c.learning_rate] for c in configs])
-    acts = net.activation_buffers(widths, n_tr, len(configs))
+    acts = net.activation_buffers(widths, max(minibatch, val_idx.shape[1]),
+                                  len(configs))
     monitors = [EarlyStopMonitor(c.early_stop_patience) for c in configs]
     traces = [([], []) for _ in configs]
     results = [None] * len(configs)
@@ -371,6 +387,7 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
         order = np.array([shuffled_indices(rngs[m], n_tr) for m in members])
         order += offsets
         y_ord, x_ord, z_ord = (np.take(a, order, axis=0) for a in rows_of)
+        tr_sum = np.zeros(len(members))
         for start in range(0, n_tr, minibatch):
             stop = start + minibatch
             xb, zb = x_ord[:, start:stop], z_ord[:, start:stop]
@@ -380,11 +397,13 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
                 resid = resid - (xb @ theta)[..., 0]
             resid = resid - net.forward_batch(params, zb, acts)
             if tau is not None:
-                # loss_subgrad_wrt_pred(resid, tau) / size, bit for bit:
-                # it takes one of two values
-                upstream = np.where(resid < 0.0, (1.0 - tau) / size,
-                                    -tau / size)
+                # check_loss(resid, tau) and, from the same weights,
+                # loss_subgrad_wrt_pred(resid, tau) / size, bit for bit
+                weight = tau - (resid < 0.0)
+                tr_sum += (resid * weight).sum(axis=-1)
+                upstream = weight / -size
             else:
+                tr_sum += (resid ** 2).sum(axis=-1)
                 upstream = -2.0 * resid / size
             if p:
                 np.matmul(xb.swapaxes(-1, -2), upstream[..., None],
@@ -398,14 +417,15 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
                               np.flatnonzero(~finite)}, exc)
                 if not members:
                     break
-                y_ord, x_ord, z_ord = (a[keep] for a in (y_ord, x_ord, z_ord))
+                y_ord, x_ord, z_ord, tr_sum = (
+                    a[keep] for a in (y_ord, x_ord, z_ord, tr_sum))
                 adam_step(state, flat, flat_grad, lr)
         if not members:
             break
 
         failed, halted = set(), set()
         for member, tr_loss, val_loss in zip(
-                members, loss_on(*train).tolist(), loss_on(*val).tolist()):
+                members, (tr_sum / n_tr).tolist(), loss_on(*val).tolist()):
             if not (math.isfinite(tr_loss) and math.isfinite(val_loss)):
                 failed.add(member)
                 continue
@@ -486,12 +506,13 @@ def train_joint(y, x, z, config, rng, tau=None):
     Returns
     -------
     (theta, params, history) with theta shape (p,), params a
-    NetworkParams, and history a TrainHistory. The returned
-    parameters are the ones current when training halted; the monitor
-    only decides when to halt and which epoch was best on validation.
-    A non-finite gradient or loss raises TrainingError. Inside a
-    `train_ahead` block, a member that block trained is handed out
-    instead of trained again.
+    NetworkParams, and history a TrainHistory, whose train_loss is the
+    running loss of each epoch's steps. The returned parameters are the
+    ones current when training halted; the monitor only decides when to
+    halt and which epoch was best on validation. A non-finite gradient,
+    or a non-finite training or validation loss at the end of an epoch,
+    raises TrainingError. Inside a `train_ahead` block, a member that
+    block trained is handed out instead of trained again.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:

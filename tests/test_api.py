@@ -1,18 +1,22 @@
 """The top-level API covers every name the README and the demos import,
 every submodule name the README gives exists, the README's Layout block
-lists the package's modules, and the quick demos run."""
+lists the package's modules, the report versions it states are the ones
+written, and the quick demos run."""
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dplqr
+from dplqr.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,6 +73,34 @@ def test_readme_layout_lists_every_module():
     modules = sorted(path.name for path in (ROOT / "src" / "dplqr").glob("*.py")
                      if path.name != "__init__.py")
     assert listed == modules
+
+
+def _stated_version(readme, pattern):
+    found = re.findall(pattern + r" \(schema_version (\d+)\)", readme)
+    assert len(found) == 1, f"README.md states {pattern!r} {len(found)} times"
+    return int(found[0])
+
+
+def test_readme_report_versions_are_the_written_ones(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rng = np.random.default_rng(0)
+    xz = rng.normal(size=(60, 2))
+    rows = [f"{a + b!r},{a!r},{b!r}" for a, b in xz.tolist()]
+    (tmp_path / "d.csv").write_text("y,x1,z1\n" + "\n".join(rows) + "\n")
+    short = ["--epochs", "2", "--minibatch", "16"]
+    assert main(["fit", "--data", str(tmp_path / "d.csv"), "--y", "y",
+                 "--x", "x1", "--z", "z1", "--out", str(tmp_path / "m.json"),
+                 "--report", str(tmp_path / "fit.json")] + short) == 0
+    assert main(["simulate", "--case", "1", "--n", "60", "--replicates",
+                 "1", "--no-ci", "--out-dir", str(tmp_path / "sim")]
+                + short) == 0
+    written = {name: json.loads((tmp_path / path).read_text())
+               ["schema_version"]
+               for name, path in (("fit", "fit.json"),
+                                  ("simulate", "sim/report.json"))}
+    assert written == {
+        "fit": _stated_version(readme, r"`--report` writes a JSON report"),
+        "simulate": _stated_version(readme, r"`report\.json`")}
 
 
 # simulation_study.py takes several seconds and is left out

@@ -60,8 +60,11 @@ class TestFitCommand:
         assert payload["command"] == "fit"
         assert len(payload["theta_hat"]) == 2
         assert payload["covariance"]["intervals"] is not None
-        assert payload["history"]["stopped_epoch"] >= 1
-        assert payload["schema_version"] == 2
+        history = payload["history"]
+        assert history["stopped_epoch"] >= 1
+        assert (len(history["train_loss"]) == len(history["val_loss"])
+                == history["stopped_epoch"])
+        assert payload["schema_version"] == 3
         assert payload["seed"] == 3 and payload["mode"] == "dplqr"
         assert payload["config"] == dict(depth=2, width=4, lr=0.01,
                                          epochs=40, minibatch=64,
@@ -109,6 +112,17 @@ class TestFitCommand:
         assert code != 0
         err = capsys.readouterr().err
         assert err.startswith("error:data:")
+
+    @pytest.mark.parametrize("flag, names", [
+        ("x", "x1,"), ("x", "x1,,x2"), ("z", ",z1"), ("z", "z1, ")])
+    def test_empty_column_name_is_config_error(self, flag, names, tmp_path,
+                                               capsys):
+        # rejected before the data file, which does not exist, is read
+        args = _fit_args(str(tmp_path / "missing.csv"), tmp_path)
+        args[args.index(f"--{flag}") + 1] = names
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error:config: --{flag} has an empty name")
 
     def test_bad_tau_is_config_error(self, train_csv, tmp_path, capsys):
         code = main(_fit_args(train_csv, tmp_path, tau="1.5"))
@@ -540,6 +554,17 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith(
             f"error:config: need at least one worker, got {workers}")
         assert not (tmp_path / "report.json").exists()
+
+    def test_empty_method_is_config_error(self, tmp_path, capsys,
+                                          monkeypatch):
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+        monkeypatch.setattr(experiment, "_run_replicate", no_replicate)
+        code = main(["simulate", "--no-ci", "--methods", "dplqr,",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error:config: --methods has an empty name")
 
     def test_invalid_case_is_config_error(self, tmp_path, capsys):
         code = main(["simulate", "--case", "9", "--n", "200",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dplqr import model
+from dplqr import model, network
 from dplqr.errors import ConfigError, TrainingError
 from dplqr.model import Dataset
 from dplqr.optimizer import (ADAM_EPSILON_HAT, EarlyStopMonitor, TrainConfig,
@@ -224,6 +224,26 @@ class TestTrainJoint:
         assert params.widths == (0, 1)
         assert history.stopped_epoch < 500
         assert len(history.val_loss) == history.stopped_epoch
+
+    def test_one_network_pass_per_step_and_one_per_epoch(self, monkeypatch):
+        # the training loss comes from the residuals of the epoch's own
+        # steps, so the only other pass an epoch runs is over the 30
+        # validation rows; the 120 training rows make batches of 32, 32,
+        # 32 and 24
+        y, x = _linear_toy(150, seed=6)
+        rows, forward = [], network.forward_batch
+
+        def counted(params, z_matrix, acts=None):
+            rows.append(z_matrix.shape[-2])
+            return forward(params, z_matrix, acts)
+        monkeypatch.setattr(network, "forward_batch", counted)
+        cfg = TrainConfig(depth=2, width=4, epochs=7, minibatch=32,
+                          early_stop_patience=7, learning_rate=0.01)
+        _, _, history = train_joint(y, x, np.abs(x), cfg, make_rng(0),
+                                    tau=0.5)
+        assert history.stopped_epoch == 7
+        assert len(history.train_loss) == len(history.val_loss) == 7
+        assert rows == [32, 32, 32, 24, 30] * 7
 
     def test_returns_halt_time_parameters(self):
         # drive theta for a fixed number of epochs with patience large

@@ -22,7 +22,7 @@ from dplqr.optimizer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON_HAT,
                              EarlyStopMonitor, TrainConfig, _holdout_split,
                              epoch_batches, train_ahead, train_joint,
                              train_stack)
-from dplqr.quantile_loss import loss_subgrad_wrt_pred, mean_check_loss
+from dplqr.quantile_loss import check_loss, loss_subgrad_wrt_pred
 from dplqr.rng import make_rng
 
 
@@ -82,20 +82,24 @@ def _reference_train(y, x, z, widths, config, rng, tau):
             out = out + _reference_forward(layers, zs)[1]
         return out
 
-    def loss_of(residuals):
+    def losses(residuals):
         if tau is not None:
-            return mean_check_loss(residuals, tau)
-        return float(np.mean(residuals ** 2))
+            return check_loss(residuals, tau)
+        return residuals ** 2
 
     monitor = EarlyStopMonitor(config.early_stop_patience)
     train_trace, val_trace, step = [], [], 0
     for _ in range(config.epochs):
+        # the training loss is the running one: each step's losses on the
+        # residuals it computed before its update
+        train_sum = 0.0
         for batch in epoch_batches(len(tr_idx), minibatch, rng):
             xb, yb = x_tr[batch], y_tr[batch]
             resid = yb - xb @ theta
             if layers:
                 zb = z_tr[batch]
                 resid = resid - _reference_forward(layers, zb)[1]
+            train_sum += np.sum(losses(resid))
             if tau is not None:
                 upstream = loss_subgrad_wrt_pred(resid, tau) / len(batch)
             else:
@@ -107,8 +111,9 @@ def _reference_train(y, x, z, widths, config, rng, tau):
             updated = _reference_adam(moments, step, [theta] + layers,
                                       grads, config.learning_rate)
             theta, layers = updated[0], updated[1:]
-        train_trace.append(loss_of(y_tr - predict_on(x_tr, z_tr)))
-        val_trace.append(loss_of(y_val - predict_on(x_val, z_val)))
+        train_trace.append(float(train_sum / len(tr_idx)))
+        val_resid = y_val - predict_on(x_val, z_val)
+        val_trace.append(float(np.mean(losses(val_resid))))
         if monitor.update(val_trace[-1]):
             break
     return theta, layers, train_trace, val_trace, monitor

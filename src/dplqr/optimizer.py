@@ -268,9 +268,9 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     (`network.activation_buffers`, sized for a minibatch or the
     validation rows, whichever is more) serves every pass: a step's
     forward pass leaves its layer inputs there for its backward pass,
-    and the epoch's validation pass reuses them. Each step also adds its
-    members' losses on the residuals it computed, row by row along each
-    member's own row, to the running training loss (`TrainHistory`);
+    and the epoch's validation pass reuses them. Each step also adds each
+    member's losses on the residuals it computed, summed along that
+    member's own row, to its running training loss (`TrainHistory`);
     no pass goes over the training rows at the end of an epoch. A member
     leaves the stack when it halts, keeping the parameters of its halt
     and drawing nothing more; a member whose gradient turns non-finite,

@@ -15,7 +15,6 @@ Failures exit nonzero with a single stderr line of the form
 
 import argparse
 import itertools
-import json
 import os
 import sys
 from dataclasses import replace
@@ -29,7 +28,8 @@ from .inference import covariance, validate_level
 from .model import fit as fit_model
 from .model import predict_batch
 from .modelio import (ColumnRoles, _jsonable, apply_scaling, compute_scaling,
-                      load_csv, load_model, save_model, write_json)
+                      json_text, load_csv, load_model, read_json, save_model,
+                      write_json)
 from .optimizer import MODES, TrainConfig, tune
 from .rng import make_rng, split
 
@@ -116,13 +116,7 @@ def _merge_config(args):
     """
     keys = vars(args).keys() & _OPTIONS.keys()
     if args.config:
-        if not os.path.exists(args.config):
-            raise DataError(f"no such config file: {args.config}")
-        with open(args.config, encoding="utf-8") as handle:
-            try:
-                file_config = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{args.config} is not valid JSON: {exc}")
+        file_config = read_json(args.config)
         if not isinstance(file_config, dict):
             raise DataError(f"{args.config} must hold a JSON object")
         unknown = file_config.keys() - keys
@@ -277,7 +271,7 @@ def cmd_tune(args):
     data, _, _, grid, streams = _fit_setup(args, out_required=False)
     best = tune(grid, data, args.tau, streams[0])  # the stream fit tunes on
     chosen = dict(_flag_settings(best), mode=best.mode)
-    print(json.dumps(chosen, sort_keys=True, indent=2))
+    print(json_text(chosen), end="")
     if args.out:
         write_json(args.out, chosen)
     return 0
@@ -364,7 +358,12 @@ def main(argv=None):
         return args.func(args)
     except DplqrError as exc:
         print(f"error:{_category(exc)}: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        # a file that cannot be opened, read or written; a failed write
+        # names no file
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error:data: {where}{exc.strerror}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -195,6 +195,9 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     workers > 1 runs replicates in parallel processes; aggregation
     happens in replicate order either way, so results are identical.
     """
+    for name, value in (("q", q), ("workers", workers)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if q < 1:
         raise ConfigError(f"need at least one replicate, got {q}")
     if workers < 1:

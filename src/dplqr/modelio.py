@@ -108,7 +108,7 @@ def _read_bulk(path, used):
     bare carriage return, a line longer than the csv module's field
     limit, no data rows, or a cell np.loadtxt rejects (an empty cell,
     an underscore, a non-ASCII digit, a ragged or whitespace-only row).
-    The row reader then gives the Dataset or the DataError naming the
+    The row reader then gives the table or the DataError naming the
     line and column.
     """
     try:
@@ -139,35 +139,44 @@ def _read_bulk(path, used):
     return positions, table
 
 
-def _read_rows(path, reader, used):
-    """Parsed used cells of every complete row, and the incomplete lines."""
+def _read_rows(path, used, require_y):
+    """Column positions and table of the used cells, read by csv.reader;
+    any file it cannot turn into a table raises DataError."""
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path} is empty (no header row)") from None
-    positions = _column_positions(path, header, used)
-
-    rows, missing_lines = [], []
-    for line_no, record in enumerate(reader, start=2):
-        if len(record) == 0:
-            continue
-        if len(record) != len(header):
-            raise DataError(
-                f"line {line_no}: expected {len(header)} cells,"
-                f" got {len(record)}")
-        values = {}
-        has_missing = False
-        for column in used:
-            value = _parse_cell(record[positions[column]], line_no, column)
-            if value is None:
-                has_missing = True
-            else:
-                values[column] = value
-        if has_missing:
-            missing_lines.append(line_no)
-        else:
-            rows.append(values)
-    return rows, missing_lines
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path} is empty (no header row)")
+            positions = _column_positions(path, header, used)
+            rows, missing_lines = [], []
+            for line_no, record in enumerate(reader, start=2):
+                if len(record) == 0:
+                    continue
+                if len(record) != len(header):
+                    raise DataError(
+                        f"line {line_no}: expected {len(header)} cells,"
+                        f" got {len(record)}")
+                row = [_parse_cell(record[positions[c]], line_no, c)
+                       for c in used]
+                if None in row:
+                    missing_lines.append(line_no)
+                else:
+                    rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(
+            f"{path}, line {reader.line_num}: malformed CSV: {exc}") from None
+    if missing_lines:
+        shown = ", ".join(str(l) for l in missing_lines[:20])
+        more = "" if len(missing_lines) <= 20 else ", ..."
+        raise DataError(
+            f"missing cell(s) on line(s) {shown}{more} of {path}")
+    if not rows and require_y:
+        raise DataError(f"{path} has a header but no data rows")
+    table = np.array(rows, dtype=float).reshape(len(rows), len(used))
+    return {c: k for k, c in enumerate(used)}, table
 
 
 def load_csv(path, roles, require_y=True):
@@ -179,47 +188,21 @@ def load_csv(path, roles, require_y=True):
     carries y = 0 for every row, and a header-only file gives an n=0
     Dataset; with require_y=True it raises DataError. A plain numeric file
     is parsed in bulk; any other file goes through the row reader, which
-    gives the same arrays and the same errors.
+    gives the same table and the same errors.
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
     used = ([roles.y] if require_y else []) + list(roles.x) + list(roles.z)
-    bulk = _read_bulk(path, used)
-    if bulk is not None:
-        positions, table = bulk
+    positions, table = (_read_bulk(path, used)
+                        or _read_rows(path, used, require_y))
 
-        def block(names):
-            # C order, the layout the row reader builds, so that later
-            # arithmetic runs on the same memory layout on either path
-            return np.ascontiguousarray(
-                table[:, [positions[c] for c in names]])
+    def block(names):
+        # C order whichever reader built the table, so that later
+        # arithmetic runs on the same memory layout
+        return np.ascontiguousarray(table[:, [positions[c] for c in names]])
 
-        y = block([roles.y])[:, 0] if require_y else np.zeros(len(table))
-        return Dataset(y, block(roles.x), block(roles.z))
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            rows, missing_lines = _read_rows(path, reader, used)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
-    except csv.Error as exc:
-        raise DataError(
-            f"{path}, line {reader.line_num}: malformed CSV: {exc}") from None
-
-    if missing_lines:
-        shown = ", ".join(str(l) for l in missing_lines[:20])
-        more = "" if len(missing_lines) <= 20 else ", ..."
-        raise DataError(
-            f"missing cell(s) on line(s) {shown}{more} of {path}")
-    if not rows and require_y:
-        raise DataError(f"{path} has a header but no data rows")
-
-    n = len(rows)
-    y = (np.array([r[roles.y] for r in rows])
-         if require_y else np.zeros(n))
-    x = np.array([[r[c] for c in roles.x] for r in rows]).reshape(n, len(roles.x))
-    z = np.array([[r[c] for c in roles.z] for r in rows]).reshape(n, len(roles.z))
-    return Dataset(y, x, z)
+    y = block([roles.y])[:, 0] if require_y else np.zeros(len(table))
+    return Dataset(y, block(roles.x), block(roles.z))
 
 
 def _network_to_dict(params):
@@ -367,12 +350,29 @@ def _jsonable(value):
     return value
 
 
+def json_text(payload):
+    """Deterministic JSON text: sorted keys, repr floats, newline at end."""
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
 def write_json(path, payload):
-    """Deterministic JSON dump: sorted keys, repr floats, newline at end."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2,
-                  allow_nan=False)
-        handle.write("\n")
+        handle.write(json_text(payload))
+
+
+def read_json(path):
+    """The value in a JSON file; DataError if the file is missing, is not
+    UTF-8 or is not JSON."""
+    if not os.path.exists(path):
+        raise DataError(f"no such file: {path}")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
 
 
 def save_model(path, fit, roles, scaling=None):
@@ -380,11 +380,4 @@ def save_model(path, fit, roles, scaling=None):
 
 
 def load_model(path):
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path} is not valid JSON: {exc}") from None
-    return model_from_dict(payload)
+    return model_from_dict(read_json(path))

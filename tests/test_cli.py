@@ -5,6 +5,7 @@ files can be checked without shelling out.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -387,6 +388,23 @@ class TestPredictCommand:
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_quoted_copy_predicts_the_same_bytes(self, train_csv,
+                                                 tmp_path):
+        # quotes send the copy through the row reader, the plain file
+        # through the bulk reader
+        model = self._fit_once(train_csv, tmp_path)
+        quoted = tmp_path / "quoted.csv"
+        with open(train_csv, encoding="utf-8") as src:
+            lines = src.read().splitlines()
+        quoted.write_text("".join(
+            ",".join(f'"{cell}"' for cell in line.split(",")) + "\n"
+            for line in lines), encoding="utf-8")
+        plain, twin = tmp_path / "plain.csv", tmp_path / "twin.csv"
+        for data, out in ((train_csv, plain), (quoted, twin)):
+            assert main(["predict", "--model", model, "--data", str(data),
+                         "--out", str(out)]) == 0
+        assert plain.read_bytes() == twin.read_bytes()
+
     def test_dimension_mismatch_is_data_error(self, train_csv, tmp_path,
                                               capsys):
         # a model whose roles name columns the data lacks
@@ -582,13 +600,13 @@ class TestTuneCommand:
                      "30", "--minibatch", "64", "--patience", "30",
                      "--lr", "0.001,0.02", "--out", str(out)])
         assert code == 0
-        printed = json.loads(capsys.readouterr().out)
+        stdout = capsys.readouterr().out
+        printed = json.loads(stdout)
         assert printed["lr"] in (0.001, 0.02)
         assert printed == dict(depth=2, width=4, lr=printed["lr"],
                                epochs=30, minibatch=64, patience=30,
                                mode="dplqr")
-        saved = json.loads(out.read_text())
-        assert saved == printed
+        assert out.read_bytes() == stdout.encode("utf-8")
 
     def test_single_candidate(self, train_csv, tmp_path, capsys):
         code = main(["tune", "--data", train_csv, "--y", "y", "--x",
@@ -663,3 +681,88 @@ class TestModelFileCompat:
         assert roles.y == "y"
         assert fitted.x_dim == 2 and fitted.z_dim == 2
         assert scaling is not None  # scaling is on by default
+
+
+class TestFileErrors:
+    """A file that cannot be opened, read or written, and a model or
+    config file that is not UTF-8, exit 2 with one error:data: line."""
+
+    def _error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    def _model(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(_model_payload()), encoding="utf-8")
+        return str(model)
+
+    def test_predict_out_in_missing_directory(self, train_csv, tmp_path,
+                                              capsys):
+        out = str(tmp_path / "absent" / "pred.csv")
+        err = self._error(["predict", "--model", self._model(tmp_path),
+                           "--data", train_csv, "--out", out], capsys)
+        assert err == f"error:data: {out}: No such file or directory\n"
+
+    def test_model_naming_a_directory(self, train_csv, tmp_path, capsys):
+        err = self._error(["predict", "--model", str(tmp_path), "--data",
+                           train_csv, "--out", str(tmp_path / "p.csv")],
+                          capsys)
+        assert err == f"error:data: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_data_naming_a_directory(self, command, tmp_path, capsys):
+        if command == "fit":
+            argv = _fit_args(str(tmp_path), tmp_path)
+        else:
+            argv = ["predict", "--model", self._model(tmp_path), "--data",
+                    str(tmp_path), "--out", str(tmp_path / "p.csv")]
+        err = self._error(argv, capsys)
+        assert err == f"error:data: {tmp_path}: Is a directory\n"
+
+    def test_fit_out_in_missing_directory(self, train_csv, tmp_path,
+                                          capsys):
+        out = str(tmp_path / "absent" / "model.json")
+        argv = _fit_args(train_csv, tmp_path)
+        argv[argv.index("--out") + 1] = out
+        err = self._error(argv, capsys)
+        assert err == f"error:data: {out}: No such file or directory\n"
+
+    def test_config_naming_a_directory(self, train_csv, tmp_path, capsys):
+        err = self._error(_fit_args(train_csv, tmp_path,
+                                    config=str(tmp_path)), capsys)
+        assert err == f"error:data: {tmp_path}: Is a directory\n"
+
+    def test_simulate_out_dir_naming_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        err = self._error(["simulate", "--case", "1", "--n", "100",
+                           "--replicates", "1", "--methods", "lqr",
+                           "--epochs", "2", "--patience", "2",
+                           "--minibatch", "32", "--no-ci",
+                           "--out-dir", str(taken)], capsys)
+        assert err == f"error:data: {taken}: File exists\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that is always full")
+    def test_failed_write_names_no_file(self, train_csv, tmp_path, capsys):
+        err = self._error(["predict", "--model", self._model(tmp_path),
+                           "--data", train_csv, "--out", "/dev/full"],
+                          capsys)
+        assert err == "error:data: No space left on device\n"
+
+    def test_model_not_utf8(self, train_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes('{"mode": "caf\u00e9"}'.encode("latin-1"))
+        err = self._error(["predict", "--model", str(model), "--data",
+                           train_csv, "--out", str(tmp_path / "p.csv")],
+                          capsys)
+        assert err.startswith(f"error:data: {model} is not UTF-8 text")
+
+    def test_config_not_utf8(self, train_csv, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes('{"mode": "caf\u00e9"}'.encode("latin-1"))
+        err = self._error(_fit_args(train_csv, tmp_path,
+                                    config=str(config)), capsys)
+        assert err.startswith(f"error:data: {config} is not UTF-8 text")

@@ -179,6 +179,20 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(spec, 0, grid=_FAST)
 
+    @pytest.mark.parametrize("name, value", [
+        ("q", 1.5), ("q", True), ("q", "2"), ("workers", 1.5),
+        ("workers", True), ("workers", None)])
+    def test_non_integer_counts_rejected(self, name, value, monkeypatch):
+        def no_replicate(args):
+            raise AssertionError("a replicate ran")
+        monkeypatch.setattr(experiment, "_try_replicate", no_replicate)
+        counts = {"q": 2, "workers": 1}
+        counts[name] = value
+        spec = DgpSpec(case=1, n=100, tau=0.5)
+        with pytest.raises(ConfigError,
+                           match=f"{name} must be an integer, got"):
+            run_experiment(spec, **counts, grid=_FAST, with_ci=False)
+
     def test_align_m_changes_rmse_only(self):
         spec = DgpSpec(case=1, n=200, tau=0.5)
         plain = run_experiment(spec, 2, master_seed=5, grid=_FAST,

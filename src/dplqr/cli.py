@@ -14,14 +14,14 @@ Failures exit nonzero with a single stderr line of the form
 """
 
 import argparse
+import errno
 import itertools
 import os
 import sys
 from dataclasses import replace
 
 from .dgp import DgpSpec
-from .errors import (ConfigError, DataError, DplqrError, SingularMatrixError,
-                     TrainingError)
+from .errors import ConfigError, DataError, DplqrError
 from .experiment import (report_to_csv, report_to_text, run_experiment,
                          scenario_grid)
 from .inference import covariance, validate_level
@@ -32,21 +32,6 @@ from .modelio import (ColumnRoles, _jsonable, apply_scaling, compute_scaling,
                       write_json)
 from .optimizer import MODES, TrainConfig, tune
 from .rng import make_rng, split
-
-_CATEGORIES = (
-    (ConfigError, "config"),
-    (DataError, "data"),
-    (TrainingError, "training"),
-    (SingularMatrixError, "singular"),
-    (DplqrError, "internal"),
-)
-
-
-def _category(exc):
-    for cls, name in _CATEGORIES:
-        if isinstance(exc, cls):
-            return name
-    return "internal"
 
 
 def _columns(text, flag):
@@ -60,18 +45,14 @@ def _columns(text, flag):
     return names
 
 
-def _floats(text):
+def _list(text, parse):
+    """The comma-separated values of a grid setting, each read by `parse`
+    (int or float)."""
     try:
-        return [float(v) for v in str(text).split(",")]
+        return [parse(v) for v in str(text).split(",")]
     except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _ints(text):
-    try:
-        return [int(v) for v in str(text).split(",")]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}")
+        noun = "integers" if parse is int else "numbers"
+        raise ConfigError(f"expected comma-separated {noun}, got {text!r}")
 
 
 # The JSON types a --config value may take, with how to name them; bool
@@ -83,19 +64,38 @@ _FLAG = ((bool,), "true or false")
 _INT_LIST = ((int, str), "an integer or a comma-separated string of them")
 _NUMBER_LIST = ((int, float, str),
                 "a number or a comma-separated string of them")
-# Every setting of fit, tune and simulate: (JSON kind, default). A
-# command accepts, in --config, the keys of its own flags.
+# Every setting of fit, tune and simulate: (JSON kind, default, help).
+# The kind also gives the flag: an int for _INT, a float for _NUMBER, a
+# switch for _FLAG (--no-KEY when the default is true, --KEY when it is
+# false) and text for the rest. A command accepts, in --config, the keys
+# of its own settings.
 _OPTIONS = {
-    "data": (_TEXT, None), "y": (_TEXT, None), "x": (_TEXT, ""),
-    "z": (_TEXT, ""), "tau": (_NUMBER, 0.5), "mode": (_TEXT, "dplqr"),
-    "seed": (_INT, 0), "level": (_NUMBER, 0.95), "scale": (_FLAG, True),
-    "out": (_TEXT, None), "report": (_TEXT, None), "case": (_INT, 1),
-    "n": (_INT, 500), "replicates": (_INT, 160),
-    "methods": (_TEXT, "dplqr"), "workers": (_INT, 1),
-    "sigma_x_terms": (_TEXT, "x1+x2"), "out_dir": (_TEXT, None),
-    "depth": (_INT_LIST, None), "width": (_INT_LIST, None),
-    "lr": (_NUMBER_LIST, None), "epochs": (_INT, None),
-    "minibatch": (_INT, None), "patience": (_INT, None),
+    "data": (_TEXT, None, "input CSV path"),
+    "y": (_TEXT, None, "response column name"),
+    "x": (_TEXT, "", "linear covariate columns, comma-separated"),
+    "z": (_TEXT, "", "network covariate columns, comma-separated"),
+    "tau": (_NUMBER, 0.5, "quantile level in (0, 1)"),
+    "mode": (_TEXT, "dplqr", "one of " + ", ".join(MODES)),
+    "seed": (_INT, 0, "random seed"),
+    "level": (_NUMBER, 0.95, "confidence level"),
+    "scale": (_FLAG, True, "skip min-max scaling of covariates"),
+    "out": (_TEXT, None, "model (fit) or chosen config (tune) JSON path"),
+    "report": (_TEXT, None, "report JSON output path"),
+    "case": (_INT, 1, "benchmark case, 1..6"),
+    "n": (_INT, 500, "rows per replicate"),
+    "replicates": (_INT, 160, "number of replicates"),
+    "methods": (_TEXT, "dplqr", "subset of " + ",".join(MODES)),
+    "workers": (_INT, 1, "worker processes"),
+    "sigma_x_terms": (_TEXT, "x1+x2", "x sum of cases 4-6: x1+x2 or 2x1"),
+    "out_dir": (_TEXT, None, "directory for the report files"),
+    "no_ci": (_FLAG, False, "skip confidence intervals and coverage"),
+    "align_m": (_FLAG, False, "remove the mean level gap before rmse_m"),
+    "depth": (_INT_LIST, None, "network depth(s), comma-separated"),
+    "width": (_INT_LIST, None, "hidden width(s), comma-separated"),
+    "lr": (_NUMBER_LIST, None, "learning rate(s), comma-separated"),
+    "epochs": (_INT, None, "training epochs"),
+    "minibatch": (_INT, None, "minibatch size"),
+    "patience": (_INT, None, "early-stop patience in epochs"),
 }
 
 
@@ -149,8 +149,9 @@ def _build_grid(args, base):
     axes = []
     for flag, field in _GRID_FIELDS.items():
         value = getattr(args, flag)
-        parse = _floats if flag == "lr" else _ints
-        axes.append([getattr(base, field)] if value is None else parse(value))
+        parse = float if flag == "lr" else int
+        axes.append([getattr(base, field)] if value is None
+                    else _list(value, parse))
     grid = [replace(base, **dict(zip(_GRID_FIELDS.values(), point)))
             for point in itertools.product(*axes)]
     return [config.validate() for config in grid]
@@ -162,9 +163,23 @@ def _flag_settings(config):
             for flag, field in _GRID_FIELDS.items()}
 
 
+def _check_output(path):
+    """Raise, without opening `path`, the OSError that opening it for
+    writing would raise when its directory is missing or it is itself a
+    directory."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or os.curdir):
+        code = errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _fit_setup(args, out_required):
-    """The shared start of fit and tune: merge --config, check the flags,
-    build the grid and the tune, fit and covariance rngs, load the data."""
+    """The shared start of fit and tune: merge --config, check the flags
+    and output paths, build the grid and the tune, fit and covariance
+    rngs, load the data."""
     _merge_config(args)
     for name in ("out",) * out_required + ("data", "y"):
         if getattr(args, name) is None:
@@ -177,6 +192,9 @@ def _fit_setup(args, out_required):
         raise ConfigError(f"column(s) {repeated} given more than one role")
     grid = _build_grid(args, TrainConfig(mode=args.mode))
     streams = split(make_rng(args.seed), 3)
+    for path in (args.out, getattr(args, "report", None)):
+        if path:
+            _check_output(path)
     raw = load_csv(args.data, roles)
     scaling = compute_scaling(raw) if args.scale else None
     return apply_scaling(raw, scaling), roles, scaling, grid, streams
@@ -245,12 +263,12 @@ def cmd_simulate(args):
     if any(getattr(args, flag) is not None for flag in _GRID_FIELDS):
         grid = _build_grid(args, grid[0])
 
+    os.makedirs(args.out_dir, exist_ok=True)
     report = run_experiment(
         spec, args.replicates, methods, args.seed, grid=grid,
         with_ci=not args.no_ci, level=args.level, align_m=args.align_m,
         workers=args.workers)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     report_to_csv(report, os.path.join(args.out_dir, "report.csv"))
     text = report_to_text(report)
     with open(os.path.join(args.out_dir, "report.txt"), "w",
@@ -277,28 +295,20 @@ def cmd_tune(args):
     return 0
 
 
-def _add_grid_flags(sub):
-    sub.add_argument("--depth", help="network depth(s), comma-separated")
-    sub.add_argument("--width", help="hidden width(s), comma-separated")
-    sub.add_argument("--lr", help="learning rate(s), comma-separated")
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--minibatch", type=int)
-    sub.add_argument("--patience", type=int,
-                     help="early-stop patience in epochs")
-
-
-def _add_fit_like_flags(sub):
-    sub.add_argument("--data", help="input CSV path")
-    sub.add_argument("--y", help="response column name")
-    sub.add_argument("--x", help="linear covariate columns, comma-separated")
-    sub.add_argument("--z", help="network covariate columns, comma-separated")
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--mode", choices=MODES)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--no-scale", dest="scale", action="store_false",
-                     default=None, help="skip min-max scaling of covariates")
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    _add_grid_flags(sub)
+_FIT_KEYS = ("data", "y", "x", "z", "tau", "mode", "seed", "scale")
+# Each command: (handler, help, settings). A command with settings also
+# takes the grid settings and --config; predict takes its three paths.
+_COMMANDS = {
+    "fit": (cmd_fit, "train a model on a CSV file",
+            _FIT_KEYS + ("level", "out", "report")),
+    "predict": (cmd_predict, "apply a saved model to a CSV file", None),
+    "simulate": (cmd_simulate, "run a replicated benchmark experiment",
+                 ("case", "n", "tau", "replicates", "methods", "seed",
+                  "level", "workers", "out_dir", "no_ci", "align_m",
+                  "sigma_x_terms")),
+    "tune": (cmd_tune, "hold-out selection over a hyperparameter grid",
+             _FIT_KEYS + ("out",)),
+}
 
 
 def build_parser():
@@ -307,48 +317,24 @@ def build_parser():
         description="Partially linear quantile regression with network"
                     " nonparametric components.")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    fit_cmd = commands.add_parser("fit", help="train a model on a CSV file")
-    _add_fit_like_flags(fit_cmd)
-    fit_cmd.add_argument("--level", type=float, help="confidence level")
-    fit_cmd.add_argument("--out", help="model JSON output path")
-    fit_cmd.add_argument("--report", help="report JSON output path")
-    fit_cmd.set_defaults(func=cmd_fit)
-
-    predict_cmd = commands.add_parser(
-        "predict", help="apply a saved model to a CSV file")
-    predict_cmd.add_argument("--model", required=True)
-    predict_cmd.add_argument("--data", required=True)
-    predict_cmd.add_argument("--out", required=True)
-    predict_cmd.set_defaults(func=cmd_predict)
-
-    sim_cmd = commands.add_parser(
-        "simulate", help="run a replicated benchmark experiment")
-    sim_cmd.add_argument("--case", type=int)
-    sim_cmd.add_argument("--n", type=int)
-    sim_cmd.add_argument("--tau", type=float)
-    sim_cmd.add_argument("--replicates", type=int)
-    sim_cmd.add_argument("--methods",
-                         help="comma-separated subset of " + ",".join(MODES))
-    sim_cmd.add_argument("--seed", type=int)
-    sim_cmd.add_argument("--level", type=float)
-    sim_cmd.add_argument("--workers", type=int)
-    sim_cmd.add_argument("--out-dir", dest="out_dir")
-    sim_cmd.add_argument("--no-ci", action="store_true",
-                         help="skip confidence intervals and coverage")
-    sim_cmd.add_argument("--align-m", action="store_true",
-                         help="remove the mean level gap before rmse_m")
-    sim_cmd.add_argument("--sigma-x-terms", dest="sigma_x_terms",
-                         choices=("x1+x2", "2x1"))
-    sim_cmd.add_argument("--config", help="JSON config file; flags override")
-    _add_grid_flags(sim_cmd)
-    sim_cmd.set_defaults(func=cmd_simulate)
-
-    tune_cmd = commands.add_parser(
-        "tune", help="hold-out selection over a hyperparameter grid")
-    _add_fit_like_flags(tune_cmd)
-    tune_cmd.add_argument("--out", help="write the winner as a --config file")
-    tune_cmd.set_defaults(func=cmd_tune)
+    for name, (func, help_text, keys) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        sub.set_defaults(func=func)
+        if keys is None:
+            for path in ("model", "data", "out"):
+                sub.add_argument(f"--{path}", required=True)
+            continue
+        for key in keys + tuple(_GRID_FIELDS):
+            kind, default, key_help = _OPTIONS[key]
+            flag = key.replace("_", "-")
+            if kind is _FLAG:
+                flag = "no-" + flag if default else flag
+                how = {"action": "store_false" if default else "store_true"}
+            else:
+                how = {"type": {_INT: int, _NUMBER: float}.get(kind, str)}
+            sub.add_argument(f"--{flag}", dest=key, default=None,
+                             help=key_help, **how)
+        sub.add_argument("--config", help="JSON config file; flags win")
     return parser
 
 
@@ -357,7 +343,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except DplqrError as exc:
-        print(f"error:{_category(exc)}: {exc}", file=sys.stderr)
+        print(f"error:{exc.category}: {exc}", file=sys.stderr)
     except OSError as exc:
         # a file that cannot be opened, read or written; a failed write
         # names no file

@@ -12,7 +12,10 @@ import pytest
 
 from dplqr import cli
 from dplqr import experiment
+from dplqr import optimizer
 from dplqr.cli import _OPTIONS, build_parser, main
+from dplqr.errors import (ConfigError, DataError, DplqrError,
+                          SingularMatrixError, TrainingError)
 from dplqr.model import Dataset
 from dplqr.modelio import (ColumnRoles, apply_scaling, compute_scaling,
                            load_csv, load_model, save_model)
@@ -171,10 +174,23 @@ class TestFitCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:data:")
 
-    def test_missing_file_is_data_error(self, tmp_path, capsys):
-        code = main(_fit_args(str(tmp_path / "absent.csv"), tmp_path))
+    def test_missing_file_is_data_error(self, tmp_path, capsys,
+                                        monkeypatch):
+        args = _fit_args(str(tmp_path / "absent.csv"), tmp_path)
+        code = main(args)
         assert code != 0
         assert capsys.readouterr().err.startswith("error:data:")
+        # every error class carries the category its error line names
+        for cls, category in [(ConfigError, "config"), (DataError, "data"),
+                              (TrainingError, "training"),
+                              (SingularMatrixError, "singular"),
+                              (DplqrError, "internal")]:
+            def fail(*args, error=cls("boom"), **kwargs):
+                raise error
+            monkeypatch.setattr(cli, "load_csv", fail)
+            assert cls.category == category
+            assert main(args) == 2
+            assert capsys.readouterr().err == f"error:{category}: boom\n"
 
     @pytest.mark.parametrize("roles", [
         ["--x", "x1,x1", "--z", "z1"],
@@ -322,10 +338,31 @@ class TestConfigValueTypes:
                    "scale": False, "level": 0.9, "seed": 1}
         assert self._run(tmp_path, "fit", payload, train_csv) == 0
 
+    @pytest.mark.parametrize("flag, value", [
+        ("mode", "bogus"), ("sigma_x_terms", "bogus")])
+    def test_bad_choice_is_the_config_file_error(self, flag, value,
+                                                 train_csv, tmp_path,
+                                                 capsys):
+        # a value no choice matches fails as it does from --config: one
+        # error:config: line, before anything is read or written
+        command = "fit" if flag == "mode" else "simulate"
+        code = self._run(tmp_path, command, {flag: value}, train_csv)
+        from_config = capsys.readouterr().err
+        if command == "fit":
+            argv = _fit_args(train_csv, tmp_path, **{flag: value})
+        else:
+            argv = ["simulate", "--sigma-x-terms", value,
+                    "--out-dir", str(tmp_path / "sim")]
+        assert main(argv) == code == 2
+        err = capsys.readouterr().err
+        assert err == from_config and err.count("\n") == 1
+        assert err.startswith(f"error:config: {flag} must be one of")
+        assert not (tmp_path / "model.json").exists()
+        assert not (tmp_path / "sim").exists()
+
     def test_every_setting_flag_has_one_declaration(self):
-        # the flags that are not settings: the config file itself and
-        # simulate's two switches, which --config does not set
-        not_settings = {"command", "func", "config", "no_ci", "align_m"}
+        # the one flag that is not a setting is the config file itself
+        not_settings = {"command", "func", "config"}
         dests = set()
         for command in ("fit", "tune", "simulate"):
             dests |= vars(build_parser().parse_args([command])).keys()
@@ -584,6 +621,23 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith(
             "error:config: --methods has an empty name")
 
+    def test_switches_from_config_file(self, tmp_path):
+        # --config's no_ci and align_m write what --no-ci --align-m write
+        argv = ["simulate", "--case", "4", "--n", "100", "--replicates", "2",
+                "--methods", "dplqr,lqr", "--seed", "5", "--epochs", "5",
+                "--minibatch", "32", "--patience", "5"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"no_ci": True, "align_m": True}),
+                          encoding="utf-8")
+        flags, keys = tmp_path / "flags", tmp_path / "keys"
+        assert main(argv + ["--no-ci", "--align-m",
+                            "--out-dir", str(flags)]) == 0
+        assert main(argv + ["--config", str(config),
+                            "--out-dir", str(keys)]) == 0
+        assert (flags / "report.json").read_bytes() == \
+            (keys / "report.json").read_bytes()
+        assert json.loads((keys / "report.json").read_text())["align_m"]
+
     def test_invalid_case_is_config_error(self, tmp_path, capsys):
         code = main(["simulate", "--case", "9", "--n", "200",
                      "--replicates", "1", "--out-dir", str(tmp_path)])
@@ -721,27 +775,57 @@ class TestFileErrors:
         err = self._error(argv, capsys)
         assert err == f"error:data: {tmp_path}: Is a directory\n"
 
-    def test_fit_out_in_missing_directory(self, train_csv, tmp_path,
-                                          capsys):
-        out = str(tmp_path / "absent" / "model.json")
-        argv = _fit_args(train_csv, tmp_path)
-        argv[argv.index("--out") + 1] = out
+    def _no_training(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a network was trained")
+        monkeypatch.setattr(optimizer, "train_stack", no_training)
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", "--out"), ("fit", "--report"), ("tune", "--out")],
+        ids=["fit-out", "fit-report", "tune-out"])
+    def test_fit_out_in_missing_directory(self, command, flag, train_csv,
+                                          tmp_path, capsys, monkeypatch):
+        # output paths are checked before the data is read: nothing
+        # trains, not even tune's two candidates, and no file is written
+        self._no_training(monkeypatch)
+        out = str(tmp_path / "absent" / "out.json")
+        argv = [command] + _fit_args(train_csv, tmp_path, lr="0.01,0.02")[1:]
+        argv += [flag, out]  # the last --out wins
         err = self._error(argv, capsys)
         assert err == f"error:data: {out}: No such file or directory\n"
+        assert not (tmp_path / "model.json").exists()
+
+    def test_fit_report_naming_a_directory(self, train_csv, tmp_path,
+                                           capsys, monkeypatch):
+        self._no_training(monkeypatch)
+        err = self._error(_fit_args(train_csv, tmp_path,
+                                    report=str(tmp_path)), capsys)
+        assert err == f"error:data: {tmp_path}: Is a directory\n"
+        assert not (tmp_path / "model.json").exists()
 
     def test_config_naming_a_directory(self, train_csv, tmp_path, capsys):
         err = self._error(_fit_args(train_csv, tmp_path,
                                     config=str(tmp_path)), capsys)
         assert err == f"error:data: {tmp_path}: Is a directory\n"
 
-    def test_simulate_out_dir_naming_a_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_simulate_out_dir_naming_a_file(self, given, tmp_path, capsys,
+                                            monkeypatch):
+        # the directory is made before the replicates run, so none trains
+        self._no_training(monkeypatch)
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
-        err = self._error(["simulate", "--case", "1", "--n", "100",
-                           "--replicates", "1", "--methods", "lqr",
-                           "--epochs", "2", "--patience", "2",
-                           "--minibatch", "32", "--no-ci",
-                           "--out-dir", str(taken)], capsys)
+        argv = ["simulate", "--case", "1", "--n", "100", "--replicates",
+                "1", "--methods", "lqr", "--epochs", "2", "--patience", "2",
+                "--minibatch", "32", "--no-ci"]
+        if given == "flag":
+            argv += ["--out-dir", str(taken)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"out_dir": str(taken)}),
+                              encoding="utf-8")
+            argv += ["--config", str(config)]
+        err = self._error(argv, capsys)
         assert err == f"error:data: {taken}: File exists\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),

@@ -307,8 +307,9 @@ def test_failing_members_leave_the_others_unchanged():
 def test_trained_ahead_members_are_handed_out_once(monkeypatch):
     # inside the block, train_joint on a member returns what training it
     # alone returns; a second call, a call after the block, a call with
-    # another config and a call on an rng drawn from since all train anew
-    # from where the rng stands, as they would after training alone
+    # another config, y or tau and a call on an rng drawn from since all
+    # train anew from where the rng stands, as they would after training
+    # alone
     y, x, z = _problem(80, 2, 3, seed=11)
     ys = np.stack([y, y])
     configs = [TrainConfig(depth=2, width=4, epochs=6, minibatch=16,
@@ -340,13 +341,22 @@ def test_trained_ahead_members_are_handed_out_once(monkeypatch):
     _assert_same_bytes(again, want[1])
     _assert_same_bytes(after, alone((configs[1], 2), (configs[1], 2))[1])
 
-    rngs = [make_rng(1), make_rng(2)]
-    with train_ahead(ys, x, z, configs, rngs, 0.5):
+    rngs = [make_rng(seed) for seed in (1, 2, 3, 4)]
+    with train_ahead(np.stack([y] * 4), x, z, configs * 2, rngs, 0.5):
         other = train_joint(y, x, z, configs[1], rngs[0], 0.5)
         rngs[1].integers(2)
         drawn = train_joint(y, x, z, configs[1], rngs[1], 0.5)
+        shifted = train_joint(y + 1.0, x, z, configs[0], rngs[2], 0.5)
+        other_tau = train_joint(y, x, z, configs[1], rngs[3], 0.3)
     _assert_same_bytes(other, alone((configs[0], 1), (configs[1], 1))[1])
     rng = make_rng(2)
     train_joint(y, x, z, configs[1], rng, 0.5)
     rng.integers(2)
     _assert_same_bytes(drawn, train_joint(y, x, z, configs[1], rng, 0.5))
+    rng = make_rng(3)
+    train_joint(y, x, z, configs[0], rng, 0.5)
+    _assert_same_bytes(shifted,
+                       train_joint(y + 1.0, x, z, configs[0], rng, 0.5))
+    rng = make_rng(4)
+    train_joint(y, x, z, configs[1], rng, 0.5)
+    _assert_same_bytes(other_tau, train_joint(y, x, z, configs[1], rng, 0.3))

@@ -22,8 +22,8 @@ from dataclasses import replace
 
 from .dgp import DgpSpec
 from .errors import ConfigError, DataError, DplqrError
-from .experiment import (report_to_csv, report_to_text, run_experiment,
-                         scenario_grid)
+from .experiment import (check_settings, report_to_csv, report_to_text,
+                         run_experiment, scenario_grid)
 from .inference import covariance, validate_level
 from .model import fit as fit_model
 from .model import predict_batch
@@ -263,6 +263,8 @@ def cmd_simulate(args):
     if any(getattr(args, flag) is not None for flag in _GRID_FIELDS):
         grid = _build_grid(args, grid[0])
 
+    check_settings(spec, args.replicates, methods, grid, args.level,
+                   args.workers)
     os.makedirs(args.out_dir, exist_ok=True)
     report = run_experiment(
         spec, args.replicates, methods, args.seed, grid=grid,

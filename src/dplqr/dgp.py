@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .model import Dataset
+from .normal import ndtr
 from .quantile_loss import validate_tau
 from .rng import std_normal
 
@@ -71,8 +72,6 @@ def sample_copula(n, dim, rho, rng):
     diagonal, rho off it), sampled through its Cholesky factor; each
     coordinate is then mapped through 2 * Phi(.).
     """
-    from scipy.special import ndtr
-
     if dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
     low = -1.0 / (dim - 1) if dim > 1 else -1.0
@@ -152,8 +151,6 @@ def _x_sum(x, reading):
 
 def _m_star(case, zz):
     """z part of the scale function for cases 4-6 (matrix input)."""
-    from scipy.special import ndtr
-
     if case == 4:
         return zz.sum(axis=1) / 5.0
     if case == 5:
@@ -169,8 +166,6 @@ def _theta_star(case, reading):
 
 def sigma1_case(case, x, z, sigma_x_terms="x1+x2"):
     """Scale function of cases 4-6; vectorized over rows."""
-    from scipy.special import ndtr
-
     if case not in (4, 5, 6):
         raise ConfigError(f"sigma1_case covers cases 4-6, got {case}")
     if sigma_x_terms not in X_SUM_READINGS:

@@ -19,16 +19,16 @@ order, so adding or dropping a method never perturbs the others.
 
 import csv
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dgp import generate, mspe, rmse_m, true_m, true_theta
+from .dgp import THETA, Z_DIM, generate, mspe, rmse_m, true_m, true_theta
 from .errors import ConfigError, DplqrError, TrainingError
 from .inference import covariance, validate_level
 from .model import fit, m_values, predict_batch
-from .optimizer import MODES, TrainConfig, _holdout_split, tune
+from .optimizer import (MODES, TrainConfig, _holdout_split, _split_rows,
+                        tune, tuning_plan)
 from .rng import child_rng, split
 
 # selected hyperparameters per (base case, sample size); cases 4-6 share
@@ -183,17 +183,13 @@ def _summarize(method, rows, theta_star):
                          len(rows))
 
 
-def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
-                   grid=None, with_ci=True, level=0.95, align_m=False,
-                   workers=1):
-    """Run q replicates of `spec` and aggregate per-method metrics.
-
-    grid defaults to scenario_grid(spec.case, spec.n); pass a list of
-    TrainConfig to override (a single-entry list skips tuning). Replicates
-    that fail to train are dropped with a warning; more than 10% failures
-    aborts. A ConfigError from any replicate is raised as it is.
-    workers > 1 runs replicates in parallel processes; aggregation
-    happens in replicate order either way, so results are identical.
+def check_settings(spec, q, methods, grid, level, workers):
+    """The settings of `run_experiment`, checked before any replicate
+    runs: the replicate and worker counts, the methods, the level and
+    the grid (None for the scenario's own), whose candidates each
+    method tunes on the 80% of spec.n rows a replicate trains on. Any
+    error is the ConfigError a replicate would raise. Returns the
+    methods in run order, the grid as a list and the level as a float.
     """
     for name, value in (("q", q), ("workers", workers)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -209,11 +205,35 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     if grid is None:
         grid = scenario_grid(spec.case, spec.n)
     grid = list(grid)
+    n_train = _split_rows(spec.n)
+    for method in methods:
+        candidates = [replace(c, mode=method) for c in grid]
+        if tuning_plan(candidates, n_train, len(THETA), Z_DIM) is None:
+            candidates[0].validate(n=n_train)  # tune returns it; fit checks
+    return methods, grid, level
 
+
+def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
+                   grid=None, with_ci=True, level=0.95, align_m=False,
+                   workers=1):
+    """Run q replicates of `spec` and aggregate per-method metrics.
+
+    grid defaults to scenario_grid(spec.case, spec.n); pass a list of
+    TrainConfig to override (a single-entry list skips tuning). Replicates
+    that fail to train are dropped with a warning; more than 10% failures
+    aborts. `check_settings` checks the settings first; a ConfigError
+    from any replicate is raised as it is.
+    workers > 1 runs replicates in parallel processes; aggregation
+    happens in replicate order either way, so results are identical.
+    """
+    methods, grid, level = check_settings(spec, q, methods, grid, level,
+                                          workers)
     args = [(spec, r, methods, master_seed, grid, with_ci, level, align_m)
             for r in range(q)]
     rows, failures = [], 0
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_try_replicate, args))
     else:

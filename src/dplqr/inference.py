@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, DataError, SingularMatrixError
 from .model import residuals as model_residuals
 from .network import forward_batch
+from .normal import ndtri
 from .optimizer import train_ahead, train_joint
 from .rng import split
 
@@ -87,12 +88,11 @@ def fit_projections(data, config, rngs):
 def sym_inverse(m):
     """Inverse of a small symmetric positive definite matrix.
 
-    Uses a Cholesky factorization, so a matrix that is not positive
-    definite raises SingularMatrixError instead of returning garbage.
-    The result is symmetrized to remove round-off asymmetry.
+    Uses a Cholesky factorization m = L L', so a matrix that is not
+    positive definite raises SingularMatrixError instead of returning
+    garbage, and returns inv(L)' inv(L), symmetrized to remove round-off
+    asymmetry.
     """
-    from scipy.linalg import cho_solve
-
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DataError(f"sym_inverse needs a square matrix, got {m.shape}")
@@ -105,7 +105,8 @@ def sym_inverse(m):
             "matrix is not positive definite (Cholesky found a"
             " non-positive pivot)"
         ) from exc
-    inv = cho_solve((chol, True), np.eye(m.shape[0]))
+    root = np.linalg.inv(chol)
+    inv = root.T @ root
     return (inv + inv.T) / 2.0
 
 
@@ -129,8 +130,6 @@ def validate_level(level):
 
 def confidence_intervals(theta_hat, sigma_hat, n, level):
     """Wald intervals theta_k +/- z_{(1+level)/2} * sqrt(Sigma_kk / n)."""
-    from scipy.special import ndtri
-
     level = validate_level(level)
     theta_hat = np.asarray(theta_hat, dtype=float)
     sigma_hat = np.asarray(sigma_hat, dtype=float)

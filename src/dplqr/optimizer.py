@@ -216,13 +216,19 @@ class EarlyStopMonitor:
         return self.epochs_since_best >= self.patience
 
 
-def _holdout_split(n, rng):
-    """Shuffled split holding out max(1, int(n * VAL_SHARE)) rows."""
+def _split_rows(n):
+    """Rows a hold-out split of n rows trains on: all but
+    max(1, int(n * VAL_SHARE))."""
     if n < 2:
         raise DataError(f"need at least 2 rows to hold out a split, got {n}")
-    n_val = max(1, int(n * VAL_SHARE))
+    return n - max(1, int(n * VAL_SHARE))
+
+
+def _holdout_split(n, rng):
+    """Shuffled split holding out max(1, int(n * VAL_SHARE)) rows."""
+    n_tr = _split_rows(n)
     perm = shuffled_indices(rng, n)
-    return perm[:n - n_val], perm[n - n_val:]
+    return perm[:n_tr], perm[n_tr:]
 
 
 def _unflatten(flat, shapes):
@@ -525,6 +531,41 @@ def train_joint(y, x, z, config, rng, tau=None):
     return result
 
 
+def tuning_plan(grid, n, p, q):
+    """What `tune` trains for `grid` on n rows of p linear and q network
+    covariates, checked before anything trains.
+
+    An empty grid or a bad candidate raises ConfigError, and so does a
+    minibatch beyond the rows that train each candidate when the grid
+    holds more than one distinct candidate. Returns None for a grid of
+    one distinct candidate, which tune returns as it is; otherwise
+    (first, stacks), the grid position of each distinct candidate and
+    the positions of each group that trains as one stack.
+    """
+    if not grid:
+        raise ConfigError("tuning grid is empty")
+    for candidate in grid:
+        candidate.validate()
+    first = {}  # what a candidate trains -> its first grid position
+    stacks = {}  # what stacked candidates share -> their grid positions
+    for k, c in enumerate(grid):
+        widths = c.width_chain(_layout(c.mode, p, q)[1])
+        key = (widths, c.learning_rate, c.epochs, c.minibatch,
+               c.early_stop_patience)
+        if key not in first:
+            first[key] = k
+            stacks.setdefault((c.mode, widths, c.minibatch), []).append(k)
+    if len(first) == 1:
+        return None
+    n_tr = _split_rows(n)
+    for candidate in grid:
+        if candidate.minibatch > n_tr:
+            raise ConfigError(
+                f"minibatch {candidate.minibatch} exceeds the tuning split:"
+                f" {n_tr} of {n} rows train each candidate")
+    return first, stacks
+
+
 def tune(grid, data, tau, rng):
     """Pick the best TrainConfig from a grid by hold-out check loss.
 
@@ -537,9 +578,9 @@ def tune(grid, data, tau, rng):
     with the same lr, epochs, minibatch and patience. The kept
     candidates that share their mode, network and minibatch train
     together as one `model.fit_stack`, which gives each the fit it
-    would get alone. A bad
-    tau, or a candidate whose minibatch exceeds the 80% split, raises
-    ConfigError before any candidate is fitted. A candidate's ConfigError
+    would get alone. A bad tau, or a grid that `tuning_plan` rejects
+    (such as a minibatch beyond the 80% split), raises ConfigError
+    before any candidate is fitted. A candidate's ConfigError
     is raised; candidates that fail to train are skipped with a warning,
     and if all fail, a TrainingError is raised. A grid of one distinct
     candidate is returned as-is without consuming the rng.
@@ -547,29 +588,13 @@ def tune(grid, data, tau, rng):
     from .model import fit_stack, residuals
 
     grid = list(grid)
-    if not grid:
-        raise ConfigError("tuning grid is empty")
-    for candidate in grid:
-        candidate.validate()
     tau = validate_tau(tau)
-    first = {}  # what a candidate trains -> its first grid position
-    stacks = {}  # what stacked candidates share -> their grid positions
-    for k, c in enumerate(grid):
-        widths = c.width_chain(_layout(c.mode, data.p, data.q)[1])
-        key = (widths, c.learning_rate, c.epochs, c.minibatch,
-               c.early_stop_patience)
-        if key not in first:
-            first[key] = k
-            stacks.setdefault((c.mode, widths, c.minibatch), []).append(k)
-    if len(first) == 1:
+    plan = tuning_plan(grid, data.n, data.p, data.q)
+    if plan is None:
         return grid[0]
+    first, stacks = plan
 
     tr_idx, val_idx = _holdout_split(data.n, rng)
-    for candidate in grid:
-        if candidate.minibatch > len(tr_idx):
-            raise ConfigError(
-                f"minibatch {candidate.minibatch} exceeds the tuning split:"
-                f" {len(tr_idx)} of {data.n} rows train each candidate")
     train_data = data.subset(tr_idx)
     val_data = data.subset(val_idx)
     children = split(rng, len(grid))

@@ -8,14 +8,16 @@ Independent substreams come from seed sequences: replicate ``i`` of master
 seed ``s`` uses ``SeedSequence(s, spawn_key=(i,))``, which produces streams
 that do not collide in practice and are stable across platforms.
 
-Normal variates are produced by inverse-CDF transform of uniforms (the
-rational approximation behind scipy's ``ndtri``), so each draw consumes a
-fixed number of uniforms and never branches on a rejection step.
+Normal variates are produced by inverse-CDF transform of uniforms with
+the package's own Cephes ``ndtri`` (`normal.ndtri`, bit-identical to
+scipy's), so each draw consumes a fixed number of uniforms and never
+branches on a rejection step.
 """
 
 import numpy as np
 
 from .errors import ConfigError
+from .normal import ndtri
 
 # smallest uniform fed to the inverse normal CDF; rng.random() already
 # excludes 0 but clamping keeps the transform's domain explicit
@@ -52,8 +54,6 @@ def split(rng, n):
 
 def std_normal(rng, size=None):
     """Standard normal draws via the inverse CDF; scalar when size is None."""
-    from scipy.special import ndtri
-
     u = np.maximum(rng.random(size), _MIN_UNIFORM)
     out = ndtri(u)
     return float(out) if size is None else out

@@ -828,6 +828,30 @@ class TestFileErrors:
         err = self._error(argv, capsys)
         assert err == f"error:data: {taken}: File exists\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--level", "1.5"], "level must be in (0, 1), got 1.5"),
+        (["--workers", "0"], "need at least one worker, got 0"),
+        (["--replicates", "0"], "need at least one replicate, got 0"),
+        (["--methods", "bogus"], "unknown method 'bogus'; choose from"
+                                 " ('dplqr', 'lqr', 'dnqr')"),
+        (["--minibatch", "70", "--lr", "0.01,0.02"],
+         "minibatch 70 exceeds the tuning split: 64 of 80 rows train each"
+         " candidate"),
+        (["--minibatch", "90"], "minibatch 90 exceeds sample size 80")],
+        ids=["level", "workers", "replicates", "methods", "minibatch",
+             "untuned-minibatch"])
+    def test_simulate_settings_checked_before_out_dir(
+            self, flags, message, tmp_path, capsys, monkeypatch):
+        # n=100: each replicate trains on 80 rows and tunes on 64 of them;
+        # a grid of one candidate is not tuned
+        self._no_training(monkeypatch)
+        out_dir = tmp_path / "new"
+        argv = ["simulate", "--case", "1", "--n", "100", "--replicates",
+                "1", "--epochs", "3", "--no-ci", "--out-dir", str(out_dir)]
+        err = self._error(argv + flags, capsys)
+        assert err == f"error:config: {message}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs a device that is always full")
     def test_failed_write_names_no_file(self, train_csv, tmp_path, capsys):

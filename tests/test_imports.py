@@ -1,6 +1,7 @@
 """The package's module-level imports form no cycle, one function alone
-imports a package module when it is called, and importing the package or
-its CLI loads no scipy module.
+imports a package module when it is called, importing the package or its
+CLI loads neither scipy nor the process pool, and running it loads no
+scipy module.
 
 For the cycle check only statements at the top of a module count
 (`from .x import ...` and `from . import x`); an import inside a function
@@ -108,24 +109,71 @@ def test_only_tune_imports_inside_a_function():
         ("optimizer", "tune", "from .model import fit_stack, residuals")]
 
 
-# `predict` calls nothing from scipy, so neither import may load it; the
-# functions that need scipy import it when they are called.
-_SCIPY_PROBE = """
+def _probe(code, tmp_path=None):
+    """stdout of `code` run in a fresh interpreter that imports the
+    package from the source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=300, check=True)
+    return proc.stdout.strip()
+
+
+# The package runs on numpy alone, and only `simulate --workers` with
+# more than one worker starts a process pool, so importing the package
+# or its CLI (all that `predict` needs) loads neither.
+_IMPORT_PROBE = """
 import sys
 import {module}
 import dplqr
 missing = [name for name in dplqr.__all__ if not hasattr(dplqr, name)]
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(missing, scipy)
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("scipy", "multiprocessing")
+                or m == "concurrent.futures.process")
+print(missing, loaded)
 """
 
 
 @pytest.mark.parametrize("module", ["dplqr", "dplqr.cli"])
 def test_import_loads_no_scipy(module):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE.format(module=module)],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[] []"
+    assert _probe(_IMPORT_PROBE.format(module=module)) == "[] []"
+
+
+# Every path that draws normals, evaluates the normal CDF or its inverse,
+# or inverts a covariance: the benchmark designs, a fit with intervals, a
+# replicated study with intervals and the CLI's fit.
+_RUN_PROBE = """
+import sys
+import numpy as np
+from dplqr import (DgpSpec, TrainConfig, covariance, fit, generate,
+                   make_rng, run_experiment)
+from dplqr.cli import main
+
+for case in (1, 3, 6):
+    data = generate(DgpSpec(case=case, n=120), make_rng(case + 40))
+cfg = TrainConfig(depth=2, width=4, epochs=5, minibatch=32,
+                  early_stop_patience=5)
+fitted = fit(data, 0.5, cfg, make_rng(43))
+estimate = covariance(fitted, data, cfg, make_rng(44))
+assert np.all(np.isfinite(estimate.intervals))
+report = run_experiment(DgpSpec(case=4, n=100), 1, grid=[cfg],
+                        master_seed=45, with_ci=True)
+assert report.methods["dplqr"].coverage is not None
+rows = ["y,x1,z1,z2"] + [f"{(i * 7) % 11 / 3},{i % 3},{i % 5 / 4},{i % 7 / 6}"
+                         for i in range(60)]
+with open("train.csv", "w") as handle:
+    handle.write("\\n".join(rows) + "\\n")
+code = main(["fit", "--data", "train.csv", "--y", "y", "--x", "x1",
+             "--z", "z1,z2", "--depth", "2", "--width", "4", "--epochs",
+             "5", "--minibatch", "16", "--patience", "5", "--out",
+             "model.json"])
+assert code == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_running_loads_no_scipy(tmp_path):
+    out = _probe(_RUN_PROBE, tmp_path)
+    assert out.splitlines()[-1] == "[]", out

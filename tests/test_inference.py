@@ -17,6 +17,7 @@ from dplqr.optimizer import TrainConfig, train_joint
 from dplqr.rng import make_rng, split
 
 Z_975 = 1.959963984540054
+SYM_INVERSE_SEED = 3030
 
 
 class TestKdeAtZero:
@@ -89,6 +90,19 @@ class TestSymInverse:
             m = a.T @ a + 0.1 * np.eye(p)
             err = np.max(np.abs(m @ sym_inverse(m) - np.eye(p)))
             assert err < 1e-8, f"p={p}: inverse error {err}"
+
+    def test_matches_a_cholesky_solve(self):
+        # the inverse scipy's cho_solve gives, up to round-off
+        from scipy.linalg import cho_solve
+
+        rng = np.random.default_rng(SYM_INVERSE_SEED)
+        for p in range(1, 6):
+            for _ in range(40):
+                a = rng.normal(size=(p + 3, p))
+                m = a.T @ a + 0.1 * np.eye(p)
+                want = cho_solve((np.linalg.cholesky(m), True), np.eye(p))
+                err = np.max(np.abs(sym_inverse(m) - want))
+                assert err <= 1e-14 * np.max(np.abs(want)), f"p={p}"
 
     def test_result_symmetric(self):
         rng = np.random.default_rng(3)

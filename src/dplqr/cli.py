@@ -31,6 +31,7 @@ from .modelio import (ColumnRoles, _jsonable, apply_scaling, compute_scaling,
                       json_text, load_csv, load_model, read_json, save_model,
                       write_json)
 from .optimizer import MODES, TrainConfig, tune
+from .quantile_loss import validate_tau
 from .rng import make_rng, split
 
 
@@ -143,8 +144,9 @@ _GRID_FIELDS = {"depth": "depth", "width": "width", "lr": "learning_rate",
 def _build_grid(args, base):
     """One config per point of the depth x width x lr cross product.
 
-    Each grid flag left unset takes its value from `base`, and every
-    entry keeps base.mode.
+    Each grid flag left unset takes its value from `base`. Every entry
+    takes --mode where the command has it (fit and tune) and base.mode
+    otherwise. The first bad entry raises its ConfigError as it is made.
     """
     axes = []
     for flag, field in _GRID_FIELDS.items():
@@ -152,9 +154,10 @@ def _build_grid(args, base):
         parse = float if flag == "lr" else int
         axes.append([getattr(base, field)] if value is None
                     else _list(value, parse))
-    grid = [replace(base, **dict(zip(_GRID_FIELDS.values(), point)))
+    mode = getattr(args, "mode", base.mode)
+    return [replace(base, mode=mode,
+                    **dict(zip(_GRID_FIELDS.values(), point)))
             for point in itertools.product(*axes)]
-    return [config.validate() for config in grid]
 
 
 def _flag_settings(config):
@@ -177,9 +180,9 @@ def _check_output(path):
 
 
 def _fit_setup(args, out_required):
-    """The shared start of fit and tune: merge --config, check the flags
-    and output paths, build the grid and the tune, fit and covariance
-    rngs, load the data."""
+    """The shared start of fit and tune: merge --config, check the flags,
+    build the grid and the tune, fit and covariance rngs, check the
+    output paths, fit's --level and --tau, and only then load the data."""
     _merge_config(args)
     for name in ("out",) * out_required + ("data", "y"):
         if getattr(args, name) is None:
@@ -190,11 +193,14 @@ def _fit_setup(args, out_required):
     repeated = sorted({c for c in names if names.count(c) > 1})
     if repeated:
         raise ConfigError(f"column(s) {repeated} given more than one role")
-    grid = _build_grid(args, TrainConfig(mode=args.mode))
+    grid = _build_grid(args, TrainConfig())
     streams = split(make_rng(args.seed), 3)
     for path in (args.out, getattr(args, "report", None)):
         if path:
             _check_output(path)
+    if "level" in vars(args):  # fit's; tune has none
+        args.level = validate_level(args.level)
+    validate_tau(args.tau)
     raw = load_csv(args.data, roles)
     scaling = compute_scaling(raw) if args.scale else None
     return apply_scaling(raw, scaling), roles, scaling, grid, streams
@@ -202,14 +208,14 @@ def _fit_setup(args, out_required):
 
 def cmd_fit(args):
     data, roles, scaling, grid, streams = _fit_setup(args, out_required=True)
-    level = validate_level(args.level)
     tune_rng, fit_rng, cov_rng = streams
     best = tune(grid, data, args.tau, tune_rng)
     fitted = fit_model(data, args.tau, best, fit_rng)
 
     estimate = None
     if fitted.mode != "dnqr" and data.p >= 1 and data.q >= 1:
-        estimate = covariance(fitted, data, best, cov_rng, level=level)
+        estimate = covariance(fitted, data, best, cov_rng,
+                              level=args.level)
 
     save_model(args.out, fitted, roles, scaling)
     if args.report:
@@ -217,7 +223,7 @@ def cmd_fit(args):
             "schema_version": 3, "command": "fit",
             "n": data.n, "p": data.p, "q": data.q,
             "tau": args.tau, "mode": fitted.mode, "seed": args.seed,
-            "level": level, "scaled": args.scale,
+            "level": args.level, "scaled": args.scale,
             "columns": roles, "config": _flag_settings(best),
             "widths": fitted.network.widths, "grid_size": len(grid),
             "theta_hat": fitted.theta_hat, "covariance": estimate,
@@ -241,6 +247,7 @@ def cmd_fit(args):
 
 
 def cmd_predict(args):
+    _check_output(args.out)
     fitted, roles, scaling = load_model(args.model)
     data = load_csv(args.data, roles, require_y=False)
     data = apply_scaling(data, scaling)

@@ -27,8 +27,8 @@ from .dgp import THETA, Z_DIM, generate, mspe, rmse_m, true_m, true_theta
 from .errors import ConfigError, DplqrError, TrainingError
 from .inference import covariance, validate_level
 from .model import fit, m_values, predict_batch
-from .optimizer import (MODES, TrainConfig, _holdout_split, _split_rows,
-                        tune, tuning_plan)
+from .optimizer import (MODES, TrainConfig, _check_minibatch,
+                        _holdout_split, _split_rows, tune, tuning_plan)
 from .rng import child_rng, split
 
 # selected hyperparameters per (base case, sample size); cases 4-6 share
@@ -187,9 +187,12 @@ def check_settings(spec, q, methods, grid, level, workers):
     """The settings of `run_experiment`, checked before any replicate
     runs: the replicate and worker counts, the methods, the level and
     the grid (None for the scenario's own), whose candidates each
-    method tunes on the 80% of spec.n rows a replicate trains on. Any
-    error is the ConfigError a replicate would raise. Returns the
-    methods in run order, the grid as a list and the level as a float.
+    method tunes on the 80% of spec.n rows a replicate trains on: each
+    checked its fields when it was made, `tuning_plan` checks the grid,
+    and the minibatch of a lone candidate, which `tune` returns
+    unchecked, is checked as its fit would. Any error is the ConfigError
+    a replicate would raise. Returns the methods in run order, the grid
+    as a list and the level as a float.
     """
     for name, value in (("q", q), ("workers", workers)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -209,7 +212,7 @@ def check_settings(spec, q, methods, grid, level, workers):
     for method in methods:
         candidates = [replace(c, mode=method) for c in grid]
         if tuning_plan(candidates, n_train, len(THETA), Z_DIM) is None:
-            candidates[0].validate(n=n_train)  # tune returns it; fit checks
+            _check_minibatch(candidates[0], n_train)
     return methods, grid, level
 
 

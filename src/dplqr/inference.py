@@ -54,7 +54,8 @@ def fit_projection(data, k, config, rng):
     """Least-squares network regression of X_k on Z.
 
     Reuses the main fit's architecture and Adam machinery with squared
-    error instead of check loss; `train_joint` checks `config`. Returns
+    error instead of check loss; `train_joint` checks the minibatch of
+    `config`, which checked its other fields when it was made. Returns
     the fitted NetworkParams; its predictions (forward_batch) estimate
     E(X_k | Z).
     """
@@ -150,8 +151,9 @@ def covariance(fit, data, config, rng, level=0.95):
     Omega^{-1} / f0_hat^2. The rng is split once per coefficient so
     projection fits have independent, reproducible streams; they train
     together as one stack (`fit_projections`). The projections train on
-    `config`, which the kernel checks as it does for a fit: a bad config
-    raises ConfigError.
+    `config`, which checked its fields when it was made; the kernel
+    checks its minibatch against the rows as it does for a fit, and one
+    beyond them raises ConfigError.
     """
     if fit.mode == "dnqr":
         raise ConfigError("dnqr fits have no linear coefficients to cover")

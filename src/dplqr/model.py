@@ -9,10 +9,11 @@ empirical check loss. Two degenerate modes reuse the same machinery:
 "lqr" trains one affine layer whatever depth its config names, so the
 model is linear in (x, z); "dnqr" has no linear part and routes every
 covariate into the network. `optimizer._layout` and
-`TrainConfig.width_chain` alone decide both rules, and
-`optimizer.train_stack`, which every fit runs (`fit` as the stack of one,
-`fit_stack` for tuning candidates trained together, each then handed out
-through `fit`), checks the config.
+`TrainConfig.width_chain` alone decide both rules. A TrainConfig checks
+its fields when it is made, and `optimizer.train_stack`, which every fit
+runs (`fit` as the stack of one, `fit_stack` for tuning candidates
+trained together, each then handed out through `fit`), checks its
+minibatch against the rows.
 """
 
 from dataclasses import dataclass
@@ -121,7 +122,8 @@ def fit(data, tau, config, rng):
     `early_stop_patience` epochs without a new minimum, and the
     parameters in effect at the halt are returned. `rng` (a numpy
     Generator, say `make_rng(seed)`) draws the split, the init and the
-    batch order, so the same rng state gives the same fit. A bad config
+    batch order, so the same rng state gives the same fit. The config
+    checked its fields when it was made; a minibatch beyond the rows
     raises ConfigError before the rng is drawn from.
     """
     tau, x, z = _training_inputs(data, tau, config.mode)

@@ -29,7 +29,7 @@ row, and Adam is elementwise (`tests/test_train_exact.py` pins this).
 A step costs per-call numpy overhead more than arithmetic, and a stack
 shares that overhead: a scenario grid's pair of tuning candidates trains
 in about 0.7 of the time of training the two one by one on case 1's
-small networks, and in about 0.8 on case 3's wider ones (ROADMAP item 5
+small networks, and in about 0.8 on case 3's wider ones (ROADMAP item 4
 has the measurements). Fits of different replicates are not stacked
 together yet.
 """
@@ -66,8 +66,11 @@ class TrainConfig:
     is capped at the training-split size at fit time. `mode` is "dplqr"
     (linear part plus network), "lqr" (all affine: it trains one affine
     layer whatever its depth and width) or "dnqr" (no linear part; all
-    covariates enter the network). The training kernel, `train_stack`,
-    checks the config and builds the network that `width_chain` names.
+    covariates enter the network). A config checks its fields when it is
+    made, so `TrainConfig(...)` and `dataclasses.replace` raise
+    ConfigError for a bad one. The training kernel, `train_stack`, checks
+    the one rule that needs the data, a minibatch within the rows, and
+    builds the network that `width_chain` names.
     """
 
     depth: int = 3
@@ -78,7 +81,7 @@ class TrainConfig:
     learning_rate: float = 0.01
     mode: str = "dplqr"
 
-    def validate(self, n=None):
+    def __post_init__(self):
         for name in ("depth", "width", "epochs", "minibatch",
                      "early_stop_patience"):
             value = getattr(self, name)
@@ -93,16 +96,19 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ConfigError(
                 f"mode must be one of {MODES}, got {self.mode!r}")
-        if n is not None and self.minibatch > n:
-            raise ConfigError(
-                f"minibatch {self.minibatch} exceeds sample size {n}")
-        return self
 
     def width_chain(self, n_in):
         """The width chain this config trains on n_in network inputs: one
         affine layer in lqr mode or with no inputs (the intercept alone)."""
         depth = 1 if self.mode == "lqr" or n_in == 0 else self.depth
         return (n_in,) + (self.width,) * (depth - 1) + (1,)
+
+
+def _check_minibatch(config, n):
+    """A config's minibatch must not exceed the n rows it trains on."""
+    if config.minibatch > n:
+        raise ConfigError(
+            f"minibatch {config.minibatch} exceeds sample size {n}")
 
 
 def _layout(mode, x_dim, z_dim):
@@ -121,7 +127,10 @@ class TrainHistory:
     its minibatch steps in order, of each step's per-row losses on the
     residuals it computed before its update, divided by the number of
     training rows. val_loss[e] is the mean loss on the validation rows
-    after the epoch; early stopping reads it alone.
+    after the epoch; early stopping reads it alone. While a member trains
+    its history is its early-stop state (`_record_epoch`): best_epoch is
+    the epoch of the lowest validation loss so far, the earliest on a
+    tie, and stopped_epoch the last epoch recorded.
     """
 
     train_loss: list
@@ -188,32 +197,22 @@ def epoch_batches(n, minibatch, rng):
     return [perm[i:i + minibatch] for i in range(0, n, minibatch)]
 
 
-class EarlyStopMonitor:
-    """Stops training after `patience` epochs without strict improvement.
+def _record_epoch(history, train_loss, val_loss, config):
+    """Add one epoch's finite losses to a member's history; True means the
+    member halts.
 
-    A NaN validation loss counts as no improvement. best_epoch is the
-    1-indexed epoch of the best loss seen so far.
+    The first epoch is best, and so is each later one whose validation
+    loss is strictly below the best one's. The member halts once
+    `early_stop_patience` epochs have passed since its best epoch, or at
+    its last epoch.
     """
-
-    def __init__(self, patience):
-        if patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
-        self.best_loss = np.inf
-        self.best_epoch = 0
-        self.epochs_seen = 0
-        self.epochs_since_best = 0
-
-    def update(self, val_loss):
-        """Record one epoch's validation loss; True means stop now."""
-        self.epochs_seen += 1
-        if np.isfinite(val_loss) and val_loss < self.best_loss:
-            self.best_loss = float(val_loss)
-            self.best_epoch = self.epochs_seen
-            self.epochs_since_best = 0
-            return False
-        self.epochs_since_best += 1
-        return self.epochs_since_best >= self.patience
+    history.train_loss.append(train_loss)
+    history.val_loss.append(val_loss)
+    epoch = history.stopped_epoch = len(history.val_loss)
+    if epoch == 1 or val_loss < history.val_loss[history.best_epoch - 1]:
+        history.best_epoch = epoch
+    return (epoch - history.best_epoch >= config.early_stop_patience
+            or epoch == config.epochs)
 
 
 def _split_rows(n):
@@ -251,10 +250,10 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     ys : (K, n) targets, one row per member
     x : (n, p) linear-part covariates every member trains on; p may be 0
     z : (n, q) network inputs every member trains on; q may be 0
-    configs : one TrainConfig per member, each checked by
-        `validate(n=n)` before any rng is drawn from. They must name the
-        same network, `width_chain(q)`, and the same minibatch; learning
-        rate, patience and epochs may differ.
+    configs : one TrainConfig per member, whose minibatch must not exceed
+        n; a ConfigError says so before any rng is drawn from. They must
+        name the same network, `width_chain(q)`, and the same minibatch;
+        learning rate, patience and epochs may differ.
     rngs : one numpy Generator per member
     tau : quantile level for check loss, or None for squared error
 
@@ -276,12 +275,14 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     forward pass leaves its layer inputs there for its backward pass,
     and the epoch's validation pass reuses them. Each step also adds each
     member's losses on the residuals it computed, summed along that
-    member's own row, to its running training loss (`TrainHistory`);
-    no pass goes over the training rows at the end of an epoch. A member
-    leaves the stack when it halts, keeping the parameters of its halt
-    and drawing nothing more; a member whose gradient turns non-finite,
-    or whose running training loss or validation loss is not finite at
-    the end of an epoch, fails alone, and the others go on unchanged.
+    member's own row, to its running training loss; no pass goes over
+    the training rows at the end of an epoch. Each member's TrainHistory,
+    made before epoch 1, records its losses and decides when it halts
+    (`_record_epoch`). A member leaves the stack when it halts, keeping
+    the parameters of its halt and drawing nothing more; a member whose
+    gradient turns non-finite, or whose running training loss or
+    validation loss is not finite at the end of an epoch, fails alone,
+    before that epoch is recorded, and the others go on unchanged.
     """
     ys = np.asarray(ys, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -299,7 +300,7 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     if tau is not None:
         tau = validate_tau(tau)
     for config in configs:
-        config.validate(n=n)
+        _check_minibatch(config, n)
     widths = configs[0].width_chain(z.shape[1])
     minibatch = configs[0].minibatch
     if any(c.width_chain(z.shape[1]) != widths or c.minibatch != minibatch
@@ -329,8 +330,8 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     lr = np.array([[c.learning_rate] for c in configs])
     acts = net.activation_buffers(widths, max(minibatch, val_idx.shape[1]),
                                   len(configs))
-    monitors = [EarlyStopMonitor(c.early_stop_patience) for c in configs]
-    traces = [([], []) for _ in configs]
+    histories = [TrainHistory([], [], best_epoch=0, stopped_epoch=0)
+                 for _ in configs]
     results = [None] * len(configs)
     members = list(range(len(configs)))  # stack position -> member
 
@@ -359,13 +360,9 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
             elif error is not None:
                 results[member] = error
             else:
-                monitor = monitors[member]
-                history = TrainHistory(*traces[member],
-                                       best_epoch=monitor.best_epoch,
-                                       stopped_epoch=monitor.epochs_seen)
                 own = _unflatten(flat[pos].copy(), shapes)
                 results[member] = (own[0], net.NetworkParams(widths, own[1:]),
-                                   history)
+                                   histories[member])
         flat, flat_grad, lr = flat[keep], flat_grad[keep], lr[keep]
         state.first_moment = state.first_moment[keep]
         state.second_moment = state.second_moment[keep]
@@ -403,8 +400,8 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
                 resid = resid - (xb @ theta)[..., 0]
             resid = resid - net.forward_batch(params, zb, acts)
             if tau is not None:
-                # check_loss(resid, tau) and, from the same weights,
-                # loss_subgrad_wrt_pred(resid, tau) / size, bit for bit
+                # check_loss(resid, tau) and, from the same weights, its
+                # subgradient in the prediction, -weight, over size
                 weight = tau - (resid < 0.0)
                 tr_sum += (resid * weight).sum(axis=-1)
                 upstream = weight / -size
@@ -434,11 +431,8 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
                 members, (tr_sum / n_tr).tolist(), loss_on(*val).tolist()):
             if not (math.isfinite(tr_loss) and math.isfinite(val_loss)):
                 failed.add(member)
-                continue
-            traces[member][0].append(tr_loss)
-            traces[member][1].append(val_loss)
-            if (monitors[member].update(val_loss)
-                    or epoch == configs[member].epochs):
+            elif _record_epoch(histories[member], tr_loss, val_loss,
+                               configs[member]):
                 halted.add(member)
         if failed:
             leave(failed, TrainingError(
@@ -503,9 +497,10 @@ def train_joint(y, x, z, config, rng, tau=None):
     y : (n,) targets
     x : (n, p) linear-part covariates; p may be 0
     z : (n, q) network inputs; q may be 0
-    config : TrainConfig, checked by `validate(n=n)` before the rng is
-        drawn from; the network is `config.width_chain(q)`, so with
-        q = 0 it is (0, 1), a learned intercept
+    config : TrainConfig, whose minibatch must not exceed n; a
+        ConfigError says so before the rng is drawn from. The network is
+        `config.width_chain(q)`, so with q = 0 it is (0, 1), a learned
+        intercept
     rng : numpy Generator driving the split, init, and batch order
     tau : quantile level for check loss, or None for squared error
 
@@ -514,11 +509,11 @@ def train_joint(y, x, z, config, rng, tau=None):
     (theta, params, history) with theta shape (p,), params a
     NetworkParams, and history a TrainHistory, whose train_loss is the
     running loss of each epoch's steps. The returned parameters are the
-    ones current when training halted; the monitor only decides when to
-    halt and which epoch was best on validation. A non-finite gradient,
-    or a non-finite training or validation loss at the end of an epoch,
-    raises TrainingError. Inside a `train_ahead` block, a member that
-    block trained is handed out instead of trained again.
+    ones current when training halted; the history decides when to halt
+    and records which epoch was best on validation. A non-finite
+    gradient, or a non-finite training or validation loss at the end of
+    an epoch, raises TrainingError. Inside a `train_ahead` block, a
+    member that block trained is handed out instead of trained again.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -535,17 +530,16 @@ def tuning_plan(grid, n, p, q):
     """What `tune` trains for `grid` on n rows of p linear and q network
     covariates, checked before anything trains.
 
-    An empty grid or a bad candidate raises ConfigError, and so does a
-    minibatch beyond the rows that train each candidate when the grid
-    holds more than one distinct candidate. Returns None for a grid of
-    one distinct candidate, which tune returns as it is; otherwise
+    An empty grid raises ConfigError, and so does a minibatch beyond the
+    rows that train each candidate when the grid holds more than one
+    distinct candidate; each candidate checked its other settings when it
+    was made. Returns None for a grid of one distinct candidate, which
+    tune returns as it is, unchecked against the rows; otherwise
     (first, stacks), the grid position of each distinct candidate and
     the positions of each group that trains as one stack.
     """
     if not grid:
         raise ConfigError("tuning grid is empty")
-    for candidate in grid:
-        candidate.validate()
     first = {}  # what a candidate trains -> its first grid position
     stacks = {}  # what stacked candidates share -> their grid positions
     for k, c in enumerate(grid):

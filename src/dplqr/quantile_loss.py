@@ -30,18 +30,6 @@ def check_loss(t, tau):
     return float(out) if out.ndim == 0 else out
 
 
-def loss_subgrad_wrt_pred(residual, tau):
-    """Subgradient of rho_tau(y - yhat) with respect to yhat.
-
-    Equals -(tau - 1{residual < 0}); the indicator is strict, so a zero
-    residual yields -tau. Vectorized over residual.
-    """
-    tau = validate_tau(tau)
-    r = np.asarray(residual, dtype=float)
-    out = (r < 0.0) - tau
-    return float(out) if out.ndim == 0 else out
-
-
 def mean_check_loss(residuals, tau):
     """Average check loss of a residual vector."""
     r = np.asarray(residuals, dtype=float)

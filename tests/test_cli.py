@@ -155,6 +155,23 @@ class TestFitCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:config: level")
 
+    @pytest.mark.parametrize("command, flag, says", [
+        ("fit", "tau", "tau must lie strictly inside (0, 1), got 1.5"),
+        ("fit", "level", "level must be in (0, 1), got 1.5"),
+        ("tune", "tau", "tau must lie strictly inside (0, 1), got 1.5")],
+        ids=["fit-tau", "fit-level", "tune-tau"])
+    def test_bad_setting_is_checked_before_the_data(
+            self, tmp_path, capsys, monkeypatch, command, flag, says):
+        # the data file does not exist and is never opened
+        def no_load(*args, **kwargs):
+            raise AssertionError("the data was loaded")
+        monkeypatch.setattr(cli, "load_csv", no_load)
+        argv = _fit_args(str(tmp_path / "absent.csv"), tmp_path,
+                         **{flag: "1.5"})
+        argv[0] = command
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error:config: {says}\n"
+
     def test_minibatch_beyond_tuning_split_is_config_error(self, tmp_path,
                                                            capsys):
         # 300 rows: one lr fits on all of them, two tune on 240
@@ -753,7 +770,12 @@ class TestFileErrors:
         return str(model)
 
     def test_predict_out_in_missing_directory(self, train_csv, tmp_path,
-                                              capsys):
+                                              capsys, monkeypatch):
+        # the output path is checked before the model or the data is read
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input file was read")
+        monkeypatch.setattr(cli, "load_model", no_read)
+        monkeypatch.setattr(cli, "load_csv", no_read)
         out = str(tmp_path / "absent" / "pred.csv")
         err = self._error(["predict", "--model", self._model(tmp_path),
                            "--data", train_csv, "--out", out], capsys)

@@ -13,7 +13,7 @@ from dplqr.inference import (confidence_intervals, covariance, fit_projection,
                              kde_at_zero, sym_inverse, validate_level)
 from dplqr.model import Dataset, fit
 from dplqr.network import forward_batch
-from dplqr.optimizer import TrainConfig, train_joint
+from dplqr.optimizer import TrainConfig
 from dplqr.rng import make_rng, split
 
 Z_975 = 1.959963984540054
@@ -284,16 +284,18 @@ class TestCovariance:
                                      dict(depth=0)],
                              ids=["no-epochs", "negative-lr", "depth-0"])
     def test_bad_projection_config_rejected(self, bad):
-        # the projections train on the config covariance is given; the
-        # kernel checks it, so an untrained, ascending or silently
-        # deepened projection cannot reach Omega
+        # the projections train on the config covariance is given, and
+        # a bad config cannot be made, so an untrained, ascending or
+        # silently deepened projection cannot reach Omega
+        with pytest.raises(ConfigError):
+            replace(TrainConfig(depth=2, width=8), **bad)
+
+    def test_projection_minibatch_beyond_rows_rejected(self):
+        # the one config rule that needs the rows: the kernel checks it
         fitted, data, cfg = self._fitted(n=100)
-        bad_cfg = replace(cfg, **bad)
-        with pytest.raises(ConfigError):
-            covariance(fitted, data, bad_cfg, make_rng(7))
-        with pytest.raises(ConfigError):
-            train_joint(data.x[:, 0], np.zeros((data.n, 0)), data.z,
-                        bad_cfg, make_rng(7))
+        with pytest.raises(ConfigError, match="exceeds sample size 100"):
+            covariance(fitted, data, replace(cfg, minibatch=101),
+                       make_rng(7))
 
     def test_dnqr_rejected(self):
         rng = np.random.default_rng(1)

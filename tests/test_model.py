@@ -81,7 +81,7 @@ class TestMakeModeConfig:
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="mode must be one of"):
-            TrainConfig(mode="ols").validate()
+            TrainConfig(mode="ols")
 
 
 class TestFit:

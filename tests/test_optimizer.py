@@ -1,6 +1,6 @@
 """Tests for Adam, minibatch scheduling, early stopping, and joint training."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,9 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dplqr import model, network
 from dplqr.errors import ConfigError, TrainingError
 from dplqr.model import Dataset
-from dplqr.optimizer import (ADAM_EPSILON_HAT, EarlyStopMonitor, TrainConfig,
-                             _holdout_split, adam_step, epoch_batches,
-                             init_adam, train_joint, tune)
+from dplqr.optimizer import (ADAM_EPSILON_HAT, TrainConfig, TrainHistory,
+                             _check_minibatch, _holdout_split, _record_epoch,
+                             adam_step, epoch_batches, init_adam, train_joint,
+                             tune)
 from dplqr.quantile_loss import mean_check_loss
 from dplqr.rng import make_rng, split
 
@@ -99,36 +100,33 @@ class TestEpochBatches:
             epoch_batches(5, 0, make_rng(0))
 
 
-class TestEarlyStopMonitor:
+class TestEarlyStop:
+    @staticmethod
+    def _record(val_losses, patience):
+        history = TrainHistory([], [], best_epoch=0, stopped_epoch=0)
+        config = TrainConfig(epochs=100, early_stop_patience=patience)
+        halts = [_record_epoch(history, 0.0, val, config)
+                 for val in val_losses]
+        return history, halts
+
     def test_counting_example(self):
         # losses 1.0, 0.9, 0.95, 0.96 with patience 2: epochs 3 and 4
-        # fail to beat 0.9, so the monitor stops after epoch 4
-        m = EarlyStopMonitor(patience=2)
-        assert m.update(1.0) is False
-        assert m.update(0.9) is False
-        assert m.update(0.95) is False
-        assert m.update(0.96) is True
-        assert m.best_epoch == 2
-        assert m.best_loss == 0.9
-        assert m.epochs_seen == 4
+        # fail to beat 0.9, so the member halts after epoch 4
+        history, halts = self._record([1.0, 0.9, 0.95, 0.96], patience=2)
+        assert halts == [False, False, False, True]
+        assert history.best_epoch == 2
+        assert history.val_loss[history.best_epoch - 1] == 0.9
+        assert history.stopped_epoch == 4
 
     def test_tie_is_not_improvement(self):
-        m = EarlyStopMonitor(patience=1)
-        assert m.update(1.0) is False
-        assert m.update(1.0) is True
-
-    def test_nan_is_not_improvement(self):
-        m = EarlyStopMonitor(patience=1)
-        assert m.update(float("nan")) is True
-
-    def test_patience_validated(self):
-        with pytest.raises(ConfigError):
-            EarlyStopMonitor(patience=0)
+        history, halts = self._record([1.0, 1.0], patience=1)
+        assert halts == [False, True]
+        assert history.best_epoch == 1
 
 
 class TestTrainConfig:
     def test_defaults_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     def test_holds_training_settings_only(self):
         # randomness comes from the rng given to fit and tune
@@ -142,29 +140,37 @@ class TestTrainConfig:
         for field in ("depth", "width", "epochs", "minibatch",
                       "early_stop_patience"):
             with pytest.raises(ConfigError):
-                TrainConfig(**{field: 0}).validate()
+                TrainConfig(**{field: 0})
             with pytest.raises(ConfigError):
-                TrainConfig(**{field: 2.5}).validate()
+                TrainConfig(**{field: 2.5})
 
     def test_learning_rate_positive(self):
         with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=0.0).validate()
+            TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=float("nan")).validate()
+            TrainConfig(learning_rate=float("nan"))
 
     @pytest.mark.parametrize("lr", ["0.01", True], ids=["text", "bool"])
     def test_learning_rate_must_be_a_number(self, lr):
         with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=lr).validate()
+            TrainConfig(learning_rate=lr)
 
     def test_mode_checked(self):
         with pytest.raises(ConfigError):
-            TrainConfig(mode="ridge").validate()
+            TrainConfig(mode="ridge")
+
+    def test_checked_when_made_or_replaced(self):
+        config = TrainConfig()
+        with pytest.raises(ConfigError, match="depth must be positive"):
+            replace(config, depth=0)
+        with pytest.raises(ConfigError, match="mode must be one of"):
+            replace(config, mode="ridge")
 
     def test_minibatch_against_sample_size(self):
-        TrainConfig(minibatch=64).validate(n=64)
-        with pytest.raises(ConfigError):
-            TrainConfig(minibatch=65).validate(n=64)
+        _check_minibatch(TrainConfig(minibatch=64), 64)
+        with pytest.raises(ConfigError,
+                           match="minibatch 65 exceeds sample size 64"):
+            _check_minibatch(TrainConfig(minibatch=65), 64)
 
 
 def _linear_toy(n, seed, slope=2.0, noise=0.1):

@@ -1,12 +1,11 @@
-"""Tests for the pinball (check) loss and its subgradient."""
+"""Tests for the pinball (check) loss."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from dplqr.errors import ConfigError, DataError
-from dplqr.quantile_loss import (check_loss, loss_subgrad_wrt_pred,
-                                 mean_check_loss, validate_tau)
+from dplqr.quantile_loss import check_loss, mean_check_loss, validate_tau
 
 
 def test_check_loss_hand_values():
@@ -32,34 +31,6 @@ def test_check_loss_reflection_identity():
         tau = rng.uniform(0.05, 0.95)
         assert_allclose(check_loss(t, tau), check_loss(-t, 1.0 - tau),
                         rtol=1e-12)
-
-
-def test_subgrad_hand_values():
-    assert loss_subgrad_wrt_pred(2.0, 0.5) == -0.5
-    assert loss_subgrad_wrt_pred(-1.0, 0.5) == 0.5
-    assert_allclose(loss_subgrad_wrt_pred(0.0, 0.2), -0.2)
-
-
-def test_subgrad_vectorized():
-    r = np.array([2.0, -1.0, 0.0])
-    g = loss_subgrad_wrt_pred(r, 0.5)
-    assert_allclose(g, [-0.5, 0.5, -0.5])
-
-
-def test_subgrad_matches_finite_difference_away_from_kink():
-    # d/dpred rho_tau(y - pred) at points where the residual is not 0
-    rng = np.random.default_rng(2)
-    h = 1e-7
-    for _ in range(100):
-        y = rng.normal() * 3
-        pred = rng.normal() * 3
-        tau = rng.uniform(0.1, 0.9)
-        r = y - pred
-        if abs(r) < 1e-3:
-            continue
-        fd = (check_loss(y - (pred + h), tau)
-              - check_loss(y - (pred - h), tau)) / (2 * h)
-        assert_allclose(loss_subgrad_wrt_pred(r, tau), fd, atol=1e-6)
 
 
 def test_mean_check_loss_hand_values():

@@ -3,26 +3,27 @@
 The reference below trains the way the step was first written: every
 layer input is hstack-augmented on each call, backprop runs the forward
 pass a second time, and Adam updates theta and each layer as separate
-arrays. train_joint, which reuses activation buffers and updates one
-flat parameter vector in place, must reproduce it bit for bit. A stack
-of members trained by train_stack must in turn give each member, bit for
-bit, what train_joint gives it alone, and train_joint inside train_ahead
-must hand each member out as if it trained it.
+arrays, with its own check-loss subgradient and early-stop monitor.
+train_joint, which reuses activation buffers, updates one flat parameter
+vector in place and keeps its early-stop state in its TrainHistory, must
+reproduce it bit for bit. A stack of members trained by train_stack must
+in turn give each member, bit for bit, what train_joint gives it alone,
+and train_joint inside train_ahead must hand each member out as if it
+trained it.
 """
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dplqr import optimizer
 from dplqr.errors import ConfigError, DataError, TrainingError
 from dplqr.network import (NetworkParams, activation_buffers,
                            backward_batch, forward_batch, init_params)
 from dplqr.optimizer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON_HAT,
-                             EarlyStopMonitor, TrainConfig, _holdout_split,
-                             epoch_batches, train_ahead, train_joint,
-                             train_stack)
-from dplqr.quantile_loss import check_loss, loss_subgrad_wrt_pred
+                             TrainConfig, _holdout_split, epoch_batches,
+                             train_ahead, train_joint, train_stack)
+from dplqr.quantile_loss import check_loss, validate_tau
 from dplqr.rng import make_rng
 
 
@@ -64,6 +65,72 @@ def _reference_adam(moments, step, params, grads, lr):
     return out
 
 
+def loss_subgrad_wrt_pred(residual, tau):
+    """Subgradient of rho_tau(y - yhat) with respect to yhat.
+
+    Equals -(tau - 1{residual < 0}); the indicator is strict, so a zero
+    residual yields -tau. Vectorized over residual.
+    """
+    tau = validate_tau(tau)
+    r = np.asarray(residual, dtype=float)
+    out = (r < 0.0) - tau
+    return float(out) if out.ndim == 0 else out
+
+
+def test_subgrad_hand_values():
+    assert loss_subgrad_wrt_pred(2.0, 0.5) == -0.5
+    assert loss_subgrad_wrt_pred(-1.0, 0.5) == 0.5
+    assert_allclose(loss_subgrad_wrt_pred(0.0, 0.2), -0.2)
+
+
+def test_subgrad_vectorized():
+    r = np.array([2.0, -1.0, 0.0])
+    g = loss_subgrad_wrt_pred(r, 0.5)
+    assert_allclose(g, [-0.5, 0.5, -0.5])
+
+
+def test_subgrad_matches_finite_difference_away_from_kink():
+    # d/dpred rho_tau(y - pred) at points where the residual is not 0
+    rng = np.random.default_rng(2)
+    h = 1e-7
+    for _ in range(100):
+        y = rng.normal() * 3
+        pred = rng.normal() * 3
+        tau = rng.uniform(0.1, 0.9)
+        r = y - pred
+        if abs(r) < 1e-3:
+            continue
+        fd = (check_loss(y - (pred + h), tau)
+              - check_loss(y - (pred - h), tau)) / (2 * h)
+        assert_allclose(loss_subgrad_wrt_pred(r, tau), fd, atol=1e-6)
+
+
+class _ReferenceMonitor:
+    """Stops training after `patience` epochs without strict improvement.
+
+    A NaN validation loss counts as no improvement. best_epoch is the
+    1-indexed epoch of the best loss seen so far.
+    """
+
+    def __init__(self, patience):
+        self.patience = patience
+        self.best_loss = np.inf
+        self.best_epoch = 0
+        self.epochs_seen = 0
+        self.epochs_since_best = 0
+
+    def update(self, val_loss):
+        """Record one epoch's validation loss; True means stop now."""
+        self.epochs_seen += 1
+        if np.isfinite(val_loss) and val_loss < self.best_loss:
+            self.best_loss = float(val_loss)
+            self.best_epoch = self.epochs_seen
+            self.epochs_since_best = 0
+            return False
+        self.epochs_since_best += 1
+        return self.epochs_since_best >= self.patience
+
+
 def _reference_train(y, x, z, widths, config, rng, tau):
     tr_idx, val_idx = _holdout_split(len(y), rng)
     y_tr, y_val, x_tr, x_val = y[tr_idx], y[val_idx], x[tr_idx], x[val_idx]
@@ -87,7 +154,7 @@ def _reference_train(y, x, z, widths, config, rng, tau):
             return check_loss(residuals, tau)
         return residuals ** 2
 
-    monitor = EarlyStopMonitor(config.early_stop_patience)
+    monitor = _ReferenceMonitor(config.early_stop_patience)
     train_trace, val_trace, step = [], [], 0
     for _ in range(config.epochs):
         # the training loss is the running one: each step's losses on the
@@ -137,12 +204,26 @@ def _problem(n, p, q, seed):
     (2, (0, 1), None, 25),        # intercept alone
 ])
 def test_train_joint_matches_reference_step(p, widths, tau, minibatch):
+    _assert_matches_reference_step(p, widths, tau, minibatch, patience=6)
+
+
+def test_train_joint_matches_reference_step_halting_on_patience():
+    # patience 1, the least: the first epoch without a new best halts
+    # (epoch 6 of 25 here; the first case above halts at 20 on patience 6)
+    history, config = _assert_matches_reference_step(
+        2, (3, 8, 8, 1), 0.3, 50, patience=1)
+    assert history.stopped_epoch == history.best_epoch + 1 < config.epochs
+
+
+def _assert_matches_reference_step(p, widths, tau, minibatch, patience):
+    """Train one problem with train_joint and the reference step, assert
+    the same bits, and return train_joint's history and config."""
     # the config's depth and hidden width name the chain train_joint builds
     y, x, z = _problem(120, p, 3, seed=p + minibatch)
     z = z[:, :widths[0]]
     config = TrainConfig(depth=len(widths) - 1,
                          width=max(widths[1:-1], default=8), epochs=25,
-                         minibatch=minibatch, early_stop_patience=6,
+                         minibatch=minibatch, early_stop_patience=patience,
                          learning_rate=0.02)
     theta, params, history = train_joint(
         y, x, z, config, make_rng(11), tau=tau)
@@ -158,6 +239,7 @@ def test_train_joint_matches_reference_step(p, widths, tau, minibatch):
     assert_array_equal(history.val_loss, ref_val)
     assert history.stopped_epoch == monitor.epochs_seen
     assert history.best_epoch == max(monitor.best_epoch, 1)
+    return history, config
 
 
 @pytest.mark.parametrize("widths", [(4, 1), (4, 7, 1), (4, 16, 9, 1)])

@@ -270,8 +270,8 @@ def cmd_simulate(args):
     if any(getattr(args, flag) is not None for flag in _GRID_FIELDS):
         grid = _build_grid(args, grid[0])
 
-    check_settings(spec, args.replicates, methods, grid, args.level,
-                   args.workers)
+    check_settings(spec, args.replicates, methods, args.seed, grid,
+                   args.level, args.workers)
     os.makedirs(args.out_dir, exist_ok=True)
     report = run_experiment(
         spec, args.replicates, methods, args.seed, grid=grid,

@@ -27,9 +27,9 @@ from .dgp import THETA, Z_DIM, generate, mspe, rmse_m, true_m, true_theta
 from .errors import ConfigError, DplqrError, TrainingError
 from .inference import covariance, validate_level
 from .model import fit, m_values, predict_batch
-from .optimizer import (MODES, TrainConfig, _check_minibatch,
-                        _holdout_split, _split_rows, tune, tuning_plan)
-from .rng import child_rng, split
+from .optimizer import (MODES, TrainConfig, _holdout_split, _split_rows,
+                        tune, tuning_plan)
+from .rng import _check_seed, child_rng, split
 
 # selected hyperparameters per (base case, sample size); cases 4-6 share
 # the rows of their base case 1-3. Learning rate has two candidate values
@@ -183,16 +183,15 @@ def _summarize(method, rows, theta_star):
                          len(rows))
 
 
-def check_settings(spec, q, methods, grid, level, workers):
+def check_settings(spec, q, methods, master_seed, grid, level, workers):
     """The settings of `run_experiment`, checked before any replicate
-    runs: the replicate and worker counts, the methods, the level and
-    the grid (None for the scenario's own), whose candidates each
-    method tunes on the 80% of spec.n rows a replicate trains on: each
-    checked its fields when it was made, `tuning_plan` checks the grid,
-    and the minibatch of a lone candidate, which `tune` returns
-    unchecked, is checked as its fit would. Any error is the ConfigError
-    a replicate would raise. Returns the methods in run order, the grid
-    as a list and the level as a float.
+    runs: the replicate and worker counts, the methods, the level, the
+    grid (None for the scenario's own), whose candidates each method
+    tunes on the 80% of spec.n rows a replicate trains on (each checked
+    its fields when it was made, and `tuning_plan` checks the grid), and
+    the master seed. Any error is the ConfigError a replicate would
+    raise. Returns the methods in run order, the grid as a list and the
+    level as a float.
     """
     for name, value in (("q", q), ("workers", workers)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -210,9 +209,9 @@ def check_settings(spec, q, methods, grid, level, workers):
     grid = list(grid)
     n_train = _split_rows(spec.n)
     for method in methods:
-        candidates = [replace(c, mode=method) for c in grid]
-        if tuning_plan(candidates, n_train, len(THETA), Z_DIM) is None:
-            _check_minibatch(candidates[0], n_train)
+        tuning_plan([replace(c, mode=method) for c in grid], n_train,
+                    len(THETA), Z_DIM)
+    _check_seed(master_seed)
     return methods, grid, level
 
 
@@ -229,8 +228,8 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     workers > 1 runs replicates in parallel processes; aggregation
     happens in replicate order either way, so results are identical.
     """
-    methods, grid, level = check_settings(spec, q, methods, grid, level,
-                                          workers)
+    methods, grid, level = check_settings(spec, q, methods, master_seed,
+                                          grid, level, workers)
     args = [(spec, r, methods, master_seed, grid, with_ci, level, align_m)
             for r in range(q)]
     rows, failures = [], 0

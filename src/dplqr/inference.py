@@ -68,24 +68,6 @@ def fit_projection(data, k, config, rng):
     return params
 
 
-def fit_projections(data, config, rngs):
-    """`fit_projection` of every X_k on Z, k < p, with rng k, trained
-    together as one stack.
-
-    The stack trains ahead (`optimizer.train_ahead`), and then
-    `fit_projection(data, k, config, rngs[k])` hands each out in order,
-    so each of the p returned NetworkParams is bit for bit the one it
-    returns alone, and when projections fail to train, the
-    TrainingError of the lowest-index one is raised.
-    """
-    if data.q < 1:
-        raise DataError("projection fits need at least one z column")
-    with train_ahead(data.x.T, np.zeros((data.n, 0)), data.z,
-                     [config] * data.p, rngs, tau=None):
-        return [fit_projection(data, k, config, rng)
-                for k, rng in enumerate(rngs)]
-
-
 def sym_inverse(m):
     """Inverse of a small symmetric positive definite matrix.
 
@@ -149,11 +131,14 @@ def covariance(fit, data, config, rng, level=0.95):
     projection fits -> V_i = X_i - proj(Z_i); Omega = centered sample
     covariance of V with the n-1 denominator; Sigma = tau*(1-tau) *
     Omega^{-1} / f0_hat^2. The rng is split once per coefficient so
-    projection fits have independent, reproducible streams; they train
-    together as one stack (`fit_projections`). The projections train on
-    `config`, which checked its fields when it was made; the kernel
-    checks its minibatch against the rows as it does for a fit, and one
-    beyond them raises ConfigError.
+    projection fits have independent, reproducible streams. The p
+    projections train ahead as one stack (`optimizer.train_ahead`), and
+    `fit_projection` then hands each out in order, so each is bit for
+    bit the one it returns alone, and when projections fail to train,
+    the TrainingError of the lowest-index one is raised. The projections
+    train on `config`, which checked its fields when it was made; the
+    kernel checks its minibatch against the rows as it does for a fit,
+    and one beyond them raises ConfigError.
     """
     if fit.mode == "dnqr":
         raise ConfigError("dnqr fits have no linear coefficients to cover")
@@ -163,7 +148,11 @@ def covariance(fit, data, config, rng, level=0.95):
     res = model_residuals(fit, data)
     f0 = kde_at_zero(res)
 
-    projections = fit_projections(data, config, split(rng, data.p))
+    rngs = split(rng, data.p)
+    with train_ahead(data.x.T, np.zeros((data.n, 0)), data.z,
+                     [config] * data.p, rngs, tau=None):
+        projections = [fit_projection(data, k, config, rngs[k])
+                       for k in range(data.p)]
     v = np.empty((data.n, data.p))
     for k, proj in enumerate(projections):
         v[:, k] = data.x[:, k] - forward_batch(proj, data.z)

@@ -8,21 +8,21 @@ with theta estimated jointly with a ReLU-network m by minimizing the
 empirical check loss. Two degenerate modes reuse the same machinery:
 "lqr" trains one affine layer whatever depth its config names, so the
 model is linear in (x, z); "dnqr" has no linear part and routes every
-covariate into the network. `optimizer._layout` and
+covariate into the network. `optimizer._route` and
 `TrainConfig.width_chain` alone decide both rules. A TrainConfig checks
 its fields when it is made, and `optimizer.train_stack`, which every fit
-runs (`fit` as the stack of one, `fit_stack` for tuning candidates
-trained together, each then handed out through `fit`), checks its
-minibatch against the rows.
+runs (`fit` as the stack of one; `optimizer.tune` trains its candidates
+ahead as stacks and hands each out through `fit`), checks its minibatch
+against the rows.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError
 from .network import NetworkParams, forward_batch
-from .optimizer import TrainHistory, _layout, train_ahead, train_joint
+from .optimizer import TrainHistory, _route, train_joint
 from .quantile_loss import validate_tau
 
 
@@ -102,15 +102,14 @@ class PlqrFit:
 
 
 def _training_inputs(data, tau, mode):
-    """(tau, x, z) the kernel trains on: dnqr routes x into the network."""
+    """(tau, x, z) the kernel trains on, x and z as `_route` lays them
+    out for the mode."""
     if not isinstance(data, Dataset):
         raise DataError("fit expects a Dataset")
     tau = validate_tau(tau)
     if data.n < 5:
         raise DataError(f"need at least 5 rows to fit, got {data.n}")
-    if _layout(mode, data.p, data.q)[0] < data.p:  # x enters the net
-        return tau, data.x[:, :0], np.hstack([data.x, data.z])
-    return tau, data.x, data.z
+    return (tau,) + _route(mode, data.x, data.z)
 
 
 def fit(data, tau, config, rng):
@@ -130,33 +129,6 @@ def fit(data, tau, config, rng):
     theta, params, history = train_joint(data.y, x, z, config, rng, tau=tau)
     return PlqrFit(theta, params, tau, history, config.mode,
                    x_dim=data.p, z_dim=data.q)
-
-
-def fit_stack(data, tau, configs, rngs):
-    """`fit` for each (config, rng) pair, trained together as one stack.
-
-    The configs must share their mode, the network they train on `data`
-    and their minibatch (`optimizer.train_stack` checks the last two).
-    The stack trains ahead (`optimizer.train_ahead`), and then `fit` on
-    each pair hands its member out, so each entry of the returned list
-    is, bit for bit, what `fit(data, tau, config, rng)` returns, or the
-    TrainingError it raises; the other members train on unchanged.
-    """
-    modes = {config.mode for config in configs}
-    if len(modes) != 1:
-        raise ConfigError(
-            f"a stack of fits needs one mode, got {sorted(modes)}")
-    (mode,) = modes
-    tau, x, z = _training_inputs(data, tau, mode)
-    ys = np.broadcast_to(data.y, (len(configs), data.n))
-    fits = []
-    with train_ahead(ys, x, z, configs, rngs, tau=tau):
-        for config, rng in zip(configs, rngs):
-            try:
-                fits.append(fit(data, tau, config, rng))
-            except TrainingError as exc:
-                fits.append(exc)
-    return fits
 
 
 def _check_block(a, dim, n, name):
@@ -183,8 +155,7 @@ def predict_batch(fit, x, z):
         raise DataError("predict_batch needs at least one 2-d covariate block")
     x = _check_block(x, fit.x_dim, n, "x")
     z = _check_block(z, fit.z_dim, n, "z")
-    if _layout(fit.mode, fit.x_dim, fit.z_dim)[0] < fit.x_dim:
-        return forward_batch(fit.network, np.hstack([x, z]))
+    x, z = _route(fit.mode, x, z)
     return x @ fit.theta_hat + forward_batch(fit.network, z)
 
 

@@ -20,12 +20,14 @@ What stacks follows from what fits share. `tune` trains the candidates
 it keeps as one stack per mode, network and minibatch (one stack of two
 in the scenario grids), and `inference.covariance` trains its p
 projections as one stack; `model.fit` and `train_joint` are the stack of
-one. A stack trains ahead (`train_ahead`) and then hands each member out
-to the `train_joint` call that would train it alone, so every fit still
-passes through `model.fit` or `inference.fit_projection`. Each member's outputs are byte for byte those of training it alone:
-every product is a stacked `np.matmul`, which runs per member the BLAS
-call a lone network runs, losses are reduced along each member's own
-row, and Adam is elementwise (`tests/test_train_exact.py` pins this).
+one. The code that makes a stack enters `train_ahead` itself, which
+trains the stack and then hands each member out to the `train_joint`
+call that would train it alone, so every fit still passes through
+`model.fit` or `inference.fit_projection`. Each member's outputs are
+byte for byte those of training it alone: every product is a stacked
+`np.matmul`, which runs per member the BLAS call a lone network runs,
+losses are reduced along each member's own row, and Adam is elementwise
+(`tests/test_train_exact.py` pins this).
 A step costs per-call numpy overhead more than arithmetic, and a stack
 shares that overhead: a scenario grid's pair of tuning candidates trains
 in about 0.7 of the time of training the two one by one on case 1's
@@ -62,15 +64,18 @@ class TrainConfig:
     passed to `fit` or `tune`, not a setting.
 
     depth counts affine maps, so depth 1 is a pure affine model and
-    depth L has L-1 hidden relu layers of the given width. The minibatch
-    is capped at the training-split size at fit time. `mode` is "dplqr"
-    (linear part plus network), "lqr" (all affine: it trains one affine
-    layer whatever its depth and width) or "dnqr" (no linear part; all
-    covariates enter the network). A config checks its fields when it is
-    made, so `TrainConfig(...)` and `dataclasses.replace` raise
-    ConfigError for a bad one. The training kernel, `train_stack`, checks
-    the one rule that needs the data, a minibatch within the rows, and
-    builds the network that `width_chain` names.
+    depth L has L-1 hidden relu layers of the given width. A minibatch
+    above a fit's 80% training split trains on the whole split each
+    step, while the config (and so `fit --report`) keeps the requested
+    value: on 300 rows, minibatch 250 and 240 train the same model.
+    `mode` is "dplqr" (linear part plus network), "lqr" (all affine: it
+    trains one affine layer whatever its depth and width) or "dnqr" (no
+    linear part; all covariates enter the network). A config checks its
+    fields when it is made, so `TrainConfig(...)` and
+    `dataclasses.replace` raise ConfigError for a bad one. The training
+    kernel, `train_stack`, checks the one rule that needs the data, a
+    minibatch within the rows, and builds the network that `width_chain`
+    names.
     """
 
     depth: int = 3
@@ -111,12 +116,19 @@ def _check_minibatch(config, n):
             f"minibatch {config.minibatch} exceeds sample size {n}")
 
 
+def _route(mode, x, z):
+    """The (linear, network) covariate blocks a model of this mode trains
+    and predicts on: dnqr routes x into the network."""
+    if mode == "dnqr":
+        return x[:, :0], np.hstack([x, z])
+    return x, z
+
+
 def _layout(mode, x_dim, z_dim):
     """(theta length, network input width) of a model on x_dim linear and
-    z_dim network covariates: dnqr routes x into the network."""
-    if mode == "dnqr":
-        return 0, x_dim + z_dim
-    return x_dim, z_dim
+    z_dim network covariates, as `_route` lays them out."""
+    x, z = _route(mode, np.zeros((0, x_dim)), np.zeros((0, z_dim)))
+    return x.shape[1], z.shape[1]
 
 
 @dataclass
@@ -531,12 +543,13 @@ def tuning_plan(grid, n, p, q):
     covariates, checked before anything trains.
 
     An empty grid raises ConfigError, and so does a minibatch beyond the
-    rows that train each candidate when the grid holds more than one
-    distinct candidate; each candidate checked its other settings when it
-    was made. Returns None for a grid of one distinct candidate, which
-    tune returns as it is, unchecked against the rows; otherwise
-    (first, stacks), the grid position of each distinct candidate and
-    the positions of each group that trains as one stack.
+    rows that train it: the n rows a lone distinct candidate is fitted
+    on, or the rows that train each candidate when the grid holds more
+    than one; each candidate checked its other settings when it was
+    made. Returns None for a grid of one distinct candidate, which tune
+    returns as it is; otherwise (first, stacks), the grid position of
+    each distinct candidate and the positions of each group that trains
+    as one stack, keyed by the mode, network and minibatch they share.
     """
     if not grid:
         raise ConfigError("tuning grid is empty")
@@ -550,6 +563,7 @@ def tuning_plan(grid, n, p, q):
             first[key] = k
             stacks.setdefault((c.mode, widths, c.minibatch), []).append(k)
     if len(first) == 1:
+        _check_minibatch(grid[0], n)
         return None
     n_tr = _split_rows(n)
     for candidate in grid:
@@ -570,16 +584,17 @@ def tune(grid, data, tau, rng):
     is skipped when an earlier one trains the same network on `data`
     (any lqr depth and width; any depth and width with no z columns)
     with the same lr, epochs, minibatch and patience. The kept
-    candidates that share their mode, network and minibatch train
-    together as one `model.fit_stack`, which gives each the fit it
-    would get alone. A bad tau, or a grid that `tuning_plan` rejects
-    (such as a minibatch beyond the 80% split), raises ConfigError
-    before any candidate is fitted. A candidate's ConfigError
-    is raised; candidates that fail to train are skipped with a warning,
-    and if all fail, a TrainingError is raised. A grid of one distinct
-    candidate is returned as-is without consuming the rng.
+    candidates that share their mode, network and minibatch train ahead
+    as one stack (`train_ahead`), and `model.fit` then hands out each
+    one's fit, the one it would get alone. A bad tau, or a grid that
+    `tuning_plan` rejects (such as a minibatch beyond the 80% split),
+    raises ConfigError before any candidate is fitted. A candidate's
+    ConfigError is raised; candidates that fail to train are skipped
+    with a warning, and if all fail, a TrainingError is raised. A grid
+    of one distinct candidate is returned as-is without consuming the
+    rng.
     """
-    from .model import fit_stack, residuals
+    from .model import fit, residuals
 
     grid = list(grid)
     tau = validate_tau(tau)
@@ -594,15 +609,22 @@ def tune(grid, data, tau, rng):
     children = split(rng, len(grid))
 
     fitted = {}
-    for positions in stacks.values():
+    for (mode, _, _), positions in stacks.items():
+        x, z = _route(mode, train_data.x, train_data.z)
+        ys = np.broadcast_to(train_data.y, (len(positions), train_data.n))
         try:
-            fits = fit_stack(train_data, tau, [grid[k] for k in positions],
-                             [children[k] for k in positions])
+            with train_ahead(ys, x, z, [grid[k] for k in positions],
+                             [children[k] for k in positions], tau=tau):
+                for k in positions:
+                    try:
+                        fitted[k] = fit(train_data, tau, grid[k],
+                                        children[k])
+                    except TrainingError as exc:
+                        fitted[k] = exc
         except ConfigError:
             raise
         except DplqrError as exc:
-            fits = [exc] * len(positions)
-        fitted.update(zip(positions, fits))
+            fitted.update(dict.fromkeys(positions, exc))
 
     best_config, best_loss = None, np.inf
     for k in first.values():

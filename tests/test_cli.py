@@ -139,7 +139,7 @@ class TestFitCommand:
         # settings error, not a failure of every candidate to train
         def no_fit(*args):
             raise AssertionError("a candidate was trained")
-        monkeypatch.setattr("dplqr.model.fit_stack", no_fit)
+        monkeypatch.setattr(optimizer, "train_stack", no_fit)
         code = main(_fit_args(train_csv, tmp_path, tau="1.5",
                               lr="0.01,0.02"))
         assert code == 2
@@ -716,6 +716,20 @@ class TestTuneCommand:
         own_stream = tune(configs, data, 0.5, make_rng(1)).learning_rate
         assert own_stream != json.loads(chosen.read_text())["lr"]
 
+    def test_lone_candidate_minibatch_beyond_rows_is_config_error(
+            self, tmp_path, capsys):
+        # tune writes no config that fit on the same 300 rows rejects
+        data = str(_write_training_csv(tmp_path / "train.csv", n=300))
+        out = tmp_path / "chosen.json"
+        code = main(["tune", "--data", data, "--y", "y", "--x", "x1,x2",
+                     "--z", "z1,z2", "--minibatch", "400",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error:config: minibatch 400 exceeds sample size 300\n")
+        assert not out.exists()
 
     def test_bad_tau_is_config_error(self, train_csv, capsys):
         code = main(["tune", "--data", train_csv, "--y", "y", "--x",
@@ -859,9 +873,10 @@ class TestFileErrors:
         (["--minibatch", "70", "--lr", "0.01,0.02"],
          "minibatch 70 exceeds the tuning split: 64 of 80 rows train each"
          " candidate"),
-        (["--minibatch", "90"], "minibatch 90 exceeds sample size 80")],
+        (["--minibatch", "90"], "minibatch 90 exceeds sample size 80"),
+        (["--seed", "-1"], "seed must be nonnegative, got -1")],
         ids=["level", "workers", "replicates", "methods", "minibatch",
-             "untuned-minibatch"])
+             "untuned-minibatch", "seed"])
     def test_simulate_settings_checked_before_out_dir(
             self, flags, message, tmp_path, capsys, monkeypatch):
         # n=100: each replicate trains on 80 rows and tunes on 64 of them;

@@ -103,10 +103,10 @@ def _function_imports():
 
 
 def test_only_tune_imports_inside_a_function():
-    # tune's lazy import of model.fit_stack is the one cycle left; it
-    # needs nothing else from model
+    # tune's lazy import of model.fit is the one cycle left; it needs
+    # nothing else from model
     assert _function_imports() == [
-        ("optimizer", "tune", "from .model import fit_stack, residuals")]
+        ("optimizer", "tune", "from .model import fit, residuals")]
 
 
 def _probe(code, tmp_path=None):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dplqr import inference
+from dplqr import optimizer
 from dplqr.errors import (ConfigError, DataError, SingularMatrixError,
                           TrainingError)
 from dplqr.inference import (confidence_intervals, covariance, fit_projection,
@@ -254,7 +254,7 @@ class TestCovariance:
 
         def no_projection(*args):
             raise AssertionError("a projection fit ran")
-        monkeypatch.setattr(inference, "fit_projections", no_projection)
+        monkeypatch.setattr(optimizer, "train_stack", no_projection)
         with pytest.raises(ConfigError):
             covariance(fitted, data, cfg, make_rng(7), level=1.5)
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dplqr import model, optimizer
 from dplqr.errors import ConfigError, DataError
-from dplqr.model import (Dataset, PlqrFit, fit, fit_stack, m_values,
-                         predict, predict_batch, residuals)
+from dplqr.model import (Dataset, PlqrFit, fit, m_values, predict,
+                         predict_batch, residuals)
 from dplqr.network import NetworkParams
-from dplqr.optimizer import TrainConfig
+from dplqr.optimizer import TrainConfig, _holdout_split, tune
 from dplqr.quantile_loss import mean_check_loss
-from dplqr.rng import make_rng
+from dplqr.rng import make_rng, split
 
 
 def _toy_data(n=200, seed=0, theta=(1.0, -1.0), noise=0.3):
@@ -179,30 +180,68 @@ class TestFit:
         for wa, wb in zip(a.network.layers, b.network.layers):
             assert_allclose(wa, wb, rtol=0)
 
-    def test_stacked_dnqr_fits_match_fitting_alone(self):
-        # the stack routes x into the network as fit does
-        data = _toy_data(120, seed=8)
-        configs = [TrainConfig(depth=2, width=4, epochs=15, minibatch=32,
-                               early_stop_patience=4, learning_rate=lr,
-                               mode="dnqr") for lr in (0.01, 0.05)]
-        stacked = fit_stack(data, 0.5, configs, [make_rng(1), make_rng(2)])
-        for k, config in enumerate(configs):
-            alone = fit(data, 0.5, config, make_rng(k + 1))
-            assert stacked[k].network.widths == alone.network.widths
-            assert stacked[k].theta_hat.shape == (0,)
-            for got, want in zip(stacked[k].network.layers,
-                                 alone.network.layers):
-                assert got.tobytes() == want.tobytes()
-            assert stacked[k].history == alone.history
-            assert (stacked[k].mode, stacked[k].x_dim, stacked[k].z_dim) \
-                == (alone.mode, alone.x_dim, alone.z_dim)
+    def _tuned_and_alone(self, monkeypatch, grid, data):
+        """The member modes of each stack tune trains, the fits tune
+        hands out by grid position, and each candidate fitted alone on
+        the child stream tune gives it."""
+        stacks, handed = [], {}
+        train_stack, fit_alone = optimizer.train_stack, model.fit
 
-    def test_stack_of_fits_needs_one_mode(self):
-        configs = [TrainConfig(depth=1, width=1, epochs=2, minibatch=32,
-                               mode=mode) for mode in ("dplqr", "lqr")]
-        with pytest.raises(ConfigError, match="one mode"):
-            fit_stack(_toy_data(60), 0.5, configs,
-                      [make_rng(0), make_rng(1)])
+        def stack(ys, x, z, configs, rngs, tau=None):
+            stacks.append([c.mode for c in configs])
+            return train_stack(ys, x, z, configs, rngs, tau)
+
+        def recorded(train, tau, config, rng):
+            k = grid.index(config)
+            handed[k] = fit_alone(train, tau, config, rng)
+            return handed[k]
+        monkeypatch.setattr(optimizer, "train_stack", stack)
+        monkeypatch.setattr(model, "fit", recorded)
+        tune(grid, data, 0.5, make_rng(3))
+        monkeypatch.undo()
+
+        rng = make_rng(3)
+        train = data.subset(_holdout_split(data.n, rng)[0])
+        children = split(rng, len(grid))
+        alone = [fit(train, 0.5, config, child)
+                 for config, child in zip(grid, children)]
+        return stacks, handed, alone
+
+    @staticmethod
+    def _assert_same_bytes(got, want):
+        assert got.theta_hat.tobytes() == want.theta_hat.tobytes()
+        assert got.network.widths == want.network.widths
+        for layer, ref_layer in zip(got.network.layers, want.network.layers):
+            assert layer.tobytes() == ref_layer.tobytes()
+        assert got.history == want.history
+        assert (got.tau, got.mode, got.x_dim, got.z_dim) \
+            == (want.tau, want.mode, want.x_dim, want.z_dim)
+
+    def test_dnqr_candidates_tuned_as_one_stack_match_fitting_alone(
+            self, monkeypatch):
+        # the stack routes x into the network as fit does
+        grid = [TrainConfig(depth=2, width=4, epochs=15, minibatch=32,
+                            early_stop_patience=4, learning_rate=lr,
+                            mode="dnqr") for lr in (0.01, 0.05)]
+        stacks, handed, alone = self._tuned_and_alone(
+            monkeypatch, grid, _toy_data(120, seed=8))
+        assert stacks == [["dnqr", "dnqr"]]
+        assert sorted(handed) == [0, 1]
+        for k in handed:
+            assert handed[k].theta_hat.shape == (0,)
+            self._assert_same_bytes(handed[k], alone[k])
+
+    def test_mixed_mode_grid_trains_one_stack_per_mode(self, monkeypatch):
+        grid = [TrainConfig(depth=2, width=4, epochs=15, minibatch=32,
+                            early_stop_patience=4, learning_rate=lr,
+                            mode=mode)
+                for lr in (0.01, 0.05) for mode in ("dplqr", "dnqr")]
+        stacks, handed, alone = self._tuned_and_alone(
+            monkeypatch, grid, _toy_data(120, seed=8))
+        assert stacks == [["dplqr", "dplqr"], ["dnqr", "dnqr"]]
+        assert sorted(handed) == [0, 1, 2, 3]
+        for k in handed:
+            self._assert_same_bytes(handed[k], alone[k])
 
 
 class TestPredict:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dplqr import model, network
+from dplqr import model, network, optimizer
 from dplqr.errors import ConfigError, TrainingError
 from dplqr.model import Dataset
 from dplqr.optimizer import (ADAM_EPSILON_HAT, TrainConfig, TrainHistory,
                              _check_minibatch, _holdout_split, _record_epoch,
-                             adam_step, epoch_batches, init_adam, train_joint,
-                             tune)
+                             adam_step, epoch_batches, init_adam, train_ahead,
+                             train_joint, tune)
 from dplqr.quantile_loss import mean_check_loss
 from dplqr.rng import make_rng, split
 
@@ -316,7 +316,7 @@ class TestTune:
         # the data but not the split
         def no_fit(*args):
             raise AssertionError("a candidate was fitted")
-        monkeypatch.setattr(model, "fit_stack", no_fit)
+        monkeypatch.setattr(optimizer, "train_stack", no_fit)
         grid = [TrainConfig(depth=1, width=1, epochs=5, minibatch=mb,
                             early_stop_patience=5, learning_rate=0.01)
                 for mb in (32, 100)]
@@ -328,7 +328,7 @@ class TestTune:
         # skipped as a failure to train
         def bad_settings(*args):
             raise ConfigError("bad settings")
-        monkeypatch.setattr(model, "fit_stack", bad_settings)
+        monkeypatch.setattr(optimizer, "train_stack", bad_settings)
         grid = [TrainConfig(depth=1, width=1, epochs=5, minibatch=32,
                             early_stop_patience=5, learning_rate=lr)
                 for lr in (0.01, 0.02)]
@@ -343,11 +343,11 @@ class TestTune:
         # mode, they train only two networks, one per learning rate
         fitted = []
 
-        def counted(data, tau, configs, rngs):
+        def counted(ys, x, z, configs, rngs, tau=None):
             fitted.extend(configs)
-            return original(data, tau, configs, rngs)
-        original = model.fit_stack
-        monkeypatch.setattr(model, "fit_stack", counted)
+            return original(ys, x, z, configs, rngs, tau)
+        original = optimizer.train_stack
+        monkeypatch.setattr(optimizer, "train_stack", counted)
         data = self._data()
         data = Dataset(data.y, data.x, data.z[:, :z_cols])
         grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=32,
@@ -361,7 +361,7 @@ class TestTune:
     def test_grid_of_one_network_is_returned_unfitted(self, monkeypatch):
         def no_fit(*args):
             raise AssertionError("a candidate was fitted")
-        monkeypatch.setattr(model, "fit_stack", no_fit)
+        monkeypatch.setattr(optimizer, "train_stack", no_fit)
         grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=32,
                             mode="lqr") for d in (2, 3) for w in (4, 8)]
         assert tune(grid, self._data(), 0.5, rng=make_rng(0)) is grid[0]
@@ -371,10 +371,10 @@ class TestTune:
         # duplicate at position 1 leaves position 2 its own stream
         drawn = []
 
-        def record(data, tau, configs, rngs):
+        def record(ys, x, z, configs, rngs, tau=None):
             drawn.extend(int(rng.integers(1 << 30)) for rng in rngs)
             raise TrainingError("stop")
-        monkeypatch.setattr(model, "fit_stack", record)
+        monkeypatch.setattr(optimizer, "train_stack", record)
         data = self._data()
         data = Dataset(data.y, data.x, None)
         grid = [TrainConfig(depth=2, width=w, epochs=3, minibatch=32,
@@ -397,7 +397,7 @@ class TestTune:
         assert a == b
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_failing_member_leaves_the_others_unchanged(self):
+    def test_failing_member_leaves_the_others_unchanged(self, monkeypatch):
         # a learning rate of 1e300 makes one stacked candidate's loss
         # non-finite: tune warns and picks what fitting each candidate
         # alone on its child stream picks, from the same bytes
@@ -426,8 +426,20 @@ class TestTune:
         assert isinstance(alone[1], TrainingError)
         assert picked is grid[min(scores)[1]]
 
+        # the stack as tune trains it; inside the block every fit is
+        # handed out, so the kernel must not run again
+        def no_training(*args):
+            raise AssertionError("a member was trained again")
         train, _, children = streams()
-        stacked = model.fit_stack(train, 0.5, grid, children)
+        ys = np.broadcast_to(train.y, (len(grid), train.n))
+        stacked = []
+        with train_ahead(ys, train.x, train.z, grid, children, 0.5):
+            monkeypatch.setattr(optimizer, "train_stack", no_training)
+            for config, child in zip(grid, children):
+                try:
+                    stacked.append(model.fit(train, 0.5, config, child))
+                except TrainingError as exc:
+                    stacked.append(exc)
         assert isinstance(stacked[1], TrainingError)
         assert str(stacked[1]) == str(alone[1])
         for k in (0, 2):

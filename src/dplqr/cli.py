@@ -24,7 +24,7 @@ from .dgp import DgpSpec
 from .errors import ConfigError, DataError, DplqrError
 from .experiment import (check_settings, report_to_csv, report_to_text,
                          run_experiment, scenario_grid)
-from .inference import covariance, validate_level
+from .inference import KDE_MIN_RESIDUALS, covariance, validate_level
 from .model import fit as fit_model
 from .model import predict_batch
 from .modelio import (ColumnRoles, _jsonable, apply_scaling, compute_scaling,
@@ -179,10 +179,25 @@ def _check_output(path):
     raise OSError(code, os.strerror(code), path)
 
 
+def _check_distinct(args, flags):
+    """No two of these path flags may name the same file, so no output
+    overwrites an input or the other output."""
+    named = {}  # real path -> the first flag naming it
+    for flag in flags:
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        first = named.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise ConfigError(
+                f"--{first} and --{flag} name the same file: {path}")
+
+
 def _fit_setup(args, out_required):
     """The shared start of fit and tune: merge --config, check the flags,
     build the grid and the tune, fit and covariance rngs, check the
-    output paths, fit's --level and --tau, and only then load the data."""
+    paths (no two the same file, each output writable), fit's --level
+    and --tau, and only then load the data."""
     _merge_config(args)
     for name in ("out",) * out_required + ("data", "y"):
         if getattr(args, name) is None:
@@ -195,6 +210,7 @@ def _fit_setup(args, out_required):
         raise ConfigError(f"column(s) {repeated} given more than one role")
     grid = _build_grid(args, TrainConfig())
     streams = split(make_rng(args.seed), 3)
+    _check_distinct(args, ("config", "data", "out", "report"))
     for path in (args.out, getattr(args, "report", None)):
         if path:
             _check_output(path)
@@ -209,11 +225,15 @@ def _fit_setup(args, out_required):
 def cmd_fit(args):
     data, roles, scaling, grid, streams = _fit_setup(args, out_required=True)
     tune_rng, fit_rng, cov_rng = streams
+    with_ci = args.mode != "dnqr" and data.p >= 1 and data.q >= 1
+    if with_ci and data.n < KDE_MIN_RESIDUALS:
+        raise DataError(f"Wald intervals need at least {KDE_MIN_RESIDUALS}"
+                        f" rows, got {data.n}")
     best = tune(grid, data, args.tau, tune_rng)
     fitted = fit_model(data, args.tau, best, fit_rng)
 
     estimate = None
-    if fitted.mode != "dnqr" and data.p >= 1 and data.q >= 1:
+    if with_ci:
         estimate = covariance(fitted, data, best, cov_rng,
                               level=args.level)
 
@@ -247,6 +267,7 @@ def cmd_fit(args):
 
 
 def cmd_predict(args):
+    _check_distinct(args, ("model", "data", "out"))
     _check_output(args.out)
     fitted, roles, scaling = load_model(args.model)
     data = load_csv(args.data, roles, require_y=False)

@@ -24,19 +24,21 @@ from .normal import ndtri
 from .optimizer import train_ahead, train_joint
 from .rng import split
 
+KDE_MIN_RESIDUALS = 10  # residuals `kde_at_zero`, and so an interval, needs
+
 
 def kde_at_zero(res):
     """Gaussian kernel density estimate of the residual density at 0.
 
     Bandwidth is Silverman's rule of thumb:
     h = 0.9 * min(sd, IQR/1.34) * n^(-1/5), falling back to the sd alone
-    when the IQR is 0. Needs at least 10 residuals; all-identical
-    residuals make the bandwidth degenerate and raise.
+    when the IQR is 0. Needs at least KDE_MIN_RESIDUALS residuals;
+    all-identical residuals make the bandwidth degenerate and raise.
     """
     res = np.asarray(res, dtype=float)
-    if res.ndim != 1 or res.size < 10:
-        raise DataError(
-            f"kde_at_zero needs at least 10 residuals, got {res.size}")
+    if res.ndim != 1 or res.size < KDE_MIN_RESIDUALS:
+        raise DataError(f"kde_at_zero needs at least {KDE_MIN_RESIDUALS}"
+                        f" residuals, got {res.size}")
     if not np.all(np.isfinite(res)):
         raise DataError("kde_at_zero: residuals must be finite")
     sd = np.std(res, ddof=1)
@@ -54,10 +56,12 @@ def fit_projection(data, k, config, rng):
     """Least-squares network regression of X_k on Z.
 
     Reuses the main fit's architecture and Adam machinery with squared
-    error instead of check loss; `train_joint` checks the minibatch of
-    `config`, which checked its other fields when it was made. Returns
-    the fitted NetworkParams; its predictions (forward_batch) estimate
-    E(X_k | Z).
+    error instead of check loss; the training kernel checks the rows
+    against `config` as it does for a fit (fewer than
+    `optimizer.MIN_FIT_ROWS` raise DataError, a minibatch beyond them
+    ConfigError), and the config checked its fields when it was made.
+    Returns the fitted NetworkParams; its predictions (forward_batch)
+    estimate E(X_k | Z).
     """
     if data.q < 1:
         raise DataError("projection fits need at least one z column")
@@ -137,8 +141,7 @@ def covariance(fit, data, config, rng, level=0.95):
     bit the one it returns alone, and when projections fail to train,
     the TrainingError of the lowest-index one is raised. The projections
     train on `config`, which checked its fields when it was made; the
-    kernel checks its minibatch against the rows as it does for a fit,
-    and one beyond them raises ConfigError.
+    kernel checks the rows against it as it does for a fit.
     """
     if fit.mode == "dnqr":
         raise ConfigError("dnqr fits have no linear coefficients to cover")

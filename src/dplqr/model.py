@@ -12,8 +12,8 @@ covariate into the network. `optimizer._route` and
 `TrainConfig.width_chain` alone decide both rules. A TrainConfig checks
 its fields when it is made, and `optimizer.train_stack`, which every fit
 runs (`fit` as the stack of one; `optimizer.tune` trains its candidates
-ahead as stacks and hands each out through `fit`), checks its minibatch
-against the rows.
+ahead as stacks and hands each out through `fit`), checks the rows: at
+least `optimizer.MIN_FIT_ROWS` of them, and a minibatch within them.
 """
 
 from dataclasses import dataclass
@@ -101,17 +101,6 @@ class PlqrFit:
     z_dim: int
 
 
-def _training_inputs(data, tau, mode):
-    """(tau, x, z) the kernel trains on, x and z as `_route` lays them
-    out for the mode."""
-    if not isinstance(data, Dataset):
-        raise DataError("fit expects a Dataset")
-    tau = validate_tau(tau)
-    if data.n < 5:
-        raise DataError(f"need at least 5 rows to fit, got {data.n}")
-    return (tau,) + _route(mode, data.x, data.z)
-
-
 def fit(data, tau, config, rng):
     """Fit the model at quantile level tau by minibatch Adam.
 
@@ -122,10 +111,15 @@ def fit(data, tau, config, rng):
     parameters in effect at the halt are returned. `rng` (a numpy
     Generator, say `make_rng(seed)`) draws the split, the init and the
     batch order, so the same rng state gives the same fit. The config
-    checked its fields when it was made; a minibatch beyond the rows
-    raises ConfigError before the rng is drawn from.
+    checked its fields when it was made; the training kernel checks the
+    rows before the rng is drawn from, so fewer than
+    `optimizer.MIN_FIT_ROWS` rows raise DataError and a minibatch beyond
+    them raises ConfigError.
     """
-    tau, x, z = _training_inputs(data, tau, config.mode)
+    if not isinstance(data, Dataset):
+        raise DataError("fit expects a Dataset")
+    tau = validate_tau(tau)
+    x, z = _route(config.mode, data.x, data.z)
     theta, params, history = train_joint(data.y, x, z, config, rng, tau=tau)
     return PlqrFit(theta, params, tau, history, config.mode,
                    x_dim=data.p, z_dim=data.q)

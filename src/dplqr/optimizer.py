@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network as net
-from .errors import ConfigError, DataError, DplqrError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .quantile_loss import check_loss, mean_check_loss, validate_tau
 from .rng import shuffled_indices, split
 
@@ -56,6 +56,7 @@ ADAM_EPSILON_HAT = 1e-7
 MODES = ("dplqr", "lqr", "dnqr")
 
 VAL_SHARE = 0.2  # share of the rows a hold-out split keeps back
+MIN_FIT_ROWS = 5  # rows a fit needs, its hold-out split included
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,9 @@ class TrainConfig:
     linear part; all covariates enter the network). A config checks its
     fields when it is made, so `TrainConfig(...)` and
     `dataclasses.replace` raise ConfigError for a bad one. The training
-    kernel, `train_stack`, checks the one rule that needs the data, a
-    minibatch within the rows, and builds the network that `width_chain`
-    names.
+    kernel, `train_stack`, checks the one rule that needs the data
+    (`_check_rows`: at least MIN_FIT_ROWS rows, and a minibatch within
+    them) and builds the network that `width_chain` names.
     """
 
     depth: int = 3
@@ -109,8 +110,11 @@ class TrainConfig:
         return (n_in,) + (self.width,) * (depth - 1) + (1,)
 
 
-def _check_minibatch(config, n):
-    """A config's minibatch must not exceed the n rows it trains on."""
+def _check_rows(config, n):
+    """A fit of `config` needs MIN_FIT_ROWS rows (DataError), and its
+    minibatch must not exceed the n rows it trains on (ConfigError)."""
+    if n < MIN_FIT_ROWS:
+        raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
     if config.minibatch > n:
         raise ConfigError(
             f"minibatch {config.minibatch} exceeds sample size {n}")
@@ -262,10 +266,11 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     ys : (K, n) targets, one row per member
     x : (n, p) linear-part covariates every member trains on; p may be 0
     z : (n, q) network inputs every member trains on; q may be 0
-    configs : one TrainConfig per member, whose minibatch must not exceed
-        n; a ConfigError says so before any rng is drawn from. They must
-        name the same network, `width_chain(q)`, and the same minibatch;
-        learning rate, patience and epochs may differ.
+    configs : one TrainConfig per member. Each is checked against the
+        rows before any rng is drawn from: fewer than MIN_FIT_ROWS rows
+        raise DataError, and a minibatch above n raises ConfigError. They
+        must name the same network, `width_chain(q)`, and the same
+        minibatch; learning rate, patience and epochs may differ.
     rngs : one numpy Generator per member
     tau : quantile level for check loss, or None for squared error
 
@@ -312,7 +317,7 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     if tau is not None:
         tau = validate_tau(tau)
     for config in configs:
-        _check_minibatch(config, n)
+        _check_rows(config, n)
     widths = configs[0].width_chain(z.shape[1])
     minibatch = configs[0].minibatch
     if any(c.width_chain(z.shape[1]) != widths or c.minibatch != minibatch
@@ -509,8 +514,9 @@ def train_joint(y, x, z, config, rng, tau=None):
     y : (n,) targets
     x : (n, p) linear-part covariates; p may be 0
     z : (n, q) network inputs; q may be 0
-    config : TrainConfig, whose minibatch must not exceed n; a
-        ConfigError says so before the rng is drawn from. The network is
+    config : TrainConfig, checked against the rows before the rng is
+        drawn from: fewer than MIN_FIT_ROWS rows raise DataError and a
+        minibatch above n raises ConfigError. The network is
         `config.width_chain(q)`, so with q = 0 it is (0, 1), a learned
         intercept
     rng : numpy Generator driving the split, init, and batch order
@@ -542,36 +548,41 @@ def tuning_plan(grid, n, p, q):
     """What `tune` trains for `grid` on n rows of p linear and q network
     covariates, checked before anything trains.
 
-    An empty grid raises ConfigError, and so does a minibatch beyond the
-    rows that train it: the n rows a lone distinct candidate is fitted
-    on, or the rows that train each candidate when the grid holds more
-    than one; each candidate checked its other settings when it was
-    made. Returns None for a grid of one distinct candidate, which tune
-    returns as it is; otherwise (first, stacks), the grid position of
-    each distinct candidate and the positions of each group that trains
-    as one stack, keyed by the mode, network and minibatch they share.
+    An empty grid raises ConfigError. The rows that train a candidate
+    must meet the kernel's rule (`_check_rows`): the n rows a lone
+    distinct candidate is fitted on, or the tuning split that trains
+    each candidate when the grid holds more than one. Too few rows raise
+    DataError and a minibatch beyond them ConfigError; each candidate
+    checked its other settings when it was made. Returns None for a grid
+    of one distinct candidate, which tune returns as it is; otherwise
+    the grid positions of the distinct candidates, grouped into the
+    stacks they train as and keyed by the mode, network and minibatch
+    each stack shares.
     """
     if not grid:
         raise ConfigError("tuning grid is empty")
-    first = {}  # what a candidate trains -> its first grid position
+    seen = set()  # what a kept candidate trains
     stacks = {}  # what stacked candidates share -> their grid positions
     for k, c in enumerate(grid):
         widths = c.width_chain(_layout(c.mode, p, q)[1])
         key = (widths, c.learning_rate, c.epochs, c.minibatch,
                c.early_stop_patience)
-        if key not in first:
-            first[key] = k
+        if key not in seen:
+            seen.add(key)
             stacks.setdefault((c.mode, widths, c.minibatch), []).append(k)
-    if len(first) == 1:
-        _check_minibatch(grid[0], n)
+    if len(seen) == 1:
+        _check_rows(grid[0], n)
         return None
     n_tr = _split_rows(n)
+    if n_tr < MIN_FIT_ROWS:
+        raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got"
+                        f" {n_tr} in the tuning split of {n}")
     for candidate in grid:
         if candidate.minibatch > n_tr:
             raise ConfigError(
                 f"minibatch {candidate.minibatch} exceeds the tuning split:"
                 f" {n_tr} of {n} rows train each candidate")
-    return first, stacks
+    return stacks
 
 
 def tune(grid, data, tau, rng):
@@ -586,22 +597,21 @@ def tune(grid, data, tau, rng):
     with the same lr, epochs, minibatch and patience. The kept
     candidates that share their mode, network and minibatch train ahead
     as one stack (`train_ahead`), and `model.fit` then hands out each
-    one's fit, the one it would get alone. A bad tau, or a grid that
-    `tuning_plan` rejects (such as a minibatch beyond the 80% split),
-    raises ConfigError before any candidate is fitted. A candidate's
-    ConfigError is raised; candidates that fail to train are skipped
-    with a warning, and if all fail, a TrainingError is raised. A grid
-    of one distinct candidate is returned as-is without consuming the
-    rng.
+    one's fit, the one it would get alone. A bad tau raises ConfigError,
+    and so does a grid that `tuning_plan` rejects (such as a minibatch
+    beyond the 80% split); a split of fewer than MIN_FIT_ROWS rows
+    raises DataError. Both come before the rng is drawn from. Each
+    candidate fails alone: one that fails to train is skipped with a
+    warning, and if all fail, a TrainingError is raised. A grid of one
+    distinct candidate is returned as-is without consuming the rng.
     """
     from .model import fit, residuals
 
     grid = list(grid)
     tau = validate_tau(tau)
-    plan = tuning_plan(grid, data.n, data.p, data.q)
-    if plan is None:
+    stacks = tuning_plan(grid, data.n, data.p, data.q)
+    if stacks is None:
         return grid[0]
-    first, stacks = plan
 
     tr_idx, val_idx = _holdout_split(data.n, rng)
     train_data = data.subset(tr_idx)
@@ -612,23 +622,17 @@ def tune(grid, data, tau, rng):
     for (mode, _, _), positions in stacks.items():
         x, z = _route(mode, train_data.x, train_data.z)
         ys = np.broadcast_to(train_data.y, (len(positions), train_data.n))
-        try:
-            with train_ahead(ys, x, z, [grid[k] for k in positions],
-                             [children[k] for k in positions], tau=tau):
-                for k in positions:
-                    try:
-                        fitted[k] = fit(train_data, tau, grid[k],
-                                        children[k])
-                    except TrainingError as exc:
-                        fitted[k] = exc
-        except ConfigError:
-            raise
-        except DplqrError as exc:
-            fitted.update(dict.fromkeys(positions, exc))
+        with train_ahead(ys, x, z, [grid[k] for k in positions],
+                         [children[k] for k in positions], tau=tau):
+            for k in positions:
+                try:
+                    fitted[k] = fit(train_data, tau, grid[k], children[k])
+                except TrainingError as exc:
+                    fitted[k] = exc
 
     best_config, best_loss = None, np.inf
-    for k in first.values():
-        if isinstance(fitted[k], DplqrError):
+    for k in sorted(fitted):  # grid order, so ties go to the earlier entry
+        if isinstance(fitted[k], TrainingError):
             warnings.warn(f"tuning candidate {grid[k]} failed: {fitted[k]}")
             continue
         score = mean_check_loss(residuals(fitted[k], val_data), tau)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+
+pytest.importorskip("scipy")  # the references below are scipy's
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtri

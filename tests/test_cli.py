@@ -6,6 +6,7 @@ files can be checked without shelling out.
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +183,39 @@ class TestFitCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "error:config: minibatch 250 exceeds the tuning split")
+
+    def test_too_few_rows_for_intervals_is_data_error(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # 7 rows fit, but the Wald intervals fit computes need 10: that
+        # is said before any tuning, and nothing is written
+        def no_tune(*args):
+            raise AssertionError("the grid was tuned")
+        monkeypatch.setattr(cli, "tune", no_tune)
+        data = str(_write_training_csv(tmp_path / "train.csv", n=7))
+        code = main(_fit_args(data, tmp_path, minibatch=4,
+                              report=str(tmp_path / "report.json")))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error:data: Wald intervals need at least 10 rows, got 7\n")
+        assert os.listdir(tmp_path) == ["train.csv"]
+
+    def test_too_small_tuning_split_is_one_data_error(self, tmp_path,
+                                                      capsys, monkeypatch,
+                                                      recwarn):
+        # 5 rows leave 4 to train each of two candidates: a data error
+        # before anything trains, with no warning about the candidates
+        def no_fit(*args):
+            raise AssertionError("a candidate was fitted")
+        monkeypatch.setattr(optimizer, "train_stack", no_fit)
+        data = str(_write_training_csv(tmp_path / "train.csv", n=5))
+        argv = ["fit", "--data", data, "--y", "y", "--x", "x1,x2",
+                "--lr", "0.01,0.02", "--minibatch", "2",
+                "--out", str(tmp_path / "model.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error:data: need at least 5 rows to fit, got 4 in the tuning"
+            " split of 5\n")
+        assert len(recwarn) == 0
 
     def test_non_utf8_data_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
@@ -838,6 +872,61 @@ class TestFileErrors:
                                     report=str(tmp_path)), capsys)
         assert err == f"error:data: {tmp_path}: Is a directory\n"
         assert not (tmp_path / "model.json").exists()
+
+    def _no_reading(self, monkeypatch):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input file was read")
+        monkeypatch.setattr(cli, "load_model", no_read)
+        monkeypatch.setattr(cli, "load_csv", no_read)
+
+    @pytest.mark.parametrize("first, second", [
+        ("out", "report"), ("data", "report")])
+    def test_fit_paths_naming_one_file(self, first, second, train_csv,
+                                       tmp_path, capsys, monkeypatch):
+        # the same file spelled two ways: nothing is read or written
+        self._no_reading(monkeypatch)
+        given = {"data": train_csv, "out": str(tmp_path / "same.json")}
+        path = given.get(first, str(tmp_path / "same.json"))
+        given[first] = path
+        given[second] = os.path.join(os.path.dirname(path), ".",
+                                     os.path.basename(path))
+        argv = _fit_args(given["data"], tmp_path)
+        argv[argv.index("--out") + 1] = given["out"]
+        argv += ["--report", given["report"]]
+        original = Path(train_csv).read_bytes()
+        err = self._error(argv, capsys)
+        assert err == (f"error:config: --{first} and --{second} name the"
+                       f" same file: {given[second]}\n")
+        assert os.listdir(tmp_path) == ["train.csv"]
+        assert Path(train_csv).read_bytes() == original
+
+    @pytest.mark.parametrize("named", ["data", "config"])
+    def test_tune_out_naming_an_input(self, named, train_csv, tmp_path,
+                                      capsys, monkeypatch):
+        self._no_reading(monkeypatch)
+        config = tmp_path / "config.json"
+        config.write_text('{"epochs": 5}', encoding="utf-8")
+        inputs = {"data": train_csv, "config": str(config)}
+        original = Path(inputs[named]).read_bytes()
+        argv = ["tune"] + _fit_args(train_csv, tmp_path)[1:-2]
+        err = self._error(argv + ["--config", str(config),
+                                  "--out", inputs[named]], capsys)
+        assert err == (f"error:config: --{named} and --out name the same"
+                       f" file: {inputs[named]}\n")
+        assert Path(inputs[named]).read_bytes() == original
+
+    @pytest.mark.parametrize("named", ["model", "data"])
+    def test_predict_out_naming_an_input(self, named, train_csv, tmp_path,
+                                         capsys, monkeypatch):
+        model = self._model(tmp_path)
+        self._no_reading(monkeypatch)
+        inputs = {"model": model, "data": train_csv}
+        original = Path(inputs[named]).read_bytes()
+        err = self._error(["predict", "--model", model, "--data", train_csv,
+                           "--out", inputs[named]], capsys)
+        assert err == (f"error:config: --{named} and --out name the same"
+                       f" file: {inputs[named]}\n")
+        assert Path(inputs[named]).read_bytes() == original
 
     def test_config_naming_a_directory(self, train_csv, tmp_path, capsys):
         err = self._error(_fit_args(train_csv, tmp_path,

@@ -93,7 +93,7 @@ class TestSymInverse:
 
     def test_matches_a_cholesky_solve(self):
         # the inverse scipy's cho_solve gives, up to round-off
-        from scipy.linalg import cho_solve
+        cho_solve = pytest.importorskip("scipy.linalg").cho_solve
 
         rng = np.random.default_rng(SYM_INVERSE_SEED)
         for p in range(1, 6):
@@ -156,6 +156,14 @@ class TestFitProjection:
                        z=np.ones((50, 2)))
         with pytest.raises(DataError):
             fit_projection(data, 1, _proj_config(), make_rng(0))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_too_few_rows_is_the_fit_rule(self, n):
+        data = Dataset(y=np.zeros(n), x=np.arange(n, dtype=float),
+                       z=np.ones((n, 2)))
+        with pytest.raises(DataError,
+                           match=rf"^need at least 5 rows to fit, got {n}$"):
+            fit_projection(data, 0, _proj_config(minibatch=2), make_rng(0))
 
     def test_needs_z_columns(self):
         data = Dataset(y=np.zeros(50), x=np.ones((50, 2)), z=None)

@@ -7,10 +7,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dplqr import model, network, optimizer
-from dplqr.errors import ConfigError, TrainingError
+from dplqr.errors import ConfigError, DataError, TrainingError
 from dplqr.model import Dataset
 from dplqr.optimizer import (ADAM_EPSILON_HAT, TrainConfig, TrainHistory,
-                             _check_minibatch, _holdout_split, _record_epoch,
+                             _check_rows, _holdout_split, _record_epoch,
                              adam_step, epoch_batches, init_adam, train_ahead,
                              train_joint, tune)
 from dplqr.quantile_loss import mean_check_loss
@@ -167,10 +167,16 @@ class TestTrainConfig:
             replace(config, mode="ridge")
 
     def test_minibatch_against_sample_size(self):
-        _check_minibatch(TrainConfig(minibatch=64), 64)
+        _check_rows(TrainConfig(minibatch=64), 64)
         with pytest.raises(ConfigError,
                            match="minibatch 65 exceeds sample size 64"):
-            _check_minibatch(TrainConfig(minibatch=65), 64)
+            _check_rows(TrainConfig(minibatch=65), 64)
+
+    def test_too_few_rows_before_the_minibatch(self):
+        _check_rows(TrainConfig(minibatch=5), 5)
+        with pytest.raises(DataError,
+                           match=r"^need at least 5 rows to fit, got 4$"):
+            _check_rows(TrainConfig(minibatch=8), 4)
 
 
 def _linear_toy(n, seed, slope=2.0, noise=0.1):
@@ -186,6 +192,22 @@ def _no_z(y):
 
 
 class TestTrainJoint:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_too_few_rows_before_any_draw(self, n):
+        # the kernel's row rule holds for a lone fit and for each member
+        # of a stack, and is checked before an rng is drawn from
+        y, x = _linear_toy(n, seed=0)
+        cfg = TrainConfig(depth=2, width=4, epochs=3, minibatch=2)
+        rngs = [make_rng(1), make_rng(2)]
+        says = rf"^need at least 5 rows to fit, got {n}$"
+        with pytest.raises(DataError, match=says):
+            train_joint(y, x, _no_z(y), cfg, rngs[0], tau=0.5)
+        with pytest.raises(DataError, match=says):
+            optimizer.train_stack(np.stack([y, -y]), x, _no_z(y),
+                                  [cfg, cfg], rngs)
+        assert [r.bit_generator.state for r in rngs] == [
+            make_rng(k).bit_generator.state for k in (1, 2)]
+
     def test_learns_linear_median(self):
         y, x = _linear_toy(400, seed=0)
         cfg = TrainConfig(depth=1, width=1, epochs=300, minibatch=64,
@@ -323,6 +345,27 @@ class TestTune:
         with pytest.raises(ConfigError, match="tuning split"):
             tune(grid, self._data(), 0.5, rng=make_rng(0))
 
+    @pytest.mark.parametrize("n, message", [
+        (5, "need at least 5 rows to fit, got 4 in the tuning split of 5"),
+        (4, "need at least 5 rows to fit, got 4")],
+        ids=["split", "lone"])
+    def test_too_few_rows_rejected_before_training(self, monkeypatch,
+                                                   recwarn, n, message):
+        # two candidates train on the 4-row split of 5 rows, a lone one
+        # on all 4 rows: either is a data error before any training, and
+        # the rng is not drawn from
+        def no_fit(*args):
+            raise AssertionError("a candidate was fitted")
+        monkeypatch.setattr(optimizer, "train_stack", no_fit)
+        lrs = (0.01, 0.02) if n == 5 else (0.01,)
+        grid = [TrainConfig(depth=2, width=4, epochs=5, minibatch=2,
+                            learning_rate=lr) for lr in lrs]
+        rng = make_rng(0)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            tune(grid, self._data(n=n), 0.5, rng)
+        assert len(recwarn) == 0
+        assert rng.bit_generator.state == make_rng(0).bit_generator.state
+
     def test_candidate_settings_error_is_raised(self, monkeypatch):
         # a settings error holds for every candidate: it is raised, not
         # skipped as a failure to train
@@ -373,7 +416,7 @@ class TestTune:
 
         def record(ys, x, z, configs, rngs, tau=None):
             drawn.extend(int(rng.integers(1 << 30)) for rng in rngs)
-            raise TrainingError("stop")
+            return [TrainingError("stop")] * len(configs)
         monkeypatch.setattr(optimizer, "train_stack", record)
         data = self._data()
         data = Dataset(data.y, data.x, None)

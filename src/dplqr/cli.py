@@ -30,6 +30,7 @@ from .model import predict_batch
 from .modelio import (ColumnRoles, _jsonable, apply_scaling, compute_scaling,
                       json_text, load_csv, load_model, read_json, save_model,
                       write_json)
+from .network import PASS_ROWS
 from .optimizer import MODES, TrainConfig, tune
 from .quantile_loss import validate_tau
 from .rng import make_rng, split
@@ -275,7 +276,9 @@ def cmd_predict(args):
     predictions = predict_batch(fitted, data.x, data.z)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("prediction\n")
-        handle.write("".join(f"{v!r}\n" for v in predictions.tolist()))
+        for start in range(0, len(predictions), PASS_ROWS):
+            block = predictions[start:start + PASS_ROWS].tolist()
+            handle.write("".join(f"{v!r}\n" for v in block))
     print(f"wrote {len(predictions)} prediction(s) to {args.out}")
     return 0
 

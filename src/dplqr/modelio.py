@@ -21,6 +21,8 @@ from .optimizer import MODES, _layout
 from .quantile_loss import validate_tau
 
 SCHEMA_VERSION = 1
+# characters of CSV text that _read_bulk reads and parses at a time
+_CHUNK_CHARS = 1 << 20
 _MODEL_KEYS = ("tau", "mode", "theta", "x_dim", "z_dim", "network",
                "columns", "scaling")
 
@@ -103,40 +105,57 @@ def _column_positions(path, header, used):
 def _read_bulk(path, used):
     """Column positions and every data column, parsed by np.loadtxt.
 
-    Returns None for any file the row reader might read differently:
-    bytes that are not UTF-8, a quote (a quoted cell may span lines), a
-    bare carriage return, a line longer than the csv module's field
-    limit, no data rows, or a cell np.loadtxt rejects (an empty cell,
-    an underscore, a non-ASCII digit, a ragged or whitespace-only row).
-    The row reader then gives the table or the DataError naming the
-    line and column.
+    The file is read and parsed in line-aligned chunks of about
+    _CHUNK_CHARS characters, so that no more than one chunk of text is
+    held at a time. Returns None for any file the row reader might read
+    differently: bytes that are not UTF-8, a quote (a quoted cell may
+    span lines), a bare carriage return, a line longer than the csv
+    module's field limit, no data rows, or a cell np.loadtxt rejects
+    (an empty cell, an underscore, a non-ASCII digit, a ragged or
+    whitespace-only row). The row reader then gives the table or the
+    DataError naming the line and column.
     """
+    positions, tables = None, []
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            text = handle.read().replace("\r\n", "\n")
+            while chunk := handle.readlines(_CHUNK_CHARS):
+                text = "".join(chunk).replace("\r\n", "\n")
+                if '"' in text or "\r" in text:
+                    return None
+                lines = text.split("\n")
+                if max(map(len, lines)) > csv.field_size_limit():
+                    return None
+                if positions is None:
+                    header = next(csv.reader(lines[:1]))
+                    positions = _column_positions(path, header, used)
+                    lines = lines[1:]
+                table = _parse_chunk(lines, len(header))
+                if table is None:
+                    return None
+                tables.append(table)
     except UnicodeDecodeError:
         return None
-    if '"' in text or "\r" in text:
+    if sum(map(len, tables)) == 0:
         return None
-    lines = text.split("\n")
-    data = lines[1:]
-    n_rows = len(data) - data.count("")
-    if n_rows == 0 or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    header = next(csv.reader(lines[:1]))
-    positions = _column_positions(path, header, used)
+    return positions, np.concatenate(tables)
+
+
+def _parse_chunk(lines, width):
+    """(rows, width) table of the non-blank lines, or None where
+    np.loadtxt fails or skips a line that is not blank."""
+    n_rows = len(lines) - lines.count("")
+    if n_rows == 0:
+        return np.empty((0, width))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(data, delimiter=",", comments=None,
+            table = np.loadtxt(lines, delimiter=",", comments=None,
                                dtype=float, ndmin=2)
     except (ValueError, Warning):
         return None
     # the row reader skips blank lines only; fewer rows here would mean
     # np.loadtxt skipped some other line
-    if table.shape != (n_rows, len(header)):
-        return None
-    return positions, table
+    return table if table.shape == (n_rows, width) else None
 
 
 def _read_rows(path, used, require_y):
@@ -187,8 +206,10 @@ def load_csv(path, roles, require_y=True):
     skips the response column (prediction inputs); the Dataset then
     carries y = 0 for every row, and a header-only file gives an n=0
     Dataset; with require_y=True it raises DataError. A plain numeric file
-    is parsed in bulk; any other file goes through the row reader, which
-    gives the same table and the same errors.
+    is parsed in bulk, one chunk of about a MiB of text at a time, so the
+    memory it takes beyond the table does not grow with the file; any
+    other file goes through the row reader, which gives the same table
+    and the same errors.
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")

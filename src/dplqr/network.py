@@ -15,7 +15,9 @@ last column already 1; a forward pass copies z into the first one and
 writes each relu activation into the others in place. A training loop
 allocates the buffers once per fit and hands them to `forward_batch` and
 `backward_batch`, so one step runs the forward pass once and backprop
-reads the activations that pass left behind.
+reads the activations that pass left behind. A `forward_batch` call
+without buffers (prediction, scoring) allocates its own, sized to one
+row block (`PASS_ROWS`), so its memory does not grow with the rows.
 
 A stack of K networks on one width chain has a leading member axis: each
 layer is (K, q_k, q_{k-1} + 1), the inputs are (K, n, q_0) and the
@@ -33,6 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+
+# Row block of a forward pass that is given no buffers. Blocks stay this
+# large because BLAS may round a block of a few rows differently from
+# the whole matrix; blocks of 1,000 rows or more give the single pass's
+# bits on OpenBLAS.
+PASS_ROWS = 8192
 
 
 @dataclass
@@ -134,14 +142,26 @@ def forward_batch(params, z_matrix, acts=None):
 
     With `acts` (from activation_buffers, at least n rows), the layer
     inputs stay in acts for a backward_batch call on the same rows.
+    Without them, fewer than 2 * PASS_ROWS rows run as one pass; more
+    run in blocks of PASS_ROWS rows, the last block taking the
+    remainder, through one buffer set of fewer than 2 * PASS_ROWS rows;
+    such blocks give the bits of one pass over all rows.
     """
     z_matrix = _check_input(params, z_matrix)
-    if acts is None:
-        acts = activation_buffers(params.widths, z_matrix.shape[-2],
-                                  *z_matrix.shape[:-2])
-    else:
+    if acts is not None:
         _check_acts(acts, z_matrix)
-    return _forward(params.layers, z_matrix, acts)
+        return _forward(params.layers, z_matrix, acts)
+    n, lead = z_matrix.shape[-2], z_matrix.shape[:-2]
+    if n < 2 * PASS_ROWS:
+        return _forward(params.layers, z_matrix,
+                        activation_buffers(params.widths, n, *lead))
+    edges = [*range(0, n // PASS_ROWS * PASS_ROWS, PASS_ROWS), n]
+    acts = activation_buffers(params.widths, n - edges[-2], *lead)
+    out = np.empty(z_matrix.shape[:-1])
+    for start, stop in zip(edges, edges[1:]):
+        out[..., start:stop] = _forward(
+            params.layers, z_matrix[..., start:stop, :], acts)
+    return out
 
 
 def backward_batch(params, z_matrix, upstream, acts=None, grads=None):

@@ -7,17 +7,19 @@ files can be checked without shelling out.
 import json
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from dplqr import cli
 from dplqr import experiment
+from dplqr import network
 from dplqr import optimizer
 from dplqr.cli import _OPTIONS, build_parser, main
 from dplqr.errors import (ConfigError, DataError, DplqrError,
                           SingularMatrixError, TrainingError)
-from dplqr.model import Dataset
+from dplqr.model import Dataset, predict_batch
 from dplqr.modelio import (ColumnRoles, apply_scaling, compute_scaling,
                            load_csv, load_model, save_model)
 from dplqr.optimizer import TrainConfig, tune
@@ -492,6 +494,23 @@ class TestPredictCommand:
             assert main(["predict", "--model", model, "--data", str(data),
                          "--out", str(out)]) == 0
         assert plain.read_bytes() == twin.read_bytes()
+
+    def test_large_file_predicts_the_bytes_of_one_pass(self, train_csv,
+                                                       tmp_path):
+        # more than 2 * PASS_ROWS rows (and more than one CSV chunk):
+        # read in chunks, run in row blocks and written block by block
+        model = self._fit_once(train_csv, tmp_path)
+        rows = 2 * network.PASS_ROWS + 5
+        data = str(_write_training_csv(tmp_path / "big.csv", n=rows, seed=1))
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", model, "--data", data,
+                     "--out", str(out)]) == 0
+        fitted, roles, scaling = load_model(model)
+        inputs = apply_scaling(load_csv(data, roles), scaling)
+        with mock.patch.object(network, "PASS_ROWS", 10 * rows):
+            values = predict_batch(fitted, inputs.x, inputs.z)
+        assert out.read_bytes() == ("prediction\n" + "".join(
+            f"{v!r}\n" for v in values.tolist())).encode()
 
     def test_dimension_mismatch_is_data_error(self, train_csv, tmp_path,
                                               capsys):

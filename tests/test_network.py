@@ -1,11 +1,16 @@
 """Tests for the feed-forward ReLU networks and their gradients."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dplqr import network
 from dplqr.errors import ConfigError, DataError
-from dplqr.network import (NetworkParams, backward_batch, forward_batch,
+from dplqr.network import (PASS_ROWS, NetworkParams, _forward,
+                           activation_buffers, backward_batch, forward_batch,
                            init_params)
 from dplqr.rng import make_rng
 
@@ -160,3 +165,64 @@ def test_relu_network_positive_homogeneity():
                                [w * c for w in params.layers])
         assert_allclose(forward_batch(scaled, z)[0], c ** 2 * base,
                         rtol=1e-10)
+
+
+def _one_pass(params, z):
+    """Outputs of a single _forward pass over every row of z."""
+    acts = activation_buffers(params.widths, z.shape[-2], *z.shape[:-2])
+    return _forward(params.layers, z, acts)
+
+
+@pytest.mark.parametrize("n", [2 * PASS_ROWS, 2 * PASS_ROWS + 1,
+                               5 * PASS_ROWS - 3])
+@pytest.mark.parametrize("widths", [(0, 1), (2, 1), (3, 8, 1),
+                                    (4, 6, 5, 1)])
+@pytest.mark.parametrize("members", [None, 2])
+def test_row_blocks_give_the_bits_of_one_pass(n, widths, members):
+    # (0, 1) and (q, 1) are the chains lqr fits; (4, 6, 5, 1) has two
+    # hidden layers
+    rng = make_rng(2)
+    if members is None:
+        params = init_params(widths, rng)
+        z = rng.normal(size=(n, widths[0]))
+    else:
+        draws = [init_params(widths, rng) for _ in range(members)]
+        params = NetworkParams(widths, [np.stack(layers) for layers in
+                                        zip(*(d.layers for d in draws))])
+        z = rng.normal(size=(members, n, widths[0]))
+    for w in params.layers:
+        # nonzero biases, so that the bias column takes part
+        w[..., -1] = rng.normal(size=w.shape[:-1])
+    with mock.patch.object(network, "_forward",
+                           wraps=network._forward) as spy:
+        got = forward_batch(params, z)
+    assert spy.call_count == n // PASS_ROWS
+    want = _one_pass(params, z)
+    assert got.shape == want.shape == z.shape[:-1]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_below_two_blocks_is_one_pass():
+    params = init_params((3, 4, 1), make_rng(3))
+    z = make_rng(4).normal(size=(2 * PASS_ROWS - 1, 3))
+    with mock.patch.object(network, "_forward",
+                           wraps=network._forward) as spy:
+        got = forward_batch(params, z)
+    assert spy.call_count == 1
+    assert got.tobytes() == _one_pass(params, z).tobytes()
+
+
+def test_forward_memory_is_one_block_of_buffers():
+    widths, n = (10, 32, 32, 1), 40_000
+    params = init_params(widths, make_rng(5))
+    z = make_rng(6).normal(size=(n, widths[0]))
+    # a block holds fewer than 2 * PASS_ROWS rows
+    bound = (sum(b.nbytes for b in activation_buffers(widths, 2 * PASS_ROWS))
+             + n * 8)
+    tracemalloc.start()
+    try:
+        forward_batch(params, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound

@@ -134,6 +134,21 @@ def _outcome(path, require_y):
 @example(b'"u\nv",' + HEADER.encode() + b"0,1,2,3,4\n", True)
 @example(HEADER.encode() + b"1,2,3," + b"0" * 200_000 + b"\n", True)
 @example(HEADER.encode() + b"1,2,3,4\r5,6,7,8\n", False)
+# traps at chunk boundaries, for the runs in 7-character chunks below:
+# a \r\n whose \r ends the third 7-character piece of the file; a
+# quote, a bare \r and bytes that are not UTF-8 after the first chunk,
+# the last beyond the 8 KiB a text file decodes at a time, with and
+# without a missing column; a line longer than a chunk; a byte-order
+# mark; no newline at the end
+@example(HEADER.replace("\n", "\r\n").encode() + b"1,2,3,45\r\n6,7,8,9\r\n",
+         True)
+@example(HEADER.encode() + b"1,2,3,4\n" * 3 + b'5,"6",7,8\n', True)
+@example(HEADER.encode() + b"1,2,3,4\n" * 3 + b"5,6,7,8\r9,9,9,9\n", False)
+@example(HEADER.encode() + b"1,2,3,4\n" * 1100 + b"5,6,7,\xff\n", True)
+@example(b"y,x1,z1\n" + b"1,2,3\n" * 3000 + b"5,6,\xff\n", True)
+@example(HEADER.encode() + b"1.25,2.5,3.75,4.125\n1,2,3,4\n", True)
+@example(b"\xef\xbb\xbf" + HEADER.encode() + b"1,2,3,4\n5,6,7,8\n", False)
+@example(HEADER.encode() + b"1,2,3,4\n5,6,7,8", True)
 def test_bulk_path_matches_the_row_reader(content, require_y):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
@@ -143,6 +158,11 @@ def test_bulk_path_matches_the_row_reader(content, require_y):
         with mock.patch.object(modelio, "_read_bulk", return_value=None):
             rows_only = _outcome(path, require_y)
     assert chosen == rows_only
+
+
+def test_bulk_path_in_small_chunks_matches_the_row_reader():
+    with mock.patch.object(modelio, "_CHUNK_CHARS", 7):
+        test_bulk_path_matches_the_row_reader()
 
 
 @PROPERTY
@@ -160,6 +180,11 @@ def test_plain_numeric_file_takes_the_bulk_path(rows, eol, bom):
     assert data.y.tobytes() == table[:, 0].tobytes()
     assert data.x.tobytes() == table[:, 1:2].tobytes()
     assert data.z.tobytes() == table[:, 2:].tobytes()
+
+
+def test_plain_numeric_file_in_small_chunks_takes_the_bulk_path():
+    with mock.patch.object(modelio, "_CHUNK_CHARS", 7):
+        test_plain_numeric_file_takes_the_bulk_path()
 
 
 @st.composite

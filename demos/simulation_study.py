@@ -13,7 +13,8 @@ from dplqr.experiment import report_to_text, scenario_grid
 spec = DgpSpec(case=3, n=500, tau=0.5)
 
 # each replicate draws fresh data, carves an 80/20 train/test split,
-# tunes the learning rate on a hold-out, fits each method, and scores
+# tunes the networks' learning rate on a hold-out, fits each method (the
+# linear one exactly, with nothing to tune), and scores
 # coefficient error, interval coverage, function error, and prediction
 # error on the test fifth
 report = run_experiment(

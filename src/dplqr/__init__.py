@@ -3,8 +3,10 @@
 Fit models of the form  quantile_tau(Y | x, z) = x @ theta + m(z)  by
 joint minibatch-Adam training of theta and a ReLU network m on the check
 loss, with Wald inference for theta from the homoscedastic asymptotic
-covariance. Includes degenerate all-linear ("lqr") and all-network
-("dnqr") modes, synthetic benchmark scenarios, and a CLI (see dplqr.cli).
+covariance. Includes an all-network ("dnqr") mode, the exact linear
+quantile regression ("lqr", solved by an interior-point method in
+dplqr.rq) as the linear baseline, synthetic benchmark scenarios, and a
+CLI (see dplqr.cli).
 """
 
 from .dgp import DgpSpec, generate, true_theta

@@ -9,7 +9,9 @@ where f(0) is the residual density at zero and Omega is the covariance of
 V = X - E(X | Z). Both pieces are estimated from the fitted model: f(0)
 by a Gaussian kernel density estimate on the residuals, and E(X | Z) by a
 least-squares network regression of each X-coordinate on Z using the same
-architecture and training machinery as the main fit.
+architecture and training machinery as the main fit. For an lqr fit,
+whose model is linear in Z, E(X | Z) is the exact least-squares
+projection of X on [1, Z].
 """
 
 import numbers
@@ -132,16 +134,21 @@ def covariance(fit, data, config, rng, level=0.95):
     """Estimate the asymptotic covariance of theta_hat and its intervals.
 
     Pipeline: residuals -> f0_hat by kde_at_zero; per-coefficient
-    projection fits -> V_i = X_i - proj(Z_i); Omega = centered sample
+    projections -> V_i = X_i - proj(Z_i); Omega = centered sample
     covariance of V with the n-1 denominator; Sigma = tau*(1-tau) *
-    Omega^{-1} / f0_hat^2. The rng is split once per coefficient so
-    projection fits have independent, reproducible streams. The p
-    projections train ahead as one stack (`optimizer.train_ahead`), and
-    `fit_projection` then hands each out in order, so each is bit for
-    bit the one it returns alone, and when projections fail to train,
-    the TrainingError of the lowest-index one is raised. The projections
-    train on `config`, which checked its fields when it was made; the
-    kernel checks the rows against it as it does for a fit.
+    Omega^{-1} / f0_hat^2.
+
+    For an lqr fit, proj is one least-squares solve of X on [1, Z]; it
+    uses neither the rng nor the config. Otherwise each projection is a
+    network fit (`fit_projection`). The rng is split once per
+    coefficient so projection fits have independent, reproducible
+    streams. The p projections train ahead as one stack
+    (`optimizer.train_ahead`), and `fit_projection` then hands each out
+    in order, so each is bit for bit the one it returns alone, and when
+    projections fail to train, the TrainingError of the lowest-index one
+    is raised. The projections train on `config`, which checked its
+    fields when it was made; the kernel checks the rows against it as it
+    does for a fit.
     """
     if fit.mode == "dnqr":
         raise ConfigError("dnqr fits have no linear coefficients to cover")
@@ -151,14 +158,18 @@ def covariance(fit, data, config, rng, level=0.95):
     res = model_residuals(fit, data)
     f0 = kde_at_zero(res)
 
-    rngs = split(rng, data.p)
-    with train_ahead(data.x.T, np.zeros((data.n, 0)), data.z,
-                     [config] * data.p, rngs, tau=None):
-        projections = [fit_projection(data, k, config, rngs[k])
-                       for k in range(data.p)]
-    v = np.empty((data.n, data.p))
-    for k, proj in enumerate(projections):
-        v[:, k] = data.x[:, k] - forward_batch(proj, data.z)
+    if fit.mode == "lqr":
+        design = np.hstack([np.ones((data.n, 1)), data.z])
+        coef = np.linalg.lstsq(design, data.x, rcond=None)[0]
+        v = data.x - design @ coef
+    else:
+        v = np.empty((data.n, data.p))
+        rngs = split(rng, data.p)
+        with train_ahead(data.x.T, np.zeros((data.n, 0)), data.z,
+                         [config] * data.p, rngs, tau=None):
+            for k in range(data.p):
+                proj = fit_projection(data, k, config, rngs[k])
+                v[:, k] = data.x[:, k] - forward_batch(proj, data.z)
 
     centered = v - v.mean(axis=0)
     omega = centered.T @ centered / (data.n - 1)

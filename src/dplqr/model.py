@@ -5,15 +5,16 @@ The model is
     quantile_tau(Y | X=x, Z=z) = x @ theta + m(z)
 
 with theta estimated jointly with a ReLU-network m by minimizing the
-empirical check loss. Two degenerate modes reuse the same machinery:
-"lqr" trains one affine layer whatever depth its config names, so the
-model is linear in (x, z); "dnqr" has no linear part and routes every
-covariate into the network. `optimizer._route` and
-`TrainConfig.width_chain` alone decide both rules. A TrainConfig checks
-its fields when it is made, and `optimizer.train_stack`, which every fit
-runs (`fit` as the stack of one; `optimizer.tune` trains its candidates
-ahead as stacks and hands each out through `fit`), checks the rows: at
-least `optimizer.MIN_FIT_ROWS` of them, and a minibatch within them.
+empirical check loss. Two degenerate modes share the model's layout:
+"lqr" is linear in (x, z), the exact linear quantile regression that
+`rq.rq` solves, stored as theta plus one affine layer whatever depth its
+config names; "dnqr" has no linear part and routes every covariate into
+the network. `optimizer._route` alone decides the routing. A TrainConfig
+checks its fields when it is made, and `optimizer.train_stack`, which
+every dplqr and dnqr fit runs (`fit` as the stack of one;
+`optimizer.tune` trains its candidates ahead as stacks and hands each
+out through `fit`), checks the rows: at least `optimizer.MIN_FIT_ROWS`
+of them, and a minibatch within them.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .errors import ConfigError, DataError
 from .network import NetworkParams, forward_batch
 from .optimizer import TrainHistory, _route, train_joint
 from .quantile_loss import validate_tau
+from .rq import rq
 
 
 @dataclass
@@ -90,6 +92,8 @@ class PlqrFit:
     where the network consumes their concatenation and theta_hat is empty.
     x has no constant column, so the network carries the intercept; with
     no network covariates it is the (0, 1) network, a learned constant.
+    history is the training record, None for an lqr fit, which does not
+    train, and for a model read from a file.
     """
 
     theta_hat: np.ndarray
@@ -102,23 +106,37 @@ class PlqrFit:
 
 
 def fit(data, tau, config, rng):
-    """Fit the model at quantile level tau by minibatch Adam.
+    """Fit the model at quantile level tau.
 
-    theta starts at 0 and the network at its Glorot init; both are
-    updated in every Adam step. An internal 80/20 split of `data` drives
-    early stopping: training halts once validation loss has gone
-    `early_stop_patience` epochs without a new minimum, and the
-    parameters in effect at the halt are returned. `rng` (a numpy
-    Generator, say `make_rng(seed)`) draws the split, the init and the
-    batch order, so the same rng state gives the same fit. The config
-    checked its fields when it was made; the training kernel checks the
-    rows before the rng is drawn from, so fewer than
+    In lqr mode the fit is the exact linear quantile regression of y on
+    [x, z, 1] (`rq.rq`): theta is the x part, and the (q, 1) affine layer
+    holds the z part and the intercept. It draws nothing from `rng`, its
+    history is None, and of the config it reads only the mode. A design
+    without full column rank raises SingularMatrixError, fewer rows than
+    its p + q + 1 columns DataError, and a solve that does not converge
+    TrainingError.
+
+    Otherwise the fit runs minibatch Adam. theta starts at 0 and the
+    network at its Glorot init; both are updated in every Adam step. An
+    internal 80/20 split of `data` drives early stopping: training halts
+    once validation loss has gone `early_stop_patience` epochs without a
+    new minimum, and the parameters in effect at the halt are returned.
+    `rng` (a numpy Generator, say `make_rng(seed)`) draws the split, the
+    init and the batch order, so the same rng state gives the same fit.
+    The config checked its fields when it was made; the training kernel
+    checks the rows before the rng is drawn from, so fewer than
     `optimizer.MIN_FIT_ROWS` rows raise DataError and a minibatch beyond
     them raises ConfigError.
     """
     if not isinstance(data, Dataset):
         raise DataError("fit expects a Dataset")
     tau = validate_tau(tau)
+    if config.mode == "lqr":
+        beta, _ = rq(np.hstack([data.x, data.z, np.ones((data.n, 1))]),
+                     data.y, tau)
+        layer = beta[data.p:].reshape(1, data.q + 1)
+        return PlqrFit(beta[:data.p], NetworkParams((data.q, 1), [layer]),
+                       tau, None, "lqr", x_dim=data.p, z_dim=data.q)
     x, z = _route(config.mode, data.x, data.z)
     theta, params, history = train_joint(data.y, x, z, config, rng, tau=tau)
     return PlqrFit(theta, params, tau, history, config.mode,

@@ -7,14 +7,16 @@ the form
 
 in lockstep, by minibatch Adam on either the check loss (quantile fits)
 or squared error (projection fits), updating theta and every network
-layer in the same step. The members share the rows x and z, the network
-and the minibatch; each has its own target, learning rate, patience,
-epochs and rng. An internal 80/20 train/validation split of each member
-drives its epoch-level early stopping; the parameters in effect when a
-member halts are the ones returned for it. An epoch runs the network once
-per step and once over the validation rows: its training loss is the
-running mean of the losses its steps already computed, so no pass goes
-over the training rows again.
+layer in the same step. lqr fits never come here: `model.fit` solves
+them exactly (`rq.rq`), and the kernel rejects an lqr config. The
+members share the rows x and z, the network and the minibatch; each has
+its own target, learning rate, patience, epochs and rng. An internal
+80/20 train/validation split of each member drives its epoch-level
+early stopping; the parameters in effect when a member halts are the
+ones returned for it. An epoch runs the network once per step and once
+over the validation rows: its training loss is the running mean of the
+losses its steps already computed, so no pass goes over the training
+rows again.
 
 What stacks follows from what fits share. `tune` trains the candidates
 it keeps as one stack per mode, network and minibatch (one stack of two
@@ -39,7 +41,7 @@ together yet.
 import math
 import numbers
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +71,15 @@ class TrainConfig:
     above a fit's 80% training split trains on the whole split each
     step, while the config (and so `fit --report`) keeps the requested
     value: on 300 rows, minibatch 250 and 240 train the same model.
-    `mode` is "dplqr" (linear part plus network), "lqr" (all affine: it
-    trains one affine layer whatever its depth and width) or "dnqr" (no
-    linear part; all covariates enter the network). A config checks its
-    fields when it is made, so `TrainConfig(...)` and
-    `dataclasses.replace` raise ConfigError for a bad one. The training
-    kernel, `train_stack`, checks the one rule that needs the data
-    (`_check_rows`: at least MIN_FIT_ROWS rows, and a minibatch within
-    them) and builds the network that `width_chain` names.
+    `mode` is "dplqr" (linear part plus network), "lqr" (linear in x and
+    z, solved exactly by `rq.rq`: it trains nothing, so its other fields
+    go unused) or "dnqr" (no linear part; all covariates enter the
+    network). A config checks its fields when it is made, so
+    `TrainConfig(...)` and `dataclasses.replace` raise ConfigError for a
+    bad one. The training kernel, `train_stack`, checks the one rule
+    that needs the data (`_check_rows`: at least MIN_FIT_ROWS rows, and a
+    minibatch within them) and builds the network that `width_chain`
+    names.
     """
 
     depth: int = 3
@@ -105,8 +108,8 @@ class TrainConfig:
 
     def width_chain(self, n_in):
         """The width chain this config trains on n_in network inputs: one
-        affine layer in lqr mode or with no inputs (the intercept alone)."""
-        depth = 1 if self.mode == "lqr" or n_in == 0 else self.depth
+        affine layer with no inputs (the intercept alone)."""
+        depth = 1 if n_in == 0 else self.depth
         return (n_in,) + (self.width,) * (depth - 1) + (1,)
 
 
@@ -266,11 +269,12 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     ys : (K, n) targets, one row per member
     x : (n, p) linear-part covariates every member trains on; p may be 0
     z : (n, q) network inputs every member trains on; q may be 0
-    configs : one TrainConfig per member. Each is checked against the
-        rows before any rng is drawn from: fewer than MIN_FIT_ROWS rows
-        raise DataError, and a minibatch above n raises ConfigError. They
-        must name the same network, `width_chain(q)`, and the same
-        minibatch; learning rate, patience and epochs may differ.
+    configs : one TrainConfig per member, none in lqr mode (ConfigError).
+        Each is checked against the rows before any rng is drawn from:
+        fewer than MIN_FIT_ROWS rows raise DataError, and a minibatch
+        above n raises ConfigError. They must name the same network,
+        `width_chain(q)`, and the same minibatch; learning rate,
+        patience and epochs may differ.
     rngs : one numpy Generator per member
     tau : quantile level for check loss, or None for squared error
 
@@ -316,6 +320,9 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
         raise DataError(f"z must have shape ({n}, q), got {z.shape}")
     if tau is not None:
         tau = validate_tau(tau)
+    if any(c.mode == "lqr" for c in configs):
+        raise ConfigError("an lqr fit is solved exactly (rq.rq), not"
+                          " trained")
     for config in configs:
         _check_rows(config, n)
     widths = configs[0].width_chain(z.shape[1])
@@ -548,25 +555,30 @@ def tuning_plan(grid, n, p, q):
     """What `tune` trains for `grid` on n rows of p linear and q network
     covariates, checked before anything trains.
 
-    An empty grid raises ConfigError. The rows that train a candidate
-    must meet the kernel's rule (`_check_rows`): the n rows a lone
-    distinct candidate is fitted on, or the tuning split that trains
-    each candidate when the grid holds more than one. Too few rows raise
-    DataError and a minibatch beyond them ConfigError; each candidate
-    checked its other settings when it was made. Returns None for a grid
-    of one distinct candidate, which tune returns as it is; otherwise
-    the grid positions of the distinct candidates, grouped into the
-    stacks they train as and keyed by the mode, network and minibatch
-    each stack shares.
+    An empty grid raises ConfigError. An all-lqr grid needs no check:
+    every lqr candidate is the same exact fit. The rows that train a
+    candidate must meet the kernel's rule (`_check_rows`): the n rows a
+    lone distinct candidate is fitted on, or the tuning split that
+    trains each candidate when the grid holds more than one (an lqr
+    candidate, which fits on the split exactly, has no minibatch to
+    check). Too few rows raise DataError and a minibatch beyond them
+    ConfigError; each candidate checked its other settings when it was
+    made. Returns None for an all-lqr grid or a grid of one distinct
+    candidate, which tune returns as it is; otherwise the grid positions
+    of the distinct candidates, grouped into the stacks they train as
+    and keyed by the mode, network and minibatch each stack shares.
     """
     if not grid:
         raise ConfigError("tuning grid is empty")
+    if all(c.mode == "lqr" for c in grid):
+        return None
     seen = set()  # what a kept candidate trains
     stacks = {}  # what stacked candidates share -> their grid positions
     for k, c in enumerate(grid):
         widths = c.width_chain(_layout(c.mode, p, q)[1])
-        key = (widths, c.learning_rate, c.epochs, c.minibatch,
-               c.early_stop_patience)
+        # an lqr candidate is solved, not trained: no network duplicates it
+        key = (c.mode == "lqr", widths, c.learning_rate, c.epochs,
+               c.minibatch, c.early_stop_patience)
         if key not in seen:
             seen.add(key)
             stacks.setdefault((c.mode, widths, c.minibatch), []).append(k)
@@ -578,7 +590,7 @@ def tuning_plan(grid, n, p, q):
         raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got"
                         f" {n_tr} in the tuning split of {n}")
     for candidate in grid:
-        if candidate.minibatch > n_tr:
+        if candidate.mode != "lqr" and candidate.minibatch > n_tr:
             raise ConfigError(
                 f"minibatch {candidate.minibatch} exceeds the tuning split:"
                 f" {n_tr} of {n} rows train each candidate")
@@ -593,17 +605,19 @@ def tune(grid, data, tau, rng):
     by mean check loss of full-model residuals on the 20%, and the
     winner is returned (ties go to the earlier grid entry). A candidate
     is skipped when an earlier one trains the same network on `data`
-    (any lqr depth and width; any depth and width with no z columns)
-    with the same lr, epochs, minibatch and patience. The kept
-    candidates that share their mode, network and minibatch train ahead
-    as one stack (`train_ahead`), and `model.fit` then hands out each
-    one's fit, the one it would get alone. A bad tau raises ConfigError,
-    and so does a grid that `tuning_plan` rejects (such as a minibatch
-    beyond the 80% split); a split of fewer than MIN_FIT_ROWS rows
-    raises DataError. Both come before the rng is drawn from. Each
-    candidate fails alone: one that fails to train is skipped with a
-    warning, and if all fail, a TrainingError is raised. A grid of one
-    distinct candidate is returned as-is without consuming the rng.
+    (any depth and width with no z columns) with the same lr, epochs,
+    minibatch and patience. The kept candidates that share their mode,
+    network and minibatch train ahead as one stack (`train_ahead`), and
+    `model.fit` then hands out each one's fit, the one it would get
+    alone; an lqr candidate of a mixed grid trains nothing ahead, since
+    `model.fit` solves it exactly. A bad tau raises ConfigError, and so
+    does a grid that `tuning_plan` rejects (such as a minibatch beyond
+    the 80% split); a split of fewer than MIN_FIT_ROWS rows raises
+    DataError. Both come before the rng is drawn from. Each candidate
+    fails alone: one that fails to train is skipped with a warning, and
+    if all fail, a TrainingError is raised. An all-lqr grid (every lqr
+    candidate is the same exact fit), or a grid of one distinct
+    candidate, is returned as-is without consuming the rng.
     """
     from .model import fit, residuals
 
@@ -622,8 +636,10 @@ def tune(grid, data, tau, rng):
     for (mode, _, _), positions in stacks.items():
         x, z = _route(mode, train_data.x, train_data.z)
         ys = np.broadcast_to(train_data.y, (len(positions), train_data.n))
-        with train_ahead(ys, x, z, [grid[k] for k in positions],
-                         [children[k] for k in positions], tau=tau):
+        ahead = nullcontext() if mode == "lqr" else train_ahead(
+            ys, x, z, [grid[k] for k in positions],
+            [children[k] for k in positions], tau=tau)
+        with ahead:
             for k in positions:
                 try:
                     fitted[k] = fit(train_data, tau, grid[k], children[k])

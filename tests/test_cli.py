@@ -95,11 +95,25 @@ class TestFitCommand:
         payload = json.loads(report.read_text())
         assert payload["widths"] == widths
         assert payload["config"]["depth"] == 2
+        # an lqr fit is solved, not trained: it has no history
+        assert (payload["history"] is None) == ("lqr" in roles)
         assert "mode" not in payload["config"]
         assert "seed" not in payload["config"]
         model = json.loads((tmp_path / "model.json").read_text())
         assert model["network"]["widths"] == widths
         assert model["schema_version"] == 1
+
+    def test_lqr_ignores_the_training_flags(self, train_csv, tmp_path):
+        # lqr is solved exactly: seed, grid, epochs and a minibatch beyond
+        # the 150 rows leave the model file as the defaults write it
+        plain, odd = tmp_path / "plain.json", tmp_path / "odd.json"
+        roles = ["fit", "--data", train_csv, "--y", "y", "--x", "x1,x2",
+                 "--z", "z1,z2", "--mode", "lqr"]
+        assert main(roles + ["--out", str(plain)]) == 0
+        assert main(roles + ["--out", str(odd), "--seed", "9", "--lr",
+                             "0.5,0.9", "--depth", "1,4", "--epochs", "1",
+                             "--minibatch", "1000", "--patience", "1"]) == 0
+        assert odd.read_bytes() == plain.read_bytes()
 
     def test_deterministic_model_bytes(self, train_csv, tmp_path):
         a = tmp_path / "a.json"
@@ -266,12 +280,13 @@ class TestFitCommand:
     @pytest.mark.parametrize("roles, widths", [
         (["--x", "x1,x2", "--width", "4,8,16", "--depth", "2,3"], [(0, 1)]),
         (["--x", "x1,x2", "--z", "z1,z2", "--mode", "lqr", "--width",
-          "4,8", "--depth", "2,3"], [(2, 1)] * 3),
+          "4,8", "--depth", "2,3"], []),
     ], ids=["x-only", "lqr"])
     def test_grid_of_one_network_trains_it_once(self, train_csv, tmp_path,
                                                 monkeypatch, roles, widths):
-        # every grid point trains the same network, so tuning fits none;
-        # the final fit and the lqr fit's two projections remain
+        # every grid point trains the same network, so tuning fits none
+        # and the final fit remains; lqr is solved exactly, so neither its
+        # fit nor its two projections train
         from dplqr import inference, model
         trained = []
 

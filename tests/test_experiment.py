@@ -117,8 +117,8 @@ class TestRunExperiment:
 
     def test_each_method_trains_its_own_network_from_an_lqr_entry(
             self, monkeypatch):
-        # an lqr grid entry keeps its depth, so dplqr trains it in full
-        # and only the lqr fit is one affine layer
+        # an lqr grid entry keeps its depth, so dplqr trains it in full;
+        # the lqr fit is solved exactly and trains nothing
         from dplqr import model
         trained = []
 
@@ -132,7 +132,7 @@ class TestRunExperiment:
                             early_stop_patience=5, mode="lqr")]
         run_experiment(DgpSpec(case=1, n=200, tau=0.5), 1,
                        methods=("dplqr", "lqr"), grid=grid, with_ci=False)
-        assert trained == [(10, 16, 16, 1), (10, 1)]
+        assert trained == [(10, 16, 16, 1)]
 
     def test_failure_abort(self, monkeypatch):
         # every replicate failing to train trips the 10% abort rule

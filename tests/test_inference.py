@@ -11,7 +11,7 @@ from dplqr.errors import (ConfigError, DataError, SingularMatrixError,
                           TrainingError)
 from dplqr.inference import (confidence_intervals, covariance, fit_projection,
                              kde_at_zero, sym_inverse, validate_level)
-from dplqr.model import Dataset, fit
+from dplqr.model import Dataset, fit, predict_batch
 from dplqr.network import forward_batch
 from dplqr.optimizer import TrainConfig
 from dplqr.rng import make_rng, split
@@ -314,3 +314,28 @@ class TestCovariance:
         fitted = fit(data, 0.5, cfg, make_rng(0))
         with pytest.raises(ConfigError):
             covariance(fitted, data, cfg, make_rng(0))
+
+    def test_lqr_closed_form(self):
+        # an lqr fit projects X on [1, Z] exactly: Omega is the Schur
+        # complement of the sample covariance of (X, Z) in its Z block,
+        # and the rng and the config play no part
+        rng = np.random.default_rng(2107)
+        n = 300
+        z = rng.uniform(0, 2, size=(n, 3))
+        x = np.column_stack([z[:, 0] + rng.normal(size=n),
+                             z[:, 1] * z[:, 2] + rng.normal(size=n)])
+        y = x @ [1.0, -1.0] + z.sum(axis=1) + rng.standard_normal(n)
+        data = Dataset(y=y, x=x, z=z)
+        lqr = TrainConfig(mode="lqr")
+        fitted = fit(data, 0.3, lqr, make_rng(0))
+        est = covariance(fitted, data, lqr, make_rng(1))
+        s = np.cov(np.hstack([x, z]), rowvar=False)
+        omega = s[:2, :2] - s[:2, 2:] @ np.linalg.solve(s[2:, 2:], s[2:, :2])
+        assert_allclose(est.omega_hat, omega, rtol=1e-10)
+        f0 = kde_at_zero(data.y - predict_batch(fitted, x, z))
+        assert est.f0_hat == f0
+        sigma = 0.3 * 0.7 * np.linalg.inv(omega) / f0 ** 2
+        assert_allclose(est.sigma_hat, sigma, rtol=1e-10)
+        other = covariance(fitted, data, replace(lqr, depth=5, width=3),
+                           make_rng(9))
+        assert other.sigma_hat.tobytes() == est.sigma_hat.tobytes()

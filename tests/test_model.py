@@ -12,8 +12,10 @@ from dplqr.model import (Dataset, PlqrFit, fit, m_values, predict,
                          predict_batch, residuals)
 from dplqr.network import NetworkParams
 from dplqr.optimizer import TrainConfig, _holdout_split, tune
-from dplqr.quantile_loss import mean_check_loss
+from dplqr.inference import covariance
+from dplqr.quantile_loss import check_loss, mean_check_loss
 from dplqr.rng import make_rng, split
+from dplqr.rq import rq
 
 
 def _toy_data(n=200, seed=0, theta=(1.0, -1.0), noise=0.3):
@@ -59,15 +61,13 @@ class TestDataset:
 class TestMakeModeConfig:
     """A config made for a mode: TrainConfig(mode=...) or replace."""
 
-    def test_lqr_forces_depth_one(self):
-        # lqr trains one affine layer whatever depth the config names;
-        # the config keeps its settings, so replace is lossless
+    def test_lqr_mode_keeps_the_settings(self):
+        # an lqr config keeps every setting it was given, though an lqr
+        # fit reads only the mode, so replace is lossless
         base = TrainConfig(depth=3, width=16)
-        for cfg in (replace(base, mode="lqr"),
-                    TrainConfig(depth=3, width=16, mode="lqr"),
-                    replace(base, mode="lqr", depth=4)):
-            assert cfg.width_chain(5) == (5, 1)
-        assert replace(replace(base, mode="lqr"), mode="dplqr") == base
+        cfg = replace(base, mode="lqr")
+        assert (cfg.depth, cfg.width) == (3, 16)
+        assert replace(cfg, mode="dplqr") == base
         assert base.width_chain(5) == (5, 16, 16, 1)
 
     def test_dnqr_keeps_architecture(self):
@@ -136,6 +136,39 @@ class TestFit:
         fitted = fit(data, 0.5, cfg, make_rng(0))
         assert fitted.network.widths == (data.q, 1)
         assert fitted.mode == "lqr"
+
+    def test_lqr_fit_is_the_exact_solution(self):
+        # theta is the x part of rq on [x, z, 1], the affine layer holds
+        # the z part and the intercept; nothing is drawn and nothing trains
+        data = _toy_data(150, seed=2109)
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        fitted = fit(data, 0.3, TrainConfig(mode="lqr"), rng)
+        beta, _ = rq(np.hstack([data.x, data.z, np.ones((data.n, 1))]),
+                     data.y, 0.3)
+        assert fitted.theta_hat.tobytes() == beta[:2].tobytes()
+        assert fitted.network.layers[0].tobytes() == beta[2:].tobytes()
+        assert fitted.history is None
+        assert rng.bit_generator.state == state
+
+    def test_lqr_fit_tune_and_covariance_never_train(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_stack was called")
+        monkeypatch.setattr(optimizer, "train_stack", no_training)
+        data = _toy_data(150, seed=2109)
+        grid = [TrainConfig(depth=3, learning_rate=lr, minibatch=500,
+                            mode="lqr") for lr in (0.01, 0.02)]
+        best = tune(grid, data, 0.5, make_rng(1))
+        fitted = fit(data, 0.5, best, make_rng(2))
+        estimate = covariance(fitted, data, best, make_rng(3))
+        assert np.all(estimate.intervals[:, 0] < fitted.theta_hat)
+
+    def test_training_kernel_rejects_lqr(self):
+        data = _toy_data(50, seed=2109)
+        with pytest.raises(ConfigError, match="lqr"):
+            optimizer.train_joint(data.y, data.x, data.z,
+                                  TrainConfig(mode="lqr"), make_rng(0),
+                                  tau=0.5)
 
     def test_dnqr_routes_everything_into_network(self):
         data = _toy_data(100, seed=3)
@@ -240,6 +273,27 @@ class TestFit:
             monkeypatch, grid, _toy_data(120, seed=8))
         assert stacks == [["dplqr", "dplqr"], ["dnqr", "dnqr"]]
         assert sorted(handed) == [0, 1, 2, 3]
+        for k in handed:
+            self._assert_same_bytes(handed[k], alone[k])
+
+    @pytest.mark.parametrize("z_cols", [2, 0])
+    def test_lqr_candidate_of_a_mixed_grid_trains_nothing(self, monkeypatch,
+                                                           z_cols):
+        # the dplqr candidates train as one stack; the lqr one is solved
+        # exactly on the tuning split, as fit solves it alone. With no z
+        # columns it is no duplicate of the dplqr intercept network
+        grid = [TrainConfig(depth=2, width=4, epochs=15, minibatch=32,
+                            early_stop_patience=4, learning_rate=lr,
+                            mode=mode)
+                for lr, mode in ((0.01, "dplqr"), (0.01, "lqr"),
+                                 (0.05, "dplqr"))]
+        data = _toy_data(120, seed=2110)
+        data = Dataset(data.y, data.x, data.z[:, :z_cols])
+        stacks, handed, alone = self._tuned_and_alone(monkeypatch, grid,
+                                                      data)
+        assert stacks == [["dplqr", "dplqr"]]
+        assert sorted(handed) == [0, 1, 2]
+        assert handed[1].history is None
         for k in handed:
             self._assert_same_bytes(handed[k], alone[k])
 
@@ -363,3 +417,22 @@ class TestStatisticalProperties:
         grid = np.linspace(-2.0, 3.0, 2001)
         best = min(mean_check_loss(y - b * x[:, 0], 0.5) for b in grid)
         assert achieved <= best * 1.02
+
+    def test_lqr_reaches_the_exact_minimum(self):
+        # the same comparison for an lqr fit, which is exact: its check
+        # loss is at or below that of every point of a slope x intercept
+        # grid
+        rng = np.random.default_rng(2108)
+        n = 150
+        x = rng.normal(size=(n, 1))
+        y = 0.5 + 1.0 * x[:, 0] + rng.standard_normal(n)
+        fitted = fit(Dataset(y=y, x=x, z=None), 0.5,
+                     TrainConfig(mode="lqr"), make_rng(2))
+        achieved = mean_check_loss(residuals(fitted, Dataset(y, x, None)),
+                                   0.5)
+        slopes, levels = np.meshgrid(np.linspace(0.0, 2.0, 201),
+                                     np.linspace(-0.5, 1.5, 201))
+        preds = slopes.ravel()[:, None] * x[:, 0] + levels.ravel()[:, None]
+        losses = np.mean(check_loss(y - preds, 0.5), axis=1)
+        assert achieved <= losses.min() + 1e-15
+        assert np.sort(losses)[0] - achieved < 1e-3

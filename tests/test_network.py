@@ -179,8 +179,8 @@ def _one_pass(params, z):
                                     (4, 6, 5, 1)])
 @pytest.mark.parametrize("members", [None, 2])
 def test_row_blocks_give_the_bits_of_one_pass(n, widths, members):
-    # (0, 1) and (q, 1) are the chains lqr fits; (4, 6, 5, 1) has two
-    # hidden layers
+    # (0, 1) and (q, 1) are the one-layer chains of x-only and lqr
+    # models; (4, 6, 5, 1) has two hidden layers
     rng = make_rng(2)
     if members is None:
         params = init_params(widths, rng)

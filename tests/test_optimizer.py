@@ -379,11 +379,11 @@ class TestTune:
             tune(grid, self._data(), 0.5, rng=make_rng(0))
 
     @pytest.mark.parametrize("mode, z_cols, fits", [
-        ("dplqr", 0, 2), ("lqr", 3, 2), ("dplqr", 3, 8)])
+        ("dplqr", 0, 2), ("dplqr", 3, 8)])
     def test_each_distinct_network_is_fitted_once(self, monkeypatch, mode,
                                                   z_cols, fits):
-        # depth x width x lr = 8 points; with no z columns, or in lqr
-        # mode, they train only two networks, one per learning rate
+        # depth x width x lr = 8 points; with no z columns they train
+        # only two networks, one per learning rate
         fitted = []
 
         def counted(ys, x, z, configs, rngs, tau=None):
@@ -401,13 +401,34 @@ class TestTune:
         assert fitted == grid[:fits]
         assert picked in fitted
 
-    def test_grid_of_one_network_is_returned_unfitted(self, monkeypatch):
+    def test_lqr_grid_is_returned_undrawn(self, monkeypatch):
+        # every lqr candidate is the same exact fit, whatever its depth,
+        # width, learning rate or minibatch: tune returns the first one
+        # without training, fitting or drawing from the rng
         def no_fit(*args):
             raise AssertionError("a candidate was fitted")
         monkeypatch.setattr(optimizer, "train_stack", no_fit)
-        grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=32,
-                            mode="lqr") for d in (2, 3) for w in (4, 8)]
-        assert tune(grid, self._data(), 0.5, rng=make_rng(0)) is grid[0]
+        monkeypatch.setattr(model, "fit", no_fit)
+        grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=m,
+                            learning_rate=lr, mode="lqr")
+                for d in (2, 3) for w in (4, 8) for lr in (0.01, 0.02)
+                for m in (32, 1000)]
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        assert tune(grid, self._data(), 0.5, rng=rng) is grid[0]
+        assert rng.bit_generator.state == state
+
+    def test_grid_of_one_network_is_returned_unfitted(self, monkeypatch):
+        # with no z columns every depth and width trains the (0, 1)
+        # intercept network
+        def no_fit(*args):
+            raise AssertionError("a candidate was fitted")
+        monkeypatch.setattr(optimizer, "train_stack", no_fit)
+        data = self._data()
+        grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=32)
+                for d in (2, 3) for w in (4, 8)]
+        assert tune(grid, Dataset(data.y, data.x, None), 0.5,
+                    rng=make_rng(0)) is grid[0]
 
     def test_kept_candidates_keep_their_streams(self, monkeypatch):
         # children are split over the full grid, so skipping the

@@ -199,7 +199,7 @@ def _problem(n, p, q, seed):
     (2, (3, 8, 8, 1), 0.3, 50),   # short last batch of 46 rows
     (2, (3, 6, 1), None, 40),     # squared error, as in projection fits
     (0, (3, 8, 8, 1), 0.5, 32),   # p = 0: no linear part (dnqr)
-    (2, (3, 1), 0.7, 32),         # depth 1: no hidden buffers (lqr)
+    (2, (3, 1), 0.7, 32),         # depth 1: no hidden buffers
     (2, (0, 1), 0.5, 25),         # no z columns: the network is the
     (2, (0, 1), None, 25),        # intercept alone
 ])

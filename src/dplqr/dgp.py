@@ -149,15 +149,6 @@ def _x_sum(x, reading):
     return x[..., 0] + x[..., 1]
 
 
-def _m_star(case, zz):
-    """z part of the scale function for cases 4-6 (matrix input)."""
-    if case == 4:
-        return zz.sum(axis=1) / 5.0
-    if case == 5:
-        return np.abs(zz - 0.2).sum(axis=1) / 3.6
-    return 3.0 * ndtr((zz - 1.0).sum(axis=1) / 5.0)
-
-
 def _theta_star(case, reading):
     denom = {4: 5.0, 5: 3.6, 6: 3.0}[case]
     pair = np.array([2.0, 0.0]) if reading == "2x1" else np.array([1.0, 1.0])
@@ -233,7 +224,11 @@ def true_m(spec, z):
     t = t3_quantile(spec.tau)
     if spec.case <= 3:
         return m_case(spec.case, z) + t
-    return m_case(spec.case - 3, z) + t * _m_star(spec.case, z)
+    # the scale at x = 0 is its z part exactly: 0.0 + s and 0.0 / 3.0 + v
+    # are s and v
+    scale = sigma1_case(spec.case, np.zeros((len(z), 2)), z,
+                        spec.sigma_x_terms)
+    return m_case(spec.case - 3, z) + t * scale
 
 
 def true_quantile(spec, x, z):

@@ -142,20 +142,17 @@ def forward_batch(params, z_matrix, acts=None):
 
     With `acts` (from activation_buffers, at least n rows), the layer
     inputs stay in acts for a backward_batch call on the same rows.
-    Without them, fewer than 2 * PASS_ROWS rows run as one pass; more
-    run in blocks of PASS_ROWS rows, the last block taking the
-    remainder, through one buffer set of fewer than 2 * PASS_ROWS rows;
-    such blocks give the bits of one pass over all rows.
+    Without them, the rows run in blocks of PASS_ROWS rows, the last
+    block taking the remainder, through one buffer set of fewer than
+    2 * PASS_ROWS rows: fewer than 2 * PASS_ROWS rows are one block.
+    Such blocks give the bits of one pass over all rows.
     """
     z_matrix = _check_input(params, z_matrix)
     if acts is not None:
         _check_acts(acts, z_matrix)
         return _forward(params.layers, z_matrix, acts)
     n, lead = z_matrix.shape[-2], z_matrix.shape[:-2]
-    if n < 2 * PASS_ROWS:
-        return _forward(params.layers, z_matrix,
-                        activation_buffers(params.widths, n, *lead))
-    edges = [*range(0, n // PASS_ROWS * PASS_ROWS, PASS_ROWS), n]
+    edges = [0, *range(PASS_ROWS, n - PASS_ROWS + 1, PASS_ROWS), n]
     acts = activation_buffers(params.widths, n - edges[-2], *lead)
     out = np.empty(z_matrix.shape[:-1])
     for start, stop in zip(edges, edges[1:]):

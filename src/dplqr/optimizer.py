@@ -29,7 +29,10 @@ call that would train it alone, so every fit still passes through
 byte for byte those of training it alone: every product is a stacked
 `np.matmul`, which runs per member the BLAS call a lone network runs,
 losses are reduced along each member's own row, and Adam is elementwise
-(`tests/test_train_exact.py` pins this).
+(`tests/test_train_exact.py` pins this). Members leave the stack only at
+the end of an epoch: one whose gradient turns non-finite is frozen until
+then and leaves with the epoch's other leavers; the others' bytes do not
+change.
 A step costs per-call numpy overhead more than arithmetic, and a stack
 shares that overhead: a scenario grid's pair of tuning candidates trains
 in about 0.7 of the time of training the two one by one on case 1's
@@ -261,6 +264,24 @@ def _unflatten(flat, shapes):
     return views
 
 
+def _views(flat, flat_grad, shapes, widths):
+    """(theta, params, grad_theta, grad_layers) as views into a stack's
+    flat vectors; theta and its gradient as (K, p, 1) columns."""
+    theta, *layers = _unflatten(flat, shapes)
+    grad_theta, *grad_layers = _unflatten(flat_grad, shapes)
+    return (theta[..., None], net.NetworkParams(widths, layers),
+            grad_theta[..., None], grad_layers)
+
+
+def _mean_loss(ys, x, z, theta, params, acts, tau):
+    """Each member's mean loss on its (K, n) targets and its own rows: the
+    check loss at tau, or squared error for tau None."""
+    residuals = ys - ((x @ theta)[..., 0] + net.forward_batch(params, z, acts))
+    if tau is not None:
+        return np.mean(check_loss(residuals, tau), axis=-1)
+    return np.mean(residuals ** 2, axis=-1)
+
+
 def train_stack(ys, x, z, configs, rngs, tau=None):
     """Minibatch-Adam fits of y_k ~ x @ theta_k + net_k(z), k < K, in lockstep.
 
@@ -299,11 +320,12 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     member's own row, to its running training loss; no pass goes over
     the training rows at the end of an epoch. Each member's TrainHistory,
     made before epoch 1, records its losses and decides when it halts
-    (`_record_epoch`). A member leaves the stack when it halts, keeping
-    the parameters of its halt and drawing nothing more; a member whose
-    gradient turns non-finite, or whose running training loss or
-    validation loss is not finite at the end of an epoch, fails alone,
-    before that epoch is recorded, and the others go on unchanged.
+    (`_record_epoch`). Members leave only at the end of an epoch, in one
+    pass, and draw nothing more: one that halts keeps the parameters of
+    its halt; one whose gradient turned non-finite fails with that error,
+    frozen (gradient row and learning rate zeroed) for the rest of the
+    epoch; one whose training or validation loss is not finite fails
+    before the epoch is recorded. The others' bytes do not change.
     """
     ys = np.asarray(ys, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -358,63 +380,21 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
                  for _ in configs]
     results = [None] * len(configs)
     members = list(range(len(configs)))  # stack position -> member
-
-    def bind():
-        """Point theta (as (K, p, 1) columns), the layers and their
-        gradients at the current flat vectors, and line up the members'
-        training rows end to end for gathering."""
-        nonlocal theta, params, grad_theta, grad_layers, rows_of, offsets
-        theta, *layers = _unflatten(flat, shapes)
-        params = net.NetworkParams(widths, layers)
-        grad_theta, *grad_layers = _unflatten(flat_grad, shapes)
-        theta, grad_theta = theta[..., None], grad_theta[..., None]
-        total = len(members) * n_tr
-        rows_of = [a.reshape((total,) + a.shape[2:]) for a in train]
-        offsets = n_tr * np.arange(len(members))[:, None]
-
-    def leave(leaving, error=None):
-        """Take these members out of the stack, each with the error that
-        stopped it or its halt-time fit; returns the stack positions of
-        the members that stay."""
-        nonlocal flat, flat_grad, lr, acts, members, train, val
-        keep = []
-        for pos, member in enumerate(members):
-            if member not in leaving:
-                keep.append(pos)
-            elif error is not None:
-                results[member] = error
-            else:
-                own = _unflatten(flat[pos].copy(), shapes)
-                results[member] = (own[0], net.NetworkParams(widths, own[1:]),
-                                   histories[member])
-        flat, flat_grad, lr = flat[keep], flat_grad[keep], lr[keep]
-        state.first_moment = state.first_moment[keep]
-        state.second_moment = state.second_moment[keep]
-        train = [a[keep] for a in train]
-        val = [a[keep] for a in val]
-        acts = [buffer[:len(keep)] for buffer in acts]
-        members = [members[pos] for pos in keep]
-        bind()
-        return keep
-
-    def loss_on(y_rows, x_rows, z_rows):
-        residuals = y_rows - ((x_rows @ theta)[..., 0]
-                              + net.forward_batch(params, z_rows, acts))
-        if tau is not None:
-            return np.mean(check_loss(residuals, tau), axis=-1)
-        return np.mean(residuals ** 2, axis=-1)
-
-    theta = params = grad_theta = grad_layers = rows_of = offsets = None
-    bind()
+    theta, params, grad_theta, grad_layers = _views(flat, flat_grad, shapes,
+                                                    widths)
     epoch = 0
     while members:
         epoch += 1
-        # each member's training rows in its own order for this epoch; a
-        # step's minibatch is a slice of them
+        # each member's training rows in its own order for this epoch,
+        # gathered from the members' rows laid end to end; a step's
+        # minibatch is a slice of them
         order = np.array([shuffled_indices(rngs[m], n_tr) for m in members])
-        order += offsets
-        y_ord, x_ord, z_ord = (np.take(a, order, axis=0) for a in rows_of)
+        order += n_tr * np.arange(len(members))[:, None]
+        y_ord, x_ord, z_ord = (
+            np.take(a.reshape((order.size,) + a.shape[2:]), order, axis=0)
+            for a in train)
         tr_sum = np.zeros(len(members))
+        failed = {}  # stack position -> the error that stops it
         for start in range(0, n_tr, minibatch):
             stop = start + minibatch
             xb, zb = x_ord[:, start:stop], z_ord[:, start:stop]
@@ -439,31 +419,42 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
             try:
                 adam_step(state, flat, flat_grad, lr)
             except TrainingError as exc:
-                finite = np.isfinite(flat_grad).all(axis=1)
-                keep = leave({members[pos] for pos in
-                              np.flatnonzero(~finite)}, exc)
-                if not members:
-                    break
-                y_ord, x_ord, z_ord, tr_sum = (
-                    a[keep] for a in (y_ord, x_ord, z_ord, tr_sum))
+                # freeze the members whose gradient is not finite until the
+                # epoch ends: Adam is elementwise, so lr 0 leaves them as is
+                bad = ~np.isfinite(flat_grad).all(axis=1)
+                for pos in np.flatnonzero(bad).tolist():
+                    failed.setdefault(pos, exc)
+                flat_grad[bad] = 0.0
+                lr[bad] = 0.0
                 adam_step(state, flat, flat_grad, lr)
-        if not members:
-            break
 
-        failed, halted = set(), set()
-        for member, tr_loss, val_loss in zip(
-                members, (tr_sum / n_tr).tolist(), loss_on(*val).tolist()):
+        keep = []
+        for pos, (member, tr_loss, val_loss) in enumerate(zip(
+                members, (tr_sum / n_tr).tolist(),
+                _mean_loss(*val, theta, params, acts, tau).tolist())):
             if not (math.isfinite(tr_loss) and math.isfinite(val_loss)):
-                failed.add(member)
+                failed.setdefault(pos, TrainingError(
+                    f"non-finite loss at epoch {epoch}; try a lower"
+                    f" learning rate"))
+            if pos in failed:
+                results[member] = failed[pos]
             elif _record_epoch(histories[member], tr_loss, val_loss,
                                configs[member]):
-                halted.add(member)
-        if failed:
-            leave(failed, TrainingError(
-                f"non-finite loss at epoch {epoch}; try a lower learning"
-                f" rate"))
-        if halted:
-            leave(halted)
+                own = _unflatten(flat[pos].copy(), shapes)
+                results[member] = (own[0], net.NetworkParams(widths, own[1:]),
+                                   histories[member])
+            else:
+                keep.append(pos)
+        if len(keep) < len(members):
+            members = [members[pos] for pos in keep]
+            flat, flat_grad, lr = flat[keep], flat_grad[keep], lr[keep]
+            state.first_moment = state.first_moment[keep]
+            state.second_moment = state.second_moment[keep]
+            train = [a[keep] for a in train]
+            val = [a[keep] for a in val]
+            acts = [buffer[:len(keep)] for buffer in acts]
+            theta, params, grad_theta, grad_layers = _views(
+                flat, flat_grad, shapes, widths)
     return results
 
 

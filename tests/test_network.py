@@ -202,9 +202,10 @@ def test_row_blocks_give_the_bits_of_one_pass(n, widths, members):
     assert got.tobytes() == want.tobytes()
 
 
-def test_below_two_blocks_is_one_pass():
+@pytest.mark.parametrize("n", [0, 1, PASS_ROWS, 2 * PASS_ROWS - 1])
+def test_below_two_blocks_is_one_pass(n):
     params = init_params((3, 4, 1), make_rng(3))
-    z = make_rng(4).normal(size=(2 * PASS_ROWS - 1, 3))
+    z = make_rng(4).normal(size=(n, 3))
     with mock.patch.object(network, "_forward",
                            wraps=network._forward) as spy:
         got = forward_batch(params, z)

@@ -386,6 +386,31 @@ def test_failing_members_leave_the_others_unchanged():
                                train_joint(ys[k], x, z, config, make_rng(k)))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_stack_whose_every_gradient_overflows_fails_as_alone():
+    # squared error on targets near the float limit: every member's
+    # gradient overflows in its first step, so every member is frozen
+    # until epoch 1 ends, when all leave and the call returns; each
+    # leaves with the error training it alone raises, and its rng drawn
+    # as far as training it alone draws it
+    y, x, z = _problem(90, 2, 3, seed=4411)
+    ys = np.stack([np.full(90, 1.5e308), 1.5e308 - y, np.full(90, -1.7e308)])
+    configs = [TrainConfig(depth=2, width=5, epochs=10, minibatch=16,
+                           early_stop_patience=3, learning_rate=lr)
+               for lr in (0.01, 0.02, 0.05)]
+    seeds = (4412, 4413, 4414)
+    rngs = [make_rng(seed) for seed in seeds]
+    stacked = train_stack(ys, x, z, configs, rngs)
+    for k, config in enumerate(configs):
+        rng = make_rng(seeds[k])
+        with pytest.raises(TrainingError) as alone:
+            train_joint(ys[k], x, z, config, rng)
+        assert isinstance(stacked[k], TrainingError)
+        assert str(stacked[k]) == str(alone.value)
+        assert "gradient" in str(stacked[k])
+        assert rngs[k].random() == rng.random()
+
+
 def test_trained_ahead_members_are_handed_out_once(monkeypatch):
     # inside the block, train_joint on a member returns what training it
     # alone returns; a second call, a call after the block, a call with

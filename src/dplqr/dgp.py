@@ -14,6 +14,10 @@ and a z part, so the true tau-quantile of Y decomposes back into a linear
 coefficient theta + t * theta_star and a z-function m + t * m_star, with
 t the tau-quantile of the noise. `true_theta`, `true_m`, and
 `true_quantile` expose that decomposition for evaluating estimates.
+`generate` and the `true_*` functions share the one equation above
+(`_response`): `generate` evaluates it at the noise draws,
+`true_quantile` at t and `true_m` at t and x = 0, while `true_theta`
+is THETA plus t times the x part of the scale.
 
 The published form of the scale functions sums the x covariates as
 "x1 + x1", which reads as a typo for x1 + x2; both interpretations are
@@ -178,6 +182,21 @@ def sigma1_case(case, x, z, sigma_x_terms="x1+x2"):
     return float(out[0]) if scalar else out
 
 
+def _base_case(case):
+    """The case 1-3 whose mean function case `case` uses."""
+    return case if case <= 3 else case - 3
+
+
+def _response(spec, x, z, t):
+    """The scenario equation: x @ THETA + m(z) + t, with t scaled by
+    sigma1(x, z) in cases 4-6. `generate` passes the noise draws and
+    the true_* functions the noise quantile."""
+    y = x @ np.array(THETA) + m_case(_base_case(spec.case), z)
+    if spec.case <= 3:
+        return y + t
+    return y + t * sigma1_case(spec.case, x, z, spec.sigma_x_terms)
+
+
 def t3_cdf(t):
     """Closed-form CDF of the t distribution with 3 degrees of freedom."""
     t = np.asarray(t, dtype=float)
@@ -221,41 +240,22 @@ def true_theta(spec):
 def true_m(spec, z):
     """z-function of the tau-quantile of Y under `spec` (rows of z)."""
     z = _check_z(np.atleast_2d(np.asarray(z, dtype=float)))
-    t = t3_quantile(spec.tau)
-    if spec.case <= 3:
-        return m_case(spec.case, z) + t
-    # the scale at x = 0 is its z part exactly: 0.0 + s and 0.0 / 3.0 + v
-    # are s and v
-    scale = sigma1_case(spec.case, np.zeros((len(z), 2)), z,
-                        spec.sigma_x_terms)
-    return m_case(spec.case - 3, z) + t * scale
+    # at x = 0, x @ THETA is +0.0 and the scale is its z part exactly
+    # (0.0 + s and 0.0 / 3.0 + v are s and v), so this is m + t * m_star
+    return _response(spec, np.zeros((len(z), 2)), z, t3_quantile(spec.tau))
 
 
 def true_quantile(spec, x, z):
     """Exact tau-quantile of Y at covariates (x, z) under `spec`."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    theta = np.array(THETA)
-    t = t3_quantile(spec.tau)
-    lin = x @ theta
-    if spec.case <= 3:
-        return lin + m_case(spec.case, z) + t
-    return (lin + m_case(spec.case - 3, z)
-            + t * sigma1_case(spec.case, x, z, spec.sigma_x_terms))
+    return _response(spec, np.asarray(x, dtype=float),
+                     np.asarray(z, dtype=float), t3_quantile(spec.tau))
 
 
 def generate(spec, rng):
     """Draw one dataset of size spec.n from the benchmark design."""
     draws = sample_copula(spec.n, COPULA_DIM, 0.5, rng)
     x, z = make_covariates(draws)
-    eps = sample_t3(spec.n, rng)
-    theta = np.array(THETA)
-    if spec.case <= 3:
-        y = x @ theta + m_case(spec.case, z) + eps
-    else:
-        scale = sigma1_case(spec.case, x, z, spec.sigma_x_terms)
-        y = x @ theta + m_case(spec.case - 3, z) + scale * eps
-    return Dataset(y, x, z)
+    return Dataset(_response(spec, x, z, sample_t3(spec.n, rng)), x, z)
 
 
 def rmse_m(m_hat_values, m_true_values):

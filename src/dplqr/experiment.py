@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dgp import THETA, Z_DIM, generate, mspe, rmse_m, true_m, true_theta
+from .dgp import (THETA, Z_DIM, _base_case, generate, mspe, rmse_m, true_m,
+                  true_theta)
 from .errors import ConfigError, DplqrError, TrainingError
 from .inference import covariance, validate_level
 from .model import fit, m_values, predict_batch
@@ -50,10 +51,11 @@ _SCENARIOS = {
 }
 
 
-def _scenario_row(case, n):
-    base = case if case <= 3 else case - 3
-    size = 500 if n <= 1000 else 2000
-    return _SCENARIOS[(base, size)]
+def scenario_grid(case, n):
+    """Tuning grid for a benchmark scenario (one config per learning rate)."""
+    row = dict(_SCENARIOS[(_base_case(case), 500 if n <= 1000 else 2000)])
+    lrs = row.pop("lrs")
+    return [TrainConfig(**row, learning_rate=lr) for lr in lrs]
 
 
 def scenario_config(case, n):
@@ -62,18 +64,7 @@ def scenario_config(case, n):
     Uses the first of the scenario's candidate learning rates; see
     scenario_grid for the full candidate list.
     """
-    row = _scenario_row(case, n)
-    return TrainConfig(depth=row["depth"], width=row["width"],
-                       epochs=row["epochs"], minibatch=row["minibatch"],
-                       early_stop_patience=row["early_stop_patience"],
-                       learning_rate=row["lrs"][0])
-
-
-def scenario_grid(case, n):
-    """Tuning grid for a benchmark scenario (one config per learning rate)."""
-    base = scenario_config(case, n)
-    return [replace(base, learning_rate=lr)
-            for lr in _scenario_row(case, n)["lrs"]]
+    return scenario_grid(case, n)[0]
 
 
 @dataclass
@@ -236,7 +227,7 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, q)) as pool:
             outcomes = list(pool.map(_try_replicate, args))
     else:
         outcomes = [_try_replicate(a) for a in args]
@@ -305,28 +296,22 @@ def report_to_csv(report, path):
 
 
 def report_to_text(report):
-    """Formatted per-method summary table, one line per method."""
+    """Formatted per-method summary table, one line per method: the
+    `report_to_csv` values, with "." where the CSV has no row."""
     header = (f"case {report.case}  n={report.n}  tau={report.tau:g}  "
               f"Q={report.q_requested}  failures={report.failures}  "
               f"seed={report.master_seed}")
-    cols = ["method", "bias1", "sd1", "cover1", "bias2", "sd2", "cover2",
-            "rmse_m", "mspe"]
-    lines = [header, "  ".join(f"{c:>8}" for c in cols)]
-
-    def cell(value):
-        return "       ." if value is None else f"{value:8.4f}"
-
-    for method in report.methods.values():
-        parts = [f"{method.method:>8}"]
-        for k in (0, 1):
-            has = method.bias is not None and len(method.bias) > k
-            parts.append(cell(method.bias[k] if has else None))
-            parts.append(cell(
-                method.sd[k] if has and method.sd is not None else None))
-            parts.append(cell(
-                method.coverage[k]
-                if has and method.coverage is not None else None))
-        parts.append(cell(method.mean_rmse_m))
-        parts.append(cell(method.mean_mspe))
+    # column -> the CSV (metric, coefficient) it shows
+    cells = {"bias1": ("bias", 1), "sd1": ("sd", 1),
+             "cover1": ("coverage", 1), "bias2": ("bias", 2),
+             "sd2": ("sd", 2), "cover2": ("coverage", 2),
+             "rmse_m": ("rmse_m", ""), "mspe": ("mspe", "")}
+    values = {row[:3]: row[3] for row in _rows_for_csv(report)}
+    lines = [header, "  ".join(f"{c:>8}" for c in ["method", *cells])]
+    for summary in report.methods.values():
+        parts = [f"{summary.method:>8}"]
+        for metric, k in cells.values():
+            value = values.get((summary.method, metric, k))
+            parts.append("       ." if value is None else f"{value:8.4f}")
         lines.append("  ".join(parts))
     return "\n".join(lines) + "\n"

@@ -319,6 +319,12 @@ def model_from_dict(payload):
             z_dim=payload["z_dim"],
         )
         cols = payload["columns"]
+        lists = all(isinstance(names, list)
+                    and all(isinstance(name, str) for name in names)
+                    for names in (cols["x"], cols["z"]))
+        if not isinstance(cols["y"], str) or not lists:
+            raise TypeError(f"columns need a y name and x and z name lists,"
+                            f" got {cols!r}")
         roles = ColumnRoles(cols["y"], list(cols["x"]), list(cols["z"]))
         scaling = _scaling_from_dict(payload["scaling"])
     except (ConfigError, KeyError, TypeError, ValueError) as exc:

@@ -556,8 +556,9 @@ def tuning_plan(grid, n, p, q):
     ConfigError; each candidate checked its other settings when it was
     made. Returns None for an all-lqr grid or a grid of one distinct
     candidate, which tune returns as it is; otherwise the grid positions
-    of the distinct candidates, grouped into the stacks they train as
-    and keyed by the mode, network and minibatch each stack shares.
+    of the distinct candidates (one lqr at most), grouped into the
+    stacks they train as and keyed by the mode, network and minibatch
+    each stack shares.
     """
     if not grid:
         raise ConfigError("tuning grid is empty")
@@ -567,9 +568,10 @@ def tuning_plan(grid, n, p, q):
     stacks = {}  # what stacked candidates share -> their grid positions
     for k, c in enumerate(grid):
         widths = c.width_chain(_layout(c.mode, p, q)[1])
-        # an lqr candidate is solved, not trained: no network duplicates it
-        key = (c.mode == "lqr", widths, c.learning_rate, c.epochs,
-               c.minibatch, c.early_stop_patience)
+        # lqr is solved exactly whatever its settings: one fit per grid
+        key = ("lqr",) if c.mode == "lqr" else (
+            widths, c.learning_rate, c.epochs, c.minibatch,
+            c.early_stop_patience)
         if key not in seen:
             seen.add(key)
             stacks.setdefault((c.mode, widths, c.minibatch), []).append(k)
@@ -597,17 +599,18 @@ def tune(grid, data, tau, rng):
     winner is returned (ties go to the earlier grid entry). A candidate
     is skipped when an earlier one trains the same network on `data`
     (any depth and width with no z columns) with the same lr, epochs,
-    minibatch and patience. The kept candidates that share their mode,
-    network and minibatch train ahead as one stack (`train_ahead`), and
-    `model.fit` then hands out each one's fit, the one it would get
-    alone; an lqr candidate of a mixed grid trains nothing ahead, since
-    `model.fit` solves it exactly. A bad tau raises ConfigError, and so
-    does a grid that `tuning_plan` rejects (such as a minibatch beyond
-    the 80% split); a split of fewer than MIN_FIT_ROWS rows raises
-    DataError. Both come before the rng is drawn from. Each candidate
-    fails alone: one that fails to train is skipped with a warning, and
-    if all fail, a TrainingError is raised. An all-lqr grid (every lqr
-    candidate is the same exact fit), or a grid of one distinct
+    minibatch and patience, and an lqr candidate when an earlier one is
+    lqr: lqr ignores the training settings, so its fit is the same. The
+    kept candidates that share their mode, network and minibatch train
+    ahead as one stack (`train_ahead`), and `model.fit` then hands out
+    each one's fit, the one it would get alone; an lqr candidate of a
+    mixed grid trains nothing ahead, since `model.fit` solves it
+    exactly. A bad tau raises ConfigError, and so does a grid that
+    `tuning_plan` rejects (such as a minibatch beyond the 80% split); a
+    split of fewer than MIN_FIT_ROWS rows raises DataError. Both come
+    before the rng is drawn from. Each candidate fails alone: one that
+    fails to train is skipped with a warning, and if all fail, a
+    TrainingError is raised. An all-lqr grid, or a grid of one distinct
     candidate, is returned as-is without consuming the rng.
     """
     from .model import fit, residuals

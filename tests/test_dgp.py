@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dplqr.dgp import (COPULA_DIM, DgpSpec, generate, m_case,
-                       make_covariates, mspe, rmse_m, sample_copula,
+from dplqr.dgp import (COPULA_DIM, X_SUM_READINGS, DgpSpec, generate,
+                       m_case, make_covariates, mspe, rmse_m, sample_copula,
                        sample_t3, sigma1_case, t3_cdf, t3_quantile,
                        true_m, true_quantile, true_theta)
 from dplqr.errors import ConfigError, DataError
@@ -230,6 +230,49 @@ class TestTrueQuantities:
                 decomposed = x @ true_theta(spec) + true_m(spec, z)
                 assert_allclose(direct, decomposed, rtol=1e-10,
                                 err_msg=f"case {case} tau {tau}")
+
+
+class TestOneEquation:
+    """generate and the true_* functions match the scenario equation
+    written out, byte for byte."""
+
+    @pytest.mark.parametrize("reading", X_SUM_READINGS)
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, 5, 6])
+    def test_generate_is_the_written_out_equation(self, case, reading):
+        spec = DgpSpec(case=case, n=300, sigma_x_terms=reading)
+        data = generate(spec, make_rng(4511))
+        rng = make_rng(4511)  # replayed: copula draws, then the noise
+        x, z = make_covariates(sample_copula(300, COPULA_DIM, 0.5, rng))
+        eps = sample_t3(300, rng)
+        lin = x @ np.array([1.0, -1.0])
+        if case <= 3:
+            y = lin + m_case(case, z) + eps
+        else:
+            y = (lin + m_case(case - 3, z)
+                 + eps * sigma1_case(case, x, z, reading))
+        assert data.x.tobytes() == x.tobytes()
+        assert data.z.tobytes() == z.tobytes()
+        assert data.y.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("reading", X_SUM_READINGS)
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, 5, 6])
+    def test_truth_is_the_written_out_equation(self, case, reading):
+        x, z = make_covariates(
+            sample_copula(200, COPULA_DIM, 0.5, make_rng(4512)))
+        lin = x @ np.array([1.0, -1.0])
+        for tau in (0.2, 0.5, 0.8):
+            spec = DgpSpec(case=case, n=100, tau=tau, sigma_x_terms=reading)
+            t = t3_quantile(tau)
+            if case <= 3:
+                m = m_case(case, z) + t
+                quantile = lin + m_case(case, z) + t
+            else:
+                m = m_case(case - 3, z) + t * sigma1_case(
+                    case, np.zeros((200, 2)), z, reading)
+                quantile = lin + m_case(case - 3, z) + t * sigma1_case(
+                    case, x, z, reading)
+            assert true_m(spec, z).tobytes() == m.tobytes()
+            assert true_quantile(spec, x, z).tobytes() == quantile.tobytes()
 
 
 class TestGenerate:

@@ -134,6 +134,33 @@ class TestRunExperiment:
                        methods=("dplqr", "lqr"), grid=grid, with_ci=False)
         assert trained == [(10, 16, 16, 1)]
 
+    def test_pool_starts_no_more_workers_than_replicates(self,
+                                                         monkeypatch):
+        # a fork pool starts all its workers at the first submit; the
+        # pool here records its size and maps in this process
+        import concurrent.futures
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        spec = DgpSpec(case=1, n=200, tau=0.5)
+        report = run_experiment(spec, 2, master_seed=4515, grid=_FAST,
+                                with_ci=False, workers=64)
+        assert sizes == [2]
+        assert report.methods["dplqr"].replicates == 2
+
     def test_failure_abort(self, monkeypatch):
         # every replicate failing to train trips the 10% abort rule
         def diverge(*args):
@@ -217,6 +244,39 @@ class TestReportOutput:
         assert "case 1" in text and "n=200" in text
         assert "dplqr" in text and "dnqr" in text
         assert "rmse_m" in text
+
+    @pytest.mark.parametrize("q, with_ci, dots, seed", [
+        (2, True, {"dplqr": 0, "lqr": 0, "dnqr": 7}, 4513),
+        (1, False, {"dplqr": 4, "lqr": 4}, 4514)])
+    def test_text_cells_are_the_csv_values(self, tmp_path, q, with_ci,
+                                           dots, seed):
+        import csv
+        methods = tuple(dots)
+        report = run_experiment(DgpSpec(case=1, n=200, tau=0.5), q,
+                                methods=methods, master_seed=seed,
+                                grid=_FAST, with_ci=with_ci)
+        path = tmp_path / "report.csv"
+        report_to_csv(report, str(path))
+        with open(path, newline="") as handle:
+            csv_values = {tuple(r[3:6]): r[6]
+                          for r in list(csv.reader(handle))[1:]}
+        cells = [("bias", "1"), ("sd", "1"), ("coverage", "1"),
+                 ("bias", "2"), ("sd", "2"), ("coverage", "2"),
+                 ("rmse_m", ""), ("mspe", "")]
+        want = []
+        for method in methods:
+            parts = [f"{method:>8}"]
+            for metric, k in cells:
+                value = csv_values.get((method, metric, k))
+                parts.append("       ." if value is None
+                             else f"{float(value):8.4f}")
+            want.append("  ".join(parts))
+        lines = report_to_text(report).split("\n")
+        assert lines[2:] == want + [""]
+        # the gaps: dnqr has no theta or z-function, one replicate no sd,
+        # and a run without intervals no coverage
+        assert {line.split()[0]: line.split().count(".")
+                for line in lines[2:-1]} == dots
 
     def test_csv_round_trip(self, tmp_path):
         import csv

@@ -242,6 +242,17 @@ class TestModelPersistence:
         with pytest.raises(DataError, match="schema_version"):
             model_from_dict(payload)
 
+    @pytest.mark.parametrize("role, names", [
+        ("x", "x1"), ("x", [1, 2]), ("y", ["oops"])])
+    def test_column_names_checked(self, role, names):
+        # y is one name and x and z are lists of names; "x1" would
+        # otherwise be read as the two columns "x" and "1"
+        fitted, _ = self._fitted()
+        payload = model_to_dict(fitted, ColumnRoles("y", ["a", "b"], ["c"]))
+        payload["columns"][role] = names
+        with pytest.raises(DataError, match="malformed model file"):
+            model_from_dict(payload)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

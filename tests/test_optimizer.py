@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dplqr import model, network, optimizer
+from dplqr.dgp import DgpSpec, generate
 from dplqr.errors import ConfigError, DataError, TrainingError
 from dplqr.model import Dataset
 from dplqr.optimizer import (ADAM_EPSILON_HAT, TrainConfig, TrainHistory,
@@ -417,6 +418,26 @@ class TestTune:
         state = rng.bit_generator.state
         assert tune(grid, self._data(), 0.5, rng=rng) is grid[0]
         assert rng.bit_generator.state == state
+
+    def test_lqr_candidates_of_a_mixed_grid_fit_once(self, monkeypatch):
+        # lqr ignores every training setting, so the lqr candidates after
+        # the first are duplicates: one exact fit, one stack position
+        solved = []
+
+        def counted(*args, **kwargs):
+            solved.append(args)
+            return original(*args, **kwargs)
+        original = model.rq
+        monkeypatch.setattr(model, "rq", counted)
+        data = generate(DgpSpec(case=1, n=300), make_rng(4516))
+        grid = [TrainConfig(epochs=3, minibatch=32),
+                TrainConfig(mode="lqr", learning_rate=0.01),
+                TrainConfig(mode="lqr", learning_rate=0.02),
+                TrainConfig(mode="lqr", depth=2, width=8)]
+        plan = optimizer.tuning_plan(grid, data.n, data.p, data.q)
+        assert sorted(k for ks in plan.values() for k in ks) == [0, 1]
+        assert tune(grid, data, 0.5, rng=make_rng(4517)) in grid[:2]
+        assert len(solved) == 1
 
     def test_grid_of_one_network_is_returned_unfitted(self, monkeypatch):
         # with no z columns every depth and width trains the (0, 1)

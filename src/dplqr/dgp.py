@@ -17,7 +17,8 @@ t the tau-quantile of the noise. `true_theta`, `true_m`, and
 `generate` and the `true_*` functions share the one equation above
 (`_response`): `generate` evaluates it at the noise draws,
 `true_quantile` at t and `true_m` at t and x = 0, while `true_theta`
-is THETA plus t times the x part of the scale.
+is THETA plus t times the x part of the scale, `_x_sum` over the case's
+`_SCALE_DIVISOR`, read off at the unit vectors.
 
 The published form of the scale functions sums the x covariates as
 "x1 + x1", which reads as a typo for x1 + x2; both interpretations are
@@ -32,7 +33,7 @@ from .errors import ConfigError, DataError
 from .model import Dataset
 from .normal import ndtr
 from .quantile_loss import validate_tau
-from .rng import std_normal
+from .rng import _check_int, std_normal
 
 COPULA_DIM = 12
 Z_DIM = 10
@@ -55,13 +56,12 @@ class DgpSpec:
     sigma_x_terms: str = "x1+x2"
 
     def __post_init__(self):
-        if (isinstance(self.case, bool)
-                or not isinstance(self.case, (int, np.integer))
-                or self.case not in (1, 2, 3, 4, 5, 6)):
-            raise ConfigError(
-                f"case must be an integer 1..6, got {self.case!r}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 50:
-            raise ConfigError(f"n must be an integer >= 50, got {self.n!r}")
+        _check_int(self.case, "case")
+        if self.case not in (1, 2, 3, 4, 5, 6):
+            raise ConfigError(f"case must be 1..6, got {self.case!r}")
+        _check_int(self.n, "n")
+        if self.n < 50:
+            raise ConfigError(f"n must be at least 50, got {self.n!r}")
         validate_tau(self.tau)
         if self.sigma_x_terms not in X_SUM_READINGS:
             raise ConfigError(
@@ -147,16 +147,13 @@ def m_case(case, z):
     return float(out[0]) if scalar else out
 
 
+_SCALE_DIVISOR = {4: 5.0, 5: 3.6, 6: 3.0}  # of the x part of sigma1
+
+
 def _x_sum(x, reading):
     if reading == "2x1":
         return 2.0 * x[..., 0]
     return x[..., 0] + x[..., 1]
-
-
-def _theta_star(case, reading):
-    denom = {4: 5.0, 5: 3.6, 6: 3.0}[case]
-    pair = np.array([2.0, 0.0]) if reading == "2x1" else np.array([1.0, 1.0])
-    return pair / denom
 
 
 def sigma1_case(case, x, z, sigma_x_terms="x1+x2"):
@@ -173,12 +170,13 @@ def sigma1_case(case, x, z, sigma_x_terms="x1+x2"):
     zz = np.atleast_2d(z)
     xx = np.atleast_2d(x)
     xsum = _x_sum(xx, sigma_x_terms)
+    divisor = _SCALE_DIVISOR[case]
     if case == 4:
-        out = (xsum + zz.sum(axis=1)) / 5.0
+        out = (xsum + zz.sum(axis=1)) / divisor
     elif case == 5:
-        out = (xsum + np.abs(zz - 0.2).sum(axis=1)) / 3.6
+        out = (xsum + np.abs(zz - 0.2).sum(axis=1)) / divisor
     else:
-        out = xsum / 3.0 + 3.0 * ndtr((zz - 1.0).sum(axis=1) / 5.0)
+        out = xsum / divisor + 3.0 * ndtr((zz - 1.0).sum(axis=1) / 5.0)
     return float(out[0]) if scalar else out
 
 
@@ -230,11 +228,10 @@ def t3_quantile(tau):
 
 def true_theta(spec):
     """Linear coefficients of the tau-quantile of Y under `spec`."""
-    theta = np.array(THETA)
     if spec.case <= 3:
-        return theta
-    t = t3_quantile(spec.tau)
-    return theta + t * _theta_star(spec.case, spec.sigma_x_terms)
+        return np.array(THETA)
+    x_part = _x_sum(np.eye(2), spec.sigma_x_terms) / _SCALE_DIVISOR[spec.case]
+    return np.array(THETA) + t3_quantile(spec.tau) * x_part
 
 
 def true_m(spec, z):

@@ -18,6 +18,7 @@ order, so adding or dropping a method never perturbs the others.
 """
 
 import csv
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -30,7 +31,7 @@ from .inference import covariance, validate_level
 from .model import fit, m_values, predict_batch
 from .optimizer import (MODES, TrainConfig, _holdout_split, _split_rows,
                         tune, tuning_plan)
-from .rng import _check_seed, child_rng, split
+from .rng import _check_int, _check_seed, child_rng, split
 
 # selected hyperparameters per (base case, sample size); cases 4-6 share
 # the rows of their base case 1-3. Learning rate has two candidate values
@@ -184,9 +185,8 @@ def check_settings(spec, q, methods, master_seed, grid, level, workers):
     raise. Returns the methods in run order, the grid as a list and the
     level as a float.
     """
-    for name, value in (("q", q), ("workers", workers)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    _check_int(q, "q")
+    _check_int(workers, "workers")
     if q < 1:
         raise ConfigError(f"need at least one replicate, got {q}")
     if workers < 1:
@@ -216,8 +216,8 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     that fail to train are dropped with a warning; more than 10% failures
     aborts. `check_settings` checks the settings first; a ConfigError
     from any replicate is raised as it is.
-    workers > 1 runs replicates in parallel processes; aggregation
-    happens in replicate order either way, so results are identical.
+    workers > 1 runs replicates in min(workers, q, usable CPUs)
+    processes; aggregation is in replicate order, so results are identical.
     """
     methods, grid, level = check_settings(spec, q, methods, master_seed,
                                           grid, level, workers)
@@ -227,7 +227,9 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, q)) as pool:
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=min(workers, q, cpus)) as pool:
             outcomes = list(pool.map(_try_replicate, args))
     else:
         outcomes = [_try_replicate(a) for a in args]

@@ -52,7 +52,7 @@ import numpy as np
 from . import network as net
 from .errors import ConfigError, DataError, TrainingError
 from .quantile_loss import check_loss, mean_check_loss, validate_tau
-from .rng import shuffled_indices, split
+from .rng import _check_int, split
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -97,8 +97,7 @@ class TrainConfig:
         for name in ("depth", "width", "epochs", "minibatch",
                      "early_stop_patience"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            _check_int(value, name)
             if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
         lr = self.learning_rate
@@ -215,7 +214,7 @@ def epoch_batches(n, minibatch, rng):
     if not 1 <= minibatch <= n:
         raise ConfigError(
             f"minibatch must lie in [1, {n}], got {minibatch}")
-    perm = shuffled_indices(rng, n)
+    perm = rng.permutation(n)
     return [perm[i:i + minibatch] for i in range(0, n, minibatch)]
 
 
@@ -248,7 +247,7 @@ def _split_rows(n):
 def _holdout_split(n, rng):
     """Shuffled split holding out max(1, int(n * VAL_SHARE)) rows."""
     n_tr = _split_rows(n)
-    perm = shuffled_indices(rng, n)
+    perm = rng.permutation(n)
     return perm[:n_tr], perm[n_tr:]
 
 
@@ -388,7 +387,7 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
         # each member's training rows in its own order for this epoch,
         # gathered from the members' rows laid end to end; a step's
         # minibatch is a slice of them
-        order = np.array([shuffled_indices(rngs[m], n_tr) for m in members])
+        order = np.array([rngs[m].permutation(n_tr) for m in members])
         order += n_tr * np.arange(len(members))[:, None]
         y_ord, x_ord, z_ord = (
             np.take(a.reshape((order.size,) + a.shape[2:]), order, axis=0)

@@ -11,7 +11,8 @@ that do not collide in practice and are stable across platforms.
 Normal variates are produced by inverse-CDF transform of uniforms with
 the package's own Cephes ``ndtri`` (`normal.ndtri`, bit-identical to
 scipy's), so each draw consumes a fixed number of uniforms and never
-branches on a rejection step.
+branches on a rejection step. Shuffles call ``Generator.permutation``
+directly. `_check_int` is the package's one rule for integer settings.
 """
 
 import numpy as np
@@ -24,9 +25,15 @@ from .normal import ndtri
 _MIN_UNIFORM = 2.0 ** -53
 
 
+def _check_int(value, what):
+    """An integer setting is a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_seed(seed, what="seed"):
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ConfigError(f"{what} must be an integer, got {seed!r}")
+    """A seed or substream index is a nonnegative integer (`_check_int`)."""
+    _check_int(seed, what)
     if seed < 0:
         raise ConfigError(f"{what} must be nonnegative, got {seed}")
 
@@ -57,10 +64,3 @@ def std_normal(rng, size=None):
     u = np.maximum(rng.random(size), _MIN_UNIFORM)
     out = ndtri(u)
     return float(out) if size is None else out
-
-
-def shuffled_indices(rng, n):
-    """A uniformly random permutation of 0..n-1 (Fisher-Yates)."""
-    if n < 1:
-        raise ConfigError(f"cannot shuffle {n} indices")
-    return rng.permutation(n)

@@ -172,22 +172,28 @@ class TestFitCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:config: level")
 
-    @pytest.mark.parametrize("command, flag, says", [
-        ("fit", "tau", "tau must lie strictly inside (0, 1), got 1.5"),
-        ("fit", "level", "level must be in (0, 1), got 1.5"),
-        ("tune", "tau", "tau must lie strictly inside (0, 1), got 1.5")],
-        ids=["fit-tau", "fit-level", "tune-tau"])
+    @pytest.mark.parametrize("command, flag, value, says", [
+        ("fit", "tau", "1.5", "tau must lie strictly inside (0, 1), got 1.5"),
+        ("fit", "level", "1.5", "level must be in (0, 1), got 1.5"),
+        ("tune", "tau", "1.5", "tau must lie strictly inside (0, 1), got 1.5"),
+        ("fit", "depth", "2,x",
+         "expected comma-separated integers, got '2,x'"),
+        ("fit", "lr", "0.01,abc",
+         "expected comma-separated numbers, got '0.01,abc'")],
+        ids=["fit-tau", "fit-level", "tune-tau", "fit-depth-list",
+             "fit-lr-list"])
     def test_bad_setting_is_checked_before_the_data(
-            self, tmp_path, capsys, monkeypatch, command, flag, says):
+            self, tmp_path, capsys, monkeypatch, command, flag, value, says):
         # the data file does not exist and is never opened
         def no_load(*args, **kwargs):
             raise AssertionError("the data was loaded")
         monkeypatch.setattr(cli, "load_csv", no_load)
         argv = _fit_args(str(tmp_path / "absent.csv"), tmp_path,
-                         **{flag: "1.5"})
+                         **{flag: value})
         argv[0] = command
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error:config: {says}\n"
+        assert not (tmp_path / "model.json").exists()
 
     def test_minibatch_beyond_tuning_split_is_config_error(self, tmp_path,
                                                            capsys):
@@ -826,6 +832,32 @@ class TestTuneCommand:
         assert "'level'" in err and "'report'" in err
 
 
+class TestRequiredFlags:
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", "--data"), ("tune", "--y"), ("simulate", "--out-dir")],
+        ids=["fit-data", "tune-y", "simulate-out-dir"])
+    def test_missing_flag_exits_before_any_work(self, command, flag,
+                                                train_csv, tmp_path, capsys,
+                                                monkeypatch):
+        # nothing is read, trained or written
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command did its work")
+        for module, name in ((cli, "load_csv"), (cli, "tune"),
+                             (cli, "fit_model"),
+                             (experiment, "_run_replicate")):
+            monkeypatch.setattr(module, name, no_work)
+        monkeypatch.chdir(tmp_path)
+        if command == "simulate":
+            argv = ["simulate", "--case", "1", "--n", "100", "--no-ci",
+                    "--out-dir", str(tmp_path / "new")]
+        else:
+            argv = [command] + _fit_args(train_csv, tmp_path)[1:]
+        i = argv.index(flag)
+        assert main(argv[:i] + argv[i + 2:]) == 2
+        assert capsys.readouterr().err == f"error:config: {flag} is required\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
+
+
 class TestModelFileCompat:
     def test_cli_model_loads_through_library(self, train_csv, tmp_path):
         model_path = tmp_path / "model.json"
@@ -997,9 +1029,12 @@ class TestFileErrors:
          "minibatch 70 exceeds the tuning split: 64 of 80 rows train each"
          " candidate"),
         (["--minibatch", "90"], "minibatch 90 exceeds sample size 80"),
-        (["--seed", "-1"], "seed must be nonnegative, got -1")],
+        (["--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["--methods", "dplqr,dplqr"],
+         "duplicate method in ['dplqr', 'dplqr']"),
+        (["--methods="], "no methods requested")],
         ids=["level", "workers", "replicates", "methods", "minibatch",
-             "untuned-minibatch", "seed"])
+             "untuned-minibatch", "seed", "duplicate-method", "no-methods"])
     def test_simulate_settings_checked_before_out_dir(
             self, flags, message, tmp_path, capsys, monkeypatch):
         # n=100: each replicate trains on 80 rows and tunes on 64 of them;

@@ -136,10 +136,18 @@ class TestRunExperiment:
 
     def test_pool_starts_no_more_workers_than_replicates(self,
                                                          monkeypatch):
-        # a fork pool starts all its workers at the first submit; the
-        # pool here records its size and maps in this process
+        # a fork pool starts all its workers at the first submit, so the
+        # pool is capped at the replicates and at the CPUs the process
+        # may use; the pool here records its size and maps in this
+        # process, and the CPU count is patched
         import concurrent.futures
+        import os
         sizes = []
+
+        def set_cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(count)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
 
         class InProcessPool:
             def __init__(self, max_workers):
@@ -156,10 +164,17 @@ class TestRunExperiment:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InProcessPool)
         spec = DgpSpec(case=1, n=200, tau=0.5)
+        set_cpus(8)
         report = run_experiment(spec, 2, master_seed=4515, grid=_FAST,
                                 with_ci=False, workers=64)
         assert sizes == [2]
         assert report.methods["dplqr"].replicates == 2
+        sizes.clear()
+        set_cpus(2)
+        report = run_experiment(spec, 4, master_seed=6211, grid=_FAST,
+                                with_ci=False, workers=64)
+        assert sizes == [2]
+        assert report.methods["dplqr"].replicates == 4
 
     def test_failure_abort(self, monkeypatch):
         # every replicate failing to train trips the 10% abort rule

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dplqr import optimizer
+from dplqr import inference, optimizer
 from dplqr.errors import (ConfigError, DataError, SingularMatrixError,
                           TrainingError)
 from dplqr.inference import (confidence_intervals, covariance, fit_projection,
@@ -304,6 +304,34 @@ class TestCovariance:
         with pytest.raises(ConfigError, match="exceeds sample size 100"):
             covariance(fitted, data, replace(cfg, minibatch=101),
                        make_rng(7))
+
+    def test_singular_omega_names_the_least_varied_coefficient(
+            self, monkeypatch):
+        # sym_inverse is made to fail on the Omega it is given; covariance
+        # re-raises, naming the coefficient whose projection residual
+        # varies least: x2, scaled down a thousandfold, of three
+        rng = np.random.default_rng(6201)
+        n = 200
+        z = rng.uniform(0, 2, size=(n, 2))
+        x = rng.normal(size=(n, 3)) * [1.0, 1e-3, 1.0]
+        y = x.sum(axis=1) + z.sum(axis=1) + rng.standard_normal(n)
+        data = Dataset(y=y, x=x, z=z)
+        lqr = TrainConfig(mode="lqr")
+        fitted = fit(data, 0.5, lqr, make_rng(6202))
+        given = []
+
+        def fail(m):
+            given.append(m)
+            raise SingularMatrixError("not positive definite")
+        monkeypatch.setattr(inference, "sym_inverse", fail)
+        with pytest.raises(SingularMatrixError) as info:
+            covariance(fitted, data, lqr, make_rng(0))
+        omega, = given
+        assert int(np.argmin(np.diag(omega))) == 1
+        assert str(info.value) == (
+            "projection residual covariance is singular; coefficient 1"
+            f" has variance {omega[1, 1]:.3e} after projecting on z")
+        assert str(info.value.__cause__) == "not positive definite"
 
     def test_dnqr_rejected(self):
         rng = np.random.default_rng(1)

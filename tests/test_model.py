@@ -322,6 +322,21 @@ class TestPredict:
         single = [predict(fitted, xi, zi) for xi, zi in zip(x, z)]
         assert_allclose(batch, single, rtol=1e-12)
 
+    def test_batch_without_x_columns(self):
+        # a model fitted with no x columns takes x=None and predicts
+        # from z alone, the bytes of an explicit (n, 0) x block
+        rng = np.random.default_rng(6203)
+        z = rng.uniform(0.0, 2.0, size=(60, 2))
+        y = np.sin(z[:, 0]) + 0.3 * rng.normal(size=60)
+        cfg = TrainConfig(depth=2, width=4, epochs=10, minibatch=30,
+                          early_stop_patience=10)
+        fitted = fit(Dataset(y, None, z), 0.5, cfg, make_rng(6204))
+        assert fitted.x_dim == 0
+        got = predict_batch(fitted, None, z)
+        assert got.shape == (60,)
+        assert got.tobytes() == \
+            predict_batch(fitted, np.zeros((60, 0)), z).tobytes()
+
     def test_shape_errors(self):
         fitted = self._affine_fit()
         with pytest.raises(DataError):

@@ -83,23 +83,3 @@ def test_split_reproducible_from_same_parent_seed():
 def test_split_rejects_nonpositive():
     with pytest.raises(ConfigError):
         rngmod.split(rngmod.make_rng(0), 0)
-
-
-def test_shuffled_indices_is_permutation():
-    for seed in range(10):
-        perm = rngmod.shuffled_indices(rngmod.make_rng(seed), 30)
-        assert sorted(perm.tolist()) == list(range(30))
-
-
-def test_shuffled_indices_uniform_over_small_permutations():
-    # n = 3 has 6 permutations; each should appear with frequency
-    # close to 1/6 over many draws
-    counts = {}
-    r = rngmod.make_rng(77)
-    trials = 30_000
-    for _ in range(trials):
-        key = tuple(rngmod.shuffled_indices(r, 3).tolist())
-        counts[key] = counts.get(key, 0) + 1
-    assert len(counts) == 6
-    for key, c in counts.items():
-        assert abs(c / trials - 1.0 / 6.0) < 0.02, f"permutation {key}"

@@ -28,12 +28,30 @@ from .quantile_loss import validate_tau
 from .rq import rq
 
 
+def _block(a, n, name, width=None):
+    """Covariate block `a` as a float array: None is (n, 0) and a 1-d
+    array one column; a block that is not then 2-d with n rows (and
+    `width` columns, when given) raises DataError."""
+    a = np.zeros((n, 0)) if a is None else np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        a = a.reshape(-1, 1)
+    if width is not None:
+        if a.shape != (n, width):
+            raise DataError(
+                f"{name} must have shape ({n}, {width}), got {a.shape}")
+    elif a.ndim != 2 or a.shape[0] != n:
+        raise DataError(
+            f"{name} must have one row per response; got shape"
+            f" {a.shape} for {n} responses")
+    return a
+
+
 @dataclass
 class Dataset:
     """Rows of (y, x, z): responses, linear covariates, network covariates.
 
-    x and z may each be empty (p == 0 or q == 0) but not both. Arrays are
-    coerced to float64 and must be finite.
+    y is 1-d; x and z are blocks (`_block`), each possibly empty (p == 0
+    or q == 0) but not both. Arrays are coerced to float64, and finite.
     """
 
     y: np.ndarray
@@ -46,25 +64,12 @@ class Dataset:
             raise DataError(f"y must be 1-d, got shape {self.y.shape}")
         if not np.all(np.isfinite(self.y)):
             raise DataError("y contains non-finite values")
-        self.x = self._block(self.x, self.y.shape[0], "x")
-        self.z = self._block(self.z, self.y.shape[0], "z")
+        for name in ("x", "z"):
+            setattr(self, name, _block(getattr(self, name), self.n, name))
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DataError(f"{name} contains non-finite values")
         if self.x.shape[1] == 0 and self.z.shape[1] == 0:
             raise DataError("x and z cannot both be empty")
-
-    @staticmethod
-    def _block(a, n, name):
-        if a is None:
-            a = np.zeros((n, 0))
-        a = np.asarray(a, dtype=float)
-        if a.ndim == 1:
-            a = a.reshape(-1, 1)
-        if a.ndim != 2 or a.shape[0] != n:
-            raise DataError(
-                f"{name} must have one row per response; got shape"
-                f" {a.shape} for {n} responses")
-        if not np.all(np.isfinite(a)):
-            raise DataError(f"{name} contains non-finite values")
-        return a
 
     @property
     def n(self):
@@ -143,51 +148,32 @@ def fit(data, tau, config, rng):
                    x_dim=data.p, z_dim=data.q)
 
 
-def _check_block(a, dim, n, name):
-    a = np.zeros((n, 0)) if a is None else np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1) if dim == 1 else a.reshape(1, -1)
-    if a.shape != (n, dim):
-        raise DataError(
-            f"{name} must have shape ({n}, {dim}), got {a.shape}")
-    return a
-
-
 def predict_batch(fit, x, z):
-    """Predicted tau-quantiles for rows of covariates.
-
-    x has fit.x_dim columns and z has fit.z_dim columns (either may be
-    None when the corresponding dimension is 0).
-    """
-    if x is not None and np.ndim(x) == 2:
+    """Predicted tau-quantiles for rows of covariates: x and z must be
+    (rows, fit.x_dim) and (rows, fit.z_dim) blocks (`_block`), the rows
+    counted from x, or from z when x is not 2-d."""
+    if np.ndim(x) == 2:
         n = len(x)
-    elif z is not None and np.ndim(z) == 2:
+    elif np.ndim(z) == 2:
         n = len(z)
     else:
         raise DataError("predict_batch needs at least one 2-d covariate block")
-    x = _check_block(x, fit.x_dim, n, "x")
-    z = _check_block(z, fit.z_dim, n, "z")
+    x = _block(x, n, "x", fit.x_dim)
+    z = _block(z, n, "z", fit.z_dim)
     x, z = _route(fit.mode, x, z)
     return x @ fit.theta_hat + forward_batch(fit.network, z)
 
 
 def predict(fit, x, z=None):
-    """Predicted tau-quantile at a single covariate point."""
-    x = np.zeros(0) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.zeros(0) if z is None else np.atleast_1d(np.asarray(z, dtype=float))
-    if x.shape != (fit.x_dim,):
-        raise DataError(f"x must have shape ({fit.x_dim},), got {x.shape}")
-    if z.shape != (fit.z_dim,):
-        raise DataError(f"z must have shape ({fit.z_dim},), got {z.shape}")
-    return float(predict_batch(fit, x.reshape(1, -1), z.reshape(1, -1))[0])
+    """Predicted tau-quantile at a single covariate point: x and z, 1-d
+    or scalar, each become one row for `predict_batch` to check."""
+    x, z = (None if a is None else np.atleast_1d(np.asarray(a, float))[None]
+            for a in (x, z))
+    return float(predict_batch(fit, x, z)[0])
 
 
 def residuals(fit, data):
     """y minus the fitted tau-quantile, for every row of `data`."""
-    if data.p != fit.x_dim or data.q != fit.z_dim:
-        raise DataError(
-            f"data has (p={data.p}, q={data.q}) but the fit expects"
-            f" (p={fit.x_dim}, q={fit.z_dim})")
     return data.y - predict_batch(fit, data.x, data.z)
 
 
@@ -199,8 +185,4 @@ def m_values(fit, z_matrix):
     """
     if fit.mode == "dnqr":
         raise ConfigError("dnqr fits have no separable nonparametric part")
-    z_matrix = np.asarray(z_matrix, dtype=float)
-    if z_matrix.ndim != 2 or z_matrix.shape[1] != fit.z_dim:
-        raise DataError(
-            f"z must have {fit.z_dim} columns, got shape {z_matrix.shape}")
     return forward_batch(fit.network, z_matrix)

@@ -13,10 +13,12 @@ members share the rows x and z, the network and the minibatch; each has
 its own target, learning rate, patience, epochs and rng. An internal
 80/20 train/validation split of each member drives its epoch-level
 early stopping; the parameters in effect when a member halts are the
-ones returned for it. An epoch runs the network once per step and once
-over the validation rows: its training loss is the running mean of the
-losses its steps already computed, so no pass goes over the training
-rows again.
+ones returned for it. A member's split is two index sets into the
+shared rows: each epoch gathers the training rows by index, and the
+validation rows are gathered once. An epoch runs the network once per
+step and once over the validation rows: its training loss is the
+running mean of the losses its steps already computed, so no pass goes
+over the training rows again.
 
 What stacks follows from what fits share. `tune` trains the candidates
 it keeps as one stack per mode, network and minibatch (one stack of two
@@ -305,7 +307,10 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     rng, bit for bit, or the TrainingError that stopped that member.
 
     Each member draws from its own rng its split, its init and then one
-    permutation per epoch it trains, as it does trained alone.
+    permutation per epoch it trains, as it does trained alone. An epoch
+    gathers each member's training rows, in that permutation, by index
+    from the shared ys, x and z; the validation rows, read in the same
+    order every epoch, are gathered once.
     Every member's theta and layers are views into one (K, P) flat
     vector and its gradients are written into views of one (K, P)
     gradient, so one in-place `adam_step` call, with a (K, 1) learning
@@ -359,9 +364,8 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
         inits.append(net.init_params(widths, rng).layers)
     tr_idx = np.array([tr for tr, _ in splits])
     val_idx = np.array([val for _, val in splits])
-    rows = np.arange(len(configs))[:, None]
-    train = [ys[rows, tr_idx], x[tr_idx], z[tr_idx]]
-    val = [ys[rows, val_idx], x[val_idx], z[val_idx]]
+    val = [ys[np.arange(len(configs))[:, None], val_idx], x[val_idx],
+           z[val_idx]]
     n_tr = tr_idx.shape[1]
     minibatch = min(minibatch, n_tr)
 
@@ -385,13 +389,11 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     while members:
         epoch += 1
         # each member's training rows in its own order for this epoch,
-        # gathered from the members' rows laid end to end; a step's
-        # minibatch is a slice of them
-        order = np.array([rngs[m].permutation(n_tr) for m in members])
-        order += n_tr * np.arange(len(members))[:, None]
-        y_ord, x_ord, z_ord = (
-            np.take(a.reshape((order.size,) + a.shape[2:]), order, axis=0)
-            for a in train)
+        # gathered from the shared rows; a step's minibatch is a slice
+        rows = np.array(members)[:, None]
+        order = tr_idx[rows, [rngs[m].permutation(n_tr) for m in members]]
+        y_ord = ys[rows, order]
+        x_ord, z_ord = np.take(x, order, axis=0), np.take(z, order, axis=0)
         tr_sum = np.zeros(len(members))
         failed = {}  # stack position -> the error that stops it
         for start in range(0, n_tr, minibatch):
@@ -449,7 +451,6 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
             flat, flat_grad, lr = flat[keep], flat_grad[keep], lr[keep]
             state.first_moment = state.first_moment[keep]
             state.second_moment = state.second_moment[keep]
-            train = [a[keep] for a in train]
             val = [a[keep] for a in val]
             acts = [buffer[:len(keep)] for buffer in acts]
             theta, params, grad_theta, grad_layers = _views(

@@ -412,6 +412,28 @@ class TestConfigValueTypes:
                    "scale": False, "level": 0.9, "seed": 1}
         assert self._run(tmp_path, "fit", payload, train_csv) == 0
 
+    def test_null_leaves_a_key_unset(self, train_csv, tmp_path, capsys):
+        # epochs, lr and scale null in the file take their defaults, as
+        # when the file does not name them
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"epochs": None, "lr": None, "scale": None}), encoding="utf-8")
+        common = ["--data", train_csv, "--y", "y", "--x", "x1,x2", "--z",
+                  "z1,z2", "--depth", "2", "--minibatch", "64",
+                  "--patience", "5"]
+        fit = ["fit", *common, "--width", "4", "--seed", "7511"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main([*fit, "--config", str(config), "--out", str(a)]) == 0
+        assert main([*fit, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        capsys.readouterr()
+        tune = ["tune", *common, "--width", "4,8", "--seed", "7512"]
+        assert main([*tune, "--config", str(config)]) == 0
+        with_nulls = capsys.readouterr().out
+        assert main(tune) == 0
+        assert capsys.readouterr().out == with_nulls
+        assert json.loads(with_nulls)["epochs"] == TrainConfig().epochs
+
     @pytest.mark.parametrize("flag, value", [
         ("mode", "bogus"), ("sigma_x_terms", "bogus")])
     def test_bad_choice_is_the_config_file_error(self, flag, value,

@@ -43,6 +43,10 @@ class TestSampleCopula:
         with pytest.raises(ConfigError):
             sample_copula(100, 3, -0.6, make_rng(0))
 
+    def test_dim_validated(self):
+        with pytest.raises(ConfigError, match="^dim must be >= 1, got 0$"):
+            sample_copula(100, 0, 0.5, make_rng(7509))
+
     def test_deterministic(self):
         a = sample_copula(20, 12, 0.5, make_rng(3))
         b = sample_copula(20, 12, 0.5, make_rng(3))
@@ -116,6 +120,11 @@ class TestMeanFunctions:
         with pytest.raises(ConfigError):
             m_case(4, np.ones(10))
 
+    def test_z_width_checked(self):
+        with pytest.raises(DataError, match=(
+                r"^z must have 10 coordinates, got \(3, 9\)$")):
+            m_case(1, np.ones((3, 9)))
+
 
 class TestScaleFunctions:
     def test_case4_hand_value(self):
@@ -152,6 +161,16 @@ class TestScaleFunctions:
     def test_case_range(self):
         with pytest.raises(ConfigError):
             sigma1_case(1, np.zeros(2), np.ones(10))
+
+    def test_x_width_checked(self):
+        with pytest.raises(DataError, match=(
+                r"^x must have 2 coordinates, got \(3, 3\)$")):
+            sigma1_case(4, np.zeros((3, 3)), np.ones((3, 10)))
+
+    def test_unknown_x_reading(self):
+        with pytest.raises(ConfigError,
+                           match="^unknown sigma_x_terms 'x1'$"):
+            sigma1_case(4, np.zeros(2), np.ones(10), sigma_x_terms="x1")
 
 
 class TestT3Distribution:
@@ -345,3 +364,9 @@ class TestErrorMetrics:
             mspe(np.ones(3), np.ones(4))
         with pytest.raises(DataError):
             rmse_m(np.ones(3), np.ones(4))
+
+    def test_empty_vectors(self):
+        with pytest.raises(DataError, match="^rmse_m of empty vectors$"):
+            rmse_m(np.zeros(0), np.zeros(0))
+        with pytest.raises(DataError, match="^mspe of empty vectors$"):
+            mspe(np.zeros(0), np.zeros(0))

@@ -200,6 +200,21 @@ class TestRunExperiment:
                                with_ci=False, workers=workers)
         assert not [w for w in caught if "replicate" in str(w.message)]
 
+    def test_settings_error_of_a_replicate_is_raised(self, monkeypatch):
+        # whatever a replicate raises as a ConfigError holds for every
+        # replicate: run_experiment raises it and counts no failure
+        def misconfigured(spec, r, *args):
+            raise ConfigError(f"replicate {r} is misconfigured")
+        monkeypatch.setattr(experiment, "_run_replicate", misconfigured)
+        spec = DgpSpec(case=1, n=100, tau=0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigError,
+                               match="^replicate 0 is misconfigured$"):
+                run_experiment(spec, 2, master_seed=7510, grid=_FAST,
+                               with_ci=False)
+        assert not caught
+
     def test_unknown_method_rejected(self):
         spec = DgpSpec(case=1, n=100, tau=0.5)
         with pytest.raises(ConfigError):

@@ -82,6 +82,11 @@ class TestSymInverse:
         want = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
         assert_allclose(sym_inverse(m), want, atol=1e-12)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(DataError, match=(
+                r"^sym_inverse needs a square matrix, got \(2, 3\)$")):
+            sym_inverse(np.ones((2, 3)))
+
     def test_random_spd_inverse_property(self):
         # a.T @ a + eps*I is SPD; check m @ inv(m) is the identity
         rng = np.random.default_rng(7)
@@ -222,6 +227,18 @@ class TestCovariance:
         cfg = TrainConfig(depth=2, width=8, epochs=200, minibatch=64,
                           early_stop_patience=50, learning_rate=0.01)
         return fit(data, 0.5, cfg, make_rng(6)), data, cfg
+
+    @pytest.mark.parametrize("p, q", [(0, 2), (2, 0)])
+    def test_needs_both_blocks(self, p, q):
+        # checked before the residuals, so the fit's layout is not read
+        rng = np.random.default_rng(7507)
+        data = Dataset(y=rng.normal(size=20), x=rng.normal(size=(20, p)),
+                       z=rng.normal(size=(20, q)))
+        cfg = TrainConfig(mode="lqr")
+        fitted = fit(data, 0.5, cfg, make_rng(7507))
+        with pytest.raises(DataError,
+                           match="^covariance needs p >= 1 and q >= 1$"):
+            covariance(fitted, data, cfg, make_rng(7507))
 
     def test_pipeline_shapes_and_symmetry(self):
         fitted, data, cfg = self._fitted()

@@ -47,6 +47,11 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(y=np.zeros(2), x=np.array([[1.0], [np.inf]]), z=None)
 
+    def test_two_dim_y_rejected(self):
+        with pytest.raises(DataError,
+                           match=r"^y must be 1-d, got shape \(3, 1\)$"):
+            Dataset(y=np.zeros((3, 1)), x=np.ones((3, 1)), z=None)
+
     def test_row_count_mismatch(self):
         with pytest.raises(DataError):
             Dataset(y=np.zeros(3), x=np.ones((4, 1)), z=None)
@@ -194,6 +199,11 @@ class TestFit:
         assert np.max(np.abs(preds - 2.5)) < 0.1
         assert mean_check_loss(residuals(fitted, data), 0.5) < 0.1
 
+    def test_non_dataset_rejected(self):
+        data = _toy_data(20)
+        with pytest.raises(DataError, match="^fit expects a Dataset$"):
+            fit((data.y, data.x, data.z), 0.5, TrainConfig(), make_rng(7501))
+
     def test_too_few_rows(self):
         data = Dataset(y=np.zeros(4), x=np.ones((4, 1)), z=None)
         with pytest.raises(DataError):
@@ -298,23 +308,24 @@ class TestFit:
             self._assert_same_bytes(handed[k], alone[k])
 
 
-class TestPredict:
-    def _affine_fit(self):
-        # hand-assembled fit: theta = (2, -1), network = single affine
-        # layer with weights (0.5, 0.25) and bias 1
-        net = NetworkParams((2, 1), [np.array([[0.5, 0.25, 1.0]])])
-        return PlqrFit(theta_hat=np.array([2.0, -1.0]), network=net,
-                       tau=0.5, history=None, mode="dplqr",
-                       x_dim=2, z_dim=2)
+def _affine_fit():
+    # hand-assembled fit: theta = (2, -1), network = single affine
+    # layer with weights (0.5, 0.25) and bias 1
+    net = NetworkParams((2, 1), [np.array([[0.5, 0.25, 1.0]])])
+    return PlqrFit(theta_hat=np.array([2.0, -1.0]), network=net,
+                   tau=0.5, history=None, mode="dplqr",
+                   x_dim=2, z_dim=2)
 
+
+class TestPredict:
     def test_hand_value(self):
-        fitted = self._affine_fit()
+        fitted = _affine_fit()
         # 2*1 - 1*2 + (0.5*4 + 0.25*0 + 1) = 0 + 3 = 3
         got = predict(fitted, np.array([1.0, 2.0]), np.array([4.0, 0.0]))
         assert_allclose(got, 3.0)
 
     def test_batch_matches_single(self):
-        fitted = self._affine_fit()
+        fitted = _affine_fit()
         rng = np.random.default_rng(1)
         x = rng.normal(size=(10, 2))
         z = rng.normal(size=(10, 2))
@@ -338,11 +349,36 @@ class TestPredict:
             predict_batch(fitted, np.zeros((60, 0)), z).tobytes()
 
     def test_shape_errors(self):
-        fitted = self._affine_fit()
+        fitted = _affine_fit()
         with pytest.raises(DataError):
             predict(fitted, np.array([1.0]), np.array([4.0, 0.0]))
         with pytest.raises(DataError):
             predict_batch(fitted, np.ones((5, 2)), np.ones((4, 2)))
+
+    @pytest.mark.parametrize("x, z, says", [
+        ([1.0], [4.0, 0.0], r"^x must have shape \(1, 2\), got \(1, 1\)$"),
+        ([1.0, 2.0], [4.0, 0.0, 1.0],
+         r"^z must have shape \(1, 2\), got \(1, 3\)$"),
+        ([[1.0, 2.0]], [4.0, 0.0],
+         r"^x must have shape \(1, 2\), got \(1, 1, 2\)$"),
+    ], ids=["short-x", "long-z", "2-d-point"])
+    def test_point_is_checked_as_one_row(self, x, z, says):
+        # predict makes each block one row and predict_batch checks it
+        with pytest.raises(DataError, match=says):
+            predict(_affine_fit(), x, z)
+
+    def test_batch_reads_a_1d_block_as_one_column(self):
+        # a 1-d block is a column, as in a Dataset, never a row: a length-2
+        # x beside a one-row z is two rows of one column, so it is refused
+        with pytest.raises(DataError, match=(
+                r"^x must have shape \(1, 2\), got \(2, 1\)$")):
+            predict_batch(_affine_fit(), np.array([1.0, 2.0]),
+                          np.array([[4.0, 0.0]]))
+
+    def test_batch_needs_a_2d_block(self):
+        with pytest.raises(DataError, match=(
+                "^predict_batch needs at least one 2-d covariate block$")):
+            predict_batch(_affine_fit(), np.ones(2), None)
 
 
 class TestResiduals:
@@ -365,6 +401,16 @@ class TestResiduals:
         with pytest.raises(DataError):
             residuals(fitted, other)
 
+    @pytest.mark.parametrize("p, q, says", [
+        (3, 2, r"^x must have shape \(10, 2\), got \(10, 3\)$"),
+        (2, 1, r"^z must have shape \(10, 2\), got \(10, 1\)$"),
+    ], ids=["wrong-p", "wrong-q"])
+    def test_data_of_another_layout(self, p, q, says):
+        other = Dataset(y=np.zeros(10), x=np.ones((10, p)),
+                        z=np.ones((10, q)))
+        with pytest.raises(DataError, match=says):
+            residuals(_affine_fit(), other)
+
 
 class TestMValues:
     def test_matches_network_forward(self):
@@ -383,6 +429,14 @@ class TestMValues:
         fitted = fit(data, 0.5, cfg, make_rng(0))
         with pytest.raises(ConfigError):
             m_values(fitted, data.z)
+
+    @pytest.mark.parametrize("z, shape", [
+        (np.ones((3, 3)), r"\(3, 3\)"), (np.ones(2), r"\(2,\)")],
+        ids=["wrong-width", "1-d"])
+    def test_z_must_be_rows_of_the_fit_width(self, z, shape):
+        with pytest.raises(DataError, match=(
+                rf"^network expects inputs of width 2, got shape {shape}$")):
+            m_values(_affine_fit(), z)
 
 
 class TestStatisticalProperties:

@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 
 from dplqr.errors import DataError
 from dplqr.model import Dataset, fit, predict_batch
-from dplqr.modelio import (ColumnRoles, apply_scaling, compute_scaling,
-                           load_csv, load_model, model_from_dict,
-                           model_to_dict, save_model)
+from dplqr.modelio import (ColumnRoles, _jsonable, apply_scaling,
+                           compute_scaling, load_csv, load_model,
+                           model_from_dict, model_to_dict, save_model)
 from dplqr.optimizer import TrainConfig
 from dplqr.rng import make_rng
 
@@ -174,6 +174,12 @@ class TestScaling:
         # values outside the training range extrapolate past [0, 1]
         assert_allclose(scaled.x[:, 0], [1.5, -0.5])
 
+    def test_empty_dataset_rejected(self):
+        empty = Dataset(y=np.zeros(0), x=np.zeros((0, 2)), z=None)
+        with pytest.raises(DataError, match=(
+                "^cannot derive scaling from an empty dataset$")):
+            compute_scaling(empty)
+
 
 class TestModelPersistence:
     def _fitted(self):
@@ -262,6 +268,10 @@ class TestModelPersistence:
     def test_missing_model_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_model(str(tmp_path / "absent.json"))
+
+    def test_numpy_integer_becomes_a_python_int(self):
+        value = _jsonable(np.int64(3))
+        assert value == 3 and type(value) is int
 
     def test_saved_file_stable_across_saves(self, tmp_path):
         fitted, _ = self._fitted()

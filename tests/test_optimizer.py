@@ -100,6 +100,11 @@ class TestEpochBatches:
         with pytest.raises(ConfigError):
             epoch_batches(5, 0, make_rng(0))
 
+    def test_no_rows(self):
+        with pytest.raises(ConfigError,
+                           match="^epoch_batches needs n >= 1, got 0$"):
+            epoch_batches(0, 1, make_rng(7502))
+
 
 class TestEarlyStop:
     @staticmethod
@@ -208,6 +213,42 @@ class TestTrainJoint:
                                   [cfg, cfg], rngs)
         assert [r.bit_generator.state for r in rngs] == [
             make_rng(k).bit_generator.state for k in (1, 2)]
+
+    def test_two_dim_target_rejected(self):
+        y, x = _linear_toy(10, seed=7503)
+        with pytest.raises(DataError,
+                           match=r"^y must be 1-d, got shape \(1, 10\)$"):
+            train_joint(y[None], x, _no_z(y), TrainConfig(minibatch=4),
+                        make_rng(7504))
+
+    @pytest.mark.parametrize("case, error, says", [
+        ("no-members", ConfigError,
+         r"^a stack needs one rng per config, got 0 configs and 0 rngs$"),
+        ("rng-short", ConfigError,
+         r"^a stack needs one rng per config, got 2 configs and 1 rngs$"),
+        ("ys-rows", DataError,
+         r"^ys must have one row per member, got \(1, 10\)$"),
+        ("x-rows", DataError, r"^x and y row counts differ$"),
+        ("z-rows", DataError,
+         r"^z must have shape \(10, q\), got \(9, 0\)$"),
+    ])
+    def test_stack_argument_errors(self, case, error, says):
+        y, x = _linear_toy(10, seed=7503)
+        ys, z = np.stack([y, -y]), _no_z(y)
+        cfg = TrainConfig(minibatch=4)
+        configs, rngs = [cfg, cfg], [make_rng(7504), make_rng(7505)]
+        if case == "no-members":
+            configs, rngs = [], []
+        elif case == "rng-short":
+            rngs = rngs[:1]
+        elif case == "ys-rows":
+            ys = ys[:1]
+        elif case == "x-rows":
+            x = x[:9]
+        else:
+            z = z[:9]
+        with pytest.raises(error, match=says):
+            optimizer.train_stack(ys, x, z, configs, rngs, tau=0.5)
 
     def test_learns_linear_median(self):
         y, x = _linear_toy(400, seed=0)
@@ -322,6 +363,16 @@ class TestTune:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             tune([], self._data(), 0.5, make_rng(0))
+
+    def test_one_row_cannot_hold_out_a_split(self):
+        # two distinct candidates need a tuning split, and one row has none
+        grid = [TrainConfig(learning_rate=0.01),
+                TrainConfig(learning_rate=0.02)]
+        rng = make_rng(7506)
+        with pytest.raises(DataError, match=(
+                "^need at least 2 rows to hold out a split, got 1$")):
+            tune(grid, self._data().subset([0]), 0.5, rng)
+        assert rng.bit_generator.state == make_rng(7506).bit_generator.state
 
     def test_prefers_adequate_budget(self):
         # one epoch of training cannot move theta far from zero; a

@@ -2,19 +2,22 @@
 
 The seeds are this file's own, declared before its first run:
 HIGHS_SEEDS for the comparison with scipy's HiGHS, OPTIMALITY_SEEDS for
-the numpy-only optimality checks (HiGHS checks one design of each too).
+the numpy-only optimality checks (HiGHS checks one design of each too),
+ITERATION_SEED for the iteration cap.
 """
 
 import numpy as np
 import pytest
 
 from dplqr import DgpSpec, generate, make_rng
-from dplqr.errors import ConfigError, DataError, SingularMatrixError
+from dplqr.errors import (ConfigError, DataError, SingularMatrixError,
+                          TrainingError)
 from dplqr.quantile_loss import check_loss
 from dplqr.rq import rq
 
 HIGHS_SEEDS = (2101, 2102, 2103, 2104)
 OPTIMALITY_SEEDS = (2105, 2106)
+ITERATION_SEED = 7508
 
 
 def _design(case, n, seed):
@@ -128,3 +131,12 @@ def test_bad_arguments():
         rq(X[:, 0], y, 0.5)
     with pytest.raises(ConfigError, match="tau"):
         rq(X, y, 1.0)
+
+
+def test_iteration_cap(monkeypatch):
+    X, y = _design(1, 50, ITERATION_SEED)
+    monkeypatch.setattr("dplqr.rq.MAX_ITERATIONS", 1)
+    with pytest.raises(TrainingError, match=(
+            "^linear quantile regression did not converge in 1"
+            " iterations$")):
+        rq(X, y, 0.5)

@@ -14,13 +14,13 @@ covariance of X after projecting out its dependence on Z.
 import numpy as np
 
 from dplqr import DgpSpec, covariance, fit, generate, true_theta
-from dplqr.experiment import scenario_config
+from dplqr.experiment import scenario_grid
 from dplqr.rng import make_rng, split
 
 # one draw of the first benchmark case: theta = (1, -1), m(z) = 0.95 * sum(z)
 spec = DgpSpec(case=1, n=500, tau=0.5)
 data = generate(spec, make_rng(3))
-config = scenario_config(spec.case, spec.n)
+config = scenario_grid(spec.case, spec.n)[0]  # its first learning rate
 
 fit_rng, cov_rng = split(make_rng(4), 2)
 fitted = fit(data, spec.tau, config, fit_rng)
@@ -41,7 +41,7 @@ for k in range(2):
 # interval width shrinks like 1/sqrt(n): refit on a larger draw
 spec_big = DgpSpec(case=1, n=2000, tau=0.5)
 data_big = generate(spec_big, make_rng(3))
-config_big = scenario_config(spec_big.case, spec_big.n)
+config_big = scenario_grid(spec_big.case, spec_big.n)[0]
 fit_rng, cov_rng = split(make_rng(4), 2)
 fitted_big = fit(data_big, spec_big.tau, config_big, fit_rng)
 estimate_big = covariance(fitted_big, data_big, config_big, cov_rng)

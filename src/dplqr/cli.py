@@ -22,8 +22,9 @@ from dataclasses import replace
 
 from .dgp import DgpSpec
 from .errors import ConfigError, DataError, DplqrError
-from .experiment import (check_settings, report_to_csv, report_to_text,
-                         run_experiment, scenario_grid)
+from .experiment import (METHODS, _method_grid, check_settings,
+                         report_to_csv, report_to_text, run_experiment,
+                         scenario_grid)
 from .inference import KDE_MIN_RESIDUALS, covariance, validate_level
 from .model import fit as fit_model
 from .model import predict_batch
@@ -31,7 +32,7 @@ from .modelio import (ColumnRoles, _jsonable, apply_scaling, compute_scaling,
                       json_text, load_csv, load_model, read_json, save_model,
                       write_json)
 from .network import PASS_ROWS
-from .optimizer import MODES, TrainConfig, tune
+from .optimizer import TrainConfig, tune
 from .quantile_loss import validate_tau
 from .rng import make_rng, split
 
@@ -77,7 +78,7 @@ _OPTIONS = {
     "x": (_TEXT, "", "linear covariate columns, comma-separated"),
     "z": (_TEXT, "", "network covariate columns, comma-separated"),
     "tau": (_NUMBER, 0.5, "quantile level in (0, 1)"),
-    "mode": (_TEXT, "dplqr", "one of " + ", ".join(MODES)),
+    "mode": (_TEXT, "dplqr", "one of " + ", ".join(METHODS)),
     "seed": (_INT, 0, "random seed"),
     "level": (_NUMBER, 0.95, "confidence level"),
     "scale": (_FLAG, True, "skip min-max scaling of covariates"),
@@ -86,7 +87,7 @@ _OPTIONS = {
     "case": (_INT, 1, "benchmark case, 1..6"),
     "n": (_INT, 500, "rows per replicate"),
     "replicates": (_INT, 160, "number of replicates"),
-    "methods": (_TEXT, "dplqr", "subset of " + ",".join(MODES)),
+    "methods": (_TEXT, "dplqr", "subset of " + ",".join(METHODS)),
     "workers": (_INT, 1, "worker processes"),
     "sigma_x_terms": (_TEXT, "x1+x2", "x sum of cases 4-6: x1+x2 or 2x1"),
     "out_dir": (_TEXT, None, "directory for the report files"),
@@ -145,9 +146,9 @@ _GRID_FIELDS = {"depth": "depth", "width": "width", "lr": "learning_rate",
 def _build_grid(args, base):
     """One config per point of the depth x width x lr cross product.
 
-    Each grid flag left unset takes its value from `base`. Every entry
-    takes --mode where the command has it (fit and tune) and base.mode
-    otherwise. The first bad entry raises its ConfigError as it is made.
+    Each grid flag left unset takes its value from `base`, and every
+    entry takes base.mode. The first bad entry raises its ConfigError as
+    it is made.
     """
     axes = []
     for flag, field in _GRID_FIELDS.items():
@@ -155,9 +156,7 @@ def _build_grid(args, base):
         parse = float if flag == "lr" else int
         axes.append([getattr(base, field)] if value is None
                     else _list(value, parse))
-    mode = getattr(args, "mode", base.mode)
-    return [replace(base, mode=mode,
-                    **dict(zip(_GRID_FIELDS.values(), point)))
+    return [replace(base, **dict(zip(_GRID_FIELDS.values(), point)))
             for point in itertools.product(*axes)]
 
 
@@ -203,13 +202,18 @@ def _fit_setup(args, out_required):
     for name in ("out",) * out_required + ("data", "y"):
         if getattr(args, name) is None:
             raise ConfigError(f"--{name} is required")
-    roles = ColumnRoles(args.y, _columns(args.x, "x"),
-                        _columns(args.z, "z"))
+    if args.mode not in METHODS:
+        raise ConfigError(
+            f"mode must be one of {METHODS}, got {args.mode!r}")
+    x, z = _columns(args.x, "x"), _columns(args.z, "z")
+    # dnqr, a network on every covariate, is a dplqr fit with no x columns
+    dnqr = args.mode == "dnqr"
+    roles = ColumnRoles(args.y, [] if dnqr else x, x + z if dnqr else z)
     names = [roles.y] + roles.x + roles.z
     repeated = sorted({c for c in names if names.count(c) > 1})
     if repeated:
         raise ConfigError(f"column(s) {repeated} given more than one role")
-    grid = _build_grid(args, TrainConfig())
+    grid = _build_grid(args, _method_grid(args.mode, [TrainConfig()])[0])
     streams = split(make_rng(args.seed), 3)
     _check_distinct(args, ("config", "data", "out", "report"))
     for path in (args.out, getattr(args, "report", None)):
@@ -226,7 +230,7 @@ def _fit_setup(args, out_required):
 def cmd_fit(args):
     data, roles, scaling, grid, streams = _fit_setup(args, out_required=True)
     tune_rng, fit_rng, cov_rng = streams
-    with_ci = args.mode != "dnqr" and data.p >= 1 and data.q >= 1
+    with_ci = data.p >= 1 and data.q >= 1
     if with_ci and data.n < KDE_MIN_RESIDUALS:
         raise DataError(f"Wald intervals need at least {KDE_MIN_RESIDUALS}"
                         f" rows, got {data.n}")
@@ -243,7 +247,7 @@ def cmd_fit(args):
         report = _jsonable({
             "schema_version": 3, "command": "fit",
             "n": data.n, "p": data.p, "q": data.q,
-            "tau": args.tau, "mode": fitted.mode, "seed": args.seed,
+            "tau": args.tau, "mode": args.mode, "seed": args.seed,
             "level": args.level, "scaled": args.scale,
             "columns": roles, "config": _flag_settings(best),
             "widths": fitted.network.widths, "grid_size": len(grid),
@@ -255,7 +259,7 @@ def cmd_fit(args):
             del report["covariance"]["level"]
         write_json(args.report, report)
 
-    print(f"fit: mode={fitted.mode} tau={args.tau:g} n={data.n}"
+    print(f"fit: mode={args.mode} tau={args.tau:g} n={data.n}"
           f" p={data.p} q={data.q}")
     for k, coef in enumerate(fitted.theta_hat):
         line = f"  theta[{k + 1}] = {coef: .6f}"
@@ -321,7 +325,8 @@ def cmd_simulate(args):
 def cmd_tune(args):
     data, _, _, grid, streams = _fit_setup(args, out_required=False)
     best = tune(grid, data, args.tau, streams[0])  # the stream fit tunes on
-    chosen = dict(_flag_settings(best), mode=best.mode)
+    # the method asked for, which a dnqr tune trains as dplqr
+    chosen = dict(_flag_settings(best), mode=args.mode)
     print(json_text(chosen), end="")
     if args.out:
         write_json(args.out, chosen)

@@ -28,10 +28,14 @@ from .dgp import (THETA, Z_DIM, _base_case, generate, mspe, rmse_m, true_m,
                   true_theta)
 from .errors import ConfigError, DplqrError, TrainingError
 from .inference import covariance, validate_level
-from .model import fit, m_values, predict_batch
-from .optimizer import (MODES, TrainConfig, _holdout_split, _split_rows,
-                        tune, tuning_plan)
+from .model import Dataset, fit, m_values, predict_batch
+from .optimizer import (TrainConfig, _holdout_split, _split_rows, tune,
+                        tuning_plan)
 from .rng import _check_int, _check_seed, child_rng, split
+
+# the methods a study compares, in run order, which is also the order of
+# a replicate's per-method streams
+METHODS = ("dplqr", "lqr", "dnqr")
 
 # selected hyperparameters per (base case, sample size); cases 4-6 share
 # the rows of their base case 1-3. Learning rate has two candidate values
@@ -59,15 +63,6 @@ def scenario_grid(case, n):
     return [TrainConfig(**row, learning_rate=lr) for lr in lrs]
 
 
-def scenario_config(case, n):
-    """Documented training configuration for a benchmark scenario.
-
-    Uses the first of the scenario's candidate learning rates; see
-    scenario_grid for the full candidate list.
-    """
-    return scenario_grid(case, n)[0]
-
-
 @dataclass
 class ReplicateResult:
     """Metrics of one method on one replicate."""
@@ -77,7 +72,7 @@ class ReplicateResult:
     theta_hat: np.ndarray
     intervals: np.ndarray      # (p, 2) or None when intervals were off
     covered: np.ndarray        # (p,) bools or None
-    rmse_m: float              # None for dnqr (no separable z-function)
+    rmse_m: float              # None for dnqr (its network fits x theta too)
     mspe: float
 
 
@@ -115,11 +110,26 @@ class ExperimentReport:
 def _method_order(methods):
     methods = list(methods)
     for m in methods:
-        if m not in MODES:
-            raise ConfigError(f"unknown method {m!r}; choose from {MODES}")
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
     if len(set(methods)) != len(methods):
         raise ConfigError(f"duplicate method in {methods}")
-    return tuple(m for m in MODES if m in methods)
+    return tuple(m for m in METHODS if m in methods)
+
+
+def _method_grid(method, grid):
+    """The grid that fits `method`: dnqr, a network quantile regression
+    with no linear part, is a dplqr fit on its own column layout."""
+    mode = "dplqr" if method == "dnqr" else method
+    return [replace(c, mode=mode) for c in grid]
+
+
+def _method_data(method, data):
+    """`data` in the layout `method` fits: dnqr's has no x block, and its
+    z block is [x, z]."""
+    if method == "dnqr":
+        return Dataset(data.y, None, np.hstack([data.x, data.z]))
+    return data
 
 
 def _run_replicate(spec, r, methods, master_seed, grid, with_ci, level,
@@ -132,12 +142,13 @@ def _run_replicate(spec, r, methods, master_seed, grid, with_ci, level,
     m_star = true_m(spec, test.z)
 
     out = []
-    streams = dict(zip(MODES, split(rng, len(MODES))))
+    streams = dict(zip(METHODS, split(rng, len(METHODS))))
     for method in methods:
         tune_rng, fit_rng, cov_rng = split(streams[method], 3)
-        candidates = [replace(c, mode=method) for c in grid]
-        best = tune(candidates, train, spec.tau, tune_rng)
-        fitted = fit(train, spec.tau, best, fit_rng)
+        fit_train = _method_data(method, train)
+        best = tune(_method_grid(method, grid), fit_train, spec.tau,
+                    tune_rng)
+        fitted = fit(fit_train, spec.tau, best, fit_rng)
 
         intervals = covered = None
         if with_ci and method != "dnqr":
@@ -153,7 +164,8 @@ def _run_replicate(spec, r, methods, master_seed, grid, with_ci, level,
                 m_hat = m_hat + float(np.mean(m_star - m_hat))
             rmse = rmse_m(m_hat, m_star)
 
-        y_hat = predict_batch(fitted, test.x, test.z)
+        fit_test = _method_data(method, test)
+        y_hat = predict_batch(fitted, fit_test.x, fit_test.z)
         out.append(ReplicateResult(r, method, fitted.theta_hat, intervals,
                                    covered, rmse, mspe(y_hat, test.y)))
     return out
@@ -200,8 +212,8 @@ def check_settings(spec, q, methods, master_seed, grid, level, workers):
     grid = list(grid)
     n_train = _split_rows(spec.n)
     for method in methods:
-        tuning_plan([replace(c, mode=method) for c in grid], n_train,
-                    len(THETA), Z_DIM)
+        n_in = Z_DIM + (len(THETA) if method == "dnqr" else 0)
+        tuning_plan(_method_grid(method, grid), n_train, n_in)
     _check_seed(master_seed)
     return methods, grid, level
 

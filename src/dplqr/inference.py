@@ -148,10 +148,10 @@ def covariance(fit, data, config, rng, level=0.95):
     projections fail to train, the TrainingError of the lowest-index one
     is raised. The projections train on `config`, which checked its
     fields when it was made; the kernel checks the rows against it as it
-    does for a fit.
+    does for a fit. Data with no x or no z columns raise DataError: a
+    dnqr fit, which is a dplqr fit with every covariate in z, has no
+    coefficient to cover.
     """
-    if fit.mode == "dnqr":
-        raise ConfigError("dnqr fits have no linear coefficients to cover")
     if data.p < 1 or data.q < 1:
         raise DataError("covariance needs p >= 1 and q >= 1")
     level = validate_level(level)

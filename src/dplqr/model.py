@@ -5,25 +5,26 @@ The model is
     quantile_tau(Y | X=x, Z=z) = x @ theta + m(z)
 
 with theta estimated jointly with a ReLU-network m by minimizing the
-empirical check loss. Two degenerate modes share the model's layout:
-"lqr" is linear in (x, z), the exact linear quantile regression that
-`rq.rq` solves, stored as theta plus one affine layer whatever depth its
-config names; "dnqr" has no linear part and routes every covariate into
-the network. `optimizer._route` alone decides the routing. A TrainConfig
-checks its fields when it is made, and `optimizer.train_stack`, which
-every dplqr and dnqr fit runs (`fit` as the stack of one;
-`optimizer.tune` trains its candidates ahead as stacks and hands each
-out through `fit`), checks the rows: at least `optimizer.MIN_FIT_ROWS`
-of them, and a minibatch within them.
+empirical check loss. The degenerate "lqr" mode shares the model's
+layout: it is linear in (x, z), the exact linear quantile regression
+that `rq.rq` solves, stored as theta plus one affine layer whatever
+depth its config names. A fit reads x as linear and z as network
+covariates, so the dnqr method, a network on every covariate with no
+linear part, is a dplqr fit with no x columns. A TrainConfig checks its
+fields when it is made, and `optimizer.train_stack`, which every dplqr
+fit runs (`fit` as the stack of one; `optimizer.tune` trains its
+candidates ahead as stacks and hands each out through `fit`), checks
+the rows: at least `optimizer.MIN_FIT_ROWS` of them, and a minibatch
+within them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .network import NetworkParams, forward_batch
-from .optimizer import TrainHistory, _route, train_joint
+from .optimizer import TrainHistory, train_joint
 from .quantile_loss import validate_tau
 from .rq import rq
 
@@ -92,13 +93,11 @@ class Dataset:
 class PlqrFit:
     """A fitted model: linear coefficients plus a network.
 
-    x_dim and z_dim record the covariate layout of the training data, so
-    prediction accepts (x, z) in the original shape even in dnqr mode,
-    where the network consumes their concatenation and theta_hat is empty.
-    x has no constant column, so the network carries the intercept; with
-    no network covariates it is the (0, 1) network, a learned constant.
-    history is the training record, None for an lqr fit, which does not
-    train, and for a model read from a file.
+    theta_hat has one entry per x column and the network one input per z
+    column. x has no constant column, so the network carries the
+    intercept; with no network covariates it is the (0, 1) network, a
+    learned constant. history is the training record, None for an lqr
+    fit, which does not train, and for a model read from a file.
     """
 
     theta_hat: np.ndarray
@@ -106,8 +105,6 @@ class PlqrFit:
     tau: float
     history: TrainHistory
     mode: str
-    x_dim: int
-    z_dim: int
 
 
 def fit(data, tau, config, rng):
@@ -141,26 +138,25 @@ def fit(data, tau, config, rng):
                      data.y, tau)
         layer = beta[data.p:].reshape(1, data.q + 1)
         return PlqrFit(beta[:data.p], NetworkParams((data.q, 1), [layer]),
-                       tau, None, "lqr", x_dim=data.p, z_dim=data.q)
-    x, z = _route(config.mode, data.x, data.z)
-    theta, params, history = train_joint(data.y, x, z, config, rng, tau=tau)
-    return PlqrFit(theta, params, tau, history, config.mode,
-                   x_dim=data.p, z_dim=data.q)
+                       tau, None, "lqr")
+    theta, params, history = train_joint(data.y, data.x, data.z, config,
+                                         rng, tau=tau)
+    return PlqrFit(theta, params, tau, history, config.mode)
 
 
 def predict_batch(fit, x, z):
-    """Predicted tau-quantiles for rows of covariates: x and z must be
-    (rows, fit.x_dim) and (rows, fit.z_dim) blocks (`_block`), the rows
-    counted from x, or from z when x is not 2-d."""
+    """Predicted tau-quantiles for rows of covariates: x must be a block
+    (`_block`) of one column per theta entry and z one of one column per
+    network input, the rows counted from x, or from z when x is not
+    2-d."""
     if np.ndim(x) == 2:
         n = len(x)
     elif np.ndim(z) == 2:
         n = len(z)
     else:
         raise DataError("predict_batch needs at least one 2-d covariate block")
-    x = _block(x, n, "x", fit.x_dim)
-    z = _block(z, n, "z", fit.z_dim)
-    x, z = _route(fit.mode, x, z)
+    x = _block(x, n, "x", fit.theta_hat.size)
+    z = _block(z, n, "z", fit.network.widths[0])
     return x @ fit.theta_hat + forward_batch(fit.network, z)
 
 
@@ -180,9 +176,6 @@ def residuals(fit, data):
 def m_values(fit, z_matrix):
     """Network-component values on rows of z (the nonparametric part).
 
-    For "dnqr" fits the linear/nonparametric split does not exist, so
-    this raises. With no network covariates (q == 0), m is the intercept.
+    With no network covariates (q == 0), m is the intercept.
     """
-    if fit.mode == "dnqr":
-        raise ConfigError("dnqr fits have no separable nonparametric part")
     return forward_batch(fit.network, z_matrix)

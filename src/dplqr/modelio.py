@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .model import Dataset, PlqrFit
 from .network import NetworkParams, _check_widths
-from .optimizer import MODES, _layout
+from .optimizer import MODES
 from .quantile_loss import validate_tau
 
 SCHEMA_VERSION = 1
@@ -275,8 +275,8 @@ def model_to_dict(fit, roles, scaling=None):
         "tau": fit.tau,
         "mode": fit.mode,
         "theta": _jsonable(fit.theta_hat),
-        "x_dim": fit.x_dim,
-        "z_dim": fit.z_dim,
+        "x_dim": len(fit.theta_hat),
+        "z_dim": fit.network.widths[0],
         "network": _network_to_dict(fit.network),
         "columns": _jsonable(roles),
         "scaling": _jsonable(scaling),
@@ -299,8 +299,8 @@ def model_from_dict(payload):
     if missing:
         raise DataError(f"model file lacks key(s) {missing}")
     if payload["mode"] not in MODES:
-        raise DataError(f"model mode must be one of {MODES},"
-                        f" got {payload['mode']!r}")
+        raise DataError(f"model mode must be one of {MODES}, got"
+                        f" {payload['mode']!r}; refit the model")
     if payload["network"] is None:
         raise DataError("the model file has no network: it is an x-only"
                         " model without an intercept; refit it")
@@ -315,8 +315,6 @@ def model_from_dict(payload):
             tau=validate_tau(payload["tau"]),
             history=None,
             mode=payload["mode"],
-            x_dim=payload["x_dim"],
-            z_dim=payload["z_dim"],
         )
         cols = payload["columns"]
         lists = all(isinstance(names, list)
@@ -329,28 +327,27 @@ def model_from_dict(payload):
         scaling = _scaling_from_dict(payload["scaling"])
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc!r}") from None
-    _check_layout(fit, roles, scaling)
+    _check_dims(fit, payload["x_dim"], payload["z_dim"], roles, scaling)
     return fit, roles, scaling
 
 
-def _check_layout(fit, roles, scaling):
-    """Dimensions of a loaded model must agree with its x_dim and z_dim."""
-    n_theta, n_in = _layout(fit.mode, fit.x_dim, fit.z_dim)
-    if fit.theta_hat.shape != (n_theta,):
-        raise DataError(f"a {fit.mode} model with x_dim {fit.x_dim} needs"
-                        f" {n_theta} theta entries, got {fit.theta_hat.size}")
+def _check_dims(fit, x_dim, z_dim, roles, scaling):
+    """A loaded model's theta, network input, columns and scaling must
+    have the x_dim and z_dim its file states."""
+    if fit.theta_hat.shape != (x_dim,):
+        raise DataError(f"a model with x_dim {x_dim} needs {x_dim} theta"
+                        f" entries, got {fit.theta_hat.size}")
     width = fit.network.widths[0]
-    if width != n_in:
-        raise DataError(f"a {fit.mode} model with x_dim {fit.x_dim} and"
-                        f" z_dim {fit.z_dim} needs network input width"
-                        f" {n_in}, got {width}")
-    if (len(roles.x), len(roles.z)) != (fit.x_dim, fit.z_dim):
+    if width != z_dim:
+        raise DataError(f"a model with z_dim {z_dim} needs network input"
+                        f" width {z_dim}, got {width}")
+    if (len(roles.x), len(roles.z)) != (x_dim, z_dim):
         raise DataError(f"model columns {roles.x} and {roles.z} do not"
-                        f" match x_dim {fit.x_dim} and z_dim {fit.z_dim}")
+                        f" match x_dim {x_dim} and z_dim {z_dim}")
     if scaling is not None and any(
             block.shape != (dim,) for block, dim in (
-                (scaling.x_low, fit.x_dim), (scaling.x_span, fit.x_dim),
-                (scaling.z_low, fit.z_dim), (scaling.z_span, fit.z_dim))):
+                (scaling.x_low, x_dim), (scaling.x_span, x_dim),
+                (scaling.z_low, z_dim), (scaling.z_span, z_dim))):
         raise DataError("model scaling does not match x_dim and z_dim")
 
 

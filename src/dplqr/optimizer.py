@@ -60,7 +60,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON_HAT = 1e-7
 
-MODES = ("dplqr", "lqr", "dnqr")
+MODES = ("dplqr", "lqr")
 
 VAL_SHARE = 0.2  # share of the rows a hold-out split keeps back
 MIN_FIT_ROWS = 5  # rows a fit needs, its hold-out split included
@@ -76,10 +76,11 @@ class TrainConfig:
     above a fit's 80% training split trains on the whole split each
     step, while the config (and so `fit --report`) keeps the requested
     value: on 300 rows, minibatch 250 and 240 train the same model.
-    `mode` is "dplqr" (linear part plus network), "lqr" (linear in x and
-    z, solved exactly by `rq.rq`: it trains nothing, so its other fields
-    go unused) or "dnqr" (no linear part; all covariates enter the
-    network). A config checks its fields when it is made, so
+    `mode` is "dplqr" (linear part plus network) or "lqr" (linear in x
+    and z, solved exactly by `rq.rq`: it trains nothing, so its other
+    fields go unused). The dnqr method is no mode: it is a dplqr fit
+    with no x columns and every covariate in z, which the CLI and
+    `experiment` lay out. A config checks its fields when it is made, so
     `TrainConfig(...)` and `dataclasses.replace` raise ConfigError for a
     bad one. The training kernel, `train_stack`, checks the one rule
     that needs the data (`_check_rows`: at least MIN_FIT_ROWS rows, and a
@@ -125,21 +126,6 @@ def _check_rows(config, n):
     if config.minibatch > n:
         raise ConfigError(
             f"minibatch {config.minibatch} exceeds sample size {n}")
-
-
-def _route(mode, x, z):
-    """The (linear, network) covariate blocks a model of this mode trains
-    and predicts on: dnqr routes x into the network."""
-    if mode == "dnqr":
-        return x[:, :0], np.hstack([x, z])
-    return x, z
-
-
-def _layout(mode, x_dim, z_dim):
-    """(theta length, network input width) of a model on x_dim linear and
-    z_dim network covariates, as `_route` lays them out."""
-    x, z = _route(mode, np.zeros((0, x_dim)), np.zeros((0, z_dim)))
-    return x.shape[1], z.shape[1]
 
 
 @dataclass
@@ -542,9 +528,9 @@ def train_joint(y, x, z, config, rng, tau=None):
     return result
 
 
-def tuning_plan(grid, n, p, q):
-    """What `tune` trains for `grid` on n rows of p linear and q network
-    covariates, checked before anything trains.
+def tuning_plan(grid, n, q):
+    """What `tune` trains for `grid` on n rows of q network covariates,
+    checked before anything trains.
 
     An empty grid raises ConfigError. An all-lqr grid needs no check:
     every lqr candidate is the same exact fit. The rows that train a
@@ -567,7 +553,7 @@ def tuning_plan(grid, n, p, q):
     seen = set()  # what a kept candidate trains
     stacks = {}  # what stacked candidates share -> their grid positions
     for k, c in enumerate(grid):
-        widths = c.width_chain(_layout(c.mode, p, q)[1])
+        widths = c.width_chain(q)
         # lqr is solved exactly whatever its settings: one fit per grid
         key = ("lqr",) if c.mode == "lqr" else (
             widths, c.learning_rate, c.epochs, c.minibatch,
@@ -617,7 +603,7 @@ def tune(grid, data, tau, rng):
 
     grid = list(grid)
     tau = validate_tau(tau)
-    stacks = tuning_plan(grid, data.n, data.p, data.q)
+    stacks = tuning_plan(grid, data.n, data.q)
     if stacks is None:
         return grid[0]
 
@@ -628,10 +614,9 @@ def tune(grid, data, tau, rng):
 
     fitted = {}
     for (mode, _, _), positions in stacks.items():
-        x, z = _route(mode, train_data.x, train_data.z)
         ys = np.broadcast_to(train_data.y, (len(positions), train_data.n))
         ahead = nullcontext() if mode == "lqr" else train_ahead(
-            ys, x, z, [grid[k] for k in positions],
+            ys, train_data.x, train_data.z, [grid[k] for k in positions],
             [children[k] for k in positions], tau=tau)
         with ahead:
             for k in positions:

@@ -596,7 +596,8 @@ class TestPredictCommand:
         (_malformed(lambda m: m["network"]["layers"][0].pop()), ""),
         (_malformed(lambda m: m["network"]["layers"].pop()), ""),
         (_malformed(lambda m: m.update(theta=[1.0])), ""),
-        (_malformed(lambda m: m.update(mode="dnqr")), ""),
+        # a dnqr model file as written before dnqr became a column layout
+        (_malformed(lambda m: m.update(mode="dnqr")), "refit"),
         (_malformed(lambda m: m.update(network=None)), "refit"),
         (_malformed(lambda m: m["network"].update(
             widths=[3, 3, 1], layers=[[0.1] * 12, [0.2] * 4])), ""),
@@ -790,18 +791,24 @@ class TestTuneCommand:
         # tune --out, then fit --config with that file, gives the model
         # fit gives with the grid: both tune on the same stream. At seed
         # 1 a tune on make_rng(1) itself picks another learning rate.
-        grid = ["--depth", "2", "--width", "4", "--epochs", "30",
-                "--minibatch", "32", "--patience", "10",
-                "--lr", "0.003,0.01,0.03"]
+        # The file names the method asked for, so a dnqr tune, which
+        # trains dplqr on every covariate, makes fit --config fit dnqr.
         common = ["--data", train_csv, "--y", "y", "--x", "x1,x2", "--z",
                   "z1,z2", "--seed", "1"]
-        chosen = tmp_path / "chosen.json"
-        assert main(["tune", *common, *grid, "--out", str(chosen)]) == 0
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["fit", *common, "--config", str(chosen),
-                     "--out", str(a)]) == 0
-        assert main(["fit", *common, *grid, "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        for mode in ("dplqr", "dnqr"):
+            grid = ["--depth", "2", "--width", "4", "--epochs", "30",
+                    "--minibatch", "32", "--patience", "10",
+                    "--lr", "0.003,0.01,0.03", "--mode", mode]
+            chosen = tmp_path / f"chosen-{mode}.json"
+            assert main(["tune", *common, *grid, "--out", str(chosen)]) == 0
+            assert json.loads(chosen.read_text())["mode"] == mode
+            a, b = tmp_path / f"a-{mode}.json", tmp_path / f"b-{mode}.json"
+            assert main(["fit", *common, "--config", str(chosen),
+                         "--out", str(a)]) == 0
+            assert main(["fit", *common, *grid, "--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
+            assert json.loads(a.read_text())["columns"]["x"] == (
+                [] if mode == "dnqr" else ["x1", "x2"])
 
         roles = ColumnRoles("y", ["x1", "x2"], ["z1", "z2"])
         raw = load_csv(train_csv, roles)
@@ -810,7 +817,8 @@ class TestTuneCommand:
                                early_stop_patience=10, learning_rate=lr)
                    for lr in (0.003, 0.01, 0.03)]
         own_stream = tune(configs, data, 0.5, make_rng(1)).learning_rate
-        assert own_stream != json.loads(chosen.read_text())["lr"]
+        chosen = json.loads((tmp_path / "chosen-dplqr.json").read_text())
+        assert own_stream != chosen["lr"]
 
     def test_lone_candidate_minibatch_beyond_rows_is_config_error(
             self, tmp_path, capsys):
@@ -886,7 +894,8 @@ class TestModelFileCompat:
         assert main(_fit_args(train_csv, tmp_path)) == 0
         fitted, roles, scaling = load_model(str(model_path))
         assert roles.y == "y"
-        assert fitted.x_dim == 2 and fitted.z_dim == 2
+        assert fitted.theta_hat.shape == (2,)
+        assert fitted.network.widths[0] == 2
         assert scaling is not None  # scaling is on by default
 
 

@@ -10,7 +10,7 @@ from dplqr import experiment
 from dplqr.dgp import DgpSpec
 from dplqr.errors import ConfigError, TrainingError
 from dplqr.experiment import (report_to_csv, report_to_text, run_experiment,
-                              scenario_config, scenario_grid)
+                              scenario_grid)
 from dplqr.optimizer import TrainConfig
 
 # small, fast configuration for functional tests; accuracy is covered
@@ -21,17 +21,18 @@ _FAST = [TrainConfig(depth=2, width=4, epochs=30, minibatch=64,
 
 class TestScenarioTables:
     def test_known_rows(self):
-        cfg = scenario_config(1, 500)
+        cfg = scenario_grid(1, 500)[0]
         assert (cfg.depth, cfg.width, cfg.epochs) == (2, 16, 500)
         assert (cfg.minibatch, cfg.early_stop_patience) == (64, 50)
-        cfg = scenario_config(3, 2000)
+        assert cfg.learning_rate == 0.01
+        cfg = scenario_grid(3, 2000)[0]
         assert (cfg.depth, cfg.width, cfg.epochs) == (3, 32, 600)
         assert (cfg.minibatch, cfg.early_stop_patience) == (128, 100)
 
     def test_heteroscedastic_cases_share_base_rows(self):
         for case in (4, 5, 6):
-            assert scenario_config(case, 500) == scenario_config(case - 3, 500)
-            assert scenario_config(case, 2000) == scenario_config(case - 3, 2000)
+            assert scenario_grid(case, 500) == scenario_grid(case - 3, 500)
+            assert scenario_grid(case, 2000) == scenario_grid(case - 3, 2000)
 
     def test_grid_varies_learning_rate_only(self):
         grid = scenario_grid(2, 500)

@@ -350,16 +350,6 @@ class TestCovariance:
             f" has variance {omega[1, 1]:.3e} after projecting on z")
         assert str(info.value.__cause__) == "not positive definite"
 
-    def test_dnqr_rejected(self):
-        rng = np.random.default_rng(1)
-        data = Dataset(y=rng.normal(size=60), x=rng.normal(size=(60, 1)),
-                       z=rng.uniform(size=(60, 1)))
-        cfg = TrainConfig(depth=2, width=4, epochs=5, minibatch=30,
-                          early_stop_patience=5, mode="dnqr")
-        fitted = fit(data, 0.5, cfg, make_rng(0))
-        with pytest.raises(ConfigError):
-            covariance(fitted, data, cfg, make_rng(0))
-
     def test_lqr_closed_form(self):
         # an lqr fit projects X on [1, Z] exactly: Omega is the Schur
         # complement of the sample covariance of (X, Z) in its Z block,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dplqr import model, optimizer
+from dplqr import experiment, model, optimizer
 from dplqr.errors import ConfigError, DataError
 from dplqr.model import (Dataset, PlqrFit, fit, m_values, predict,
                          predict_batch, residuals)
@@ -76,9 +76,10 @@ class TestMakeModeConfig:
         assert base.width_chain(5) == (5, 16, 16, 1)
 
     def test_dnqr_keeps_architecture(self):
-        base = TrainConfig(depth=3, width=12)
-        cfg = replace(base, mode="dnqr")
-        assert cfg.depth == 3 and cfg.width == 12 and cfg.mode == "dnqr"
+        # the dnqr method fits its grid as dplqr, depth and width kept
+        base = TrainConfig(depth=3, width=12, mode="lqr")
+        cfg, = experiment._method_grid("dnqr", [base])
+        assert cfg.depth == 3 and cfg.width == 12 and cfg.mode == "dplqr"
 
     def test_base_not_mutated(self):
         base = TrainConfig(depth=3)
@@ -86,8 +87,11 @@ class TestMakeModeConfig:
         assert base.depth == 3 and base.mode == "dplqr"
 
     def test_unknown_mode(self):
-        with pytest.raises(ConfigError, match="mode must be one of"):
-            TrainConfig(mode="ols")
+        # dnqr is a method that fits dplqr on its own column layout
+        for mode in ("ols", "dnqr"):
+            says = rf"^mode must be one of \('dplqr', 'lqr'\), got '{mode}'$"
+            with pytest.raises(ConfigError, match=says):
+                TrainConfig(mode=mode)
 
 
 class TestFit:
@@ -176,10 +180,13 @@ class TestFit:
                                   tau=0.5)
 
     def test_dnqr_routes_everything_into_network(self):
+        # the dnqr method fits dplqr on its layout: no x, and z = [x, z]
         data = _toy_data(100, seed=3)
+        layout = experiment._method_data("dnqr", data)
+        assert layout.z.tobytes() == np.hstack([data.x, data.z]).tobytes()
         cfg = TrainConfig(depth=2, width=12, epochs=5, minibatch=50,
-                          early_stop_patience=5, mode="dnqr")
-        fitted = fit(data, 0.5, cfg, make_rng(0))
+                          early_stop_patience=5)
+        fitted = fit(layout, 0.5, cfg, make_rng(0))
         assert fitted.theta_hat.shape == (0,)
         assert fitted.network.widths[0] == data.p + data.q
         assert fitted.network.widths[1] == 12
@@ -257,33 +264,22 @@ class TestFit:
         for layer, ref_layer in zip(got.network.layers, want.network.layers):
             assert layer.tobytes() == ref_layer.tobytes()
         assert got.history == want.history
-        assert (got.tau, got.mode, got.x_dim, got.z_dim) \
-            == (want.tau, want.mode, want.x_dim, want.z_dim)
+        assert (got.tau, got.mode) == (want.tau, want.mode)
 
     def test_dnqr_candidates_tuned_as_one_stack_match_fitting_alone(
             self, monkeypatch):
-        # the stack routes x into the network as fit does
-        grid = [TrainConfig(depth=2, width=4, epochs=15, minibatch=32,
-                            early_stop_patience=4, learning_rate=lr,
-                            mode="dnqr") for lr in (0.01, 0.05)]
-        stacks, handed, alone = self._tuned_and_alone(
-            monkeypatch, grid, _toy_data(120, seed=8))
-        assert stacks == [["dnqr", "dnqr"]]
+        # a dnqr grid is a dplqr grid on the dnqr layout
+        grid = experiment._method_grid("dnqr", [
+            TrainConfig(depth=2, width=4, epochs=15, minibatch=32,
+                        early_stop_patience=4, learning_rate=lr)
+            for lr in (0.01, 0.05)])
+        data = experiment._method_data("dnqr", _toy_data(120, seed=8))
+        stacks, handed, alone = self._tuned_and_alone(monkeypatch, grid,
+                                                      data)
+        assert stacks == [["dplqr", "dplqr"]]
         assert sorted(handed) == [0, 1]
         for k in handed:
             assert handed[k].theta_hat.shape == (0,)
-            self._assert_same_bytes(handed[k], alone[k])
-
-    def test_mixed_mode_grid_trains_one_stack_per_mode(self, monkeypatch):
-        grid = [TrainConfig(depth=2, width=4, epochs=15, minibatch=32,
-                            early_stop_patience=4, learning_rate=lr,
-                            mode=mode)
-                for lr in (0.01, 0.05) for mode in ("dplqr", "dnqr")]
-        stacks, handed, alone = self._tuned_and_alone(
-            monkeypatch, grid, _toy_data(120, seed=8))
-        assert stacks == [["dplqr", "dplqr"], ["dnqr", "dnqr"]]
-        assert sorted(handed) == [0, 1, 2, 3]
-        for k in handed:
             self._assert_same_bytes(handed[k], alone[k])
 
     @pytest.mark.parametrize("z_cols", [2, 0])
@@ -313,8 +309,7 @@ def _affine_fit():
     # layer with weights (0.5, 0.25) and bias 1
     net = NetworkParams((2, 1), [np.array([[0.5, 0.25, 1.0]])])
     return PlqrFit(theta_hat=np.array([2.0, -1.0]), network=net,
-                   tau=0.5, history=None, mode="dplqr",
-                   x_dim=2, z_dim=2)
+                   tau=0.5, history=None, mode="dplqr")
 
 
 class TestPredict:
@@ -342,7 +337,7 @@ class TestPredict:
         cfg = TrainConfig(depth=2, width=4, epochs=10, minibatch=30,
                           early_stop_patience=10)
         fitted = fit(Dataset(y, None, z), 0.5, cfg, make_rng(6204))
-        assert fitted.x_dim == 0
+        assert fitted.theta_hat.shape == (0,)
         got = predict_batch(fitted, None, z)
         assert got.shape == (60,)
         assert got.tobytes() == \
@@ -421,14 +416,6 @@ class TestMValues:
         z = data.z[:7]
         full = predict_batch(fitted, np.zeros((7, 2)), z)
         assert_allclose(m_values(fitted, z), full, rtol=1e-12)
-
-    def test_dnqr_has_no_m(self):
-        data = _toy_data(80, seed=10)
-        cfg = TrainConfig(depth=2, width=4, epochs=5, minibatch=40,
-                          early_stop_patience=5, mode="dnqr")
-        fitted = fit(data, 0.5, cfg, make_rng(0))
-        with pytest.raises(ConfigError):
-            m_values(fitted, data.z)
 
     @pytest.mark.parametrize("z, shape", [
         (np.ones((3, 3)), r"\(3, 3\)"), (np.ones(2), r"\(2,\)")],

@@ -485,7 +485,7 @@ class TestTune:
                 TrainConfig(mode="lqr", learning_rate=0.01),
                 TrainConfig(mode="lqr", learning_rate=0.02),
                 TrainConfig(mode="lqr", depth=2, width=8)]
-        plan = optimizer.tuning_plan(grid, data.n, data.p, data.q)
+        plan = optimizer.tuning_plan(grid, data.n, data.q)
         assert sorted(k for ks in plan.values() for k in ks) == [0, 1]
         assert tune(grid, data, 0.5, rng=make_rng(4517)) in grid[:2]
         assert len(solved) == 1

@@ -189,23 +189,22 @@ def test_plain_numeric_file_in_small_chunks_takes_the_bulk_path():
 
 @st.composite
 def fitted_models(draw):
-    mode = draw(st.sampled_from(["dplqr", "lqr", "dnqr"]))
-    p = draw(st.integers(0 if mode == "dnqr" else 1, 3))
-    # with q = 0, an x-only fit, the network is the (0, 1) intercept
-    q = draw(st.integers(1 if mode == "dnqr" else 0, 3))
+    mode = draw(st.sampled_from(["dplqr", "lqr"]))
+    # with p = 0 (a dnqr fit) every covariate is in z; with q = 0, an
+    # x-only fit, the network is the (0, 1) intercept
+    p = draw(st.integers(0, 3))
+    q = draw(st.integers(1 if p == 0 else 0, 3))
     hidden = draw(st.lists(st.integers(1, 6), max_size=2))
     if mode == "lqr" or q == 0:
         hidden = []
-    n_in = p + q if mode == "dnqr" else q
     rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    network = init_params((n_in, *hidden, 1), rng)
+    network = init_params((q, *hidden, 1), rng)
     scale = draw(st.floats(1e-3, 1e3))
     for w in network.layers:
         w[:, -1] = rng.normal(size=w.shape[0])
         w *= scale
-    theta = np.zeros(0) if mode == "dnqr" else rng.normal(size=p) * scale
-    fit = PlqrFit(theta, network, draw(st.floats(0.01, 0.99)), None, mode,
-                  x_dim=p, z_dim=q)
+    theta = rng.normal(size=p) * scale
+    fit = PlqrFit(theta, network, draw(st.floats(0.01, 0.99)), None, mode)
     return fit, rng.normal(size=(7, p)), rng.normal(size=(7, q))
 
 
@@ -213,8 +212,8 @@ def fitted_models(draw):
 @given(fitted_models())
 def test_model_file_round_trip_predicts_bit_for_bit(model):
     fit, x, z = model
-    roles = ColumnRoles("y", [f"x{k}" for k in range(fit.x_dim)],
-                        [f"z{k}" for k in range(fit.z_dim)])
+    roles = ColumnRoles("y", [f"x{k}" for k in range(x.shape[1])],
+                        [f"z{k}" for k in range(z.shape[1])])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
         save_model(path, fit, roles)

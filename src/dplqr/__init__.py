@@ -3,11 +3,12 @@
 Fit models of the form  quantile_tau(Y | x, z) = x @ theta + m(z)  by
 joint minibatch-Adam training of theta and a ReLU network m on the check
 loss, with Wald inference for theta from the homoscedastic asymptotic
-covariance. Includes the exact linear quantile regression ("lqr",
-solved by an interior-point method in dplqr.rq) as the linear baseline,
-synthetic benchmark scenarios, and a CLI (see dplqr.cli). The CLI and
-the experiments also run dnqr, a network on every covariate with no
-linear part: a dplqr fit with every covariate in z.
+covariance. Includes the exact linear quantile regression, the lqr
+method and the linear baseline (dplqr.model.fit_lqr, solved by an
+interior-point method in dplqr.rq), synthetic benchmark scenarios, and
+a CLI (see dplqr.cli). The CLI and the experiments also run dnqr, a
+network on every covariate with no linear part: a dplqr fit with every
+covariate in z.
 """
 
 from .dgp import DgpSpec, generate, true_theta

@@ -22,12 +22,11 @@ from dataclasses import replace
 
 from .dgp import DgpSpec
 from .errors import ConfigError, DataError, DplqrError
-from .experiment import (METHODS, _method_grid, check_settings,
-                         report_to_csv, report_to_text, run_experiment,
-                         scenario_grid)
+from .experiment import (METHODS, check_settings, report_to_csv,
+                         report_to_text, run_experiment, scenario_grid)
 from .inference import KDE_MIN_RESIDUALS, covariance, validate_level
 from .model import fit as fit_model
-from .model import predict_batch
+from .model import fit_lqr, predict_batch
 from .modelio import (ColumnRoles, _jsonable, apply_scaling, compute_scaling,
                       json_text, load_csv, load_model, read_json, save_model,
                       write_json)
@@ -146,9 +145,8 @@ _GRID_FIELDS = {"depth": "depth", "width": "width", "lr": "learning_rate",
 def _build_grid(args, base):
     """One config per point of the depth x width x lr cross product.
 
-    Each grid flag left unset takes its value from `base`, and every
-    entry takes base.mode. The first bad entry raises its ConfigError as
-    it is made.
+    Each grid flag left unset takes its value from `base`. The first bad
+    entry raises its ConfigError as it is made.
     """
     axes = []
     for flag, field in _GRID_FIELDS.items():
@@ -213,7 +211,7 @@ def _fit_setup(args, out_required):
     repeated = sorted({c for c in names if names.count(c) > 1})
     if repeated:
         raise ConfigError(f"column(s) {repeated} given more than one role")
-    grid = _build_grid(args, _method_grid(args.mode, [TrainConfig()])[0])
+    grid = _build_grid(args, TrainConfig())
     streams = split(make_rng(args.seed), 3)
     _check_distinct(args, ("config", "data", "out", "report"))
     for path in (args.out, getattr(args, "report", None)):
@@ -234,8 +232,11 @@ def cmd_fit(args):
     if with_ci and data.n < KDE_MIN_RESIDUALS:
         raise DataError(f"Wald intervals need at least {KDE_MIN_RESIDUALS}"
                         f" rows, got {data.n}")
-    best = tune(grid, data, args.tau, tune_rng)
-    fitted = fit_model(data, args.tau, best, fit_rng)
+    if args.mode == "lqr":  # the exact fit: nothing to tune or train
+        best, fitted = grid[0], fit_lqr(data, args.tau)
+    else:
+        best = tune(grid, data, args.tau, tune_rng)
+        fitted = fit_model(data, args.tau, best, fit_rng)
 
     estimate = None
     if with_ci:
@@ -324,7 +325,9 @@ def cmd_simulate(args):
 
 def cmd_tune(args):
     data, _, _, grid, streams = _fit_setup(args, out_required=False)
-    best = tune(grid, data, args.tau, streams[0])  # the stream fit tunes on
+    # lqr tunes nothing; the rest tune on the stream fit tunes on
+    best = (grid[0] if args.mode == "lqr"
+            else tune(grid, data, args.tau, streams[0]))
     # the method asked for, which a dnqr tune trains as dplqr
     chosen = dict(_flag_settings(best), mode=args.mode)
     print(json_text(chosen), end="")

@@ -1,8 +1,9 @@
 """Replicated benchmark experiments.
 
 Each replicate draws a fresh dataset from a DgpSpec, splits it 80/20
-into train/test, tunes and fits every requested method on the training
-part, and scores:
+into train/test, fits every requested method on the training part (the
+network methods dplqr and dnqr after tuning; lqr is an exact solve that
+takes the grid's first entry), and scores:
 
   - theta_hat and (optionally) Wald interval coverage of the true
     coefficients,
@@ -20,7 +21,7 @@ order, so adding or dropping a method never perturbs the others.
 import csv
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .dgp import (THETA, Z_DIM, _base_case, generate, mspe, rmse_m, true_m,
                   true_theta)
 from .errors import ConfigError, DplqrError, TrainingError
 from .inference import covariance, validate_level
-from .model import Dataset, fit, m_values, predict_batch
+from .model import Dataset, fit, fit_lqr, m_values, predict_batch
 from .optimizer import (TrainConfig, _holdout_split, _split_rows, tune,
                         tuning_plan)
 from .rng import _check_int, _check_seed, child_rng, split
@@ -108,6 +109,9 @@ class ExperimentReport:
 
 
 def _method_order(methods):
+    if isinstance(methods, str):
+        raise ConfigError(f"methods must be a collection of names, got the"
+                          f" string {methods!r}; choose from {METHODS}")
     methods = list(methods)
     for m in methods:
         if m not in METHODS:
@@ -115,13 +119,6 @@ def _method_order(methods):
     if len(set(methods)) != len(methods):
         raise ConfigError(f"duplicate method in {methods}")
     return tuple(m for m in METHODS if m in methods)
-
-
-def _method_grid(method, grid):
-    """The grid that fits `method`: dnqr, a network quantile regression
-    with no linear part, is a dplqr fit on its own column layout."""
-    mode = "dplqr" if method == "dnqr" else method
-    return [replace(c, mode=mode) for c in grid]
 
 
 def _method_data(method, data):
@@ -146,9 +143,11 @@ def _run_replicate(spec, r, methods, master_seed, grid, with_ci, level,
     for method in methods:
         tune_rng, fit_rng, cov_rng = split(streams[method], 3)
         fit_train = _method_data(method, train)
-        best = tune(_method_grid(method, grid), fit_train, spec.tau,
-                    tune_rng)
-        fitted = fit(fit_train, spec.tau, best, fit_rng)
+        if method == "lqr":  # the exact fit: nothing to tune or train
+            best, fitted = grid[0], fit_lqr(fit_train, spec.tau)
+        else:
+            best = tune(grid, fit_train, spec.tau, tune_rng)
+            fitted = fit(fit_train, spec.tau, best, fit_rng)
 
         intervals = covered = None
         if with_ci and method != "dnqr":
@@ -190,12 +189,13 @@ def _summarize(method, rows, theta_star):
 def check_settings(spec, q, methods, master_seed, grid, level, workers):
     """The settings of `run_experiment`, checked before any replicate
     runs: the replicate and worker counts, the methods, the level, the
-    grid (None for the scenario's own), whose candidates each method
-    tunes on the 80% of spec.n rows a replicate trains on (each checked
-    its fields when it was made, and `tuning_plan` checks the grid), and
-    the master seed. Any error is the ConfigError a replicate would
-    raise. Returns the methods in run order, the grid as a list and the
-    level as a float.
+    grid (None for the scenario's own), which may not be empty and whose
+    candidates each network method tunes on the 80% of spec.n rows a
+    replicate trains on (each checked its fields when it was made, and
+    `tuning_plan` checks the grid; lqr tunes nothing), and the master
+    seed. Any error is the ConfigError a replicate would raise. Returns
+    the methods in run order, the grid as a list and the level as a
+    float.
     """
     _check_int(q, "q")
     _check_int(workers, "workers")
@@ -210,10 +210,13 @@ def check_settings(spec, q, methods, master_seed, grid, level, workers):
     if grid is None:
         grid = scenario_grid(spec.case, spec.n)
     grid = list(grid)
+    if not grid:
+        raise ConfigError("tuning grid is empty")
     n_train = _split_rows(spec.n)
     for method in methods:
-        n_in = Z_DIM + (len(THETA) if method == "dnqr" else 0)
-        tuning_plan(_method_grid(method, grid), n_train, n_in)
+        if method != "lqr":
+            n_in = Z_DIM + (len(THETA) if method == "dnqr" else 0)
+            tuning_plan(grid, n_train, n_in)
     _check_seed(master_seed)
     return methods, grid, level
 

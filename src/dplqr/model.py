@@ -5,14 +5,14 @@ The model is
     quantile_tau(Y | X=x, Z=z) = x @ theta + m(z)
 
 with theta estimated jointly with a ReLU-network m by minimizing the
-empirical check loss. The degenerate "lqr" mode shares the model's
-layout: it is linear in (x, z), the exact linear quantile regression
-that `rq.rq` solves, stored as theta plus one affine layer whatever
-depth its config names. A fit reads x as linear and z as network
-covariates, so the dnqr method, a network on every covariate with no
-linear part, is a dplqr fit with no x columns. A TrainConfig checks its
-fields when it is made, and `optimizer.train_stack`, which every dplqr
-fit runs (`fit` as the stack of one; `optimizer.tune` trains its
+empirical check loss (`fit`). The lqr method, the paper's linear
+baseline, shares the model's layout: `fit_lqr` solves the exact linear
+quantile regression in (x, z) (`rq.rq`) and stores it as theta plus
+one affine layer, training nothing. A fit reads x as linear and z as
+network covariates, so the dnqr method, a network on every covariate
+with no linear part, is a dplqr fit with no x columns. A TrainConfig
+checks its fields when it is made, and `optimizer.train_stack`, which
+every `fit` runs (as the stack of one; `optimizer.tune` trains its
 candidates ahead as stacks and hands each out through `fit`), checks
 the rows: at least `optimizer.MIN_FIT_ROWS` of them, and a minibatch
 within them.
@@ -27,6 +27,8 @@ from .network import NetworkParams, forward_batch
 from .optimizer import TrainHistory, train_joint
 from .quantile_loss import validate_tau
 from .rq import rq
+
+MODES = ("dplqr", "lqr")  # the kinds of fit a model file records
 
 
 def _block(a, n, name, width=None):
@@ -108,18 +110,9 @@ class PlqrFit:
 
 
 def fit(data, tau, config, rng):
-    """Fit the model at quantile level tau.
+    """Fit the model at quantile level tau by minibatch Adam.
 
-    In lqr mode the fit is the exact linear quantile regression of y on
-    [x, z, 1] (`rq.rq`): theta is the x part, and the (q, 1) affine layer
-    holds the z part and the intercept. It draws nothing from `rng`, its
-    history is None, and of the config it reads only the mode. A design
-    without full column rank raises SingularMatrixError, fewer rows than
-    its p + q + 1 columns DataError, and a solve that does not converge
-    TrainingError.
-
-    Otherwise the fit runs minibatch Adam. theta starts at 0 and the
-    network at its Glorot init; both are updated in every Adam step. An
+    theta starts at 0 and the network at its Glorot init; both are updated in every Adam step. An
     internal 80/20 split of `data` drives early stopping: training halts
     once validation loss has gone `early_stop_patience` epochs without a
     new minimum, and the parameters in effect at the halt are returned.
@@ -133,15 +126,29 @@ def fit(data, tau, config, rng):
     if not isinstance(data, Dataset):
         raise DataError("fit expects a Dataset")
     tau = validate_tau(tau)
-    if config.mode == "lqr":
-        beta, _ = rq(np.hstack([data.x, data.z, np.ones((data.n, 1))]),
-                     data.y, tau)
-        layer = beta[data.p:].reshape(1, data.q + 1)
-        return PlqrFit(beta[:data.p], NetworkParams((data.q, 1), [layer]),
-                       tau, None, "lqr")
     theta, params, history = train_joint(data.y, data.x, data.z, config,
                                          rng, tau=tau)
-    return PlqrFit(theta, params, tau, history, config.mode)
+    return PlqrFit(theta, params, tau, history, "dplqr")
+
+
+def fit_lqr(data, tau):
+    """The lqr fit: the exact linear quantile regression of y on
+    [x, z, 1] (`rq.rq`) at quantile level tau.
+
+    theta is the x part, and the (q, 1) affine layer holds the z part and
+    the intercept. It trains nothing, so it takes no config or rng, and
+    its history is None. A design without full column rank raises
+    SingularMatrixError, fewer rows than its p + q + 1 columns DataError,
+    and a solve that does not converge TrainingError.
+    """
+    if not isinstance(data, Dataset):
+        raise DataError("fit_lqr expects a Dataset")
+    tau = validate_tau(tau)
+    beta, _ = rq(np.hstack([data.x, data.z, np.ones((data.n, 1))]), data.y,
+                 tau)
+    layer = beta[data.p:].reshape(1, data.q + 1)
+    return PlqrFit(beta[:data.p], NetworkParams((data.q, 1), [layer]), tau,
+                   None, "lqr")
 
 
 def predict_batch(fit, x, z):

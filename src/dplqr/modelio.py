@@ -15,9 +15,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import Dataset, PlqrFit
+from .model import MODES, Dataset, PlqrFit
 from .network import NetworkParams, _check_widths
-from .optimizer import MODES
 from .quantile_loss import validate_tau
 
 SCHEMA_VERSION = 1

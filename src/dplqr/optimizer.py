@@ -7,9 +7,7 @@ the form
 
 in lockstep, by minibatch Adam on either the check loss (quantile fits)
 or squared error (projection fits), updating theta and every network
-layer in the same step. lqr fits never come here: `model.fit` solves
-them exactly (`rq.rq`), and the kernel rejects an lqr config. The
-members share the rows x and z, the network and the minibatch; each has
+layer in the same step. The members share the rows x and z, the network and the minibatch; each has
 its own target, learning rate, patience, epochs and rng. An internal
 80/20 train/validation split of each member drives its epoch-level
 early stopping; the parameters in effect when a member halts are the
@@ -21,7 +19,7 @@ running mean of the losses its steps already computed, so no pass goes
 over the training rows again.
 
 What stacks follows from what fits share. `tune` trains the candidates
-it keeps as one stack per mode, network and minibatch (one stack of two
+it keeps as one stack per network and minibatch (one stack of two
 in the scenario grids), and `inference.covariance` trains its p
 projections as one stack; `model.fit` and `train_joint` are the stack of
 one. The code that makes a stack enters `train_ahead` itself, which
@@ -46,7 +44,7 @@ together yet.
 import math
 import numbers
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +57,6 @@ from .rng import _check_int, split
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON_HAT = 1e-7
-
-MODES = ("dplqr", "lqr")
 
 VAL_SHARE = 0.2  # share of the rows a hold-out split keeps back
 MIN_FIT_ROWS = 5  # rows a fit needs, its hold-out split included
@@ -76,11 +72,10 @@ class TrainConfig:
     above a fit's 80% training split trains on the whole split each
     step, while the config (and so `fit --report`) keeps the requested
     value: on 300 rows, minibatch 250 and 240 train the same model.
-    `mode` is "dplqr" (linear part plus network) or "lqr" (linear in x
-    and z, solved exactly by `rq.rq`: it trains nothing, so its other
-    fields go unused). The dnqr method is no mode: it is a dplqr fit
-    with no x columns and every covariate in z, which the CLI and
-    `experiment` lay out. A config checks its fields when it is made, so
+    A config trains a dplqr fit, the linear part plus network; dnqr is
+    one with no x columns, which the CLI and `experiment` lay out. The
+    exact linear baseline trains nothing and takes no config
+    (`model.fit_lqr`). A config checks its fields when it is made, so
     `TrainConfig(...)` and `dataclasses.replace` raise ConfigError for a
     bad one. The training kernel, `train_stack`, checks the one rule
     that needs the data (`_check_rows`: at least MIN_FIT_ROWS rows, and a
@@ -94,7 +89,6 @@ class TrainConfig:
     minibatch: int = 64
     early_stop_patience: int = 50
     learning_rate: float = 0.01
-    mode: str = "dplqr"
 
     def __post_init__(self):
         for name in ("depth", "width", "epochs", "minibatch",
@@ -107,9 +101,6 @@ class TrainConfig:
         if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
                 or not (np.isfinite(lr) and lr > 0)):
             raise ConfigError(f"learning_rate must be positive, got {lr!r}")
-        if self.mode not in MODES:
-            raise ConfigError(
-                f"mode must be one of {MODES}, got {self.mode!r}")
 
     def width_chain(self, n_in):
         """The width chain this config trains on n_in network inputs: one
@@ -277,8 +268,7 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     ys : (K, n) targets, one row per member
     x : (n, p) linear-part covariates every member trains on; p may be 0
     z : (n, q) network inputs every member trains on; q may be 0
-    configs : one TrainConfig per member, none in lqr mode (ConfigError).
-        Each is checked against the rows before any rng is drawn from:
+    configs : one TrainConfig per member. Each is checked against the rows before any rng is drawn from:
         fewer than MIN_FIT_ROWS rows raise DataError, and a minibatch
         above n raises ConfigError. They must name the same network,
         `width_chain(q)`, and the same minibatch; learning rate,
@@ -332,9 +322,6 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
         raise DataError(f"z must have shape ({n}, q), got {z.shape}")
     if tau is not None:
         tau = validate_tau(tau)
-    if any(c.mode == "lqr" for c in configs):
-        raise ConfigError("an lqr fit is solved exactly (rq.rq), not"
-                          " trained")
     for config in configs:
         _check_rows(config, n)
     widths = configs[0].width_chain(z.shape[1])
@@ -532,35 +519,28 @@ def tuning_plan(grid, n, q):
     """What `tune` trains for `grid` on n rows of q network covariates,
     checked before anything trains.
 
-    An empty grid raises ConfigError. An all-lqr grid needs no check:
-    every lqr candidate is the same exact fit. The rows that train a
-    candidate must meet the kernel's rule (`_check_rows`): the n rows a
-    lone distinct candidate is fitted on, or the tuning split that
-    trains each candidate when the grid holds more than one (an lqr
-    candidate, which fits on the split exactly, has no minibatch to
-    check). Too few rows raise DataError and a minibatch beyond them
-    ConfigError; each candidate checked its other settings when it was
-    made. Returns None for an all-lqr grid or a grid of one distinct
-    candidate, which tune returns as it is; otherwise the grid positions
-    of the distinct candidates (one lqr at most), grouped into the
-    stacks they train as and keyed by the mode, network and minibatch
-    each stack shares.
+    An empty grid raises ConfigError. The rows that train a candidate
+    must meet the kernel's rule (`_check_rows`): the n rows a lone
+    distinct candidate is fitted on, or the tuning split that trains
+    each candidate when the grid holds more than one. Too few rows raise
+    DataError and a minibatch beyond them ConfigError; each candidate
+    checked its other settings when it was made. Returns None for a grid
+    of one distinct candidate, which tune returns as it is; otherwise
+    the grid positions of the distinct candidates, grouped into the
+    stacks they train as and keyed by the network and minibatch each
+    stack shares.
     """
     if not grid:
         raise ConfigError("tuning grid is empty")
-    if all(c.mode == "lqr" for c in grid):
-        return None
     seen = set()  # what a kept candidate trains
     stacks = {}  # what stacked candidates share -> their grid positions
     for k, c in enumerate(grid):
         widths = c.width_chain(q)
-        # lqr is solved exactly whatever its settings: one fit per grid
-        key = ("lqr",) if c.mode == "lqr" else (
-            widths, c.learning_rate, c.epochs, c.minibatch,
-            c.early_stop_patience)
+        key = (widths, c.learning_rate, c.epochs, c.minibatch,
+               c.early_stop_patience)
         if key not in seen:
             seen.add(key)
-            stacks.setdefault((c.mode, widths, c.minibatch), []).append(k)
+            stacks.setdefault((widths, c.minibatch), []).append(k)
     if len(seen) == 1:
         _check_rows(grid[0], n)
         return None
@@ -569,7 +549,7 @@ def tuning_plan(grid, n, q):
         raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got"
                         f" {n_tr} in the tuning split of {n}")
     for candidate in grid:
-        if candidate.mode != "lqr" and candidate.minibatch > n_tr:
+        if candidate.minibatch > n_tr:
             raise ConfigError(
                 f"minibatch {candidate.minibatch} exceeds the tuning split:"
                 f" {n_tr} of {n} rows train each candidate")
@@ -585,19 +565,17 @@ def tune(grid, data, tau, rng):
     winner is returned (ties go to the earlier grid entry). A candidate
     is skipped when an earlier one trains the same network on `data`
     (any depth and width with no z columns) with the same lr, epochs,
-    minibatch and patience, and an lqr candidate when an earlier one is
-    lqr: lqr ignores the training settings, so its fit is the same. The
-    kept candidates that share their mode, network and minibatch train
-    ahead as one stack (`train_ahead`), and `model.fit` then hands out
-    each one's fit, the one it would get alone; an lqr candidate of a
-    mixed grid trains nothing ahead, since `model.fit` solves it
-    exactly. A bad tau raises ConfigError, and so does a grid that
+    minibatch and patience. The kept candidates that share their network
+    and minibatch train ahead as one stack (`train_ahead`), and
+    `model.fit` then hands out each one's fit, the one it would get
+    alone. A bad tau raises ConfigError, and so does a grid that
     `tuning_plan` rejects (such as a minibatch beyond the 80% split); a
     split of fewer than MIN_FIT_ROWS rows raises DataError. Both come
     before the rng is drawn from. Each candidate fails alone: one that
     fails to train is skipped with a warning, and if all fail, a
-    TrainingError is raised. An all-lqr grid, or a grid of one distinct
-    candidate, is returned as-is without consuming the rng.
+    TrainingError is raised. A grid of one distinct candidate is
+    returned as-is without consuming the rng. The exact linear
+    baseline, which trains nothing, is never tuned (`model.fit_lqr`).
     """
     from .model import fit, residuals
 
@@ -613,12 +591,11 @@ def tune(grid, data, tau, rng):
     children = split(rng, len(grid))
 
     fitted = {}
-    for (mode, _, _), positions in stacks.items():
+    for positions in stacks.values():
         ys = np.broadcast_to(train_data.y, (len(positions), train_data.n))
-        ahead = nullcontext() if mode == "lqr" else train_ahead(
-            ys, train_data.x, train_data.z, [grid[k] for k in positions],
-            [children[k] for k in positions], tau=tau)
-        with ahead:
+        with train_ahead(ys, train_data.x, train_data.z,
+                         [grid[k] for k in positions],
+                         [children[k] for k in positions], tau=tau):
             for k in positions:
                 try:
                     fitted[k] = fit(train_data, tau, grid[k], children[k])

@@ -118,22 +118,29 @@ class TestRunExperiment:
 
     def test_each_method_trains_its_own_network_from_an_lqr_entry(
             self, monkeypatch):
-        # an lqr grid entry keeps its depth, so dplqr trains it in full;
+        # the entry lqr takes keeps its depth, so dplqr trains it in full;
         # the lqr fit is solved exactly and trains nothing
         from dplqr import model
-        trained = []
+        trained, solved = [], []
 
         def record(*args, **kwargs):
             result = original(*args, **kwargs)
             trained.append(result[1].widths)
             return result
+
+        def record_lqr(data, tau):
+            fitted = model.fit_lqr(data, tau)
+            solved.append(fitted.network.widths)
+            return fitted
         original = model.train_joint
         monkeypatch.setattr(model, "train_joint", record)
+        monkeypatch.setattr(experiment, "fit_lqr", record_lqr)
         grid = [TrainConfig(depth=3, width=16, epochs=5, minibatch=64,
-                            early_stop_patience=5, mode="lqr")]
+                            early_stop_patience=5)]
         run_experiment(DgpSpec(case=1, n=200, tau=0.5), 1,
                        methods=("dplqr", "lqr"), grid=grid, with_ci=False)
         assert trained == [(10, 16, 16, 1)]
+        assert solved == [(10, 1)]
 
     def test_pool_starts_no_more_workers_than_replicates(self,
                                                          monkeypatch):
@@ -220,6 +227,22 @@ class TestRunExperiment:
         spec = DgpSpec(case=1, n=100, tau=0.5)
         with pytest.raises(ConfigError):
             run_experiment(spec, 1, methods=("ols",), grid=_FAST)
+
+    @pytest.mark.parametrize("methods", ["lqr", "dplqr", ""])
+    def test_one_string_of_methods_rejected_as_given(self, methods):
+        # a string is not a collection of method names: the error quotes
+        # it whole, not its first letter
+        spec = DgpSpec(case=1, n=100, tau=0.5)
+        with pytest.raises(ConfigError, match=f"the string {methods!r};"):
+            run_experiment(spec, 1, methods=methods, grid=_FAST)
+
+    @pytest.mark.parametrize("methods", [("lqr",), ("dplqr", "lqr")],
+                             ids=["lqr", "dplqr-lqr"])
+    def test_empty_grid_rejected(self, methods):
+        # lqr tunes nothing, but it takes the grid's first entry
+        spec = DgpSpec(case=1, n=100, tau=0.5)
+        with pytest.raises(ConfigError, match="^tuning grid is empty$"):
+            run_experiment(spec, 1, methods=methods, grid=[])
 
     def test_invalid_level_rejected_before_fitting(self, monkeypatch):
         def no_replicate(args):

@@ -11,7 +11,7 @@ from dplqr.errors import (ConfigError, DataError, SingularMatrixError,
                           TrainingError)
 from dplqr.inference import (confidence_intervals, covariance, fit_projection,
                              kde_at_zero, sym_inverse, validate_level)
-from dplqr.model import Dataset, fit, predict_batch
+from dplqr.model import Dataset, fit, fit_lqr, predict_batch
 from dplqr.network import forward_batch
 from dplqr.optimizer import TrainConfig
 from dplqr.rng import make_rng, split
@@ -234,11 +234,10 @@ class TestCovariance:
         rng = np.random.default_rng(7507)
         data = Dataset(y=rng.normal(size=20), x=rng.normal(size=(20, p)),
                        z=rng.normal(size=(20, q)))
-        cfg = TrainConfig(mode="lqr")
-        fitted = fit(data, 0.5, cfg, make_rng(7507))
+        fitted = fit_lqr(data, 0.5)
         with pytest.raises(DataError,
                            match="^covariance needs p >= 1 and q >= 1$"):
-            covariance(fitted, data, cfg, make_rng(7507))
+            covariance(fitted, data, TrainConfig(), make_rng(7507))
 
     def test_pipeline_shapes_and_symmetry(self):
         fitted, data, cfg = self._fitted()
@@ -333,8 +332,7 @@ class TestCovariance:
         x = rng.normal(size=(n, 3)) * [1.0, 1e-3, 1.0]
         y = x.sum(axis=1) + z.sum(axis=1) + rng.standard_normal(n)
         data = Dataset(y=y, x=x, z=z)
-        lqr = TrainConfig(mode="lqr")
-        fitted = fit(data, 0.5, lqr, make_rng(6202))
+        fitted = fit_lqr(data, 0.5)
         given = []
 
         def fail(m):
@@ -342,7 +340,7 @@ class TestCovariance:
             raise SingularMatrixError("not positive definite")
         monkeypatch.setattr(inference, "sym_inverse", fail)
         with pytest.raises(SingularMatrixError) as info:
-            covariance(fitted, data, lqr, make_rng(0))
+            covariance(fitted, data, TrainConfig(), make_rng(0))
         omega, = given
         assert int(np.argmin(np.diag(omega))) == 1
         assert str(info.value) == (
@@ -361,9 +359,9 @@ class TestCovariance:
                              z[:, 1] * z[:, 2] + rng.normal(size=n)])
         y = x @ [1.0, -1.0] + z.sum(axis=1) + rng.standard_normal(n)
         data = Dataset(y=y, x=x, z=z)
-        lqr = TrainConfig(mode="lqr")
-        fitted = fit(data, 0.3, lqr, make_rng(0))
-        est = covariance(fitted, data, lqr, make_rng(1))
+        config = TrainConfig()
+        fitted = fit_lqr(data, 0.3)
+        est = covariance(fitted, data, config, make_rng(1))
         s = np.cov(np.hstack([x, z]), rowvar=False)
         omega = s[:2, :2] - s[:2, 2:] @ np.linalg.solve(s[2:, 2:], s[2:, :2])
         assert_allclose(est.omega_hat, omega, rtol=1e-10)
@@ -371,6 +369,6 @@ class TestCovariance:
         assert est.f0_hat == f0
         sigma = 0.3 * 0.7 * np.linalg.inv(omega) / f0 ** 2
         assert_allclose(est.sigma_hat, sigma, rtol=1e-10)
-        other = covariance(fitted, data, replace(lqr, depth=5, width=3),
+        other = covariance(fitted, data, replace(config, depth=5, width=3),
                            make_rng(9))
         assert other.sigma_hat.tobytes() == est.sigma_hat.tobytes()

@@ -1,15 +1,14 @@
 """Tests for the partially linear quantile regression model interface."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from dplqr import experiment, model, optimizer
+from dplqr.dgp import Z_DIM, DgpSpec
 from dplqr.errors import ConfigError, DataError
-from dplqr.model import (Dataset, PlqrFit, fit, m_values, predict,
-                         predict_batch, residuals)
+from dplqr.model import (Dataset, PlqrFit, fit, fit_lqr, m_values,
+                         predict, predict_batch, residuals)
 from dplqr.network import NetworkParams
 from dplqr.optimizer import TrainConfig, _holdout_split, tune
 from dplqr.inference import covariance
@@ -63,37 +62,6 @@ class TestDataset:
         assert_allclose(s.y, d.y[[3, 5, 7]])
 
 
-class TestMakeModeConfig:
-    """A config made for a mode: TrainConfig(mode=...) or replace."""
-
-    def test_lqr_mode_keeps_the_settings(self):
-        # an lqr config keeps every setting it was given, though an lqr
-        # fit reads only the mode, so replace is lossless
-        base = TrainConfig(depth=3, width=16)
-        cfg = replace(base, mode="lqr")
-        assert (cfg.depth, cfg.width) == (3, 16)
-        assert replace(cfg, mode="dplqr") == base
-        assert base.width_chain(5) == (5, 16, 16, 1)
-
-    def test_dnqr_keeps_architecture(self):
-        # the dnqr method fits its grid as dplqr, depth and width kept
-        base = TrainConfig(depth=3, width=12, mode="lqr")
-        cfg, = experiment._method_grid("dnqr", [base])
-        assert cfg.depth == 3 and cfg.width == 12 and cfg.mode == "dplqr"
-
-    def test_base_not_mutated(self):
-        base = TrainConfig(depth=3)
-        replace(base, mode="lqr")
-        assert base.depth == 3 and base.mode == "dplqr"
-
-    def test_unknown_mode(self):
-        # dnqr is a method that fits dplqr on its own column layout
-        for mode in ("ols", "dnqr"):
-            says = rf"^mode must be one of \('dplqr', 'lqr'\), got '{mode}'$"
-            with pytest.raises(ConfigError, match=says):
-                TrainConfig(mode=mode)
-
-
 class TestFit:
     def test_lqr_recovers_linear_median(self):
         # linear data with q = 0: the lqr fit is plain linear quantile
@@ -102,11 +70,7 @@ class TestFit:
         n = 200
         x = rng.normal(size=(n, 2))
         y = x[:, 0] - x[:, 1] + 0.3 * rng.normal(size=n)
-        data = Dataset(y=y, x=x, z=None)
-        cfg = TrainConfig(depth=1, width=1, epochs=400, minibatch=64,
-                          early_stop_patience=400, learning_rate=0.02,
-                          mode="lqr")
-        fitted = fit(data, 0.5, cfg, make_rng(1))
+        fitted = fit_lqr(Dataset(y=y, x=x, z=None), 0.5)
         assert fitted.network.widths == (0, 1)
         assert 0.7 <= fitted.theta_hat[0] <= 1.3
 
@@ -128,56 +92,59 @@ class TestFit:
                         rtol=0, atol=0)
 
     def test_lqr_parameter_count(self):
-        # with q network covariates, depth 1 means one affine layer with
-        # q weights and one bias: q + 1 trainable values beyond theta
+        # with q network covariates, the lqr fit is one affine layer with
+        # q weights and one bias: q + 1 values beyond theta
         data = _toy_data(100, seed=2)
-        cfg = TrainConfig(epochs=5, minibatch=50, early_stop_patience=5,
-                          mode="lqr")
-        fitted = fit(data, 0.5, cfg, make_rng(0))
+        fitted = fit_lqr(data, 0.5)
         assert len(fitted.network.layers) == 1
         assert fitted.network.layers[0].shape == (1, data.q + 1)
 
-    def test_lqr_config_with_depth_fits_one_affine_layer(self):
-        # the mode alone makes an lqr fit linear, whatever depth it names
-        data = _toy_data(100, seed=2)
-        cfg = TrainConfig(depth=3, width=8, epochs=5, minibatch=50,
-                          early_stop_patience=5, mode="lqr")
-        fitted = fit(data, 0.5, cfg, make_rng(0))
-        assert fitted.network.widths == (data.q, 1)
+    def test_lqr_config_with_depth_fits_one_affine_layer(self, monkeypatch):
+        # the lqr method takes the grid's first entry and fits one affine
+        # layer on z, whatever depth and width that entry names
+        fits = []
+
+        def recorded(data, tau):
+            fits.append(fit_lqr(data, tau))
+            return fits[-1]
+        monkeypatch.setattr(experiment, "fit_lqr", recorded)
+        grid = [TrainConfig(depth=3, width=8, epochs=5, minibatch=50,
+                            early_stop_patience=5)]
+        experiment.run_experiment(DgpSpec(case=1, n=100), 1,
+                                  methods=("lqr",), grid=grid, with_ci=False)
+        (fitted,) = fits
+        assert fitted.network.widths == (Z_DIM, 1)
         assert fitted.mode == "lqr"
 
     def test_lqr_fit_is_the_exact_solution(self):
         # theta is the x part of rq on [x, z, 1], the affine layer holds
-        # the z part and the intercept; nothing is drawn and nothing trains
+        # the z part and the intercept; nothing trains
         data = _toy_data(150, seed=2109)
-        rng = make_rng(0)
-        state = rng.bit_generator.state
-        fitted = fit(data, 0.3, TrainConfig(mode="lqr"), rng)
+        fitted = fit_lqr(data, 0.3)
         beta, _ = rq(np.hstack([data.x, data.z, np.ones((data.n, 1))]),
                      data.y, 0.3)
         assert fitted.theta_hat.tobytes() == beta[:2].tobytes()
         assert fitted.network.layers[0].tobytes() == beta[2:].tobytes()
         assert fitted.history is None
-        assert rng.bit_generator.state == state
 
     def test_lqr_fit_tune_and_covariance_never_train(self, monkeypatch):
+        # an lqr fit, its intervals (which project x on z exactly) and
+        # the lqr method of an experiment train nothing: lqr takes the
+        # grid's first entry untuned, so a minibatch beyond the rows is no
+        # error
         def no_training(*args, **kwargs):
             raise AssertionError("train_stack was called")
         monkeypatch.setattr(optimizer, "train_stack", no_training)
         data = _toy_data(150, seed=2109)
-        grid = [TrainConfig(depth=3, learning_rate=lr, minibatch=500,
-                            mode="lqr") for lr in (0.01, 0.02)]
-        best = tune(grid, data, 0.5, make_rng(1))
-        fitted = fit(data, 0.5, best, make_rng(2))
-        estimate = covariance(fitted, data, best, make_rng(3))
+        fitted = fit_lqr(data, 0.5)
+        estimate = covariance(fitted, data, TrainConfig(minibatch=500),
+                              make_rng(3))
         assert np.all(estimate.intervals[:, 0] < fitted.theta_hat)
-
-    def test_training_kernel_rejects_lqr(self):
-        data = _toy_data(50, seed=2109)
-        with pytest.raises(ConfigError, match="lqr"):
-            optimizer.train_joint(data.y, data.x, data.z,
-                                  TrainConfig(mode="lqr"), make_rng(0),
-                                  tau=0.5)
+        grid = [TrainConfig(depth=3, learning_rate=lr, minibatch=500)
+                for lr in (0.01, 0.02)]
+        report = experiment.run_experiment(DgpSpec(case=1, n=150), 1,
+                                           methods=("lqr",), grid=grid)
+        assert report.methods["lqr"].replicates == 1
 
     def test_dnqr_routes_everything_into_network(self):
         # the dnqr method fits dplqr on its layout: no x, and z = [x, z]
@@ -231,14 +198,14 @@ class TestFit:
             assert_allclose(wa, wb, rtol=0)
 
     def _tuned_and_alone(self, monkeypatch, grid, data):
-        """The member modes of each stack tune trains, the fits tune
-        hands out by grid position, and each candidate fitted alone on
-        the child stream tune gives it."""
+        """The member learning rates of each stack tune trains, the fits
+        tune hands out by grid position, and each candidate fitted alone
+        on the child stream tune gives it."""
         stacks, handed = [], {}
         train_stack, fit_alone = optimizer.train_stack, model.fit
 
         def stack(ys, x, z, configs, rngs, tau=None):
-            stacks.append([c.mode for c in configs])
+            stacks.append([c.learning_rate for c in configs])
             return train_stack(ys, x, z, configs, rngs, tau)
 
         def recorded(train, tau, config, rng):
@@ -269,38 +236,16 @@ class TestFit:
     def test_dnqr_candidates_tuned_as_one_stack_match_fitting_alone(
             self, monkeypatch):
         # a dnqr grid is a dplqr grid on the dnqr layout
-        grid = experiment._method_grid("dnqr", [
-            TrainConfig(depth=2, width=4, epochs=15, minibatch=32,
-                        early_stop_patience=4, learning_rate=lr)
-            for lr in (0.01, 0.05)])
+        grid = [TrainConfig(depth=2, width=4, epochs=15, minibatch=32,
+                            early_stop_patience=4, learning_rate=lr)
+                for lr in (0.01, 0.05)]
         data = experiment._method_data("dnqr", _toy_data(120, seed=8))
         stacks, handed, alone = self._tuned_and_alone(monkeypatch, grid,
                                                       data)
-        assert stacks == [["dplqr", "dplqr"]]
+        assert stacks == [[0.01, 0.05]]
         assert sorted(handed) == [0, 1]
         for k in handed:
             assert handed[k].theta_hat.shape == (0,)
-            self._assert_same_bytes(handed[k], alone[k])
-
-    @pytest.mark.parametrize("z_cols", [2, 0])
-    def test_lqr_candidate_of_a_mixed_grid_trains_nothing(self, monkeypatch,
-                                                           z_cols):
-        # the dplqr candidates train as one stack; the lqr one is solved
-        # exactly on the tuning split, as fit solves it alone. With no z
-        # columns it is no duplicate of the dplqr intercept network
-        grid = [TrainConfig(depth=2, width=4, epochs=15, minibatch=32,
-                            early_stop_patience=4, learning_rate=lr,
-                            mode=mode)
-                for lr, mode in ((0.01, "dplqr"), (0.01, "lqr"),
-                                 (0.05, "dplqr"))]
-        data = _toy_data(120, seed=2110)
-        data = Dataset(data.y, data.x, data.z[:, :z_cols])
-        stacks, handed, alone = self._tuned_and_alone(monkeypatch, grid,
-                                                      data)
-        assert stacks == [["dplqr", "dplqr"]]
-        assert sorted(handed) == [0, 1, 2]
-        assert handed[1].history is None
-        for k in handed:
             self._assert_same_bytes(handed[k], alone[k])
 
 
@@ -482,8 +427,7 @@ class TestStatisticalProperties:
         n = 150
         x = rng.normal(size=(n, 1))
         y = 0.5 + 1.0 * x[:, 0] + rng.standard_normal(n)
-        fitted = fit(Dataset(y=y, x=x, z=None), 0.5,
-                     TrainConfig(mode="lqr"), make_rng(2))
+        fitted = fit_lqr(Dataset(y=y, x=x, z=None), 0.5)
         achieved = mean_check_loss(residuals(fitted, Dataset(y, x, None)),
                                    0.5)
         slopes, levels = np.meshgrid(np.linspace(0.0, 2.0, 201),

@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dplqr import model, network, optimizer
-from dplqr.dgp import DgpSpec, generate
 from dplqr.errors import ConfigError, DataError, TrainingError
 from dplqr.model import Dataset
 from dplqr.optimizer import (ADAM_EPSILON_HAT, TrainConfig, TrainHistory,
@@ -138,9 +137,12 @@ class TestTrainConfig:
         # randomness comes from the rng given to fit and tune
         assert [f.name for f in fields(TrainConfig)] == [
             "depth", "width", "epochs", "minibatch", "early_stop_patience",
-            "learning_rate", "mode"]
+            "learning_rate"]
         with pytest.raises(TypeError):
             TrainConfig(seed=1)
+        # lqr is a method fitted by model.fit_lqr, not a training mode
+        with pytest.raises(TypeError):
+            TrainConfig(mode="lqr")
 
     def test_positive_integer_fields(self):
         for field in ("depth", "width", "epochs", "minibatch",
@@ -161,16 +163,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=lr)
 
-    def test_mode_checked(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(mode="ridge")
-
     def test_checked_when_made_or_replaced(self):
         config = TrainConfig()
         with pytest.raises(ConfigError, match="depth must be positive"):
             replace(config, depth=0)
-        with pytest.raises(ConfigError, match="mode must be one of"):
-            replace(config, mode="ridge")
 
     def test_minibatch_against_sample_size(self):
         _check_rows(TrainConfig(minibatch=64), 64)
@@ -430,10 +426,9 @@ class TestTune:
         with pytest.raises(ConfigError, match="bad settings"):
             tune(grid, self._data(), 0.5, rng=make_rng(0))
 
-    @pytest.mark.parametrize("mode, z_cols, fits", [
-        ("dplqr", 0, 2), ("dplqr", 3, 8)])
-    def test_each_distinct_network_is_fitted_once(self, monkeypatch, mode,
-                                                  z_cols, fits):
+    @pytest.mark.parametrize("z_cols, fits", [(0, 2), (3, 8)])
+    def test_each_distinct_network_is_fitted_once(self, monkeypatch, z_cols,
+                                                  fits):
         # depth x width x lr = 8 points; with no z columns they train
         # only two networks, one per learning rate
         fitted = []
@@ -446,49 +441,11 @@ class TestTune:
         data = self._data()
         data = Dataset(data.y, data.x, data.z[:, :z_cols])
         grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=32,
-                            early_stop_patience=3, learning_rate=lr,
-                            mode=mode)
+                            early_stop_patience=3, learning_rate=lr)
                 for d in (2, 3) for w in (4, 8) for lr in (0.01, 0.02)]
         picked = tune(grid, data, 0.5, rng=make_rng(0))
         assert fitted == grid[:fits]
         assert picked in fitted
-
-    def test_lqr_grid_is_returned_undrawn(self, monkeypatch):
-        # every lqr candidate is the same exact fit, whatever its depth,
-        # width, learning rate or minibatch: tune returns the first one
-        # without training, fitting or drawing from the rng
-        def no_fit(*args):
-            raise AssertionError("a candidate was fitted")
-        monkeypatch.setattr(optimizer, "train_stack", no_fit)
-        monkeypatch.setattr(model, "fit", no_fit)
-        grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=m,
-                            learning_rate=lr, mode="lqr")
-                for d in (2, 3) for w in (4, 8) for lr in (0.01, 0.02)
-                for m in (32, 1000)]
-        rng = make_rng(0)
-        state = rng.bit_generator.state
-        assert tune(grid, self._data(), 0.5, rng=rng) is grid[0]
-        assert rng.bit_generator.state == state
-
-    def test_lqr_candidates_of_a_mixed_grid_fit_once(self, monkeypatch):
-        # lqr ignores every training setting, so the lqr candidates after
-        # the first are duplicates: one exact fit, one stack position
-        solved = []
-
-        def counted(*args, **kwargs):
-            solved.append(args)
-            return original(*args, **kwargs)
-        original = model.rq
-        monkeypatch.setattr(model, "rq", counted)
-        data = generate(DgpSpec(case=1, n=300), make_rng(4516))
-        grid = [TrainConfig(epochs=3, minibatch=32),
-                TrainConfig(mode="lqr", learning_rate=0.01),
-                TrainConfig(mode="lqr", learning_rate=0.02),
-                TrainConfig(mode="lqr", depth=2, width=8)]
-        plan = optimizer.tuning_plan(grid, data.n, data.q)
-        assert sorted(k for ks in plan.values() for k in ks) == [0, 1]
-        assert tune(grid, data, 0.5, rng=make_rng(4517)) in grid[:2]
-        assert len(solved) == 1
 
     def test_grid_of_one_network_is_returned_unfitted(self, monkeypatch):
         # with no z columns every depth and width trains the (0, 1)

@@ -11,7 +11,7 @@ from numpy.testing import assert_array_equal
 
 from dplqr import modelio
 from dplqr.errors import DataError
-from dplqr.model import Dataset, PlqrFit, predict_batch
+from dplqr.model import MODES, Dataset, PlqrFit, predict_batch
 from dplqr.modelio import ColumnRoles, load_csv, load_model, save_model
 from dplqr.network import init_params
 from dplqr.rng import make_rng
@@ -189,7 +189,8 @@ def test_plain_numeric_file_in_small_chunks_takes_the_bulk_path():
 
 @st.composite
 def fitted_models(draw):
-    mode = draw(st.sampled_from(["dplqr", "lqr"]))
+    # every kind of fit a model file records
+    mode = draw(st.sampled_from(MODES))
     # with p = 0 (a dnqr fit) every covariate is in z; with q = 0, an
     # x-only fit, the network is the (0, 1) intercept
     p = draw(st.integers(0, 3))

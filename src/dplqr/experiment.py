@@ -192,10 +192,10 @@ def check_settings(spec, q, methods, master_seed, grid, level, workers):
     grid (None for the scenario's own), which may not be empty and whose
     candidates each network method tunes on the 80% of spec.n rows a
     replicate trains on (each checked its fields when it was made, and
-    `tuning_plan` checks the grid; lqr tunes nothing), and the master
-    seed. Any error is the ConfigError a replicate would raise. Returns
-    the methods in run order, the grid as a list and the level as a
-    float.
+    `tuning_plan` checks the grid against those rows; lqr tunes
+    nothing), and the master seed. Any error is the ConfigError a
+    replicate would raise. Returns the methods in run order, the grid as
+    a list and the level as a float.
     """
     _check_int(q, "q")
     _check_int(workers, "workers")

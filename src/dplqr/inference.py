@@ -59,9 +59,8 @@ def fit_projection(data, k, config, rng):
 
     Reuses the main fit's architecture and Adam machinery with squared
     error instead of check loss; the training kernel checks the rows
-    against `config` as it does for a fit (fewer than
-    `optimizer.MIN_FIT_ROWS` raise DataError, a minibatch beyond them
-    ConfigError), and the config checked its fields when it was made.
+    against `config` as it does for a fit (`optimizer._check_rows`), and
+    the config checked its fields when it was made.
     Returns the fitted NetworkParams; its predictions (forward_batch)
     estimate E(X_k | Z).
     """

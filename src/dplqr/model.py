@@ -15,7 +15,7 @@ checks its fields when it is made, and `optimizer.train_stack`, which
 every `fit` runs (as the stack of one; `optimizer.tune` trains its
 candidates ahead as stacks and hands each out through `fit`), checks
 the rows: at least `optimizer.MIN_FIT_ROWS` of them, and a minibatch
-within them.
+within the 80% each epoch trains on.
 """
 
 from dataclasses import dataclass
@@ -120,8 +120,8 @@ def fit(data, tau, config, rng):
     init and the batch order, so the same rng state gives the same fit.
     The config checked its fields when it was made; the training kernel
     checks the rows before the rng is drawn from, so fewer than
-    `optimizer.MIN_FIT_ROWS` rows raise DataError and a minibatch beyond
-    them raises ConfigError.
+    `optimizer.MIN_FIT_ROWS` rows raise DataError and a minibatch above
+    the 80% each epoch trains on (240 of 300 rows) raises ConfigError.
     """
     if not isinstance(data, Dataset):
         raise DataError("fit expects a Dataset")

@@ -68,19 +68,15 @@ class TrainConfig:
     passed to `fit` or `tune`, not a setting.
 
     depth counts affine maps, so depth 1 is a pure affine model and
-    depth L has L-1 hidden relu layers of the given width. A minibatch
-    above a fit's 80% training split trains on the whole split each
-    step, while the config (and so `fit --report`) keeps the requested
-    value: on 300 rows, minibatch 250 and 240 train the same model.
+    depth L has L-1 hidden relu layers of the given width.
     A config trains a dplqr fit, the linear part plus network; dnqr is
     one with no x columns, which the CLI and `experiment` lay out. The
     exact linear baseline trains nothing and takes no config
     (`model.fit_lqr`). A config checks its fields when it is made, so
     `TrainConfig(...)` and `dataclasses.replace` raise ConfigError for a
     bad one. The training kernel, `train_stack`, checks the one rule
-    that needs the data (`_check_rows`: at least MIN_FIT_ROWS rows, and a
-    minibatch within them) and builds the network that `width_chain`
-    names.
+    that needs the data (`_check_rows`) and builds the network that
+    `width_chain` names.
     """
 
     depth: int = 3
@@ -109,14 +105,19 @@ class TrainConfig:
         return (n_in,) + (self.width,) * (depth - 1) + (1,)
 
 
-def _check_rows(config, n):
-    """A fit of `config` needs MIN_FIT_ROWS rows (DataError), and its
-    minibatch must not exceed the n rows it trains on (ConfigError)."""
+def _check_rows(config, n, split_of=None):
+    """A fit of `config` on n rows needs MIN_FIT_ROWS of them (DataError),
+    and its minibatch must not exceed the `_split_rows(n)` rows each of
+    its epochs trains on (ConfigError). When the n rows are the tuning
+    split of `split_of` rows, the message says so."""
+    where = "" if split_of is None else f" in the tuning split of {split_of}"
     if n < MIN_FIT_ROWS:
-        raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
-    if config.minibatch > n:
-        raise ConfigError(
-            f"minibatch {config.minibatch} exceeds sample size {n}")
+        raise DataError(
+            f"need at least {MIN_FIT_ROWS} rows to fit, got {n}{where}")
+    n_tr = _split_rows(n)
+    if config.minibatch > n_tr:
+        raise ConfigError(f"minibatch {config.minibatch} exceeds the {n_tr}"
+                          f" training rows of {n}{where}")
 
 
 @dataclass
@@ -268,11 +269,10 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     ys : (K, n) targets, one row per member
     x : (n, p) linear-part covariates every member trains on; p may be 0
     z : (n, q) network inputs every member trains on; q may be 0
-    configs : one TrainConfig per member. Each is checked against the rows before any rng is drawn from:
-        fewer than MIN_FIT_ROWS rows raise DataError, and a minibatch
-        above n raises ConfigError. They must name the same network,
-        `width_chain(q)`, and the same minibatch; learning rate,
-        patience and epochs may differ.
+    configs : one TrainConfig per member, each checked against the rows
+        (`_check_rows`) before any rng is drawn from. They must name the
+        same network, `width_chain(q)`, and the same minibatch; learning
+        rate, patience and epochs may differ.
     rngs : one numpy Generator per member
     tau : quantile level for check loss, or None for squared error
 
@@ -340,7 +340,6 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     val = [ys[np.arange(len(configs))[:, None], val_idx], x[val_idx],
            z[val_idx]]
     n_tr = tr_idx.shape[1]
-    minibatch = min(minibatch, n_tr)
 
     p = x.shape[1]
     shapes = [(p,)] + [w.shape for w in inits[0]]
@@ -485,9 +484,8 @@ def train_joint(y, x, z, config, rng, tau=None):
     y : (n,) targets
     x : (n, p) linear-part covariates; p may be 0
     z : (n, q) network inputs; q may be 0
-    config : TrainConfig, checked against the rows before the rng is
-        drawn from: fewer than MIN_FIT_ROWS rows raise DataError and a
-        minibatch above n raises ConfigError. The network is
+    config : TrainConfig, checked against the rows (`_check_rows`)
+        before the rng is drawn from. The network is
         `config.width_chain(q)`, so with q = 0 it is (0, 1), a learned
         intercept
     rng : numpy Generator driving the split, init, and batch order
@@ -519,16 +517,14 @@ def tuning_plan(grid, n, q):
     """What `tune` trains for `grid` on n rows of q network covariates,
     checked before anything trains.
 
-    An empty grid raises ConfigError. The rows that train a candidate
-    must meet the kernel's rule (`_check_rows`): the n rows a lone
-    distinct candidate is fitted on, or the tuning split that trains
-    each candidate when the grid holds more than one. Too few rows raise
-    DataError and a minibatch beyond them ConfigError; each candidate
-    checked its other settings when it was made. Returns None for a grid
-    of one distinct candidate, which tune returns as it is; otherwise
-    the grid positions of the distinct candidates, grouped into the
-    stacks they train as and keyed by the network and minibatch each
-    stack shares.
+    An empty grid raises ConfigError. Every candidate is checked by the
+    kernel's rule (`_check_rows`) against the rows it is fitted on: the
+    n rows for a grid of one distinct candidate, otherwise the tuning
+    split of n, whose size the messages then name. Returns None for a
+    grid of one distinct candidate, which tune returns as it is;
+    otherwise the grid positions of the distinct candidates, grouped
+    into the stacks they train as and keyed by the network and
+    minibatch each stack shares.
     """
     if not grid:
         raise ConfigError("tuning grid is empty")
@@ -544,15 +540,8 @@ def tuning_plan(grid, n, q):
     if len(seen) == 1:
         _check_rows(grid[0], n)
         return None
-    n_tr = _split_rows(n)
-    if n_tr < MIN_FIT_ROWS:
-        raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got"
-                        f" {n_tr} in the tuning split of {n}")
     for candidate in grid:
-        if candidate.minibatch > n_tr:
-            raise ConfigError(
-                f"minibatch {candidate.minibatch} exceeds the tuning split:"
-                f" {n_tr} of {n} rows train each candidate")
+        _check_rows(candidate, _split_rows(n), split_of=n)
     return stacks
 
 
@@ -568,12 +557,12 @@ def tune(grid, data, tau, rng):
     minibatch and patience. The kept candidates that share their network
     and minibatch train ahead as one stack (`train_ahead`), and
     `model.fit` then hands out each one's fit, the one it would get
-    alone. A bad tau raises ConfigError, and so does a grid that
-    `tuning_plan` rejects (such as a minibatch beyond the 80% split); a
-    split of fewer than MIN_FIT_ROWS rows raises DataError. Both come
-    before the rng is drawn from. Each candidate fails alone: one that
-    fails to train is skipped with a warning, and if all fail, a
-    TrainingError is raised. A grid of one distinct candidate is
+    alone. A bad tau raises ConfigError. `tuning_plan` checks each
+    candidate by the rule of a fit on the 80% split, so too small a
+    split raises DataError and a minibatch above 80% of it ConfigError.
+    All come before the rng is drawn from. Each candidate fails alone:
+    one that fails to train is skipped with a warning, and if all fail,
+    a TrainingError is raised. A grid of one distinct candidate is
     returned as-is without consuming the rng. The exact linear
     baseline, which trains nothing, is never tuned (`model.fit_lqr`).
     """

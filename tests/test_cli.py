@@ -197,14 +197,33 @@ class TestFitCommand:
 
     def test_minibatch_beyond_tuning_split_is_config_error(self, tmp_path,
                                                            capsys):
-        # 300 rows: one lr fits on all of them, two tune on 240
+        # 300 rows: one lr fits on all of them, and each epoch trains on
+        # 240; two tune on 240, and each epoch of a candidate trains on 192
         data = str(_write_training_csv(tmp_path / "train.csv", n=300))
-        assert main(_fit_args(data, tmp_path, minibatch=250)) == 0
-        code = main(_fit_args(data, tmp_path, minibatch=250,
+        assert main(_fit_args(data, tmp_path, minibatch=240)) == 0
+        code = main(_fit_args(data, tmp_path, minibatch=240,
                               lr="0.01,0.02"))
         assert code == 2
-        assert capsys.readouterr().err.startswith(
-            "error:config: minibatch 250 exceeds the tuning split")
+        assert capsys.readouterr().err == (
+            "error:config: minibatch 240 exceeds the 192 training rows of"
+            " 240 in the tuning split of 300\n")
+
+    def test_minibatch_beyond_training_rows_is_config_error(self, tmp_path,
+                                                            capsys):
+        # 300 rows hold out 60 for early stopping, so a minibatch of 241
+        # is refused before anything trains, and no file is written
+        data = str(_write_training_csv(tmp_path / "train.csv", n=300))
+        report = tmp_path / "report.json"
+        code = main(_fit_args(data, tmp_path, minibatch=241,
+                              report=str(report)))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error:config: minibatch 241 exceeds the 240 training rows of"
+            " 300\n")
+        assert not (tmp_path / "model.json").exists()
+        assert not report.exists()
 
     def test_too_few_rows_for_intervals_is_data_error(self, tmp_path,
                                                       capsys, monkeypatch):
@@ -700,15 +719,16 @@ class TestSimulateCommand:
 
     def test_minibatch_beyond_tuning_split_is_config_error(self, tmp_path,
                                                            capsys):
-        # n=100: each replicate trains on 80 rows and tunes on 64 of them
+        # n=100: each replicate trains on 80 rows and tunes on 64 of them,
+        # of which each epoch of a candidate trains on 52
         code = main(["simulate", "--case", "1", "--n", "100",
                      "--replicates", "2", "--minibatch", "70", "--lr",
                      "0.01,0.02", "--epochs", "3", "--no-ci",
                      "--out-dir", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(
-            "error:config: minibatch 70 exceeds the tuning split")
+        assert err.startswith("error:config: minibatch 70 exceeds the 52"
+                              " training rows of 64 in the tuning split")
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -832,7 +852,8 @@ class TestTuneCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error:config: minibatch 400 exceeds sample size 300\n")
+            "error:config: minibatch 400 exceeds the 240 training rows of"
+            " 300\n")
         assert not out.exists()
 
     def test_bad_tau_is_config_error(self, train_csv, capsys):
@@ -1057,9 +1078,10 @@ class TestFileErrors:
         (["--methods", "bogus"], "unknown method 'bogus'; choose from"
                                  " ('dplqr', 'lqr', 'dnqr')"),
         (["--minibatch", "70", "--lr", "0.01,0.02"],
-         "minibatch 70 exceeds the tuning split: 64 of 80 rows train each"
-         " candidate"),
-        (["--minibatch", "90"], "minibatch 90 exceeds sample size 80"),
+         "minibatch 70 exceeds the 52 training rows of 64 in the tuning"
+         " split of 80"),
+        (["--minibatch", "65"], "minibatch 65 exceeds the 64 training rows"
+                                " of 80"),
         (["--seed", "-1"], "seed must be nonnegative, got -1"),
         (["--methods", "dplqr,dplqr"],
          "duplicate method in ['dplqr', 'dplqr']"),
@@ -1069,7 +1091,8 @@ class TestFileErrors:
     def test_simulate_settings_checked_before_out_dir(
             self, flags, message, tmp_path, capsys, monkeypatch):
         # n=100: each replicate trains on 80 rows and tunes on 64 of them;
-        # a grid of one candidate is not tuned
+        # each epoch trains on 80% of either; a grid of one candidate is
+        # not tuned
         self._no_training(monkeypatch)
         out_dir = tmp_path / "new"
         argv = ["simulate", "--case", "1", "--n", "100", "--replicates",

@@ -315,10 +315,12 @@ class TestCovariance:
             replace(TrainConfig(depth=2, width=8), **bad)
 
     def test_projection_minibatch_beyond_rows_rejected(self):
-        # the one config rule that needs the rows: the kernel checks it
+        # the one config rule that needs the rows: the kernel checks it,
+        # and each epoch of a projection trains on 80 of the 100 rows
         fitted, data, cfg = self._fitted(n=100)
-        with pytest.raises(ConfigError, match="exceeds sample size 100"):
-            covariance(fitted, data, replace(cfg, minibatch=101),
+        with pytest.raises(ConfigError, match=(
+                "^minibatch 81 exceeds the 80 training rows of 100$")):
+            covariance(fitted, data, replace(cfg, minibatch=81),
                        make_rng(7))
 
     def test_singular_omega_names_the_least_varied_coefficient(

@@ -166,7 +166,7 @@ class TestFit:
         rng = np.random.default_rng(0)
         data = Dataset(y=np.full(n, 2.5), x=rng.normal(size=(n, 1)),
                        z=rng.uniform(0, 2, size=(n, 1)))
-        cfg = TrainConfig(depth=1, width=1, epochs=400, minibatch=80,
+        cfg = TrainConfig(depth=1, width=1, epochs=400, minibatch=64,
                           early_stop_patience=400, learning_rate=0.02)
         fitted = fit(data, 0.5, cfg, make_rng(4))
         preds = predict_batch(fitted, data.x, data.z)
@@ -186,6 +186,20 @@ class TestFit:
     def test_bad_tau(self):
         with pytest.raises(ConfigError):
             fit(_toy_data(50), 1.5, TrainConfig(minibatch=10), make_rng(0))
+
+    def test_minibatch_beyond_training_rows(self):
+        # 300 rows hold out 60 for early stopping, so each epoch trains on
+        # 240: minibatch 240 is one full-batch step per epoch, and 241 is
+        # refused before the rng is drawn from
+        data = _toy_data(300, seed=8221)
+        short = TrainConfig(depth=1, width=1, epochs=2, minibatch=240)
+        assert fit(data, 0.5, short, make_rng(8222)).history.stopped_epoch == 2
+        rng = make_rng(8223)
+        with pytest.raises(ConfigError, match=(
+                "^minibatch 241 exceeds the 240 training rows of 300$")):
+            fit(data, 0.5, TrainConfig(depth=1, width=1, epochs=2,
+                                        minibatch=241), rng)
+        assert rng.bit_generator.state == make_rng(8223).bit_generator.state
 
     def test_reproducible_given_rng(self):
         data = _toy_data(120, seed=6)
@@ -402,16 +416,17 @@ class TestStatisticalProperties:
         d1 = np.mean(predict_batch(f1, data.x, data.z))
         assert abs((d1 - d0) - 5.0) < 0.05
 
-    def test_lqr_close_to_exact_minimum(self):
-        # compare the trained lqr objective against a dense grid search
-        # over (intercept-free) slopes on 1-d data; Adam should come
-        # within 2% of the best grid value
+    def test_affine_adam_fit_close_to_grid_minimum(self):
+        # compare the check loss of a full-batch Adam fit of a slope and
+        # an intercept (depth 1, no z) against a dense grid search over
+        # (intercept-free) slopes on 1-d data; Adam should come within 2%
+        # of the best grid value
         rng = np.random.default_rng(30)
         n = 150
         x = rng.normal(size=(n, 1))
         y = 1.0 * x[:, 0] + rng.standard_normal(n)
         data = Dataset(y=y, x=x, z=None)
-        cfg = TrainConfig(depth=1, width=1, epochs=500, minibatch=150,
+        cfg = TrainConfig(depth=1, width=1, epochs=500, minibatch=120,
                           early_stop_patience=500, learning_rate=0.02)
         fitted = fit(data, 0.5, cfg, make_rng(2))
         achieved = mean_check_loss(residuals(fitted, data), 0.5)

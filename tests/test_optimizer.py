@@ -169,13 +169,14 @@ class TestTrainConfig:
             replace(config, depth=0)
 
     def test_minibatch_against_sample_size(self):
-        _check_rows(TrainConfig(minibatch=64), 64)
-        with pytest.raises(ConfigError,
-                           match="minibatch 65 exceeds sample size 64"):
-            _check_rows(TrainConfig(minibatch=65), 64)
+        # 64 rows hold out 12 for early stopping, so each epoch trains on 52
+        _check_rows(TrainConfig(minibatch=52), 64)
+        with pytest.raises(ConfigError, match=(
+                "^minibatch 53 exceeds the 52 training rows of 64$")):
+            _check_rows(TrainConfig(minibatch=53), 64)
 
     def test_too_few_rows_before_the_minibatch(self):
-        _check_rows(TrainConfig(minibatch=5), 5)
+        _check_rows(TrainConfig(minibatch=4), 5)
         with pytest.raises(DataError,
                            match=r"^need at least 5 rows to fit, got 4$"):
             _check_rows(TrainConfig(minibatch=8), 4)
@@ -283,7 +284,7 @@ class TestTrainJoint:
         n = 100
         y = np.zeros(n)
         x = np.zeros((n, 1))
-        cfg = TrainConfig(depth=1, width=1, epochs=500, minibatch=100,
+        cfg = TrainConfig(depth=1, width=1, epochs=500, minibatch=80,
                           early_stop_patience=5, learning_rate=1e-6)
         _, params, history = train_joint(y, x, _no_z(y), cfg,
                                          make_rng(1), tau=0.5)
@@ -316,7 +317,7 @@ class TestTrainJoint:
         # enough never to trigger; the returned theta must match the
         # final epoch of the trace, not the best-validation epoch
         y, x = _linear_toy(200, seed=4)
-        cfg = TrainConfig(depth=1, width=1, epochs=40, minibatch=200,
+        cfg = TrainConfig(depth=1, width=1, epochs=40, minibatch=160,
                           early_stop_patience=40, learning_rate=0.05)
         theta, params, history = train_joint(y, x, _no_z(y), cfg,
                                              make_rng(2), tau=0.5)
@@ -382,8 +383,9 @@ class TestTune:
         assert picked is trained
 
     def test_minibatch_beyond_tuning_split_rejected(self, monkeypatch):
-        # 120 rows leave 96 to train each candidate: minibatch 100 fits
-        # the data but not the split
+        # 120 rows leave a tuning split of 96, 77 of which train each
+        # epoch of a candidate: minibatch 100 fits the data but not the
+        # split
         def no_fit(*args):
             raise AssertionError("a candidate was fitted")
         monkeypatch.setattr(optimizer, "train_stack", no_fit)
@@ -392,6 +394,26 @@ class TestTune:
                 for mb in (32, 100)]
         with pytest.raises(ConfigError, match="tuning split"):
             tune(grid, self._data(), 0.5, rng=make_rng(0))
+
+    def test_candidate_minibatch_beyond_its_training_rows(self,
+                                                          monkeypatch):
+        # 300 rows leave a tuning split of 240, and each epoch of a
+        # candidate trains on 192 of them: 192 is planned, and 193 is a
+        # settings error before anything trains or the rng is drawn from
+        def no_fit(*args):
+            raise AssertionError("a candidate was fitted")
+        monkeypatch.setattr(optimizer, "train_stack", no_fit)
+        grid = [TrainConfig(depth=1, width=1, epochs=5, minibatch=192,
+                            learning_rate=lr) for lr in (0.01, 0.02)]
+        data = self._data(n=300, seed=8224)
+        plan = optimizer.tuning_plan(grid, data.n, data.q)
+        assert list(plan.values()) == [[0, 1]]
+        rng = make_rng(8225)
+        with pytest.raises(ConfigError, match=(
+                "^minibatch 193 exceeds the 192 training rows of 240 in the"
+                " tuning split of 300$")):
+            tune([replace(c, minibatch=193) for c in grid], data, 0.5, rng)
+        assert rng.bit_generator.state == make_rng(8225).bit_generator.state
 
     @pytest.mark.parametrize("n, message", [
         (5, "need at least 5 rows to fit, got 4 in the tuning split of 5"),

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import (THETA, Z_DIM, _base_case, generate, mspe, rmse_m, true_m,
-                  true_theta)
+from .dgp import Z_DIM, _base_case, generate, mspe, rmse_m, true_m, true_theta
 from .errors import ConfigError, DplqrError, TrainingError
 from .inference import covariance, validate_level
 from .model import Dataset, fit, fit_lqr, m_values, predict_batch
@@ -73,7 +72,7 @@ class ReplicateResult:
     theta_hat: np.ndarray
     intervals: np.ndarray      # (p, 2) or None when intervals were off
     covered: np.ndarray        # (p,) bools or None
-    rmse_m: float              # None for dnqr (its network fits x theta too)
+    rmse_m: float              # None for a fit with no linear part (dnqr)
     mspe: float
 
 
@@ -150,14 +149,14 @@ def _run_replicate(spec, r, methods, master_seed, grid, with_ci, level,
             fitted = fit(fit_train, spec.tau, best, fit_rng)
 
         intervals = covered = None
-        if with_ci and method != "dnqr":
-            est = covariance(fitted, train, best, cov_rng, level=level)
+        if with_ci and fit_train.p:
+            est = covariance(fitted, fit_train, best, cov_rng, level=level)
             intervals = est.intervals
             covered = ((intervals[:, 0] <= theta_star)
                        & (theta_star <= intervals[:, 1]))
 
         rmse = None
-        if method != "dnqr":
+        if fit_train.p:
             m_hat = m_values(fitted, test.z)
             if align_m:
                 m_hat = m_hat + float(np.mean(m_star - m_hat))
@@ -190,9 +189,9 @@ def check_settings(spec, q, methods, master_seed, grid, level, workers):
     """The settings of `run_experiment`, checked before any replicate
     runs: the replicate and worker counts, the methods, the level, the
     grid (None for the scenario's own), which may not be empty and whose
-    candidates each network method tunes on the 80% of spec.n rows a
+    candidates the network methods tune on the 80% of spec.n rows a
     replicate trains on (each checked its fields when it was made, and
-    `tuning_plan` checks the grid against those rows; lqr tunes
+    `tuning_plan` checks the grid once against those rows; lqr tunes
     nothing), and the master seed. Any error is the ConfigError a
     replicate would raise. Returns the methods in run order, the grid as
     a list and the level as a float.
@@ -212,11 +211,9 @@ def check_settings(spec, q, methods, master_seed, grid, level, workers):
     grid = list(grid)
     if not grid:
         raise ConfigError("tuning grid is empty")
-    n_train = _split_rows(spec.n)
-    for method in methods:
-        if method != "lqr":
-            n_in = Z_DIM + (len(THETA) if method == "dnqr" else 0)
-            tuning_plan(grid, n_train, n_in)
+    if any(method != "lqr" for method in methods):
+        # the row rule does not depend on the input width
+        tuning_plan(grid, _split_rows(spec.n), Z_DIM)
     _check_seed(master_seed)
     return methods, grid, level
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import network as net
 from .errors import ConfigError, DataError, TrainingError
-from .quantile_loss import check_loss, mean_check_loss, validate_tau
+from .quantile_loss import mean_check_loss, validate_tau
 from .rng import _check_int, split
 
 ADAM_BETA1 = 0.9
@@ -252,13 +252,14 @@ def _views(flat, flat_grad, shapes, widths):
             grad_theta[..., None], grad_layers)
 
 
-def _mean_loss(ys, x, z, theta, params, acts, tau):
-    """Each member's mean loss on its (K, n) targets and its own rows: the
-    check loss at tau, or squared error for tau None."""
-    residuals = ys - ((x @ theta)[..., 0] + net.forward_batch(params, z, acts))
-    if tau is not None:
-        return np.mean(check_loss(residuals, tau), axis=-1)
-    return np.mean(residuals ** 2, axis=-1)
+def _losses(resid, tau):
+    """Each row's loss and its slope in the prediction: the check loss
+    resid * w, w = tau - (resid < 0), with slope -w at a tau, and squared
+    error with slope -2 resid for tau None."""
+    if tau is None:
+        return resid ** 2, -2.0 * resid
+    weight = tau - (resid < 0.0)
+    return resid * weight, -weight
 
 
 def train_stack(ys, x, z, configs, rngs, tau=None):
@@ -268,7 +269,9 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     ----------
     ys : (K, n) targets, one row per member
     x : (n, p) linear-part covariates every member trains on; p may be 0
-    z : (n, q) network inputs every member trains on; q may be 0
+    z : (n, q) network inputs every member trains on; q may be 0. A
+        block that is not 2-d with n rows (a 1-d x too) raises DataError
+        ("x must have shape (n, p), got ...") before any rng is drawn
     configs : one TrainConfig per member, each checked against the rows
         (`_check_rows`) before any rng is drawn from. They must name the
         same network, `width_chain(q)`, and the same minibatch; learning
@@ -316,10 +319,10 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     if ys.ndim != 2 or ys.shape[0] != len(configs):
         raise DataError(f"ys must have one row per member, got {ys.shape}")
     n = ys.shape[1]
-    if x.shape[0] != n:
-        raise DataError("x and y row counts differ")
-    if z.ndim != 2 or z.shape[0] != n:
-        raise DataError(f"z must have shape ({n}, q), got {z.shape}")
+    for name, block, cols in (("x", x, "p"), ("z", z, "q")):
+        if block.ndim != 2 or block.shape[0] != n:
+            raise DataError(
+                f"{name} must have shape ({n}, {cols}), got {block.shape}")
     if tau is not None:
         tau = validate_tau(tau)
     for config in configs:
@@ -337,8 +340,8 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
         inits.append(net.init_params(widths, rng).layers)
     tr_idx = np.array([tr for tr, _ in splits])
     val_idx = np.array([val for _, val in splits])
-    val = [ys[np.arange(len(configs))[:, None], val_idx], x[val_idx],
-           z[val_idx]]
+    val_y, val_x, val_z = (ys[np.arange(len(configs))[:, None], val_idx],
+                           x[val_idx], z[val_idx])
     n_tr = tr_idx.shape[1]
 
     p = x.shape[1]
@@ -376,15 +379,9 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
             if p:  # with no linear part x @ theta is +0.0, a no-op to subtract
                 resid = resid - (xb @ theta)[..., 0]
             resid = resid - net.forward_batch(params, zb, acts)
-            if tau is not None:
-                # check_loss(resid, tau) and, from the same weights, its
-                # subgradient in the prediction, -weight, over size
-                weight = tau - (resid < 0.0)
-                tr_sum += (resid * weight).sum(axis=-1)
-                upstream = weight / -size
-            else:
-                tr_sum += (resid ** 2).sum(axis=-1)
-                upstream = -2.0 * resid / size
+            loss, slope = _losses(resid, tau)
+            tr_sum += loss.sum(axis=-1)
+            upstream = slope / size
             if p:
                 np.matmul(xb.swapaxes(-1, -2), upstream[..., None],
                           out=grad_theta)
@@ -401,10 +398,12 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
                 lr[bad] = 0.0
                 adam_step(state, flat, flat_grad, lr)
 
+        val_resid = val_y - ((val_x @ theta)[..., 0]
+                             + net.forward_batch(params, val_z, acts))
         keep = []
         for pos, (member, tr_loss, val_loss) in enumerate(zip(
                 members, (tr_sum / n_tr).tolist(),
-                _mean_loss(*val, theta, params, acts, tau).tolist())):
+                np.mean(_losses(val_resid, tau)[0], axis=-1).tolist())):
             if not (math.isfinite(tr_loss) and math.isfinite(val_loss)):
                 failed.setdefault(pos, TrainingError(
                     f"non-finite loss at epoch {epoch}; try a lower"
@@ -423,7 +422,7 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
             flat, flat_grad, lr = flat[keep], flat_grad[keep], lr[keep]
             state.first_moment = state.first_moment[keep]
             state.second_moment = state.second_moment[keep]
-            val = [a[keep] for a in val]
+            val_y, val_x, val_z = val_y[keep], val_x[keep], val_z[keep]
             acts = [buffer[:len(keep)] for buffer in acts]
             theta, params, grad_theta, grad_layers = _views(
                 flat, flat_grad, shapes, widths)
@@ -432,6 +431,7 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
 
 # What `train_ahead` trained and `train_joint` has not handed out yet:
 # id(rng) -> (y, x, z, config, rng, rng state, tau, result) of one member.
+# An entry holds its rng, so no other live object can take its id.
 _ahead = {}
 
 
@@ -465,8 +465,8 @@ def _trained_ahead(y, x, z, config, rng, tau):
     member = _ahead.get(id(rng))
     if member is None:
         return None
-    m_y, m_x, m_z, m_config, m_rng, m_state, m_tau, result = member
-    if (m_rng is not rng or m_config != config or m_tau != tau
+    m_y, m_x, m_z, m_config, _, m_state, m_tau, result = member
+    if (m_config != config or m_tau != tau
             or rng.bit_generator.state != m_state
             or not np.array_equal(m_y, y) or not np.array_equal(m_x, x)
             or not np.array_equal(m_z, z)):
@@ -483,7 +483,8 @@ def train_joint(y, x, z, config, rng, tau=None):
     ----------
     y : (n,) targets
     x : (n, p) linear-part covariates; p may be 0
-    z : (n, q) network inputs; q may be 0
+    z : (n, q) network inputs; q may be 0. Either block not 2-d with n
+        rows raises DataError before the rng is drawn from
     config : TrainConfig, checked against the rows (`_check_rows`)
         before the rng is drawn from. The network is
         `config.width_chain(q)`, so with q = 0 it is (0, 1), a learned

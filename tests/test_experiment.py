@@ -223,6 +223,24 @@ class TestRunExperiment:
                                with_ci=False)
         assert not caught
 
+    def test_dnqr_grid_checked_as_dplqr_grid(self, monkeypatch):
+        # a replicate tunes on 64 of its 80 training rows, and each epoch
+        # of a candidate trains on 52 of those; dnqr's wider network
+        # input does not change the rule or its message
+        def no_replicate(args):
+            raise AssertionError("a replicate ran")
+        monkeypatch.setattr(experiment, "_try_replicate", no_replicate)
+        spec = DgpSpec(case=1, n=100, tau=0.5)
+        grid = [TrainConfig(depth=2, width=4, epochs=30, minibatch=53,
+                            early_stop_patience=30, learning_rate=lr)
+                for lr in (0.01, 0.02)]
+        says = (r"^minibatch 53 exceeds the 52 training rows of 64 in the"
+                r" tuning split of 80$")
+        for methods in (("dplqr",), ("dnqr",)):
+            with pytest.raises(ConfigError, match=says):
+                run_experiment(spec, 2, methods=methods, master_seed=8234,
+                               grid=grid, with_ci=False)
+
     def test_unknown_method_rejected(self):
         spec = DgpSpec(case=1, n=100, tau=0.5)
         with pytest.raises(ConfigError):

@@ -225,7 +225,12 @@ class TestTrainJoint:
          r"^a stack needs one rng per config, got 2 configs and 1 rngs$"),
         ("ys-rows", DataError,
          r"^ys must have one row per member, got \(1, 10\)$"),
-        ("x-rows", DataError, r"^x and y row counts differ$"),
+        ("x-rows", DataError,
+         r"^x must have shape \(10, p\), got \(9, 1\)$"),
+        ("x-1d", DataError,
+         r"^x must have shape \(10, p\), got \(10,\)$"),
+        ("x-3d", DataError,
+         r"^x must have shape \(10, p\), got \(10, 1, 1\)$"),
         ("z-rows", DataError,
          r"^z must have shape \(10, q\), got \(9, 0\)$"),
     ])
@@ -242,10 +247,27 @@ class TestTrainJoint:
             ys = ys[:1]
         elif case == "x-rows":
             x = x[:9]
+        elif case == "x-1d":
+            x = x[:, 0]
+        elif case == "x-3d":
+            x = x[..., None]
         else:
             z = z[:9]
         with pytest.raises(error, match=says):
             optimizer.train_stack(ys, x, z, configs, rngs, tau=0.5)
+        assert [r.bit_generator.state for r in rngs] == [
+            make_rng(k).bit_generator.state for k in (7504, 7505)][:len(rngs)]
+
+    def test_one_dim_x_rejected_before_drawing(self):
+        # a lone fit takes the kernel's block rule: a 1-d x is not read
+        # as one column, and the rng is not drawn from
+        y, x = _linear_toy(10, seed=8235)
+        rng = make_rng(8236)
+        with pytest.raises(DataError, match=(
+                r"^x must have shape \(10, p\), got \(10,\)$")):
+            train_joint(y, x[:, 0], _no_z(y), TrainConfig(minibatch=4), rng,
+                        tau=0.5)
+        assert rng.bit_generator.state == make_rng(8236).bit_generator.state
 
     def test_learns_linear_median(self):
         y, x = _linear_toy(400, seed=0)

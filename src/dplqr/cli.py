@@ -207,10 +207,6 @@ def _fit_setup(args, out_required):
     # dnqr, a network on every covariate, is a dplqr fit with no x columns
     dnqr = args.mode == "dnqr"
     roles = ColumnRoles(args.y, [] if dnqr else x, x + z if dnqr else z)
-    names = [roles.y] + roles.x + roles.z
-    repeated = sorted({c for c in names if names.count(c) > 1})
-    if repeated:
-        raise ConfigError(f"column(s) {repeated} given more than one role")
     grid = _build_grid(args, TrainConfig())
     streams = split(make_rng(args.seed), 3)
     _check_distinct(args, ("config", "data", "out", "report"))
@@ -245,7 +241,7 @@ def cmd_fit(args):
 
     save_model(args.out, fitted, roles, scaling)
     if args.report:
-        report = _jsonable({
+        write_json(args.report, _jsonable({
             "schema_version": 3, "command": "fit",
             "n": data.n, "p": data.p, "q": data.q,
             "tau": args.tau, "mode": args.mode, "seed": args.seed,
@@ -254,11 +250,7 @@ def cmd_fit(args):
             "widths": fitted.network.widths, "grid_size": len(grid),
             "theta_hat": fitted.theta_hat, "covariance": estimate,
             "history": fitted.history,
-        })
-        # level is reported once, at the top level
-        if estimate is not None:
-            del report["covariance"]["level"]
-        write_json(args.report, report)
+        }))
 
     print(f"fit: mode={args.mode} tau={args.tau:g} n={data.n}"
           f" p={data.p} q={data.q}")
@@ -313,10 +305,7 @@ def cmd_simulate(args):
               encoding="utf-8") as handle:
         handle.write(text)
     payload = _jsonable(report)
-    payload.update(schema_version=1, command="simulate",
-                   replicate_results=payload.pop("replicates"))
-    for summary in payload["methods"].values():
-        del summary["method"]  # the key it is filed under
+    payload.update(schema_version=2, command="simulate")
     write_json(os.path.join(args.out_dir, "report.json"), payload)
     print(text, end="")
     print(f"wrote report.csv, report.txt, report.json to {args.out_dir}")

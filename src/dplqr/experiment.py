@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import Z_DIM, _base_case, generate, mspe, rmse_m, true_m, true_theta
+from .dgp import (Z_DIM, DgpSpec, _base_case, generate, mspe, rmse_m, true_m,
+                  true_theta)
 from .errors import ConfigError, DplqrError, TrainingError
 from .inference import covariance, validate_level
 from .model import Dataset, fit, fit_lqr, m_values, predict_batch
@@ -78,9 +79,8 @@ class ReplicateResult:
 
 @dataclass
 class MethodSummary:
-    """Aggregates of one method over the successful replicates."""
+    """One method's aggregates over its successful replicates."""
 
-    method: str
     bias: np.ndarray
     sd: np.ndarray
     coverage: np.ndarray
@@ -91,11 +91,11 @@ class MethodSummary:
 
 @dataclass
 class ExperimentReport:
-    """Everything run_experiment measured, plus the settings that made it."""
+    """Everything run_experiment measured and, once each, the settings that
+    made it; methods files each MethodSummary under its method's name."""
 
-    case: int
-    n: int
-    tau: float
+    spec: DgpSpec
+    grid: list
     theta_true: np.ndarray
     q_requested: int
     failures: int
@@ -169,7 +169,7 @@ def _run_replicate(spec, r, methods, master_seed, grid, with_ci, level,
     return out
 
 
-def _summarize(method, rows, theta_star):
+def _summarize(rows, theta_star):
     thetas = np.array([row.theta_hat for row in rows])
     if thetas.shape[1] == 0:
         bias = sd = coverage = None
@@ -181,8 +181,7 @@ def _summarize(method, rows, theta_star):
     rmses = [row.rmse_m for row in rows if row.rmse_m is not None]
     mean_rmse = float(np.mean(rmses)) if rmses else None
     mean_mspe = float(np.mean([row.mspe for row in rows]))
-    return MethodSummary(method, bias, sd, coverage, mean_rmse, mean_mspe,
-                         len(rows))
+    return MethodSummary(bias, sd, coverage, mean_rmse, mean_mspe, len(rows))
 
 
 def check_settings(spec, q, methods, master_seed, grid, level, workers):
@@ -227,7 +226,8 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     TrainConfig to override (a single-entry list skips tuning). Replicates
     that fail to train are dropped with a warning; more than 10% failures
     aborts. `check_settings` checks the settings first; a ConfigError
-    from any replicate is raised as it is.
+    from any replicate is raised as it is. The ExperimentReport holds
+    `spec` itself and the grid as a list.
     workers > 1 runs replicates in min(workers, q, usable CPUs)
     processes; aggregation is in replicate order, so results are identical.
     """
@@ -260,11 +260,11 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     for method in methods:
         method_rows = [row for row in rows if row.method == method]
         if method_rows:
-            summaries[method] = _summarize(method, method_rows, theta_star)
+            summaries[method] = _summarize(method_rows, theta_star)
     return ExperimentReport(
-        case=spec.case, n=spec.n, tau=spec.tau, theta_true=theta_star,
-        q_requested=q, failures=failures, master_seed=master_seed,
-        level=level, with_ci=with_ci, align_m=align_m, methods=summaries,
+        spec=spec, grid=grid, theta_true=theta_star, q_requested=q,
+        failures=failures, master_seed=master_seed, level=level,
+        with_ci=with_ci, align_m=align_m, methods=summaries,
         replicates=rows)
 
 
@@ -281,38 +281,39 @@ def _try_replicate(args):
 
 def _rows_for_csv(report):
     rows = []
-    for method in report.methods.values():
-        p = 0 if method.bias is None else len(method.bias)
+    for method, summary in report.methods.items():
+        p = 0 if summary.bias is None else len(summary.bias)
         for k in range(p):
-            rows.append((method.method, "bias", k + 1, method.bias[k]))
-            if method.sd is not None:
-                rows.append((method.method, "sd", k + 1, method.sd[k]))
-            if method.coverage is not None:
-                rows.append((method.method, "coverage", k + 1,
-                             method.coverage[k]))
-        if method.mean_rmse_m is not None:
-            rows.append((method.method, "rmse_m", "", method.mean_rmse_m))
-        rows.append((method.method, "mspe", "", method.mean_mspe))
-        rows.append((method.method, "replicates", "", method.replicates))
+            rows.append((method, "bias", k + 1, summary.bias[k]))
+            if summary.sd is not None:
+                rows.append((method, "sd", k + 1, summary.sd[k]))
+            if summary.coverage is not None:
+                rows.append((method, "coverage", k + 1, summary.coverage[k]))
+        if summary.mean_rmse_m is not None:
+            rows.append((method, "rmse_m", "", summary.mean_rmse_m))
+        rows.append((method, "mspe", "", summary.mean_mspe))
+        rows.append((method, "replicates", "", summary.replicates))
     return rows
 
 
 def report_to_csv(report, path):
     """One row per method x metric (x coefficient where applicable)."""
+    spec = report.spec
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["case", "n", "tau", "method", "metric",
                          "coefficient", "value"])
         for method, metric, coef, value in _rows_for_csv(report):
             formatted = str(value) if metric == "replicates" else repr(float(value))
-            writer.writerow([report.case, report.n, repr(report.tau),
+            writer.writerow([spec.case, spec.n, repr(spec.tau),
                              method, metric, coef, formatted])
 
 
 def report_to_text(report):
     """Formatted per-method summary table, one line per method: the
     `report_to_csv` values, with "." where the CSV has no row."""
-    header = (f"case {report.case}  n={report.n}  tau={report.tau:g}  "
+    spec = report.spec
+    header = (f"case {spec.case}  n={spec.n}  tau={spec.tau:g}  "
               f"Q={report.q_requested}  failures={report.failures}  "
               f"seed={report.master_seed}")
     # column -> the CSV (metric, coefficient) it shows
@@ -322,10 +323,10 @@ def report_to_text(report):
              "rmse_m": ("rmse_m", ""), "mspe": ("mspe", "")}
     values = {row[:3]: row[3] for row in _rows_for_csv(report)}
     lines = [header, "  ".join(f"{c:>8}" for c in ["method", *cells])]
-    for summary in report.methods.values():
-        parts = [f"{summary.method:>8}"]
+    for method in report.methods:
+        parts = [f"{method:>8}"]
         for metric, k in cells.values():
-            value = values.get((summary.method, metric, k))
+            value = values.get((method, metric, k))
             parts.append("       ." if value is None else f"{value:8.4f}")
         lines.append("  ".join(parts))
     return "\n".join(lines) + "\n"

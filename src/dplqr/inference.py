@@ -100,12 +100,12 @@ def sym_inverse(m):
 
 @dataclass
 class CovarianceEstimate:
-    """f0_hat, Omega, Sigma, and per-coefficient Wald intervals."""
+    """f0_hat, Omega, Sigma, and per-coefficient Wald intervals at the
+    level the caller gave `covariance`."""
 
     f0_hat: float
     omega_hat: np.ndarray
     sigma_hat: np.ndarray
-    level: float
     intervals: np.ndarray
 
 
@@ -182,4 +182,4 @@ def covariance(fit, data, config, rng, level=0.95):
             f" projecting on z") from exc
     sigma = fit.tau * (1.0 - fit.tau) * omega_inv / f0 ** 2
     intervals = confidence_intervals(fit.theta_hat, sigma, data.n, level)
-    return CovarianceEstimate(f0, omega, sigma, level, intervals)
+    return CovarianceEstimate(f0, omega, sigma, intervals)

@@ -28,11 +28,19 @@ _MODEL_KEYS = ("tau", "mode", "theta", "x_dim", "z_dim", "network",
 
 @dataclass
 class ColumnRoles:
-    """Which CSV columns are the response, linear, and network covariates."""
+    """Which CSV columns are the response, linear, and network covariates;
+    a column named in two roles, y among them, raises ConfigError."""
 
     y: str
     x: list
     z: list
+
+    def __post_init__(self):
+        names = [self.y, *self.x, *self.z]
+        repeated = sorted({c for c in names if names.count(c) > 1})
+        if repeated:
+            raise ConfigError(
+                f"column(s) {repeated} given more than one role")
 
 
 @dataclass

@@ -6,6 +6,7 @@ files can be checked without shelling out.
 
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -649,12 +650,15 @@ class TestPredictCommand:
         (_malformed(lambda m: m["network"].update(
             widths=[2, 2.9, 1], layers=[[0.1] * 6, [0.2] * 3])), "integer"),
         (_malformed(lambda m: m.update(tau=7)), "tau"),
+        (_malformed(lambda m: m["columns"]["z"].__setitem__(0, "x1")),
+         "['x1'] given more than one role"),
     ], ids=["list", "only-version", "no-network", "unknown-mode",
             "short-layer", "missing-layer", "short-theta", "dnqr-theta",
             "missing-network", "wide-input", "text-theta", "short-columns",
             "short-scaling", "zero-hidden-width", "x-only-without-network",
             "null-weight", "null-theta", "null-scaling", "zero-span",
-            "fractional-x-dim", "fractional-width", "tau-outside"])
+            "fractional-x-dim", "fractional-width", "tau-outside",
+            "column-two-roles"])
     def test_malformed_model_is_data_error(self, payload, says, train_csv,
                                            tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -681,9 +685,29 @@ class TestSimulateCommand:
             assert (out_dir / name).exists(), name
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["command"] == "simulate"
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["q_requested"] == 2
         assert "dplqr" in payload["methods"]
+        # the report as it stands, with only the header added
+        report_fields = {f.name for f in fields(experiment.ExperimentReport)}
+        assert payload.keys() == report_fields | {"schema_version", "command"}
+
+    def test_report_json_records_spec_and_grid(self, tmp_path):
+        # neither report.csv nor report.txt shows sigma_x_terms or the
+        # epochs, so report.json must
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--case", "4", "--n", "200",
+                     "--replicates", "1", "--methods", "lqr", "--seed",
+                     "8250", "--sigma-x-terms", "2x1", "--epochs", "15",
+                     "--no-ci", "--out-dir", str(out_dir)]) == 0
+        payload = json.loads((out_dir / "report.json").read_text())
+        assert payload["spec"] == {"case": 4, "n": 200, "tau": 0.5,
+                                   "sigma_x_terms": "2x1"}
+        # --epochs replaces the grid; its other fields are the scenario's
+        # first candidate's
+        assert payload["grid"] == [{
+            "depth": 2, "width": 16, "epochs": 15, "minibatch": 64,
+            "early_stop_patience": 50, "learning_rate": 0.01}]
 
     def test_byte_identical_reruns(self, tmp_path):
         dirs = (tmp_path / "run1", tmp_path / "run2")

@@ -1,6 +1,7 @@
 """Tests for the replicated benchmark experiments."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from numpy.testing import assert_allclose
 from dplqr import experiment
 from dplqr.dgp import DgpSpec
 from dplqr.errors import ConfigError, TrainingError
-from dplqr.experiment import (report_to_csv, report_to_text, run_experiment,
-                              scenario_grid)
+from dplqr.experiment import (MethodSummary, report_to_csv, report_to_text,
+                              run_experiment, scenario_grid)
 from dplqr.optimizer import TrainConfig
 
 # small, fast configuration for functional tests; accuracy is covered
@@ -310,6 +311,17 @@ class TestReportOutput:
         spec = DgpSpec(case=1, n=200, tau=0.5)
         return run_experiment(spec, 2, methods=("dplqr", "dnqr"),
                               master_seed=4, grid=_FAST, with_ci=True)
+
+    def test_report_holds_its_spec_and_grid(self):
+        spec = DgpSpec(case=4, n=200, tau=0.3, sigma_x_terms="2x1")
+        report = run_experiment(spec, 1, methods=("lqr",), master_seed=8251,
+                                grid=tuple(_FAST), with_ci=False)
+        assert report.spec is spec and report.grid == _FAST
+        # a summary is filed under its method's name and does not repeat it
+        assert list(report.methods) == ["lqr"]
+        assert [f.name for f in fields(MethodSummary)] == [
+            "bias", "sd", "coverage", "mean_rmse_m", "mean_mspe",
+            "replicates"]
 
     def test_text_contains_methods_and_header(self):
         text = report_to_text(self._report())

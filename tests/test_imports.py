@@ -103,8 +103,8 @@ def _function_imports():
 
 
 def test_only_tune_imports_inside_a_function():
-    # tune's lazy import of model.fit is the one cycle left; it needs
-    # nothing else from model
+    # tune's lazy import from model is the one cycle left; it needs
+    # model.fit and model.residuals, nothing else
     assert _function_imports() == [
         ("optimizer", "tune", "from .model import fit, residuals")]
 

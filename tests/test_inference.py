@@ -1,6 +1,6 @@
 """Tests for residual density estimation, projections, and Wald intervals."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dplqr import inference, optimizer
 from dplqr.errors import (ConfigError, DataError, SingularMatrixError,
                           TrainingError)
-from dplqr.inference import (confidence_intervals, covariance, fit_projection,
-                             kde_at_zero, sym_inverse, validate_level)
+from dplqr.inference import (CovarianceEstimate, confidence_intervals,
+                             covariance, fit_projection, kde_at_zero,
+                             sym_inverse, validate_level)
 from dplqr.model import Dataset, fit, fit_lqr, predict_batch
 from dplqr.network import forward_batch
 from dplqr.optimizer import TrainConfig
@@ -248,6 +249,11 @@ class TestCovariance:
         assert_allclose(est.sigma_hat, est.sigma_hat.T, rtol=0)
         assert est.intervals.shape == (2, 2)
         assert np.all(est.intervals[:, 0] < est.intervals[:, 1])
+
+    def test_estimate_fields(self):
+        # the level is the caller's input, which a report states once
+        assert [f.name for f in fields(CovarianceEstimate)] == [
+            "f0_hat", "omega_hat", "sigma_hat", "intervals"]
 
     def test_sigma_formula(self):
         # Sigma must equal tau*(1-tau) * inv(Omega) / f0^2 exactly as

@@ -1,12 +1,13 @@
 """Tests for CSV loading, covariate scaling, and model persistence."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dplqr.errors import DataError
+from dplqr.errors import ConfigError, DataError
 from dplqr.model import Dataset, fit, predict_batch
 from dplqr.modelio import (ColumnRoles, _jsonable, apply_scaling,
                            compute_scaling, load_csv, load_model,
@@ -249,10 +250,11 @@ class TestModelPersistence:
             model_from_dict(payload)
 
     @pytest.mark.parametrize("role, names", [
-        ("x", "x1"), ("x", [1, 2]), ("y", ["oops"])])
+        ("x", "x1"), ("x", [1, 2]), ("y", ["oops"]), ("z", ["a"])])
     def test_column_names_checked(self, role, names):
         # y is one name and x and z are lists of names; "x1" would
-        # otherwise be read as the two columns "x" and "1"
+        # otherwise be read as the two columns "x" and "1". No column
+        # takes two roles: z naming x's "a" would feed it to both blocks
         fitted, _ = self._fitted()
         payload = model_to_dict(fitted, ColumnRoles("y", ["a", "b"], ["c"]))
         payload["columns"][role] = names
@@ -281,3 +283,12 @@ class TestModelPersistence:
         save_model(p2, fitted, roles)
         assert (tmp_path / "m1.json").read_bytes() == \
                (tmp_path / "m2.json").read_bytes()
+
+
+@pytest.mark.parametrize("x, z, repeated", [
+    (["y"], ["c"], ["y"]), (["a", "a"], ["c"], ["a"]),
+    (["b", "a"], ["a", "b"], ["a", "b"])], ids=["y", "x-twice", "x-and-z"])
+def test_column_roles_give_each_column_one_role(x, z, repeated):
+    message = f"column(s) {repeated} given more than one role"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ColumnRoles("y", x, z)

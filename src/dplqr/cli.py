@@ -22,8 +22,8 @@ from dataclasses import replace
 
 from .dgp import DgpSpec
 from .errors import ConfigError, DataError, DplqrError
-from .experiment import (METHODS, check_settings, report_to_csv,
-                         report_to_text, run_experiment, scenario_grid)
+from .experiment import (METHODS, report_to_csv, report_to_text,
+                         run_experiment, scenario_grid)
 from .inference import KDE_MIN_RESIDUALS, covariance, validate_level
 from .model import fit as fit_model
 from .model import fit_lqr, predict_batch
@@ -291,14 +291,15 @@ def cmd_simulate(args):
     if any(getattr(args, flag) is not None for flag in _GRID_FIELDS):
         grid = _build_grid(args, grid[0])
 
-    check_settings(spec, args.replicates, methods, args.seed, grid,
-                   args.level, args.workers)
-    os.makedirs(args.out_dir, exist_ok=True)
+    # refuse a file in the way now; make the directory only for a report
+    if os.path.lexists(args.out_dir) and not os.path.isdir(args.out_dir):
+        raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), args.out_dir)
     report = run_experiment(
         spec, args.replicates, methods, args.seed, grid=grid,
         with_ci=not args.no_ci, level=args.level, align_m=args.align_m,
         workers=args.workers)
 
+    os.makedirs(args.out_dir, exist_ok=True)
     report_to_csv(report, os.path.join(args.out_dir, "report.csv"))
     text = report_to_text(report)
     with open(os.path.join(args.out_dir, "report.txt"), "w",

@@ -184,16 +184,23 @@ def _summarize(rows, theta_star):
     return MethodSummary(bias, sd, coverage, mean_rmse, mean_mspe, len(rows))
 
 
-def check_settings(spec, q, methods, master_seed, grid, level, workers):
-    """The settings of `run_experiment`, checked before any replicate
-    runs: the replicate and worker counts, the methods, the level, the
-    grid (None for the scenario's own), which may not be empty and whose
-    candidates the network methods tune on the 80% of spec.n rows a
-    replicate trains on (each checked its fields when it was made, and
-    `tuning_plan` checks the grid once against those rows; lqr tunes
-    nothing), and the master seed. Any error is the ConfigError a
-    replicate would raise. Returns the methods in run order, the grid as
-    a list and the level as a float.
+def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
+                   grid=None, with_ci=True, level=0.95, align_m=False,
+                   workers=1):
+    """Run q replicates of `spec` and aggregate per-method metrics.
+
+    grid defaults to scenario_grid(spec.case, spec.n); pass a list of
+    TrainConfig to override (a grid of one distinct candidate skips
+    tuning). Before any replicate runs, the settings are checked: q and
+    workers, the methods, the level, the grid, which may not be empty
+    and which `tuning_plan` checks once against the 80% of spec.n rows a
+    replicate trains on (lqr alone tunes nothing), and the master seed.
+    A settings error, like a ConfigError from any replicate, is raised
+    as it is. Replicates that fail to train are dropped with a warning;
+    more than 10% failures aborts. The ExperimentReport holds `spec`
+    itself and the grid as a list.
+    workers > 1 runs replicates in min(workers, q, usable CPUs)
+    processes; aggregation is in replicate order, so results are identical.
     """
     _check_int(q, "q")
     _check_int(workers, "workers")
@@ -214,25 +221,7 @@ def check_settings(spec, q, methods, master_seed, grid, level, workers):
         # the row rule does not depend on the input width
         tuning_plan(grid, _split_rows(spec.n), Z_DIM)
     _check_seed(master_seed)
-    return methods, grid, level
 
-
-def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
-                   grid=None, with_ci=True, level=0.95, align_m=False,
-                   workers=1):
-    """Run q replicates of `spec` and aggregate per-method metrics.
-
-    grid defaults to scenario_grid(spec.case, spec.n); pass a list of
-    TrainConfig to override (a single-entry list skips tuning). Replicates
-    that fail to train are dropped with a warning; more than 10% failures
-    aborts. `check_settings` checks the settings first; a ConfigError
-    from any replicate is raised as it is. The ExperimentReport holds
-    `spec` itself and the grid as a list.
-    workers > 1 runs replicates in min(workers, q, usable CPUs)
-    processes; aggregation is in replicate order, so results are identical.
-    """
-    methods, grid, level = check_settings(spec, q, methods, master_seed,
-                                          grid, level, workers)
     args = [(spec, r, methods, master_seed, grid, with_ci, level, align_m)
             for r in range(q)]
     rows, failures = [], 0

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import network as net
 from .errors import ConfigError, DataError, TrainingError
-from .quantile_loss import mean_check_loss, validate_tau
+from .quantile_loss import check_score, mean_check_loss, validate_tau
 from .rng import _check_int, split
 
 ADAM_BETA1 = 0.9
@@ -254,14 +254,15 @@ def _views(flat, flat_grad, shapes, widths):
 
 def _losses(resid, tau):
     """Each row's loss and its slope in the prediction: the check loss
-    resid * w, w = tau - (resid < 0), with slope -w at a tau, and squared
-    error with slope -2 resid for tau None."""
+    resid * w, w = check_score(resid, tau), with slope -w at a tau, and
+    squared error with slope -2 resid for tau None."""
     if tau is None:
         return resid ** 2, -2.0 * resid
-    weight = tau - (resid < 0.0)
+    weight = check_score(resid, tau)
     return resid * weight, -weight
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_stack(ys, x, z, configs, rngs, tau=None):
     """Minibatch-Adam fits of y_k ~ x @ theta_k + net_k(z), k < K, in lockstep.
 

@@ -1,8 +1,8 @@
 """Check (pinball) loss: the objective kernel of quantile regression.
 
-For quantile level tau in (0, 1),
+For quantile level tau in (0, 1), the check loss
 
-    rho_tau(t) = t * (tau - 1{t < 0})
+    rho_tau(t) = t * psi_tau(t),   with score psi_tau(t) = tau - 1{t < 0},
 
 is nonnegative, equals tau*t for t >= 0 and (tau-1)*t for t < 0, and its
 population minimizer over a constant predictor is the tau-quantile.
@@ -22,11 +22,16 @@ def validate_tau(tau):
     return float(tau)
 
 
+def check_score(t, tau):
+    """psi_tau(t) = tau - 1{t < 0}, the score of rho_tau (Koenker 2005)."""
+    return tau - (t < 0.0)
+
+
 def check_loss(t, tau):
     """rho_tau(t); vectorized over t."""
     tau = validate_tau(tau)
     t = np.asarray(t, dtype=float)
-    out = t * (tau - (t < 0.0))
+    out = t * check_score(t, tau)
     return float(out) if out.ndim == 0 else out
 
 

@@ -19,7 +19,7 @@ X.T @ diag(d) @ X, for the two steps.
 import numpy as np
 
 from .errors import DataError, SingularMatrixError, TrainingError
-from .quantile_loss import validate_tau
+from .quantile_loss import check_score, validate_tau
 
 MAX_ITERATIONS = 100
 # The loop stops once the duality gap is below GAP_TOL times the check
@@ -76,7 +76,7 @@ def rq(X, y, tau):
         s = 1.0 - a
         gap = float(a @ z + s @ w)
         resid = y - X @ beta
-        loss = float(resid @ (tau - (resid < 0.0)))
+        loss = float(resid @ check_score(resid, tau))
         if gap <= GAP_TOL * (loss + size) or loss == 0.0:
             return beta, a
         d = 1.0 / (z / a + w / s)

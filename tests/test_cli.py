@@ -18,6 +18,7 @@ from dplqr import experiment
 from dplqr import network
 from dplqr import optimizer
 from dplqr.cli import _OPTIONS, build_parser, main
+from dplqr.dgp import DgpSpec, generate
 from dplqr.errors import (ConfigError, DataError, DplqrError,
                           SingularMatrixError, TrainingError)
 from dplqr.model import Dataset, predict_batch
@@ -240,6 +241,22 @@ class TestFitCommand:
         assert capsys.readouterr().err == (
             "error:data: Wald intervals need at least 10 rows, got 7\n")
         assert os.listdir(tmp_path) == ["train.csv"]
+
+    def test_failed_fit_prints_one_line(self, tmp_path, capsys, recwarn):
+        # a learning rate of 1e300 overflows the first gradient: the
+        # kernel catches it, and numpy says nothing of the overflow
+        data = generate(DgpSpec(case=1, n=200), make_rng(8284))
+        names = ["y", "x1", "x2"] + [f"z{k + 1}" for k in range(data.q)]
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.column_stack([data.y, data.x, data.z]),
+                   delimiter=",", header=",".join(names), comments="")
+        argv = ["fit", "--data", str(path), "--y", "y", "--x", "x1,x2",
+                "--z", ",".join(names[3:]), "--lr", "1e300", "--epochs", "3",
+                "--out", str(tmp_path / "model.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error:training: non-finite gradient in adam_step\n")
+        assert len(recwarn) == 0
 
     def test_too_small_tuning_split_is_one_data_error(self, tmp_path,
                                                       capsys, monkeypatch,
@@ -796,6 +813,35 @@ class TestSimulateCommand:
             (keys / "report.json").read_bytes()
         assert json.loads((keys / "report.json").read_text())["align_m"]
 
+    def test_aborted_study_leaves_no_out_dir(self, tmp_path, capsys):
+        # every replicate fails to train: the study aborts, and the
+        # directory, made only for a finished report, is never made
+        out_dir = tmp_path / "sim"
+        with pytest.warns(UserWarning, match="replicate 0 failed"):
+            code = main(["simulate", "--case", "1", "--n", "100",
+                         "--replicates", "1", "--methods", "dplqr",
+                         "--seed", "8282", "--lr", "1e300", "--epochs", "2",
+                         "--patience", "2", "--minibatch", "16", "--no-ci",
+                         "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error:training: 1 of 1 replicates failed; aborting\n")
+        assert not out_dir.exists()
+
+    def test_settings_are_checked_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return optimizer.tuning_plan(*args)
+        monkeypatch.setattr(experiment, "tuning_plan", counted)
+        assert main(["simulate", "--case", "1", "--n", "100",
+                     "--replicates", "1", "--methods", "dplqr", "--seed",
+                     "8283", "--epochs", "2", "--patience", "2",
+                     "--minibatch", "16", "--no-ci",
+                     "--out-dir", str(tmp_path / "sim")]) == 0
+        assert len(calls) == 1
+
     def test_invalid_case_is_config_error(self, tmp_path, capsys):
         code = main(["simulate", "--case", "9", "--n", "200",
                      "--replicates", "1", "--out-dir", str(tmp_path)])
@@ -1078,13 +1124,14 @@ class TestFileErrors:
     @pytest.mark.parametrize("given", ["flag", "config"])
     def test_simulate_out_dir_naming_a_file(self, given, tmp_path, capsys,
                                             monkeypatch):
-        # the directory is made before the replicates run, so none trains
+        # a file in the way is refused before the replicates run, so a
+        # study that trains trains nothing
         self._no_training(monkeypatch)
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
         argv = ["simulate", "--case", "1", "--n", "100", "--replicates",
-                "1", "--methods", "lqr", "--epochs", "2", "--patience", "2",
-                "--minibatch", "32", "--no-ci"]
+                "1", "--methods", "dplqr", "--epochs", "2", "--patience",
+                "2", "--minibatch", "32", "--no-ci"]
         if given == "flag":
             argv += ["--out-dir", str(taken)]
         else:

@@ -288,7 +288,6 @@ class TestCovariance:
         with pytest.raises(ConfigError):
             covariance(fitted, data, cfg, make_rng(7), level=1.5)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lowest_index_failing_projection_is_raised(self):
         # X_0 overflows its squared loss at the end of epoch 1; X_1
         # overflows its first gradient, earlier in that epoch. Fitting

@@ -533,7 +533,6 @@ class TestTune:
         assert a is grid[grid.index(a)]
         assert a == b
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failing_member_leaves_the_others_unchanged(self, monkeypatch):
         # a learning rate of 1e300 makes one stacked candidate's loss
         # non-finite: tune warns and picks what fitting each candidate

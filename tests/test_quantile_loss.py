@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dplqr.errors import ConfigError, DataError
-from dplqr.quantile_loss import check_loss, mean_check_loss, validate_tau
+from dplqr.quantile_loss import (check_loss, check_score, mean_check_loss,
+                                 validate_tau)
 
 
 def test_check_loss_hand_values():
@@ -13,6 +14,14 @@ def test_check_loss_hand_values():
     assert_allclose(check_loss(-1.0, 0.2), 0.8)
     assert check_loss(0.0, 0.3) == 0.0
     assert_allclose(check_loss(2.0, 0.9), 1.8)
+
+
+def test_check_score_is_the_slope_of_the_loss():
+    # psi_tau(t) = tau - 1{t < 0}: tau at 0 and above, tau - 1 below, and
+    # rho_tau(t) = t * psi_tau(t) exactly
+    t = np.array([-2.0, -1e-300, 0.0, 3.0])
+    assert check_score(t, 0.3).tolist() == [0.3 - 1.0, 0.3 - 1.0, 0.3, 0.3]
+    assert check_loss(t, 0.3).tolist() == (t * check_score(t, 0.3)).tolist()
 
 
 def test_check_loss_nonnegative():

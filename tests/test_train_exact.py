@@ -362,7 +362,6 @@ def test_stack_members_must_share_network_and_minibatch():
                         [make_rng(0), make_rng(1)], 0.5)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failing_members_leave_the_others_unchanged():
     # squared error on targets near the float limit: member 1's gradient
     # overflows in its first step, member 2's loss at the end of epoch 1;
@@ -386,7 +385,6 @@ def test_failing_members_leave_the_others_unchanged():
                                train_joint(ys[k], x, z, config, make_rng(k)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_stack_whose_every_gradient_overflows_fails_as_alone():
     # squared error on targets near the float limit: every member's
     # gradient overflows in its first step, so every member is frozen

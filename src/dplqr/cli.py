@@ -306,7 +306,7 @@ def cmd_simulate(args):
               encoding="utf-8") as handle:
         handle.write(text)
     payload = _jsonable(report)
-    payload.update(schema_version=2, command="simulate")
+    payload.update(schema_version=3, command="simulate")
     write_json(os.path.join(args.out_dir, "report.json"), payload)
     print(text, end="")
     print(f"wrote report.csv, report.txt, report.json to {args.out_dir}")

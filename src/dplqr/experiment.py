@@ -20,7 +20,6 @@ order, so adding or dropping a method never perturbs the others.
 
 import csv
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +97,7 @@ class ExperimentReport:
     grid: list
     theta_true: np.ndarray
     q_requested: int
-    failures: int
+    failures: list  # {"replicate": r, "error": reason}, in replicate order
     master_seed: int
     level: float
     with_ci: bool
@@ -195,12 +194,11 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
     workers, the methods, the level, the grid, which may not be empty
     and which `tuning_plan` checks once against the 80% of spec.n rows a
     replicate trains on (lqr alone tunes nothing), and the master seed.
-    A settings error, like a ConfigError from any replicate, is raised
-    as it is. Replicates that fail to train are dropped with a warning;
-    more than 10% failures aborts. The ExperimentReport holds `spec`
-    itself and the grid as a list.
-    workers > 1 runs replicates in min(workers, q, usable CPUs)
-    processes; aggregation is in replicate order, so results are identical.
+    A settings error, like a ConfigError from any replicate, is raised.
+    A replicate that fails to train is recorded in `failures`; when more
+    than 10% fail, one TrainingError names the first. workers > 1 runs
+    replicates in min(workers, q, usable CPUs) processes; aggregation is
+    in replicate order, so results, failures included, are identical.
     """
     _check_int(q, "q")
     _check_int(workers, "workers")
@@ -224,7 +222,7 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
 
     args = [(spec, r, methods, master_seed, grid, with_ci, level, align_m)
             for r in range(q)]
-    rows, failures = [], 0
+    rows, failures = [], []
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -236,13 +234,13 @@ def run_experiment(spec, q, methods=("dplqr",), master_seed=0, *,
         outcomes = [_try_replicate(a) for a in args]
     for r, outcome in enumerate(outcomes):
         if isinstance(outcome, str):
-            warnings.warn(f"replicate {r} failed: {outcome}")
-            failures += 1
+            failures.append({"replicate": r, "error": outcome})
         else:
             rows.extend(outcome)
-    if failures > 0.1 * q:
+    if len(failures) > 0.1 * q:
         raise TrainingError(
-            f"{failures} of {q} replicates failed; aborting")
+            f"{len(failures)} of {q} replicates failed; replicate"
+            f" {failures[0]['replicate']}: {failures[0]['error']}")
 
     theta_star = true_theta(spec)
     summaries = {}
@@ -303,7 +301,7 @@ def report_to_text(report):
     `report_to_csv` values, with "." where the CSV has no row."""
     spec = report.spec
     header = (f"case {spec.case}  n={spec.n}  tau={spec.tau:g}  "
-              f"Q={report.q_requested}  failures={report.failures}  "
+              f"Q={report.q_requested}  failures={len(report.failures)}  "
               f"seed={report.master_seed}")
     # column -> the CSV (metric, coefficient) it shows
     cells = {"bias1": ("bias", 1), "sd1": ("sd", 1),

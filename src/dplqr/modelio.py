@@ -239,10 +239,11 @@ def _network_to_dict(params):
 
 
 def _finite(values, name):
-    """values as a float array; null (read as NaN) or inf raise DataError."""
-    array = np.array(values, dtype=float)
+    """values as a float array; null, text, bool or inf raises DataError."""
+    array = np.array([v if type(v) in (int, float) else np.nan
+                      for v in values], dtype=float)
     if not np.all(np.isfinite(array)):
-        raise DataError(f"model {name} holds a null or non-finite entry")
+        raise DataError(f"model {name} holds a null, text, a bool or inf")
     return array
 
 
@@ -332,7 +333,8 @@ def model_from_dict(payload):
                             f" got {cols!r}")
         roles = ColumnRoles(cols["y"], list(cols["x"]), list(cols["z"]))
         scaling = _scaling_from_dict(payload["scaling"])
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise DataError(f"malformed model file: {exc!r}") from None
     _check_dims(fit, payload["x_dim"], payload["z_dim"], roles, scaling)
     return fit, roles, scaling

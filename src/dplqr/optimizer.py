@@ -43,7 +43,6 @@ together yet.
 
 import math
 import numbers
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -562,11 +561,12 @@ def tune(grid, data, tau, rng):
     alone. A bad tau raises ConfigError. `tuning_plan` checks each
     candidate by the rule of a fit on the 80% split, so too small a
     split raises DataError and a minibatch above 80% of it ConfigError.
-    All come before the rng is drawn from. Each candidate fails alone:
-    one that fails to train is skipped with a warning, and if all fail,
-    a TrainingError is raised. A grid of one distinct candidate is
-    returned as-is without consuming the rng. The exact linear
-    baseline, which trains nothing, is never tuned (`model.fit_lqr`).
+    All come before the rng is drawn from. A candidate that fails to
+    train loses silently, as one whose score is not finite does; if all
+    lose, one TrainingError names the lowest grid entry that failed to
+    train and its error. A grid of one distinct candidate is returned
+    as-is without consuming the rng. The exact linear baseline, which
+    trains nothing, is never tuned (`model.fit_lqr`).
     """
     from .model import fit, residuals
 
@@ -593,14 +593,14 @@ def tune(grid, data, tau, rng):
                 except TrainingError as exc:
                     fitted[k] = exc
 
-    best_config, best_loss = None, np.inf
+    best_config, best_loss, failure = None, np.inf, ""
     for k in sorted(fitted):  # grid order, so ties go to the earlier entry
         if isinstance(fitted[k], TrainingError):
-            warnings.warn(f"tuning candidate {grid[k]} failed: {fitted[k]}")
+            failure = failure or f"; grid entry {k}, {grid[k]}: {fitted[k]}"
             continue
         score = mean_check_loss(residuals(fitted[k], val_data), tau)
         if np.isfinite(score) and score < best_loss:
             best_config, best_loss = grid[k], score
     if best_config is None:
-        raise TrainingError("every tuning candidate failed to train")
+        raise TrainingError("every tuning candidate failed to train" + failure)
     return best_config

@@ -150,7 +150,7 @@ def test_criterion_04_coverage(capsys):
     ok = 0.85 <= cover1 <= 1.00
     _verdict(capsys, 4, "coverage", ok,
              f"theta1 coverage {cover1:.3f} in [0.85, 1.00]"
-             f" (Q=40, seed 1, failures {report.failures})")
+             f" (Q=40, seed 1, failures {len(report.failures)})")
 
 
 # ---------------------------------------------------------------- 5, 6

@@ -258,6 +258,28 @@ class TestFitCommand:
             "error:training: non-finite gradient in adam_step\n")
         assert len(recwarn) == 0
 
+    def test_failed_grid_fit_prints_one_line(self, tmp_path, capsys,
+                                             recwarn):
+        # both candidates overflow their first gradient: tune says so in
+        # the one error line, naming the first grid entry, and warns of
+        # neither
+        data = generate(DgpSpec(case=1, n=200), make_rng(8287))
+        names = ["y", "x1", "x2"] + [f"z{k + 1}" for k in range(data.q)]
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.column_stack([data.y, data.x, data.z]),
+                   delimiter=",", header=",".join(names), comments="")
+        argv = ["fit", "--data", str(path), "--y", "y", "--x", "x1,x2",
+                "--z", ",".join(names[3:]), "--lr", "1e300,1e299",
+                "--epochs", "3", "--out", str(tmp_path / "model.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:training: every tuning candidate failed"
+                              " to train; grid entry 0, TrainConfig(")
+        assert "learning_rate=1e+300): non-finite gradient" in err
+        assert err.count("\n") == 1
+        assert len(recwarn) == 0
+        assert not (tmp_path / "model.json").exists()
+
     def test_too_small_tuning_split_is_one_data_error(self, tmp_path,
                                                       capsys, monkeypatch,
                                                       recwarn):
@@ -669,13 +691,24 @@ class TestPredictCommand:
         (_malformed(lambda m: m.update(tau=7)), "tau"),
         (_malformed(lambda m: m["columns"]["z"].__setitem__(0, "x1")),
          "['x1'] given more than one role"),
+        # numbers written as JSON text or booleans, and an integer too
+        # large for a float
+        (_malformed(lambda m: m["network"]["layers"][1].__setitem__(
+            0, "0.2")), "layer 1 holds a null, text"),
+        (_malformed(lambda m: m.update(theta=[True, -1.0])), "theta"),
+        (_malformed(lambda m: m.update(scaling={
+            "x_low": [0.0, 0.0], "x_span": [1.0, 1.0],
+            "z_low": ["0", "0"], "z_span": [1.0, 1.0]})), "scaling z_low"),
+        (_malformed(lambda m: m["theta"].__setitem__(0, 10 ** 400)),
+         "malformed"),
     ], ids=["list", "only-version", "no-network", "unknown-mode",
             "short-layer", "missing-layer", "short-theta", "dnqr-theta",
             "missing-network", "wide-input", "text-theta", "short-columns",
             "short-scaling", "zero-hidden-width", "x-only-without-network",
             "null-weight", "null-theta", "null-scaling", "zero-span",
             "fractional-x-dim", "fractional-width", "tau-outside",
-            "column-two-roles"])
+            "column-two-roles", "text-weight", "bool-theta", "text-scaling",
+            "huge-int-theta"])
     def test_malformed_model_is_data_error(self, payload, says, train_csv,
                                            tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -702,8 +735,9 @@ class TestSimulateCommand:
             assert (out_dir / name).exists(), name
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["command"] == "simulate"
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["q_requested"] == 2
+        assert payload["failures"] == []
         assert "dplqr" in payload["methods"]
         # the report as it stands, with only the header added
         report_fields = {f.name for f in fields(experiment.ExperimentReport)}
@@ -813,20 +847,43 @@ class TestSimulateCommand:
             (keys / "report.json").read_bytes()
         assert json.loads((keys / "report.json").read_text())["align_m"]
 
-    def test_aborted_study_leaves_no_out_dir(self, tmp_path, capsys):
-        # every replicate fails to train: the study aborts, and the
+    def test_aborted_study_leaves_no_out_dir(self, tmp_path, capsys,
+                                             recwarn):
+        # every replicate fails to train: the study aborts with one line
+        # that names the first failed replicate and why, and the
         # directory, made only for a finished report, is never made
         out_dir = tmp_path / "sim"
-        with pytest.warns(UserWarning, match="replicate 0 failed"):
-            code = main(["simulate", "--case", "1", "--n", "100",
-                         "--replicates", "1", "--methods", "dplqr",
-                         "--seed", "8282", "--lr", "1e300", "--epochs", "2",
-                         "--patience", "2", "--minibatch", "16", "--no-ci",
-                         "--out-dir", str(out_dir)])
+        code = main(["simulate", "--case", "1", "--n", "100",
+                     "--replicates", "1", "--methods", "dplqr",
+                     "--seed", "8282", "--lr", "1e300", "--epochs", "2",
+                     "--patience", "2", "--minibatch", "16", "--no-ci",
+                     "--out-dir", str(out_dir)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error:training: 1 of 1 replicates failed; aborting\n")
+            "error:training: 1 of 1 replicates failed; replicate 0:"
+            " TrainingError: non-finite gradient in adam_step\n")
+        assert len(recwarn) == 0
         assert not out_dir.exists()
+
+    def test_study_with_a_diverging_candidate_is_silent(self, tmp_path,
+                                                        capfd):
+        # lr 1e300 fails in every replicate and loses to lr 0.01 there;
+        # the study succeeds and, in the worker processes too, says
+        # nothing on stderr; its report does not depend on the workers
+        def study(workers):
+            out_dir = tmp_path / f"workers{workers}"
+            assert main(["simulate", "--case", "1", "--n", "100",
+                         "--replicates", "2", "--workers", str(workers),
+                         "--methods", "dplqr", "--seed", "8288",
+                         "--lr", "0.01,1e300", "--epochs", "5",
+                         "--patience", "5", "--minibatch", "16", "--no-ci",
+                         "--out-dir", str(out_dir)]) == 0
+            assert capfd.readouterr().err == ""
+            return (out_dir / "report.json").read_bytes()
+        parallel = study(2)
+        assert parallel == study(1)
+        report = json.loads(parallel)
+        assert (report["schema_version"], report["failures"]) == (3, [])
 
     def test_settings_are_checked_once(self, tmp_path, monkeypatch):
         calls = []

@@ -49,7 +49,7 @@ class TestRunExperiment:
         report = run_experiment(spec, 3, methods=("dplqr",), master_seed=0,
                                 grid=_FAST, with_ci=False)
         assert report.q_requested == 3
-        assert report.failures == 0
+        assert report.failures == []
         assert set(report.methods) == {"dplqr"}
         summary = report.methods["dplqr"]
         assert summary.replicates == 3
@@ -185,16 +185,50 @@ class TestRunExperiment:
         assert sizes == [2]
         assert report.methods["dplqr"].replicates == 4
 
-    def test_failure_abort(self, monkeypatch):
-        # every replicate failing to train trips the 10% abort rule
+    def test_failure_abort(self, monkeypatch, recwarn):
+        # every replicate failing to train trips the 10% abort rule: one
+        # error names the first failed replicate and why, with no warning
         def diverge(*args):
             raise TrainingError("loss is not finite")
         monkeypatch.setattr(experiment, "_run_replicate", diverge)
         spec = DgpSpec(case=1, n=100, tau=0.5)
-        with pytest.raises(TrainingError, match="2 of 2 replicates failed"):
-            with pytest.warns(UserWarning, match="loss is not finite"):
-                run_experiment(spec, 2, master_seed=0, grid=_FAST,
+        with pytest.raises(TrainingError, match=(
+                "^2 of 2 replicates failed; replicate 0: TrainingError:"
+                " loss is not finite$")):
+            run_experiment(spec, 2, master_seed=0, grid=_FAST,
+                           with_ci=False)
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("failing", [{6}, {7, 2}])
+    def test_ten_percent_of_replicates_may_fail(self, monkeypatch, failing):
+        # of 10 replicates one may fail: it is recorded with its reason
+        # and the other 9 are summarized; a second failure aborts, naming
+        # the lower of the two
+        def some_diverge(spec, r, *args):
+            if r in failing:
+                raise TrainingError(f"replicate {r} diverged")
+            return run_replicate(spec, r, *args)
+        run_replicate = experiment._run_replicate
+        monkeypatch.setattr(experiment, "_run_replicate", some_diverge)
+        spec = DgpSpec(case=1, n=100, tau=0.5)
+        grid = [TrainConfig(depth=1, width=2, epochs=3, minibatch=40,
+                            early_stop_patience=3)]
+        if len(failing) > 1:
+            with pytest.raises(TrainingError, match=(
+                    "^2 of 10 replicates failed; replicate 2: TrainingError:"
+                    " replicate 2 diverged$")):
+                run_experiment(spec, 10, master_seed=8289, grid=grid,
                                with_ci=False)
+            return
+        report = run_experiment(spec, 10, master_seed=8289, grid=grid,
+                                with_ci=False)
+        assert report.failures == [
+            {"replicate": 6, "error": "TrainingError: replicate 6 diverged"}]
+        assert [row.replicate for row in report.replicates] == [
+            0, 1, 2, 3, 4, 5, 7, 8, 9]
+        assert report.methods["dplqr"].replicates == 9
+        assert report_to_text(report).startswith(
+            "case 1  n=100  tau=0.5  Q=10  failures=1  seed=8289\n")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_settings_error_is_not_a_failed_replicate(self, workers):

@@ -503,9 +503,10 @@ class TestTune:
         assert tune(grid, Dataset(data.y, data.x, None), 0.5,
                     rng=make_rng(0)) is grid[0]
 
-    def test_kept_candidates_keep_their_streams(self, monkeypatch):
+    def test_kept_candidates_keep_their_streams(self, monkeypatch, recwarn):
         # children are split over the full grid, so skipping the
-        # duplicate at position 1 leaves position 2 its own stream
+        # duplicate at position 1 leaves position 2 its own stream; when
+        # both kept candidates fail, one error names the first, unwarned
         drawn = []
 
         def record(ys, x, z, configs, rngs, tau=None):
@@ -517,8 +518,11 @@ class TestTune:
         grid = [TrainConfig(depth=2, width=w, epochs=3, minibatch=32,
                             learning_rate=lr)
                 for w, lr in ((4, 0.01), (8, 0.01), (4, 0.02))]
-        with pytest.warns(UserWarning), pytest.raises(TrainingError):
+        with pytest.raises(TrainingError, match=(
+                "^every tuning candidate failed to train; grid entry 0, "
+                r"TrainConfig\(depth=2, width=4, .*\): stop$")):
             tune(grid, data, 0.5, rng=make_rng(0))
+        assert len(recwarn) == 0
         rng = make_rng(0)
         _holdout_split(data.n, rng)
         children = split(rng, len(grid))
@@ -533,16 +537,18 @@ class TestTune:
         assert a is grid[grid.index(a)]
         assert a == b
 
-    def test_failing_member_leaves_the_others_unchanged(self, monkeypatch):
+    def test_failing_member_leaves_the_others_unchanged(self, monkeypatch,
+                                                         recwarn):
         # a learning rate of 1e300 makes one stacked candidate's loss
-        # non-finite: tune warns and picks what fitting each candidate
-        # alone on its child stream picks, from the same bytes
+        # non-finite: that candidate loses silently, and tune picks what
+        # fitting each candidate alone on its child stream picks, from
+        # the same bytes
         data = self._data(n=200, seed=3)
         grid = [TrainConfig(depth=2, width=4, epochs=30, minibatch=32,
                             early_stop_patience=30, learning_rate=lr)
                 for lr in (0.003, 1e300, 0.02)]
-        with pytest.warns(UserWarning, match="failed: non-finite"):
-            picked = tune(grid, data, 0.5, make_rng(4))
+        picked = tune(grid, data, 0.5, make_rng(4))
+        assert len(recwarn) == 0
 
         def streams():
             rng = make_rng(4)

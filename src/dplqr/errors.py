@@ -26,8 +26,8 @@ class DataError(DplqrError):
 
 
 class TrainingError(DplqrError):
-    """Optimization failed: non-finite losses or gradients, or too many
-    failed replicates in an experiment."""
+    """Optimization failed: a non-finite loss, or too many failed
+    replicates in an experiment."""
 
     category = "training"
 

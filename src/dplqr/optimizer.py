@@ -29,10 +29,9 @@ call that would train it alone, so every fit still passes through
 byte for byte those of training it alone: every product is a stacked
 `np.matmul`, which runs per member the BLAS call a lone network runs,
 losses are reduced along each member's own row, and Adam is elementwise
-(`tests/test_train_exact.py` pins this). Members leave the stack only at
-the end of an epoch: one whose gradient turns non-finite is frozen until
-then and leaves with the epoch's other leavers; the others' bytes do not
-change.
+(`tests/test_train_exact.py` pins this). A member leaves the stack only
+at the end of an epoch, when it halts or when its training or validation
+loss is not finite; the others' bytes do not change.
 A step costs per-call numpy overhead more than arithmetic, and a stack
 shares that overhead: a scenario grid's pair of tuning candidates trains
 in about 0.7 of the time of training the two one by one on case 1's
@@ -163,15 +162,14 @@ def adam_step(state, param, grad, lr):
 
     `param` may be a stack's (K, P) flat vector, with `lr` a (K, 1)
     array of the members' learning rates; the update is elementwise, so
-    each member's row gets the bits of its own update.
+    each member's row gets the bits of its own update, and a non-finite
+    gradient entry turns that parameter entry NaN and no other.
     """
     grad = np.asarray(grad, dtype=float)
     if not grad.shape == param.shape == state.first_moment.shape:
         raise ConfigError(
             f"adam_step: gradient {grad.shape}, parameter {param.shape}"
             f" and moment {state.first_moment.shape} shapes differ")
-    if not np.isfinite(grad).all():
-        raise TrainingError("non-finite gradient in adam_step")
     state.step_count += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step_count
     c2 = 1.0 - ADAM_BETA2 ** state.step_count
@@ -305,10 +303,9 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     made before epoch 1, records its losses and decides when it halts
     (`_record_epoch`). Members leave only at the end of an epoch, in one
     pass, and draw nothing more: one that halts keeps the parameters of
-    its halt; one whose gradient turned non-finite fails with that error,
-    frozen (gradient row and learning rate zeroed) for the rest of the
-    epoch; one whose training or validation loss is not finite fails
-    before the epoch is recorded. The others' bytes do not change.
+    its halt; one whose training or validation loss is not finite fails
+    before the epoch is recorded (a non-finite gradient turns its member's
+    parameters, so all its outputs, NaN). The others' bytes do not change.
     """
     ys = np.asarray(ys, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -370,7 +367,6 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
         y_ord = ys[rows, order]
         x_ord, z_ord = np.take(x, order, axis=0), np.take(z, order, axis=0)
         tr_sum = np.zeros(len(members))
-        failed = {}  # stack position -> the error that stops it
         for start in range(0, n_tr, minibatch):
             stop = start + minibatch
             xb, zb = x_ord[:, start:stop], z_ord[:, start:stop]
@@ -386,17 +382,7 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
                 np.matmul(xb.swapaxes(-1, -2), upstream[..., None],
                           out=grad_theta)
             net.backward_batch(params, zb, upstream, acts, grad_layers)
-            try:
-                adam_step(state, flat, flat_grad, lr)
-            except TrainingError as exc:
-                # freeze the members whose gradient is not finite until the
-                # epoch ends: Adam is elementwise, so lr 0 leaves them as is
-                bad = ~np.isfinite(flat_grad).all(axis=1)
-                for pos in np.flatnonzero(bad).tolist():
-                    failed.setdefault(pos, exc)
-                flat_grad[bad] = 0.0
-                lr[bad] = 0.0
-                adam_step(state, flat, flat_grad, lr)
+            adam_step(state, flat, flat_grad, lr)
 
         val_resid = val_y - ((val_x @ theta)[..., 0]
                              + net.forward_batch(params, val_z, acts))
@@ -405,11 +391,9 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
                 members, (tr_sum / n_tr).tolist(),
                 np.mean(_losses(val_resid, tau)[0], axis=-1).tolist())):
             if not (math.isfinite(tr_loss) and math.isfinite(val_loss)):
-                failed.setdefault(pos, TrainingError(
+                results[member] = TrainingError(
                     f"non-finite loss at epoch {epoch}; try a lower"
-                    f" learning rate"))
-            if pos in failed:
-                results[member] = failed[pos]
+                    f" learning rate")
             elif _record_epoch(histories[member], tr_loss, val_loss,
                                configs[member]):
                 own = _unflatten(flat[pos].copy(), shapes)
@@ -499,9 +483,9 @@ def train_joint(y, x, z, config, rng, tau=None):
     running loss of each epoch's steps. The returned parameters are the
     ones current when training halted; the history decides when to halt
     and records which epoch was best on validation. A non-finite
-    gradient, or a non-finite training or validation loss at the end of
-    an epoch, raises TrainingError. Inside a `train_ahead` block, a
-    member that block trained is handed out instead of trained again.
+    training or validation loss at the end of an epoch raises
+    TrainingError. Inside a `train_ahead` block, a member that block
+    trained is handed out instead of trained again.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:

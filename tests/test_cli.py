@@ -243,8 +243,9 @@ class TestFitCommand:
         assert os.listdir(tmp_path) == ["train.csv"]
 
     def test_failed_fit_prints_one_line(self, tmp_path, capsys, recwarn):
-        # a learning rate of 1e300 overflows the first gradient: the
-        # kernel catches it, and numpy says nothing of the overflow
+        # a learning rate of 1e300 overflows the first gradient, which
+        # turns the parameters NaN: the fit fails when epoch 1's loss is
+        # not finite, and numpy says nothing of the overflow
         data = generate(DgpSpec(case=1, n=200), make_rng(8284))
         names = ["y", "x1", "x2"] + [f"z{k + 1}" for k in range(data.q)]
         path = tmp_path / "d.csv"
@@ -255,14 +256,15 @@ class TestFitCommand:
                 "--out", str(tmp_path / "model.json")]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "error:training: non-finite gradient in adam_step\n")
+            "error:training: non-finite loss at epoch 1; try a lower"
+            " learning rate\n")
         assert len(recwarn) == 0
 
     def test_failed_grid_fit_prints_one_line(self, tmp_path, capsys,
                                              recwarn):
-        # both candidates overflow their first gradient: tune says so in
-        # the one error line, naming the first grid entry, and warns of
-        # neither
+        # both candidates overflow their first gradient and fail at the
+        # end of epoch 1: tune says so in the one error line, naming the
+        # first grid entry, and warns of neither
         data = generate(DgpSpec(case=1, n=200), make_rng(8287))
         names = ["y", "x1", "x2"] + [f"z{k + 1}" for k in range(data.q)]
         path = tmp_path / "d.csv"
@@ -275,7 +277,7 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:training: every tuning candidate failed"
                               " to train; grid entry 0, TrainConfig(")
-        assert "learning_rate=1e+300): non-finite gradient" in err
+        assert "learning_rate=1e+300): non-finite loss at epoch 1;" in err
         assert err.count("\n") == 1
         assert len(recwarn) == 0
         assert not (tmp_path / "model.json").exists()
@@ -861,7 +863,8 @@ class TestSimulateCommand:
         assert code == 2
         assert capsys.readouterr().err == (
             "error:training: 1 of 1 replicates failed; replicate 0:"
-            " TrainingError: non-finite gradient in adam_step\n")
+            " TrainingError: non-finite loss at epoch 1; try a lower"
+            " learning rate\n")
         assert len(recwarn) == 0
         assert not out_dir.exists()
 

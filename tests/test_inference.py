@@ -289,20 +289,24 @@ class TestCovariance:
             covariance(fitted, data, cfg, make_rng(7), level=1.5)
 
     def test_lowest_index_failing_projection_is_raised(self):
-        # X_0 overflows its squared loss at the end of epoch 1; X_1
-        # overflows its first gradient, earlier in that epoch. Fitting
-        # them in order meets X_0's error first, and so does the stack
+        # one Adam step an epoch at a learning rate of 1.5e76: X_0's
+        # squared loss first overflows at the end of epoch 2; X_1, near
+        # the float limit, overflows in epoch 1. Fitting them in order
+        # meets X_0's error first, and so does the stack, though X_1
+        # failed at an earlier epoch
         fitted, data, cfg = self._fitted(n=100)
+        cfg = replace(cfg, minibatch=80, learning_rate=1.5e76)
         fitted = replace(fitted, theta_hat=np.zeros(2))
         spread = 1.0 + np.random.default_rng(1).uniform(size=data.n)
-        bad = Dataset(data.y, np.column_stack([1e200 * spread,
+        bad = Dataset(data.y, np.column_stack([spread,
                                                1.5e308 * np.ones(data.n)]),
                       data.z)
         with pytest.raises(TrainingError) as raised:
             covariance(fitted, bad, cfg, make_rng(7))
-        assert str(raised.value).startswith("non-finite loss at epoch 1")
+        assert str(raised.value).startswith("non-finite loss at epoch 2;")
         children = split(make_rng(7), 2)
-        with pytest.raises(TrainingError, match="gradient"):
+        with pytest.raises(TrainingError,
+                           match="^non-finite loss at epoch 1;"):
             fit_projection(bad, 1, cfg, children[1])
         with pytest.raises(TrainingError) as alone:
             fit_projection(bad, 0, cfg, children[0])

@@ -175,8 +175,11 @@ class TestFit:
 
     def test_non_dataset_rejected(self):
         data = _toy_data(20)
+        rows = (data.y, data.x, data.z)
         with pytest.raises(DataError, match="^fit expects a Dataset$"):
-            fit((data.y, data.x, data.z), 0.5, TrainConfig(), make_rng(7501))
+            fit(rows, 0.5, TrainConfig(), make_rng(7501))
+        with pytest.raises(DataError, match="^fit_lqr expects a Dataset$"):
+            fit_lqr(rows, 0.5)
 
     def test_too_few_rows(self):
         data = Dataset(y=np.zeros(4), x=np.ones((4, 1)), z=None)

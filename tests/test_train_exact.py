@@ -364,7 +364,8 @@ def test_stack_members_must_share_network_and_minibatch():
 
 def test_failing_members_leave_the_others_unchanged():
     # squared error on targets near the float limit: member 1's gradient
-    # overflows in its first step, member 2's loss at the end of epoch 1;
+    # overflows in its first step, which turns its parameters NaN, and
+    # member 2's loss overflows; both fail at the end of epoch 1, and
     # members 0 and 3 train on as they would alone
     y, _, z = _problem(120, 0, 3, seed=5)
     x = np.zeros((120, 0))
@@ -373,8 +374,9 @@ def test_failing_members_leave_the_others_unchanged():
                          early_stop_patience=4, learning_rate=0.02)
     stacked = train_stack(ys, x, z, [config] * 4,
                           [make_rng(seed) for seed in range(4)])
-    assert "gradient" in str(stacked[1])
-    assert "loss at epoch 1" in str(stacked[2])
+    for k in (1, 2):
+        assert str(stacked[k]) == ("non-finite loss at epoch 1; try a lower"
+                                   " learning rate")
     for k in range(4):
         if k in (1, 2):
             with pytest.raises(TrainingError) as alone:
@@ -387,10 +389,10 @@ def test_failing_members_leave_the_others_unchanged():
 
 def test_a_stack_whose_every_gradient_overflows_fails_as_alone():
     # squared error on targets near the float limit: every member's
-    # gradient overflows in its first step, so every member is frozen
-    # until epoch 1 ends, when all leave and the call returns; each
-    # leaves with the error training it alone raises, and its rng drawn
-    # as far as training it alone draws it
+    # gradient overflows in its first step, so every member's loss is
+    # not finite when epoch 1 ends, when all leave and the call returns;
+    # each leaves with the error training it alone raises, and its rng
+    # drawn as far as training it alone draws it
     y, x, z = _problem(90, 2, 3, seed=4411)
     ys = np.stack([np.full(90, 1.5e308), 1.5e308 - y, np.full(90, -1.7e308)])
     configs = [TrainConfig(depth=2, width=5, epochs=10, minibatch=16,
@@ -405,8 +407,80 @@ def test_a_stack_whose_every_gradient_overflows_fails_as_alone():
             train_joint(ys[k], x, z, config, rng)
         assert isinstance(stacked[k], TrainingError)
         assert str(stacked[k]) == str(alone.value)
-        assert "gradient" in str(stacked[k])
+        assert str(stacked[k]).startswith("non-finite loss at epoch 1;")
         assert rngs[k].random() == rng.random()
+
+
+def test_a_nan_parameter_makes_every_output_nan():
+    # the fact the kernel's one failure rule rests on: a NaN in any
+    # single entry of theta or of a layer, weight or bias, turns every
+    # output NaN, so a member whose gradient turned non-finite fails at
+    # that epoch's validation pass. Hidden unit 0 is dead on every row
+    # and x's second column is all zero: a NaN multiplied by their
+    # zeros still reaches every output
+    rng = make_rng(8294)
+    x = np.column_stack([rng.normal(size=40), np.zeros(40)])
+    z = rng.normal(size=(40, 3))
+    params = init_params((3, 5, 4, 1), rng)
+    params.layers[0][0] = [0.0, 0.0, 0.0, -1.0]
+    shapes = [(2,)] + [layer.shape for layer in params.layers]
+    flat = np.concatenate([rng.normal(size=2)]
+                          + [layer.ravel() for layer in params.layers])
+
+    def outputs(vector):
+        theta, *layers = optimizer._unflatten(vector, shapes)
+        return x @ theta + forward_batch(NetworkParams(params.widths, layers),
+                                         z)
+
+    assert np.isfinite(outputs(flat)).all()
+    assert flat.size == 51
+    for pos in range(flat.size):
+        bad = flat.copy()
+        bad[pos] = np.nan
+        assert np.isnan(outputs(bad)).all(), pos
+
+
+def _nan_in_gradient(monkeypatch, pos, call):
+    """Make the kernel's `call`-th backward pass write NaN into the first
+    layer gradient of the member at stack position pos."""
+    calls = [0]
+    backward = optimizer.net.backward_batch
+
+    def poisoned(*args):
+        grads = backward(*args)
+        calls[0] += 1
+        if calls[0] == call:
+            grads[0][pos, 0, 0] = np.nan
+        return grads
+    monkeypatch.setattr(optimizer.net, "backward_batch", poisoned)
+
+
+def test_a_nan_gradient_fails_its_member_when_that_epoch_ends(monkeypatch):
+    # NaN in member 1's gradient at the last of epoch 2's four steps:
+    # member 1 fails when epoch 2 ends, as it does alone with the same
+    # NaN and with its rng drawn as far; the other members give the
+    # bytes they give alone
+    y, x, z = _problem(100, 2, 3, seed=8295)
+    ys = np.stack([y, y + np.sin(z[:, 0]), -y])
+    configs = [TrainConfig(depth=2, width=6, epochs=8, minibatch=20,
+                           early_stop_patience=8, learning_rate=lr)
+               for lr in (0.01, 0.02, 0.05)]
+    seeds = (8296, 8297, 8298)
+    rngs = [make_rng(seed) for seed in seeds]
+    with monkeypatch.context() as patch:
+        _nan_in_gradient(patch, 1, 2 * 4)
+        stacked = train_stack(ys, x, z, configs, rngs, 0.5)
+    with monkeypatch.context() as patch:
+        _nan_in_gradient(patch, 0, 2 * 4)
+        rng = make_rng(seeds[1])
+        with pytest.raises(TrainingError) as alone:
+            train_joint(ys[1], x, z, configs[1], rng, 0.5)
+    assert str(stacked[1]) == str(alone.value) == (
+        "non-finite loss at epoch 2; try a lower learning rate")
+    assert rngs[1].random() == rng.random()
+    for k in (0, 2):
+        _assert_same_bytes(stacked[k], train_joint(ys[k], x, z, configs[k],
+                                                   make_rng(seeds[k]), 0.5))
 
 
 def test_trained_ahead_members_are_handed_out_once(monkeypatch):

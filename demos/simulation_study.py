@@ -13,8 +13,9 @@ from dplqr.experiment import report_to_text, scenario_grid
 spec = DgpSpec(case=3, n=500, tau=0.5)
 
 # each replicate draws fresh data, carves an 80/20 train/test split,
-# tunes the networks' learning rate on a hold-out, fits each method (the
-# linear one exactly, with nothing to tune), and scores
+# fits each network method at both of the scenario's learning rates and
+# keeps the one with the lower validation loss as its fit (the linear
+# method is fitted exactly, with nothing to tune), and scores
 # coefficient error, interval coverage, function error, and prediction
 # error on the test fifth
 report = run_experiment(

@@ -5,7 +5,7 @@ Subcommands:
   fit       train a model on a CSV file, write model + report JSON
   predict   apply a saved model to a CSV file, write predictions CSV
   simulate  run a replicated benchmark experiment, write report files
-  tune      hold-out selection over a hyperparameter grid, print winner
+  tune      pick the best of a hyperparameter grid, print the winner
 
 Every command is deterministic given its inputs and --seed. Flags
 override matching keys of an optional JSON config file (--config).
@@ -230,9 +230,10 @@ def cmd_fit(args):
                         f" rows, got {data.n}")
     if args.mode == "lqr":  # the exact fit: nothing to tune or train
         best, fitted = grid[0], fit_lqr(data, args.tau)
-    else:
-        best = tune(grid, data, args.tau, tune_rng)
-        fitted = fit_model(data, args.tau, best, fit_rng)
+    else:  # the winner of a grid is its fit; a lone config is fitted
+        best, fitted = tune(grid, data, args.tau, tune_rng)
+        if fitted is None:
+            fitted = fit_model(data, args.tau, best, fit_rng)
 
     estimate = None
     if with_ci:
@@ -317,7 +318,7 @@ def cmd_tune(args):
     data, _, _, grid, streams = _fit_setup(args, out_required=False)
     # lqr tunes nothing; the rest tune on the stream fit tunes on
     best = (grid[0] if args.mode == "lqr"
-            else tune(grid, data, args.tau, streams[0]))
+            else tune(grid, data, args.tau, streams[0])[0])
     # the method asked for, which a dnqr tune trains as dplqr
     chosen = dict(_flag_settings(best), mode=args.mode)
     print(json_text(chosen), end="")
@@ -337,7 +338,8 @@ _COMMANDS = {
                  ("case", "n", "tau", "replicates", "methods", "seed",
                   "level", "workers", "out_dir", "no_ci", "align_m",
                   "sigma_x_terms")),
-    "tune": (cmd_tune, "hold-out selection over a hyperparameter grid",
+    "tune": (cmd_tune, "pick the best of a hyperparameter grid by each"
+                       " candidate's validation loss",
              _FIT_KEYS + ("out",)),
 }
 

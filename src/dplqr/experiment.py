@@ -2,8 +2,9 @@
 
 Each replicate draws a fresh dataset from a DgpSpec, splits it 80/20
 into train/test, fits every requested method on the training part (the
-network methods dplqr and dnqr after tuning; lqr is an exact solve that
-takes the grid's first entry), and scores:
+network methods dplqr and dnqr by `tune`, whose winning candidate is the
+fit; lqr is an exact solve that takes the grid's first entry), and
+scores:
 
   - theta_hat and (optionally) Wald interval coverage of the true
     coefficients,
@@ -143,9 +144,10 @@ def _run_replicate(spec, r, methods, master_seed, grid, with_ci, level,
         fit_train = _method_data(method, train)
         if method == "lqr":  # the exact fit: nothing to tune or train
             best, fitted = grid[0], fit_lqr(fit_train, spec.tau)
-        else:
-            best = tune(grid, fit_train, spec.tau, tune_rng)
-            fitted = fit(fit_train, spec.tau, best, fit_rng)
+        else:  # the winner of a grid is its fit; a lone config is fitted
+            best, fitted = tune(grid, fit_train, spec.tau, tune_rng)
+            if fitted is None:
+                fitted = fit(fit_train, spec.tau, best, fit_rng)
 
         intervals = covered = None
         if with_ci and fit_train.p:

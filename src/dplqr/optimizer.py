@@ -1,4 +1,4 @@
-"""Adam updates, minibatch scheduling, early stopping, and hold-out tuning.
+"""Adam updates, minibatch scheduling, early stopping, and tuning.
 
 The training engine here (`train_stack`) fits K independent models of
 the form
@@ -19,8 +19,10 @@ running mean of the losses its steps already computed, so no pass goes
 over the training rows again.
 
 What stacks follows from what fits share. `tune` trains the candidates
-it keeps as one stack per network and minibatch (one stack of two
-in the scenario grids), and `inference.covariance` trains its p
+it keeps on all the rows, as one stack per network and minibatch (one
+stack of two in the scenario grids); each candidate's own validation
+loss at its halt scores it, and the winner's fit is the fit, trained
+once. `inference.covariance` trains its p
 projections as one stack; `model.fit` and `train_joint` are the stack of
 one. The code that makes a stack enters `train_ahead` itself, which
 trains the stack and then hands each member out to the `train_joint`
@@ -31,7 +33,8 @@ byte for byte those of training it alone: every product is a stacked
 losses are reduced along each member's own row, and Adam is elementwise
 (`tests/test_train_exact.py` pins this). A member leaves the stack only
 at the end of an epoch, when it halts or when its training or validation
-loss is not finite; the others' bytes do not change.
+loss or its Adam second moment is not finite; the others' bytes do not
+change.
 A step costs per-call numpy overhead more than arithmetic, and a stack
 shares that overhead: a scenario grid's pair of tuning candidates trains
 in about 0.7 of the time of training the two one by one on case 1's
@@ -49,7 +52,7 @@ import numpy as np
 
 from . import network as net
 from .errors import ConfigError, DataError, TrainingError
-from .quantile_loss import check_score, mean_check_loss, validate_tau
+from .quantile_loss import check_score, validate_tau
 from .rng import _check_int, split
 
 ADAM_BETA1 = 0.9
@@ -103,19 +106,16 @@ class TrainConfig:
         return (n_in,) + (self.width,) * (depth - 1) + (1,)
 
 
-def _check_rows(config, n, split_of=None):
+def _check_rows(config, n):
     """A fit of `config` on n rows needs MIN_FIT_ROWS of them (DataError),
     and its minibatch must not exceed the `_split_rows(n)` rows each of
-    its epochs trains on (ConfigError). When the n rows are the tuning
-    split of `split_of` rows, the message says so."""
-    where = "" if split_of is None else f" in the tuning split of {split_of}"
+    its epochs trains on (ConfigError)."""
     if n < MIN_FIT_ROWS:
-        raise DataError(
-            f"need at least {MIN_FIT_ROWS} rows to fit, got {n}{where}")
+        raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
     n_tr = _split_rows(n)
     if config.minibatch > n_tr:
         raise ConfigError(f"minibatch {config.minibatch} exceeds the {n_tr}"
-                          f" training rows of {n}{where}")
+                          f" training rows of {n}")
 
 
 @dataclass
@@ -214,10 +214,8 @@ def _record_epoch(history, train_loss, val_loss, config):
 
 
 def _split_rows(n):
-    """Rows a hold-out split of n rows trains on: all but
+    """Rows a hold-out split of n >= 2 rows trains on: all but
     max(1, int(n * VAL_SHARE))."""
-    if n < 2:
-        raise DataError(f"need at least 2 rows to hold out a split, got {n}")
     return n - max(1, int(n * VAL_SHARE))
 
 
@@ -305,7 +303,10 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
     pass, and draw nothing more: one that halts keeps the parameters of
     its halt; one whose training or validation loss is not finite fails
     before the epoch is recorded (a non-finite gradient turns its member's
-    parameters, so all its outputs, NaN). The others' bytes do not change.
+    parameters, so all its outputs, NaN), and so does one whose Adam
+    second moment is not finite (a gradient entry above about 1.3e154
+    squares to inf, which would freeze that parameter at an update of 0
+    from then on). The others' bytes do not change.
     """
     ys = np.asarray(ys, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -387,13 +388,18 @@ def train_stack(ys, x, z, configs, rngs, tau=None):
         val_resid = val_y - ((val_x @ theta)[..., 0]
                              + net.forward_batch(params, val_z, acts))
         keep = []
-        for pos, (member, tr_loss, val_loss) in enumerate(zip(
+        for pos, (member, tr_loss, val_loss, moment_ok) in enumerate(zip(
                 members, (tr_sum / n_tr).tolist(),
-                np.mean(_losses(val_resid, tau)[0], axis=-1).tolist())):
+                np.mean(_losses(val_resid, tau)[0], axis=-1).tolist(),
+                np.isfinite(state.second_moment).all(axis=-1).tolist())):
             if not (math.isfinite(tr_loss) and math.isfinite(val_loss)):
                 results[member] = TrainingError(
                     f"non-finite loss at epoch {epoch}; try a lower"
                     f" learning rate")
+            elif not moment_ok:
+                results[member] = TrainingError(
+                    f"non-finite Adam second moment at epoch {epoch}; try a"
+                    f" lower learning rate")
             elif _record_epoch(histories[member], tr_loss, val_loss,
                                configs[member]):
                 own = _unflatten(flat[pos].copy(), shapes)
@@ -502,17 +508,17 @@ def tuning_plan(grid, n, q):
     """What `tune` trains for `grid` on n rows of q network covariates,
     checked before anything trains.
 
-    An empty grid raises ConfigError. Every candidate is checked by the
-    kernel's rule (`_check_rows`) against the rows it is fitted on: the
-    n rows for a grid of one distinct candidate, otherwise the tuning
-    split of n, whose size the messages then name. Returns None for a
-    grid of one distinct candidate, which tune returns as it is;
-    otherwise the grid positions of the distinct candidates, grouped
-    into the stacks they train as and keyed by the network and
-    minibatch each stack shares.
+    An empty grid raises ConfigError, and every candidate is checked by
+    the kernel's rule (`_check_rows`) against the n rows it is fitted
+    on. Returns None for a grid of one distinct candidate, which tune
+    returns as it is; otherwise the grid positions of the distinct
+    candidates, grouped into the stacks they train as and keyed by the
+    network and minibatch each stack shares.
     """
     if not grid:
         raise ConfigError("tuning grid is empty")
+    for candidate in grid:
+        _check_rows(candidate, n)
     seen = set()  # what a kept candidate trains
     stacks = {}  # what stacked candidates share -> their grid positions
     for k, c in enumerate(grid):
@@ -522,69 +528,56 @@ def tuning_plan(grid, n, q):
         if key not in seen:
             seen.add(key)
             stacks.setdefault((widths, c.minibatch), []).append(k)
-    if len(seen) == 1:
-        _check_rows(grid[0], n)
-        return None
-    for candidate in grid:
-        _check_rows(candidate, _split_rows(n), split_of=n)
-    return stacks
+    return None if len(seen) == 1 else stacks
 
 
 def tune(grid, data, tau, rng):
-    """Pick the best TrainConfig from a grid by hold-out check loss.
+    """The best TrainConfig of a grid, with its fit: (config, PlqrFit).
 
-    `rng` splits `data` 80/20 once and gives one child stream per grid
-    position. Each candidate is fitted on the 80% with its child, scored
-    by mean check loss of full-model residuals on the 20%, and the
-    winner is returned (ties go to the earlier grid entry). A candidate
-    is skipped when an earlier one trains the same network on `data`
-    (any depth and width with no z columns) with the same lr, epochs,
-    minibatch and patience. The kept candidates that share their network
-    and minibatch train ahead as one stack (`train_ahead`), and
-    `model.fit` then hands out each one's fit, the one it would get
-    alone. A bad tau raises ConfigError. `tuning_plan` checks each
-    candidate by the rule of a fit on the 80% split, so too small a
-    split raises DataError and a minibatch above 80% of it ConfigError.
-    All come before the rng is drawn from. A candidate that fails to
-    train loses silently, as one whose score is not finite does; if all
-    lose, one TrainingError names the lowest grid entry that failed to
-    train and its error. A grid of one distinct candidate is returned
-    as-is without consuming the rng. The exact linear baseline, which
-    trains nothing, is never tuned (`model.fit_lqr`).
+    `rng` gives one child stream per grid position. Each candidate is
+    fitted on all of `data` with its child, as `model.fit` fits it
+    alone, and scored by its validation check loss at the epoch it
+    halted (`history.val_loss[-1]`). The lowest score wins, the earlier
+    grid entry on a tie, and its fit is returned: nothing trains twice.
+    A candidate is skipped when an earlier one trains the same network
+    on `data` (any depth and width with no z columns) with the same lr,
+    epochs, minibatch and patience. The kept candidates that share their
+    network and minibatch train ahead as one stack (`train_ahead`), and
+    `model.fit` hands out each one's fit. A grid of one distinct
+    candidate returns (grid[0], None) without drawing from the rng, for
+    the caller to fit. A bad tau raises ConfigError, and `tuning_plan`
+    checks the candidates against `data`, before the rng is drawn from.
+    A candidate that fails to train loses silently; if all lose, one
+    TrainingError names the lowest grid entry that failed and its error.
+    The exact linear baseline, which trains nothing, is never tuned
+    (`model.fit_lqr`).
     """
-    from .model import fit, residuals
+    from .model import fit
 
     grid = list(grid)
     tau = validate_tau(tau)
     stacks = tuning_plan(grid, data.n, data.q)
     if stacks is None:
-        return grid[0]
+        return grid[0], None
 
-    tr_idx, val_idx = _holdout_split(data.n, rng)
-    train_data = data.subset(tr_idx)
-    val_data = data.subset(val_idx)
     children = split(rng, len(grid))
-
     fitted = {}
     for positions in stacks.values():
-        ys = np.broadcast_to(train_data.y, (len(positions), train_data.n))
-        with train_ahead(ys, train_data.x, train_data.z,
-                         [grid[k] for k in positions],
+        ys = np.broadcast_to(data.y, (len(positions), data.n))
+        with train_ahead(ys, data.x, data.z, [grid[k] for k in positions],
                          [children[k] for k in positions], tau=tau):
             for k in positions:
                 try:
-                    fitted[k] = fit(train_data, tau, grid[k], children[k])
+                    fitted[k] = fit(data, tau, grid[k], children[k])
                 except TrainingError as exc:
                     fitted[k] = exc
 
-    best_config, best_loss, failure = None, np.inf, ""
+    best, best_loss, failure = None, math.inf, ""
     for k in sorted(fitted):  # grid order, so ties go to the earlier entry
         if isinstance(fitted[k], TrainingError):
             failure = failure or f"; grid entry {k}, {grid[k]}: {fitted[k]}"
-            continue
-        score = mean_check_loss(residuals(fitted[k], val_data), tau)
-        if np.isfinite(score) and score < best_loss:
-            best_config, best_loss = grid[k], score
-    if best_config is None:
+        elif fitted[k].history.val_loss[-1] < best_loss:
+            best, best_loss = k, fitted[k].history.val_loss[-1]
+    if best is None:
         raise TrainingError("every tuning candidate failed to train" + failure)
-    return best_config
+    return grid[best], fitted[best]

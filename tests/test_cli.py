@@ -25,7 +25,7 @@ from dplqr.model import Dataset, predict_batch
 from dplqr.modelio import (ColumnRoles, apply_scaling, compute_scaling,
                            load_csv, load_model, save_model)
 from dplqr.optimizer import TrainConfig, tune
-from dplqr.rng import make_rng
+from dplqr.rng import make_rng, split
 
 
 def _write_training_csv(path, n=150, seed=0):
@@ -197,18 +197,21 @@ class TestFitCommand:
         assert capsys.readouterr().err == f"error:config: {says}\n"
         assert not (tmp_path / "model.json").exists()
 
-    def test_minibatch_beyond_tuning_split_is_config_error(self, tmp_path,
-                                                           capsys):
-        # 300 rows: one lr fits on all of them, and each epoch trains on
-        # 240; two tune on 240, and each epoch of a candidate trains on 192
+    def test_grid_minibatch_is_checked_against_all_rows(self, tmp_path,
+                                                        capsys):
+        # 300 rows: one lr and each of two fit on all of them, and each
+        # epoch trains on 240, so 240 fits either way and 241 is refused
+        # before anything trains, in the same words
         data = str(_write_training_csv(tmp_path / "train.csv", n=300))
-        assert main(_fit_args(data, tmp_path, minibatch=240)) == 0
-        code = main(_fit_args(data, tmp_path, minibatch=240,
-                              lr="0.01,0.02"))
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error:config: minibatch 240 exceeds the 192 training rows of"
-            " 240 in the tuning split of 300\n")
+        for lr in ("0.01", "0.01,0.02"):
+            assert main(_fit_args(data, tmp_path, minibatch=240, lr=lr,
+                                  epochs=2)) == 0
+            capsys.readouterr()
+            assert main(_fit_args(data, tmp_path, minibatch=241,
+                                  lr=lr)) == 2
+            assert capsys.readouterr().err == (
+                "error:config: minibatch 241 exceeds the 240 training rows"
+                " of 300\n")
 
     def test_minibatch_beyond_training_rows_is_config_error(self, tmp_path,
                                                             capsys):
@@ -282,22 +285,22 @@ class TestFitCommand:
         assert len(recwarn) == 0
         assert not (tmp_path / "model.json").exists()
 
-    def test_too_small_tuning_split_is_one_data_error(self, tmp_path,
-                                                      capsys, monkeypatch,
-                                                      recwarn):
-        # 5 rows leave 4 to train each of two candidates: a data error
-        # before anything trains, with no warning about the candidates
+    def test_too_few_rows_for_a_grid_is_one_data_error(self, tmp_path,
+                                                       capsys, monkeypatch,
+                                                       recwarn):
+        # 4 rows are too few for each of two candidates, which fit on all
+        # of them: a data error before anything trains, with no warning
+        # about the candidates
         def no_fit(*args):
             raise AssertionError("a candidate was fitted")
         monkeypatch.setattr(optimizer, "train_stack", no_fit)
-        data = str(_write_training_csv(tmp_path / "train.csv", n=5))
+        data = str(_write_training_csv(tmp_path / "train.csv", n=4))
         argv = ["fit", "--data", data, "--y", "y", "--x", "x1,x2",
                 "--lr", "0.01,0.02", "--minibatch", "2",
                 "--out", str(tmp_path / "model.json")]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "error:data: need at least 5 rows to fit, got 4 in the tuning"
-            " split of 5\n")
+            "error:data: need at least 5 rows to fit, got 4\n")
         assert len(recwarn) == 0
 
     def test_non_utf8_data_is_data_error(self, tmp_path, capsys):
@@ -371,10 +374,45 @@ class TestFitCommand:
         assert main(args) == 0
         assert trained == widths
 
-    def test_grid_over_learning_rates(self, train_csv, tmp_path):
-        # two learning rates: tuning picks one and the fit still lands
-        code = main(_fit_args(train_csv, tmp_path, lr="0.005,0.02"))
-        assert code == 0
+    def test_grid_over_learning_rates(self, train_csv, tmp_path,
+                                      monkeypatch):
+        # two learning rates train once, as one stack on all the rows, and
+        # the model file holds the winner's fit: the one model.fit gives
+        # it alone on its child of the tune stream, the candidate with
+        # the lower validation loss at its halt winning; only the two
+        # projections of the intervals train after it
+        from dplqr import model
+        stacks = []
+
+        def counted(ys, x, z, configs, rngs, tau=None):
+            stacks.append((len(configs), tau))
+            return train_stack(ys, x, z, configs, rngs, tau)
+        train_stack = optimizer.train_stack
+        monkeypatch.setattr(optimizer, "train_stack", counted)
+        report = tmp_path / "report.json"
+        assert main(_fit_args(train_csv, tmp_path, lr="0.005,0.02",
+                              report=str(report))) == 0
+        monkeypatch.undo()
+        assert stacks == [(2, 0.5), (2, None)]
+
+        roles = ColumnRoles("y", ["x1", "x2"], ["z1", "z2"])
+        raw = load_csv(train_csv, roles)
+        data = apply_scaling(raw, compute_scaling(raw))
+        children = split(split(make_rng(3), 3)[0], 2)
+        alone = [model.fit(data, 0.5, TrainConfig(
+                     depth=2, width=4, epochs=40, minibatch=64,
+                     early_stop_patience=40, learning_rate=lr), child)
+                 for lr, child in zip((0.005, 0.02), children)]
+        scores = [a.history.val_loss[-1] for a in alone]
+        winner = alone[scores.index(min(scores))]
+        fitted, _, _ = load_model(str(tmp_path / "model.json"))
+        assert fitted.theta_hat.tobytes() == winner.theta_hat.tobytes()
+        for layer, want in zip(fitted.network.layers, winner.network.layers):
+            assert layer.tobytes() == want.tobytes()
+        written = json.loads(report.read_text())
+        assert written["config"]["lr"] == (0.005, 0.02)[scores.index(
+            min(scores))]
+        assert written["history"]["val_loss"] == winner.history.val_loss
 
     def test_config_file_supplies_defaults(self, train_csv, tmp_path):
         config = tmp_path / "config.json"
@@ -794,18 +832,18 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error:config: level")
         assert not (tmp_path / "report.json").exists()
 
-    def test_minibatch_beyond_tuning_split_is_config_error(self, tmp_path,
-                                                           capsys):
-        # n=100: each replicate trains on 80 rows and tunes on 64 of them,
-        # of which each epoch of a candidate trains on 52
+    def test_minibatch_beyond_replicate_rows_is_config_error(self, tmp_path,
+                                                             capsys):
+        # n=100: each replicate's candidates fit on its 80 training rows,
+        # of which each epoch trains on 64
         code = main(["simulate", "--case", "1", "--n", "100",
-                     "--replicates", "2", "--minibatch", "70", "--lr",
+                     "--replicates", "2", "--minibatch", "65", "--lr",
                      "0.01,0.02", "--epochs", "3", "--no-ci",
                      "--out-dir", str(tmp_path)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:config: minibatch 70 exceeds the 52"
-                              " training rows of 64 in the tuning split")
+        assert capsys.readouterr().err == (
+            "error:config: minibatch 65 exceeds the 64 training rows of"
+            " 80\n")
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -936,28 +974,32 @@ class TestTuneCommand:
         assert printed["lr"] == 0.01 and printed["mode"] == "lqr"
         assert printed["depth"] == 2  # as given; lqr trains one layer
 
-    def test_chosen_config_makes_fit_train_the_same_model(self, train_csv,
-                                                           tmp_path):
-        # tune --out, then fit --config with that file, gives the model
-        # fit gives with the grid: both tune on the same stream. At seed
-        # 1 a tune on make_rng(1) itself picks another learning rate.
-        # The file names the method asked for, so a dnqr tune, which
-        # trains dplqr on every covariate, makes fit --config fit dnqr.
+    def test_tune_and_fit_pick_the_same_config(self, train_csv, tmp_path):
+        # tune --out names the config that fit with the same grid and
+        # --seed reports: both tune on the first of the seed's three
+        # streams, and at seed 8306 a tune on make_rng(8306) itself picks
+        # another learning rate. The file names the method asked for, so a dnqr tune,
+        # which trains dplqr on every covariate, makes fit --config fit
+        # dnqr.
         common = ["--data", train_csv, "--y", "y", "--x", "x1,x2", "--z",
-                  "z1,z2", "--seed", "1"]
+                  "z1,z2", "--seed", "8306"]
         for mode in ("dplqr", "dnqr"):
             grid = ["--depth", "2", "--width", "4", "--epochs", "30",
                     "--minibatch", "32", "--patience", "10",
                     "--lr", "0.003,0.01,0.03", "--mode", mode]
             chosen = tmp_path / f"chosen-{mode}.json"
             assert main(["tune", *common, *grid, "--out", str(chosen)]) == 0
-            assert json.loads(chosen.read_text())["mode"] == mode
-            a, b = tmp_path / f"a-{mode}.json", tmp_path / f"b-{mode}.json"
+            picked = json.loads(chosen.read_text())
+            assert picked.pop("mode") == mode
+            report = tmp_path / f"report-{mode}.json"
+            assert main(["fit", *common, *grid, "--out",
+                         str(tmp_path / f"grid-{mode}.json"),
+                         "--report", str(report)]) == 0
+            assert json.loads(report.read_text())["config"] == picked
+            lone = tmp_path / f"lone-{mode}.json"
             assert main(["fit", *common, "--config", str(chosen),
-                         "--out", str(a)]) == 0
-            assert main(["fit", *common, *grid, "--out", str(b)]) == 0
-            assert a.read_bytes() == b.read_bytes()
-            assert json.loads(a.read_text())["columns"]["x"] == (
+                         "--out", str(lone)]) == 0
+            assert json.loads(lone.read_text())["columns"]["x"] == (
                 [] if mode == "dnqr" else ["x1", "x2"])
 
         roles = ColumnRoles("y", ["x1", "x2"], ["z1", "z2"])
@@ -966,9 +1008,12 @@ class TestTuneCommand:
         configs = [TrainConfig(depth=2, width=4, epochs=30, minibatch=32,
                                early_stop_patience=10, learning_rate=lr)
                    for lr in (0.003, 0.01, 0.03)]
-        own_stream = tune(configs, data, 0.5, make_rng(1)).learning_rate
         chosen = json.loads((tmp_path / "chosen-dplqr.json").read_text())
-        assert own_stream != chosen["lr"]
+        tune_stream = split(make_rng(8306), 3)[0]
+        assert tune(configs, data, 0.5, tune_stream)[0].learning_rate == (
+            chosen["lr"])
+        own_stream = tune(configs, data, 0.5, make_rng(8306))[0]
+        assert own_stream.learning_rate != chosen["lr"]
 
     def test_lone_candidate_minibatch_beyond_rows_is_config_error(
             self, tmp_path, capsys):
@@ -1208,9 +1253,8 @@ class TestFileErrors:
         (["--replicates", "0"], "need at least one replicate, got 0"),
         (["--methods", "bogus"], "unknown method 'bogus'; choose from"
                                  " ('dplqr', 'lqr', 'dnqr')"),
-        (["--minibatch", "70", "--lr", "0.01,0.02"],
-         "minibatch 70 exceeds the 52 training rows of 64 in the tuning"
-         " split of 80"),
+        (["--minibatch", "65", "--lr", "0.01,0.02"],
+         "minibatch 65 exceeds the 64 training rows of 80"),
         (["--minibatch", "65"], "minibatch 65 exceeds the 64 training rows"
                                 " of 80"),
         (["--seed", "-1"], "seed must be nonnegative, got -1"),
@@ -1221,9 +1265,8 @@ class TestFileErrors:
              "untuned-minibatch", "seed", "duplicate-method", "no-methods"])
     def test_simulate_settings_checked_before_out_dir(
             self, flags, message, tmp_path, capsys, monkeypatch):
-        # n=100: each replicate trains on 80 rows and tunes on 64 of them;
-        # each epoch trains on 80% of either; a grid of one candidate is
-        # not tuned
+        # n=100: each replicate trains on 80 rows, every candidate of a
+        # grid as a lone config does, and each epoch trains on 64
         self._no_training(monkeypatch)
         out_dir = tmp_path / "new"
         argv = ["simulate", "--case", "1", "--n", "100", "--replicates",

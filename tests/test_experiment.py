@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dplqr import experiment
-from dplqr.dgp import DgpSpec
+from dplqr import experiment, optimizer
+from dplqr.dgp import DgpSpec, generate, mspe
 from dplqr.errors import ConfigError, TrainingError
 from dplqr.experiment import (MethodSummary, report_to_csv, report_to_text,
                               run_experiment, scenario_grid)
-from dplqr.optimizer import TrainConfig
+from dplqr.model import predict_batch
+from dplqr.optimizer import TrainConfig, _holdout_split, tune
+from dplqr.rng import child_rng, split
 
 # small, fast configuration for functional tests; accuracy is covered
 # by the acceptance suite
@@ -258,19 +260,49 @@ class TestRunExperiment:
                                with_ci=False)
         assert not caught
 
+    def test_tuned_winner_is_the_replicate_fit(self, monkeypatch):
+        # a grid of two learning rates trains once, as one stack on the
+        # replicate's training rows: the replicate's theta and mspe are
+        # those of the fit tune returns on the method's tune stream
+        stacks = []
+
+        def counted(ys, x, z, configs, rngs, tau=None):
+            stacks.append(len(configs))
+            return train_stack(ys, x, z, configs, rngs, tau)
+        train_stack = optimizer.train_stack
+        monkeypatch.setattr(optimizer, "train_stack", counted)
+        spec = DgpSpec(case=1, n=100, tau=0.5)
+        grid = [TrainConfig(depth=2, width=4, epochs=20, minibatch=32,
+                            early_stop_patience=5, learning_rate=lr)
+                for lr in (0.01, 0.05)]
+        report = run_experiment(spec, 1, ("dplqr",), master_seed=8307,
+                                grid=grid, with_ci=False)
+        monkeypatch.undo()
+        assert stacks == [2]
+
+        rng = child_rng(8307, 0)
+        data = generate(spec, rng)
+        train_idx, test_idx = _holdout_split(spec.n, rng)
+        tune_rng = split(split(rng, len(experiment.METHODS))[0], 3)[0]
+        _, fitted = tune(grid, data.subset(train_idx), 0.5, tune_rng)
+        test = data.subset(test_idx)
+        (row,) = report.replicates
+        assert row.theta_hat.tobytes() == fitted.theta_hat.tobytes()
+        assert row.mspe == mspe(predict_batch(fitted, test.x, test.z),
+                                test.y)
+
     def test_dnqr_grid_checked_as_dplqr_grid(self, monkeypatch):
-        # a replicate tunes on 64 of its 80 training rows, and each epoch
-        # of a candidate trains on 52 of those; dnqr's wider network
-        # input does not change the rule or its message
+        # a replicate's candidates fit on its 80 training rows, and each
+        # epoch of a candidate trains on 64 of those; dnqr's wider
+        # network input does not change the rule or its message
         def no_replicate(args):
             raise AssertionError("a replicate ran")
         monkeypatch.setattr(experiment, "_try_replicate", no_replicate)
         spec = DgpSpec(case=1, n=100, tau=0.5)
-        grid = [TrainConfig(depth=2, width=4, epochs=30, minibatch=53,
+        grid = [TrainConfig(depth=2, width=4, epochs=30, minibatch=65,
                             early_stop_patience=30, learning_rate=lr)
                 for lr in (0.01, 0.02)]
-        says = (r"^minibatch 53 exceeds the 52 training rows of 64 in the"
-                r" tuning split of 80$")
+        says = r"^minibatch 65 exceeds the 64 training rows of 80$"
         for methods in (("dplqr",), ("dnqr",)):
             with pytest.raises(ConfigError, match=says):
                 run_experiment(spec, 2, methods=methods, master_seed=8234,

@@ -104,9 +104,9 @@ def _function_imports():
 
 def test_only_tune_imports_inside_a_function():
     # tune's lazy import from model is the one cycle left; it needs
-    # model.fit and model.residuals, nothing else
+    # model.fit, nothing else
     assert _function_imports() == [
-        ("optimizer", "tune", "from .model import fit, residuals")]
+        ("optimizer", "tune", "from .model import fit")]
 
 
 def _probe(code, tmp_path=None):

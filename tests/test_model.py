@@ -10,7 +10,7 @@ from dplqr.errors import ConfigError, DataError
 from dplqr.model import (Dataset, PlqrFit, fit, fit_lqr, m_values,
                          predict, predict_batch, residuals)
 from dplqr.network import NetworkParams
-from dplqr.optimizer import TrainConfig, _holdout_split, tune
+from dplqr.optimizer import TrainConfig, tune
 from dplqr.inference import covariance
 from dplqr.quantile_loss import check_loss, mean_check_loss
 from dplqr.rng import make_rng, split
@@ -215,9 +215,10 @@ class TestFit:
             assert_allclose(wa, wb, rtol=0)
 
     def _tuned_and_alone(self, monkeypatch, grid, data):
-        """The member learning rates of each stack tune trains, the fits
-        tune hands out by grid position, and each candidate fitted alone
-        on the child stream tune gives it."""
+        """What tune returns, the member learning rates of each stack it
+        trains, the fits it hands out by grid position, and each
+        candidate fitted alone on all the rows with the child stream
+        tune gives it."""
         stacks, handed = [], {}
         train_stack, fit_alone = optimizer.train_stack, model.fit
 
@@ -231,15 +232,13 @@ class TestFit:
             return handed[k]
         monkeypatch.setattr(optimizer, "train_stack", stack)
         monkeypatch.setattr(model, "fit", recorded)
-        tune(grid, data, 0.5, make_rng(3))
+        tuned = tune(grid, data, 0.5, make_rng(3))
         monkeypatch.undo()
 
-        rng = make_rng(3)
-        train = data.subset(_holdout_split(data.n, rng)[0])
-        children = split(rng, len(grid))
-        alone = [fit(train, 0.5, config, child)
+        children = split(make_rng(3), len(grid))
+        alone = [fit(data, 0.5, config, child)
                  for config, child in zip(grid, children)]
-        return stacks, handed, alone
+        return tuned, stacks, handed, alone
 
     @staticmethod
     def _assert_same_bytes(got, want):
@@ -257,13 +256,19 @@ class TestFit:
                             early_stop_patience=4, learning_rate=lr)
                 for lr in (0.01, 0.05)]
         data = experiment._method_data("dnqr", _toy_data(120, seed=8))
-        stacks, handed, alone = self._tuned_and_alone(monkeypatch, grid,
-                                                      data)
+        (best, fitted), stacks, handed, alone = self._tuned_and_alone(
+            monkeypatch, grid, data)
         assert stacks == [[0.01, 0.05]]
         assert sorted(handed) == [0, 1]
         for k in handed:
             assert handed[k].theta_hat.shape == (0,)
             self._assert_same_bytes(handed[k], alone[k])
+        # the candidate with the lower validation loss at its halt wins,
+        # and the fit tune returns is the one it handed out for it
+        scores = [a.history.val_loss[-1] for a in alone]
+        assert scores[0] != scores[1]
+        winner = scores.index(min(scores))
+        assert best is grid[winner] and fitted is handed[winner]
 
 
 def _affine_fit():

@@ -10,10 +10,9 @@ from dplqr import model, network, optimizer
 from dplqr.errors import ConfigError, DataError, TrainingError
 from dplqr.model import Dataset
 from dplqr.optimizer import (ADAM_EPSILON_HAT, TrainConfig, TrainHistory,
-                             _check_rows, _holdout_split, _record_epoch,
+                             _check_rows, _record_epoch,
                              adam_step, epoch_batches, init_adam, train_ahead,
                              train_joint, tune)
-from dplqr.quantile_loss import mean_check_loss
 from dplqr.rng import make_rng, split
 
 
@@ -388,87 +387,94 @@ class TestTune:
         return Dataset(y=y, x=x, z=z)
 
     def test_single_candidate_short_circuit(self):
+        # a lone config is returned unfitted, for the caller to fit, and
+        # the rng is not drawn from
         cfg = TrainConfig()
-        assert tune([cfg], self._data(), 0.5, make_rng(0)) is cfg
+        rng = make_rng(0)
+        best, fitted = tune([cfg], self._data(), 0.5, rng)
+        assert best is cfg and fitted is None
+        assert rng.bit_generator.state == make_rng(0).bit_generator.state
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             tune([], self._data(), 0.5, make_rng(0))
 
     def test_one_row_cannot_hold_out_a_split(self):
-        # two distinct candidates need a tuning split, and one row has none
+        # two distinct candidates each fit on all the rows, holding out
+        # their own early-stopping split, and one row is too few
         grid = [TrainConfig(learning_rate=0.01),
                 TrainConfig(learning_rate=0.02)]
         rng = make_rng(7506)
         with pytest.raises(DataError, match=(
-                "^need at least 2 rows to hold out a split, got 1$")):
+                "^need at least 5 rows to fit, got 1$")):
             tune(grid, self._data().subset([0]), 0.5, rng)
         assert rng.bit_generator.state == make_rng(7506).bit_generator.state
 
     def test_prefers_adequate_budget(self):
         # one epoch of training cannot move theta far from zero; a
-        # many-epoch candidate should win the hold-out comparison
+        # many-epoch candidate should score lower on its validation rows
         starved = TrainConfig(depth=1, width=1, epochs=1, minibatch=96,
                               early_stop_patience=1, learning_rate=1e-5)
         trained = TrainConfig(depth=1, width=1, epochs=300, minibatch=32,
                               early_stop_patience=300, learning_rate=0.02)
-        picked = tune([starved, trained], self._data(n=200, seed=3), 0.5,
-                      rng=make_rng(0))
+        picked, fitted = tune([starved, trained], self._data(n=200, seed=3),
+                              0.5, rng=make_rng(0))
         assert picked is trained
+        assert fitted.history.stopped_epoch > 1
 
     def test_minibatch_beyond_tuning_split_rejected(self, monkeypatch):
-        # 120 rows leave a tuning split of 96, 77 of which train each
-        # epoch of a candidate: minibatch 100 fits the data but not the
-        # split
+        # no split is held out for tuning any more: a later candidate's
+        # minibatch of 97 on 120 rows, which train 96 each epoch, fits
+        # the data but not the candidate's training rows
         def no_fit(*args):
             raise AssertionError("a candidate was fitted")
         monkeypatch.setattr(optimizer, "train_stack", no_fit)
         grid = [TrainConfig(depth=1, width=1, epochs=5, minibatch=mb,
                             early_stop_patience=5, learning_rate=0.01)
-                for mb in (32, 100)]
-        with pytest.raises(ConfigError, match="tuning split"):
+                for mb in (32, 97)]
+        with pytest.raises(ConfigError, match=(
+                "^minibatch 97 exceeds the 96 training rows of 120$")):
             tune(grid, self._data(), 0.5, rng=make_rng(0))
 
     def test_candidate_minibatch_beyond_its_training_rows(self,
                                                           monkeypatch):
-        # 300 rows leave a tuning split of 240, and each epoch of a
-        # candidate trains on 192 of them: 192 is planned, and 193 is a
-        # settings error before anything trains or the rng is drawn from
+        # every candidate fits on all the rows, and each of its epochs
+        # trains on the 80% its early-stopping split keeps: on 300 rows
+        # 240 is planned, and 241 is a settings error before anything
+        # trains or the rng is drawn from, in the words of a lone fit
         def no_fit(*args):
             raise AssertionError("a candidate was fitted")
         monkeypatch.setattr(optimizer, "train_stack", no_fit)
-        grid = [TrainConfig(depth=1, width=1, epochs=5, minibatch=192,
+        grid = [TrainConfig(depth=1, width=1, epochs=5, minibatch=240,
                             learning_rate=lr) for lr in (0.01, 0.02)]
         data = self._data(n=300, seed=8224)
         plan = optimizer.tuning_plan(grid, data.n, data.q)
         assert list(plan.values()) == [[0, 1]]
         rng = make_rng(8225)
         with pytest.raises(ConfigError, match=(
-                "^minibatch 193 exceeds the 192 training rows of 240 in the"
-                " tuning split of 300$")):
-            tune([replace(c, minibatch=193) for c in grid], data, 0.5, rng)
+                "^minibatch 241 exceeds the 240 training rows of 300$")):
+            tune([replace(c, minibatch=241) for c in grid], data, 0.5, rng)
         assert rng.bit_generator.state == make_rng(8225).bit_generator.state
 
-    @pytest.mark.parametrize("n, message", [
-        (5, "need at least 5 rows to fit, got 4 in the tuning split of 5"),
-        (4, "need at least 5 rows to fit, got 4")],
-        ids=["split", "lone"])
+    @pytest.mark.parametrize("lrs", [(0.01, 0.02), (0.01,)],
+                             ids=["grid", "lone"])
     def test_too_few_rows_rejected_before_training(self, monkeypatch,
-                                                   recwarn, n, message):
-        # two candidates train on the 4-row split of 5 rows, a lone one
-        # on all 4 rows: either is a data error before any training, and
-        # the rng is not drawn from
+                                                   recwarn, lrs):
+        # a grid's candidates and a lone config alike fit on all 4 rows:
+        # either is a data error before any training, and the rng is not
+        # drawn from; 5 rows are enough for both
         def no_fit(*args):
             raise AssertionError("a candidate was fitted")
         monkeypatch.setattr(optimizer, "train_stack", no_fit)
-        lrs = (0.01, 0.02) if n == 5 else (0.01,)
         grid = [TrainConfig(depth=2, width=4, epochs=5, minibatch=2,
                             learning_rate=lr) for lr in lrs]
         rng = make_rng(0)
-        with pytest.raises(DataError, match=f"^{message}$"):
-            tune(grid, self._data(n=n), 0.5, rng)
+        with pytest.raises(DataError,
+                           match="^need at least 5 rows to fit, got 4$"):
+            tune(grid, self._data(n=4), 0.5, rng)
         assert len(recwarn) == 0
         assert rng.bit_generator.state == make_rng(0).bit_generator.state
+        optimizer.tuning_plan(grid, 5, 3)
 
     def test_candidate_settings_error_is_raised(self, monkeypatch):
         # a settings error holds for every candidate: it is raised, not
@@ -499,7 +505,7 @@ class TestTune:
         grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=32,
                             early_stop_patience=3, learning_rate=lr)
                 for d in (2, 3) for w in (4, 8) for lr in (0.01, 0.02)]
-        picked = tune(grid, data, 0.5, rng=make_rng(0))
+        picked, _ = tune(grid, data, 0.5, rng=make_rng(0))
         assert fitted == grid[:fits]
         assert picked in fitted
 
@@ -512,8 +518,9 @@ class TestTune:
         data = self._data()
         grid = [TrainConfig(depth=d, width=w, epochs=3, minibatch=32)
                 for d in (2, 3) for w in (4, 8)]
-        assert tune(grid, Dataset(data.y, data.x, None), 0.5,
-                    rng=make_rng(0)) is grid[0]
+        best, fitted = tune(grid, Dataset(data.y, data.x, None), 0.5,
+                            rng=make_rng(0))
+        assert best is grid[0] and fitted is None
 
     def test_kept_candidates_keep_their_streams(self, monkeypatch, recwarn):
         # children are split over the full grid, so skipping the
@@ -535,71 +542,96 @@ class TestTune:
                 r"TrainConfig\(depth=2, width=4, .*\): stop$")):
             tune(grid, data, 0.5, rng=make_rng(0))
         assert len(recwarn) == 0
-        rng = make_rng(0)
-        _holdout_split(data.n, rng)
-        children = split(rng, len(grid))
+        children = split(make_rng(0), len(grid))
         assert drawn == [int(children[k].integers(1 << 30)) for k in (0, 2)]
 
     def test_deterministic_given_rng(self):
         grid = [TrainConfig(depth=1, width=1, epochs=40, minibatch=32,
                             early_stop_patience=40, learning_rate=lr)
                 for lr in (0.001, 0.02)]
-        a = tune(list(grid), self._data(seed=5), 0.5, rng=make_rng(9))
-        b = tune(list(grid), self._data(seed=5), 0.5, rng=make_rng(9))
+        a, fit_a = tune(list(grid), self._data(seed=5), 0.5, rng=make_rng(9))
+        b, fit_b = tune(list(grid), self._data(seed=5), 0.5, rng=make_rng(9))
         assert a is grid[grid.index(a)]
         assert a == b
+        _assert_same_fit(fit_a, fit_b)
+
+    @pytest.mark.parametrize("scores, winner", [
+        ((0.25, 0.25), 0), ((0.5, 0.25), 1), ((np.nan, 0.5), 1),
+        ((np.inf, 0.5), 1)], ids=["tie", "lower", "nan", "inf"])
+    def test_lowest_finite_score_wins_and_ties_go_first(self, monkeypatch,
+                                                        scores, winner):
+        # scores forced onto the candidates' validation losses at their
+        # halts: the lowest finite one wins, the earlier entry on a tie,
+        # and the winner comes with the fit its own stream gave it
+        def scored(ys, x, z, configs, rngs, tau=None):
+            results = train_stack(ys, x, z, configs, rngs, tau)
+            for (_, _, history), score in zip(results, scores):
+                history.val_loss[-1] = score
+            return results
+        train_stack = optimizer.train_stack
+        monkeypatch.setattr(optimizer, "train_stack", scored)
+        data = self._data(seed=8304)
+        grid = [TrainConfig(depth=2, width=4, epochs=6, minibatch=32,
+                            early_stop_patience=6, learning_rate=lr)
+                for lr in (0.02, 0.01)]
+        best, fitted = tune(grid, data, 0.5, make_rng(8305))
+        monkeypatch.undo()
+        assert best is grid[winner]
+        alone = model.fit(data, 0.5, grid[winner],
+                          split(make_rng(8305), 2)[winner])
+        alone.history.val_loss[-1] = scores[winner]
+        _assert_same_fit(fitted, alone)
 
     def test_failing_member_leaves_the_others_unchanged(self, monkeypatch,
                                                          recwarn):
         # a learning rate of 1e300 makes one stacked candidate's loss
-        # non-finite: that candidate loses silently, and tune picks what
-        # fitting each candidate alone on its child stream picks, from
-        # the same bytes
+        # non-finite: that candidate loses silently, and tune returns the
+        # config and the fit that fitting each candidate alone on all the
+        # rows with its child stream gives, the lowest validation loss at
+        # its halt winning
         data = self._data(n=200, seed=3)
         grid = [TrainConfig(depth=2, width=4, epochs=30, minibatch=32,
                             early_stop_patience=30, learning_rate=lr)
                 for lr in (0.003, 1e300, 0.02)]
-        picked = tune(grid, data, 0.5, make_rng(4))
+        picked, fitted = tune(grid, data, 0.5, make_rng(4))
         assert len(recwarn) == 0
 
-        def streams():
-            rng = make_rng(4)
-            tr_idx, val_idx = _holdout_split(data.n, rng)
-            return (data.subset(tr_idx), data.subset(val_idx),
-                    split(rng, len(grid)))
-        train, val, children = streams()
         alone, scores = [], []
-        for k, (config, child) in enumerate(zip(grid, children)):
+        for k, (config, child) in enumerate(zip(grid,
+                                                split(make_rng(4), 3))):
             try:
-                alone.append(model.fit(train, 0.5, config, child))
+                alone.append(model.fit(data, 0.5, config, child))
             except TrainingError as exc:
                 alone.append(exc)
                 continue
-            residuals = model.residuals(alone[k], val)
-            scores.append((mean_check_loss(residuals, 0.5), k))
+            scores.append((alone[k].history.val_loss[-1], k))
         assert isinstance(alone[1], TrainingError)
+        assert scores[0][0] != scores[1][0]
         assert picked is grid[min(scores)[1]]
+        _assert_same_fit(fitted, alone[min(scores)[1]])
 
         # the stack as tune trains it; inside the block every fit is
         # handed out, so the kernel must not run again
         def no_training(*args):
             raise AssertionError("a member was trained again")
-        train, _, children = streams()
-        ys = np.broadcast_to(train.y, (len(grid), train.n))
+        children = split(make_rng(4), len(grid))
+        ys = np.broadcast_to(data.y, (len(grid), data.n))
         stacked = []
-        with train_ahead(ys, train.x, train.z, grid, children, 0.5):
+        with train_ahead(ys, data.x, data.z, grid, children, 0.5):
             monkeypatch.setattr(optimizer, "train_stack", no_training)
             for config, child in zip(grid, children):
                 try:
-                    stacked.append(model.fit(train, 0.5, config, child))
+                    stacked.append(model.fit(data, 0.5, config, child))
                 except TrainingError as exc:
                     stacked.append(exc)
         assert isinstance(stacked[1], TrainingError)
         assert str(stacked[1]) == str(alone[1])
         for k in (0, 2):
-            got, want = stacked[k], alone[k]
-            assert got.theta_hat.tobytes() == want.theta_hat.tobytes()
-            for layer, ref_layer in zip(got.network.layers,
-                                        want.network.layers):
-                assert layer.tobytes() == ref_layer.tobytes()
-            assert got.history == want.history
+            _assert_same_fit(stacked[k], alone[k])
+
+
+def _assert_same_fit(got, want):
+    assert got.theta_hat.tobytes() == want.theta_hat.tobytes()
+    for layer, ref_layer in zip(got.network.layers, want.network.layers):
+        assert layer.tobytes() == ref_layer.tobytes()
+    assert got.history == want.history

@@ -483,6 +483,27 @@ def test_a_nan_gradient_fails_its_member_when_that_epoch_ends(monkeypatch):
                                                    make_rng(seeds[k]), 0.5))
 
 
+def test_an_overflowing_second_moment_fails_its_member():
+    # at lr 1e70 a squared-loss fit with one step an epoch soon has a
+    # gradient entry above about 1.3e154, which squares to inf in Adam's
+    # second moment and would freeze that parameter: with every loss
+    # still finite, the member fails when that epoch ends instead of
+    # halting frozen after 51 epochs; a member beside it in the stack
+    # gives the bytes it gives alone
+    y, x, z = _problem(100, 2, 3, seed=8301)
+    configs = [TrainConfig(depth=2, width=8, minibatch=80, learning_rate=lr)
+               for lr in (1e70, 0.01)]
+    with pytest.raises(TrainingError, match=(
+            "^non-finite Adam second moment at epoch 2; try a lower"
+            " learning rate$")):
+        train_joint(y, x, z, configs[0], make_rng(8302), None)
+    stacked = train_stack(np.stack([y, y]), x, z, configs,
+                          [make_rng(8302), make_rng(8303)], None)
+    assert isinstance(stacked[0], TrainingError)
+    _assert_same_bytes(stacked[1], train_joint(y, x, z, configs[1],
+                                               make_rng(8303), None))
+
+
 def test_trained_ahead_members_are_handed_out_once(monkeypatch):
     # inside the block, train_joint on a member returns what training it
     # alone returns; a second call, a call after the block, a call with
